@@ -9,7 +9,6 @@ use cagra::optimize::{optimize, optimize_naive, OptimizeOptions};
 use cagra::search::buffer::{bitonic_sort, BufEntry};
 use cagra::search::hash::VisitedSet;
 use cagra::search::planner::Mode;
-use cagra::search::single_cta::search_single_cta_with;
 use cagra::{SearchParams, SearchScratch};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dataset::synth::{Family, SynthSpec};
@@ -190,54 +189,25 @@ fn bench_scratch_reuse(c: &mut Criterion) {
     let index = cagra_index(&base);
     let params = SearchParams::for_k(10);
     let nq = queries.len();
+    let single = Mode::SingleCta;
 
+    let one = |qi: usize, scratch: &mut SearchScratch| {
+        let p = SearchParams { seed: params.seed_for_query(qi), ..params };
+        index.search_mode_with(black_box(queries.row(qi)), 10, &p, single, scratch);
+        scratch.results().len()
+    };
     g.bench_function("search16_fresh_state", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for qi in 0..nq {
-                let mut scratch = SearchScratch::new();
-                let mut p = params;
-                p.seed = params.seed_for_query(qi);
-                search_single_cta_with(
-                    index.graph(),
-                    index.store(),
-                    index.metric(),
-                    black_box(queries.row(qi)),
-                    10,
-                    &p,
-                    &mut scratch,
-                );
-                acc += scratch.results().len();
-            }
-            acc
-        })
+        b.iter(|| (0..nq).map(|qi| one(qi, &mut SearchScratch::new())).sum::<usize>())
     });
     g.bench_function("search16_reused_scratch", |b| {
         let mut scratch = SearchScratch::new();
         scratch.set_record_trace(false);
-        b.iter(|| {
-            let mut acc = 0usize;
-            for qi in 0..nq {
-                let mut p = params;
-                p.seed = params.seed_for_query(qi);
-                search_single_cta_with(
-                    index.graph(),
-                    index.store(),
-                    index.metric(),
-                    black_box(queries.row(qi)),
-                    10,
-                    &p,
-                    &mut scratch,
-                );
-                acc += scratch.results().len();
-            }
-            acc
-        })
+        b.iter(|| (0..nq).map(|qi| one(qi, &mut scratch)).sum::<usize>())
     });
     // The full batch entry point (thread pool + per-thread scratch),
     // for an end-to-end number alongside the isolated loops above.
     g.bench_function("batch16_single_cta", |b| {
-        b.iter(|| index.search_batch_mode(black_box(&queries), 10, &params, Mode::SingleCta))
+        b.iter(|| index.try_search_batch(black_box(&queries), 10, &params, Some(single), false))
     });
     g.finish();
 }
@@ -297,6 +267,7 @@ fn bench_relabel(c: &mut Criterion) {
     let (base, queries) = glove_like(16);
     let index = cagra_index(&base);
     let params = SearchParams::for_k(10);
+    let single = Some(Mode::SingleCta);
 
     let fresh =
         || CagraIndex::from_parts(clone_ds(index.store()), index.graph().clone(), index.metric());
@@ -311,13 +282,11 @@ fn bench_relabel(c: &mut Criterion) {
         let mut relabeled = fresh();
         relabeled.relabel(strategy);
         g.bench_function(format!("search16_{}", strategy.label()), |b| {
-            b.iter(|| {
-                relabeled.search_batch_mode(black_box(&queries), 10, &params, Mode::SingleCta)
-            })
+            b.iter(|| relabeled.try_search_batch(black_box(&queries), 10, &params, single, false))
         });
     }
     g.bench_function("search16_identity", |b| {
-        b.iter(|| index.search_batch_mode(black_box(&queries), 10, &params, Mode::SingleCta))
+        b.iter(|| index.try_search_batch(black_box(&queries), 10, &params, single, false))
     });
     g.finish();
 }

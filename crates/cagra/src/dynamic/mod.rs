@@ -44,7 +44,7 @@ use dataset::{Dataset, VectorStore};
 use delta::{DeltaConfig, DeltaSeg};
 use distance::Metric;
 pub use epoch::EpochPtr;
-use knn::parallel::{default_threads, parallel_map};
+use knn::parallel::{default_threads, parallel_map_with};
 use knn::topk::{cmp_neighbor, Neighbor};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -213,6 +213,14 @@ struct Shared {
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Scratch for a read path that drops the trace: no per-iteration
+/// records, so reuse stays allocation-free.
+fn untraced_scratch() -> SearchScratch {
+    let mut scratch = SearchScratch::new();
+    scratch.set_record_trace(false);
+    scratch
 }
 
 /// A mutable ANN index: immutable CAGRA main segment + delta +
@@ -425,15 +433,22 @@ impl DynamicIndex {
     /// Non-panicking [`DynamicIndex::search`].
     pub fn try_search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, SearchError> {
         self.validate_shape(query.len(), k)?;
-        Ok(self.search_clamped(query, k))
+        Ok(self.search_clamped(query, k, &mut untraced_scratch()))
     }
 
     /// Search with `k` clamped to the live count instead of erroring —
     /// the serving hot path uses this after admission-time validation,
     /// because concurrent deletes can shrink `live` below a `k` that
     /// validated moments ago, and a dispatched batch must not panic.
-    /// Returns fewer than `k` results exactly when `k > live`.
-    pub fn search_clamped(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
+    /// Returns fewer than `k` results exactly when `k > live`. The main
+    /// segment's traversal runs on the caller's `scratch`, so a worker
+    /// that keeps one across requests searches without allocating it.
+    pub fn search_clamped(
+        &self,
+        query: &[f32],
+        k: usize,
+        scratch: &mut SearchScratch,
+    ) -> Vec<Neighbor> {
         let snap = self.shared.ptr.load();
         let k = k.min(snap.live());
         if k == 0 || query.len() != self.shared.dim {
@@ -450,9 +465,7 @@ impl DynamicIndex {
             params.itopk = params.itopk.max(k_main);
             // Shape is valid by construction (k_main <= n, <= itopk),
             // so the validation-free entry point is safe here.
-            let mut scratch = SearchScratch::new();
-            scratch.set_record_trace(false);
-            main.index.search_mode_with(query, k_main, &params, Mode::SingleCta, &mut scratch);
+            main.index.search_mode_with(query, k_main, &params, Mode::SingleCta, scratch);
             from_main = scratch
                 .results()
                 .iter()
@@ -471,10 +484,10 @@ impl DynamicIndex {
     /// query independently loads the current snapshot.
     pub fn search_batch<Q: VectorStore>(&self, queries: &Q, k: usize) -> Vec<Vec<Neighbor>> {
         let dim = queries.dim();
-        parallel_map(queries.len(), default_threads(), |qi| {
+        parallel_map_with(queries.len(), default_threads(), untraced_scratch, |scratch, qi| {
             let mut q = vec![0.0f32; dim];
             queries.get_into(qi, &mut q);
-            self.search_clamped(&q, k)
+            self.search_clamped(&q, k, scratch)
         })
     }
 
@@ -659,7 +672,7 @@ mod tests {
             Err(SearchError::DimMismatch { expected: 4, got: 3 })
         );
         assert_eq!(ix.try_search(&[0.0; 4], 0), Err(SearchError::ZeroK));
-        assert!(ix.search_clamped(&[0.0; 4], 5).is_empty());
+        assert!(ix.search_clamped(&[0.0; 4], 5, &mut SearchScratch::new()).is_empty());
     }
 
     #[test]

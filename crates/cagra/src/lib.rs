@@ -10,11 +10,11 @@
 //! * **Search** (Sec. IV): an iterative traversal over a contiguous
 //!   buffer holding an internal top-M list and a `p x d` candidate
 //!   list, with an open-addressing *visited* hash table (standard or
-//!   "forgettable"), MSB-flag parent tracking, and two hardware
-//!   mappings — [`search::single_cta`] (one worker per query, large
-//!   batches) and [`search::multi_cta`] (several workers cooperating
-//!   on one query). [`search::planner`] encodes the Fig. 7 dispatch
-//!   rule.
+//!   "forgettable") and MSB-flag parent tracking — one loop,
+//!   [`search::kernel`], run in either of two hardware mappings:
+//!   single-CTA (one worker per query, large batches) or multi-CTA
+//!   (several workers cooperating on one query). [`search::planner`]
+//!   encodes the Fig. 7 dispatch rule.
 //!
 //! The GPU timing behaviour (team sizes, occupancy, memory
 //! transactions) lives in the separate `gpu-sim` crate, which consumes
@@ -56,6 +56,6 @@ pub use error::SearchError;
 pub use graph::relabel::{IdMap, Permutation, RelabelStrategy};
 pub use mmap::MmapVectors;
 pub use params::{HashPolicy, ReorderStrategy, SearchParams};
-pub use search::index::CagraIndex;
+pub use search::index::{CagraIndex, SearchOutput};
 pub use search::scratch::SearchScratch;
 pub use shard::ShardedIndex;

@@ -46,9 +46,6 @@ pub struct SearchParams {
     pub search_width: usize,
     /// Hard iteration cap (`I_max`).
     pub max_iterations: usize,
-    /// Lower bound on iterations (0 = none); lets experiments force a
-    /// fixed amount of traversal.
-    pub min_iterations: usize,
     /// Visited-set policy.
     pub hash: HashPolicy,
     /// Threads cooperating on one distance computation in the GPU
@@ -79,7 +76,6 @@ impl SearchParams {
             itopk,
             search_width: 1,
             max_iterations: 0, // 0 = auto (derived from itopk)
-            min_iterations: 0,
             hash: HashPolicy::Forgettable { bits: 11, reset_interval: 1 },
             team_size: 8,
             num_cta: 16,
@@ -165,16 +161,12 @@ impl SearchParams {
                 max: Self::MAX_NUM_CTA,
             });
         }
-        for (what, value) in
-            [("max_iterations", self.max_iterations), ("min_iterations", self.min_iterations)]
-        {
-            if value > Self::MAX_ITERATION_BOUND {
-                return Err(SearchError::ParamOutOfRange {
-                    what,
-                    value,
-                    max: Self::MAX_ITERATION_BOUND,
-                });
-            }
+        if self.max_iterations > Self::MAX_ITERATION_BOUND {
+            return Err(SearchError::ParamOutOfRange {
+                what: "max_iterations",
+                value: self.max_iterations,
+                max: Self::MAX_ITERATION_BOUND,
+            });
         }
         if self.rerank_depth != 0 && self.rerank_depth < k {
             return Err(SearchError::RerankDepthBelowK { depth: self.rerank_depth, k });
@@ -263,12 +255,6 @@ mod tests {
         assert!(matches!(
             p.validate(1),
             Err(SearchError::ParamOutOfRange { what: "max_iterations", .. })
-        ));
-        let mut p = SearchParams::for_k(1);
-        p.min_iterations = SearchParams::MAX_ITERATION_BOUND + 1;
-        assert!(matches!(
-            p.validate(1),
-            Err(SearchError::ParamOutOfRange { what: "min_iterations", .. })
         ));
     }
 

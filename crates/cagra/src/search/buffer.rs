@@ -49,27 +49,28 @@ fn less(a: &BufEntry, b: &BufEntry) -> bool {
     }
 }
 
-/// Sort `entries` ascending in place with a bitonic network, padding
-/// virtually to the next power of two (padding compares as DUMMY).
+/// Sort `entries` ascending in place with a bitonic network, padded to
+/// the next power of two with DUMMY entries (which sort last) for the
+/// duration of the call. The padding lives in the vector's own spare
+/// capacity — [`SearchBuffer`] reserves it up front — so a hot-loop
+/// sort allocates nothing.
 ///
 /// This mirrors the warp-level register sort of the CUDA kernel (used
 /// when the candidate buffer is <= 512 entries); for larger buffers
 /// the GPU switches to a radix sort, which is functionally identical,
 /// so the host implementation keeps one code path.
-pub fn bitonic_sort(entries: &mut [BufEntry]) {
+pub fn bitonic_sort(entries: &mut Vec<BufEntry>) {
     let n = entries.len();
     if n <= 1 {
         return;
     }
     let padded = n.next_power_of_two();
-    // Virtual padding: out-of-range slots are DUMMY (max element), and
-    // compare-exchange with them only matters in ascending direction,
-    // where a real element never moves toward a higher index; so pairs
-    // with j >= n can be skipped when ascending, and force-swapped
-    // when descending. Simpler and still O(n log^2 n): materialize.
-    let mut buf: Vec<BufEntry> = Vec::with_capacity(padded);
-    buf.extend_from_slice(entries);
-    buf.resize(padded, BufEntry::DUMMY);
+    entries.resize(padded, BufEntry::DUMMY);
+    // The network runs on a slice of known length: through `&mut Vec`
+    // every swap would make the compiler reload the vector's pointer
+    // and length, and bounds-check `i` against it.
+    // ALLOW(panic): `resize` just made the length exactly `padded`.
+    let slots = &mut entries[..padded];
 
     let mut k = 2;
     while k <= padded {
@@ -81,8 +82,8 @@ pub fn bitonic_sort(entries: &mut [BufEntry]) {
                     let ascending = i & k == 0;
                     // ALLOW(panic): `i < padded` and `l = i ^ j` with
                     // `j < padded` (a power of two), so `l < padded`.
-                    if less(&buf[l], &buf[i]) == ascending {
-                        buf.swap(i, l);
+                    if less(&slots[l], &slots[i]) == ascending {
+                        slots.swap(i, l);
                     }
                 }
             }
@@ -90,8 +91,9 @@ pub fn bitonic_sort(entries: &mut [BufEntry]) {
         }
         k *= 2;
     }
-    // ALLOW(panic): `buf` was resized to `padded >= n` above.
-    entries.copy_from_slice(&buf[..n]);
+    // The first `n` slots hold the input (only a NaN distance sorts
+    // after the padding, and such an entry is dropped for a DUMMY).
+    entries.truncate(n);
 }
 
 /// The contiguous search buffer (Fig. 6 top).
@@ -99,7 +101,8 @@ pub fn bitonic_sort(entries: &mut [BufEntry]) {
 pub struct SearchBuffer {
     /// Internal top-M list, always sorted ascending.
     topm: Vec<BufEntry>,
-    /// Candidate list (`p * d` slots).
+    /// Candidate list (`p * d` slots, with capacity for the sort's
+    /// power-of-two padding).
     candidates: Vec<BufEntry>,
     m: usize,
     scratch: Vec<BufEntry>,
@@ -114,7 +117,7 @@ impl SearchBuffer {
         assert!(m > 0 && width > 0, "buffer sizes must be positive");
         SearchBuffer {
             topm: vec![BufEntry::DUMMY; m],
-            candidates: Vec::with_capacity(width),
+            candidates: Vec::with_capacity(width.next_power_of_two()),
             m,
             scratch: Vec::with_capacity(m + width),
         }
@@ -132,7 +135,7 @@ impl SearchBuffer {
         self.topm.clear();
         self.topm.resize(m, BufEntry::DUMMY);
         self.candidates.clear();
-        self.candidates.reserve(width);
+        self.candidates.reserve(width.next_power_of_two());
         self.scratch.clear();
         self.scratch.reserve(m + width);
     }
@@ -151,11 +154,6 @@ impl SearchBuffer {
     pub fn set_candidates(&mut self, iter: impl IntoIterator<Item = BufEntry>) {
         self.candidates.clear();
         self.candidates.extend(iter);
-    }
-
-    /// Drop all candidates, keeping the allocation.
-    pub fn clear_candidates(&mut self) {
-        self.candidates.clear();
     }
 
     /// Append one candidate (the allocation-free alternative to
@@ -336,7 +334,6 @@ mod tests {
         reused.reset(2, 3);
         let mut fresh = SearchBuffer::new(2, 3);
         for b in [&mut reused, &mut fresh] {
-            b.clear_candidates();
             b.push_candidate(e(7, 2.0));
             b.push_candidate(e(8, 0.5));
             b.update_topm();

@@ -1,14 +1,16 @@
 //! High-level index: build once, search many times.
 //!
 //! [`CagraIndex`] owns the dataset and graph and exposes the public
-//! API a downstream user works with: single-query search (auto-
-//! dispatched per Fig. 7), explicit-mode search, and thread-parallel
-//! batch search (the CPU analogue of launching one CTA per query).
+//! search API: one validated entry ([`CagraIndex::try_search_batch`]:
+//! a batch of queries, the mapping either given or chosen per Fig. 7,
+//! traces on request; thread-parallel over queries, the CPU analogue
+//! of launching one CTA per query), one unchecked hot entry on caller
+//! scratch ([`CagraIndex::search_mode_with`]), and four panicking
+//! one-line conveniences over the validated entry.
 
-use super::multi_cta::search_multi_cta_mapped;
+use super::kernel::search_kernel;
 use super::planner::{choose, Mode, Thresholds};
 use super::scratch::SearchScratch;
-use super::single_cta::search_single_cta_mapped;
 use super::trace::SearchTrace;
 use crate::build::{build_graph, BuildReport, GraphConfig};
 use crate::error::{validate_request, SearchError};
@@ -35,6 +37,34 @@ pub struct CagraIndex<S> {
     rerank: Option<Box<dyn VectorStore + Send + Sync>>,
     /// Dispatch thresholds used by [`CagraIndex::search_batch`].
     pub thresholds: Thresholds,
+}
+
+/// What [`CagraIndex::try_search_batch`] returns, one entry per query
+/// in batch order.
+#[derive(Clone, Debug, Default)]
+pub struct SearchOutput {
+    /// Top-k neighbors, ascending by distance.
+    pub neighbors: Vec<Vec<Neighbor>>,
+    /// Per-query traces; empty unless the search was `traced`.
+    pub traces: Vec<SearchTrace>,
+}
+
+/// A lone query viewed as a one-row batch.
+struct OneQuery<'a>(&'a [f32]);
+
+impl VectorStore for OneQuery<'_> {
+    fn len(&self) -> usize {
+        1
+    }
+    fn dim(&self) -> usize {
+        self.0.len()
+    }
+    fn get_into(&self, _i: usize, out: &mut [f32]) {
+        out.copy_from_slice(self.0);
+    }
+    fn bytes_per_vector(&self) -> usize {
+        std::mem::size_of_val(self.0)
+    }
 }
 
 impl<S: VectorStore> CagraIndex<S> {
@@ -144,15 +174,6 @@ impl<S: VectorStore> CagraIndex<S> {
         self.rerank.as_deref()
     }
 
-    /// Reject `rerank_depth > 0` when no rerank source is attached —
-    /// part of every validated entry point's admission gate.
-    fn check_rerank(&self, params: &SearchParams) -> Result<(), SearchError> {
-        if params.rerank_depth > 0 && self.rerank.is_none() {
-            return Err(SearchError::RerankWithoutSource);
-        }
-        Ok(())
-    }
-
     /// Validate a request *shape* — `(k, query_dim, params)` against
     /// this index — without running a search. The serving layer calls
     /// this once per distinct shape at admission time and then uses
@@ -166,39 +187,91 @@ impl<S: VectorStore> CagraIndex<S> {
         params: &SearchParams,
     ) -> Result<(), SearchError> {
         validate_request(params, k, self.store.len(), self.store.dim(), query_dim)?;
-        self.check_rerank(params)
+        if params.rerank_depth > 0 && self.rerank.is_none() {
+            return Err(SearchError::RerankWithoutSource);
+        }
+        Ok(())
+    }
+
+    /// The one validated search entry: every query of `queries`,
+    /// parallel over queries, with mapping `mode` — `None` picks it per
+    /// Fig. 7 from the batch size and `itopk`. Every invalid input
+    /// (dimension mismatch, `k == 0`, `k > itopk`, `k > n`, bad knob
+    /// values, rerank without a source) comes back as a typed
+    /// [`SearchError`]. Per-query traces are recorded and returned
+    /// only when `traced`.
+    ///
+    /// Query `qi` runs with seed [`SearchParams::seed_for_query`]`(qi)`
+    /// on a per-thread recycled [`SearchScratch`], so results are
+    /// deterministic regardless of thread count and the steady state
+    /// performs zero heap allocations per query beyond the returned
+    /// vectors. A one-row batch runs inline on the calling thread.
+    pub fn try_search_batch<Q: VectorStore>(
+        &self,
+        queries: &Q,
+        k: usize,
+        params: &SearchParams,
+        mode: Option<Mode>,
+        traced: bool,
+    ) -> Result<SearchOutput, SearchError> {
+        self.validate_shape(queries.dim(), k, params)?;
+        let mode = mode.unwrap_or_else(|| choose(queries.len(), params.itopk, self.thresholds));
+        let scratch = || {
+            let mut scratch = SearchScratch::new();
+            // Untraced: skip per-iteration records so the steady state
+            // stays allocation-free.
+            scratch.set_record_trace(traced);
+            scratch
+        };
+        let run = |scratch: &mut SearchScratch, qi: usize| {
+            // Stage the row in the scratch's recycled buffer, taken out
+            // so the query and the scratch can be borrowed together.
+            let mut q = std::mem::take(&mut scratch.query);
+            q.resize(queries.dim(), 0.0);
+            queries.get_into(qi, &mut q);
+            let p = SearchParams { seed: params.seed_for_query(qi), ..*params };
+            self.search_mode_with(&q, k, &p, mode, scratch);
+            scratch.query = q;
+            (scratch.results().to_vec(), traced.then(|| scratch.trace().clone()))
+        };
+        let rows = if queries.len() == 1 {
+            vec![run(&mut scratch(), 0)]
+        } else {
+            obs::metrics().search_batches.inc();
+            parallel_map_with(queries.len(), default_threads(), scratch, run)
+        };
+        let (neighbors, traces): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+        Ok(SearchOutput { neighbors, traces: traces.into_iter().flatten().collect() })
+    }
+
+    /// [`CagraIndex::try_search_batch`] for the four panicking
+    /// conveniences below.
+    fn must_search<Q: VectorStore>(
+        &self,
+        queries: &Q,
+        k: usize,
+        params: &SearchParams,
+        mode: Option<Mode>,
+        traced: bool,
+    ) -> SearchOutput {
+        let out = self.try_search_batch(queries, k, params, mode, traced);
+        // ALLOW(panic): documented contract of the panicking wrappers.
+        out.unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Single-query search with automatic mapping choice (a lone query
     /// always dispatches to multi-CTA, as in the paper).
     ///
     /// # Panics
-    /// Panics on invalid input; [`CagraIndex::try_search`] is the
-    /// non-panicking form.
+    /// Panics on invalid input, as do the three conveniences below;
+    /// [`CagraIndex::try_search_batch`] is the non-panicking form.
     pub fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Vec<Neighbor> {
-        // ALLOW(panic): documented panicking wrapper; `try_search` is
-        // the typed-error form.
-        self.try_search(query, k, params).unwrap_or_else(|e| panic!("{e}"))
+        let mut out = self.must_search(&OneQuery(query), k, params, None, false);
+        out.neighbors.pop().unwrap_or_default()
     }
 
-    /// Non-panicking [`CagraIndex::search`]: every invalid input
-    /// (dimension mismatch, `k == 0`, `k > itopk`, `k > n`, bad knob
-    /// values) comes back as a typed [`SearchError`].
-    pub fn try_search(
-        &self,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-    ) -> Result<Vec<Neighbor>, SearchError> {
-        let mode = choose(1, params.itopk, self.thresholds);
-        Ok(self.try_search_mode(query, k, params, mode)?.0)
-    }
-
-    /// Search with an explicit kernel mapping; returns the trace too.
-    ///
-    /// # Panics
-    /// Panics on invalid input; [`CagraIndex::try_search_mode`] is the
-    /// non-panicking form.
+    /// Single-query search with an explicit mapping; returns the trace
+    /// too.
     pub fn search_mode(
         &self,
         query: &[f32],
@@ -206,32 +279,42 @@ impl<S: VectorStore> CagraIndex<S> {
         params: &SearchParams,
         mode: Mode,
     ) -> (Vec<Neighbor>, SearchTrace) {
-        // ALLOW(panic): documented panicking wrapper; `try_search_mode`
-        // is the typed-error form.
-        self.try_search_mode(query, k, params, mode).unwrap_or_else(|e| panic!("{e}"))
+        let mut out = self.must_search(&OneQuery(query), k, params, Some(mode), true);
+        (out.neighbors.pop().unwrap_or_default(), out.traces.pop().unwrap_or_default())
     }
 
-    /// Non-panicking [`CagraIndex::search_mode`].
-    pub fn try_search_mode(
+    /// Batch search, mapping chosen per Fig. 7 from the batch size.
+    pub fn search_batch<Q: VectorStore>(
         &self,
-        query: &[f32],
+        queries: &Q,
+        k: usize,
+        params: &SearchParams,
+    ) -> Vec<Vec<Neighbor>> {
+        self.must_search(queries, k, params, None, false).neighbors
+    }
+
+    /// Batch search that also returns traces (experiment harness use).
+    pub fn search_batch_traced<Q: VectorStore>(
+        &self,
+        queries: &Q,
         k: usize,
         params: &SearchParams,
         mode: Mode,
-    ) -> Result<(Vec<Neighbor>, SearchTrace), SearchError> {
-        validate_request(params, k, self.store.len(), self.store.dim(), query.len())?;
-        self.check_rerank(params)?;
-        let mut scratch = SearchScratch::new();
-        self.search_mode_with(query, k, params, mode, &mut scratch);
-        Ok(scratch.into_output())
+    ) -> Vec<(Vec<Neighbor>, SearchTrace)> {
+        let out = self.must_search(queries, k, params, Some(mode), true);
+        out.neighbors.into_iter().zip(out.traces).collect()
     }
 
-    /// [`CagraIndex::search_mode`] running on caller-provided scratch:
-    /// results land in [`SearchScratch::results`], the trace in
+    /// The unchecked hot entry: one query on caller-provided scratch.
+    /// Results land in [`SearchScratch::results`], the trace in
     /// [`SearchScratch::trace`]. Reusing one scratch across queries
     /// performs zero heap allocations per query in steady state; the
-    /// batch entry points hold one scratch per worker thread and call
-    /// this for every query the thread serves.
+    /// validated entry holds one scratch per worker thread and calls
+    /// this for every query the thread serves, and the serving layer
+    /// calls it directly after validating the shape once at admission.
+    ///
+    /// # Panics
+    /// Panics on input [`CagraIndex::validate_shape`] would reject.
     pub fn search_mode_with(
         &self,
         query: &[f32],
@@ -241,7 +324,6 @@ impl<S: VectorStore> CagraIndex<S> {
         scratch: &mut SearchScratch,
     ) {
         let clock = obs::Stopwatch::start();
-        let id_map = self.id_map.as_ref();
         // Two-phase: traverse for the top max(k, r) candidates under
         // the store's (possibly approximate) distances, then exactly
         // re-score them against the rerank source. On this unchecked
@@ -252,28 +334,17 @@ impl<S: VectorStore> CagraIndex<S> {
             Some(_) => params.rerank_depth.max(k).min(params.itopk).min(self.store.len()),
             None => k,
         };
-        match mode {
-            Mode::SingleCta => search_single_cta_mapped(
-                &self.graph,
-                &self.store,
-                self.metric,
-                query,
-                k_eff,
-                params,
-                scratch,
-                id_map,
-            ),
-            Mode::MultiCta => search_multi_cta_mapped(
-                &self.graph,
-                &self.store,
-                self.metric,
-                query,
-                k_eff,
-                params,
-                scratch,
-                id_map,
-            ),
-        }
+        search_kernel(
+            &self.graph,
+            &self.store,
+            self.metric,
+            query,
+            k_eff,
+            params,
+            mode,
+            self.id_map.as_ref(),
+            scratch,
+        );
         if let Some(src) = rerank {
             self.rerank_results(query, k, src, scratch);
         }
@@ -332,144 +403,6 @@ impl<S: VectorStore> CagraIndex<S> {
         m.search_rerank_promoted.add(promoted as u64);
         m.search_rerank_depth.record(depth as u64);
         m.search_rerank_latency_ns.record(clock.elapsed_ns());
-    }
-
-    /// Batch search, parallel over queries, mapping chosen per Fig. 7
-    /// from the batch size. Each query derives its own seed so batches
-    /// are deterministic regardless of thread count.
-    ///
-    /// # Panics
-    /// Panics on invalid input; [`CagraIndex::try_search_batch`] is the
-    /// non-panicking form.
-    pub fn search_batch<Q: VectorStore>(
-        &self,
-        queries: &Q,
-        k: usize,
-        params: &SearchParams,
-    ) -> Vec<Vec<Neighbor>> {
-        self.try_search_batch(queries, k, params).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`CagraIndex::search_batch`].
-    pub fn try_search_batch<Q: VectorStore>(
-        &self,
-        queries: &Q,
-        k: usize,
-        params: &SearchParams,
-    ) -> Result<Vec<Vec<Neighbor>>, SearchError> {
-        let mode = choose(queries.len(), params.itopk, self.thresholds);
-        self.try_search_batch_mode(queries, k, params, mode)
-    }
-
-    /// Batch search with an explicit mapping.
-    ///
-    /// Each worker thread creates one [`SearchScratch`] and recycles
-    /// it across every query it serves, so the steady state performs
-    /// zero heap allocations per query beyond the returned per-query
-    /// result vectors. Results are identical to running
-    /// [`CagraIndex::search_mode`] per query with
-    /// [`SearchParams::seed_for_query`] seeds, regardless of thread
-    /// count.
-    ///
-    /// # Panics
-    /// Panics on invalid input; [`CagraIndex::try_search_batch_mode`]
-    /// is the non-panicking form.
-    pub fn search_batch_mode<Q: VectorStore>(
-        &self,
-        queries: &Q,
-        k: usize,
-        params: &SearchParams,
-        mode: Mode,
-    ) -> Vec<Vec<Neighbor>> {
-        self.try_search_batch_mode(queries, k, params, mode).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`CagraIndex::search_batch_mode`].
-    pub fn try_search_batch_mode<Q: VectorStore>(
-        &self,
-        queries: &Q,
-        k: usize,
-        params: &SearchParams,
-        mode: Mode,
-    ) -> Result<Vec<Vec<Neighbor>>, SearchError> {
-        validate_request(params, k, self.store.len(), self.store.dim(), queries.dim())?;
-        self.check_rerank(params)?;
-        obs::metrics().search_batches.inc();
-        Ok(parallel_map_with(
-            queries.len(),
-            default_threads(),
-            || {
-                let mut scratch = SearchScratch::new();
-                // Untraced batch: skip per-iteration records so the
-                // steady state stays allocation-free.
-                scratch.set_record_trace(false);
-                scratch
-            },
-            |scratch, qi| {
-                self.batch_query_into(queries, qi, k, params, mode, scratch);
-                scratch.results().to_vec()
-            },
-        ))
-    }
-
-    /// Batch search that also returns traces (experiment harness use).
-    ///
-    /// # Panics
-    /// Panics on invalid input; [`CagraIndex::try_search_batch_traced`]
-    /// is the non-panicking form.
-    pub fn search_batch_traced<Q: VectorStore>(
-        &self,
-        queries: &Q,
-        k: usize,
-        params: &SearchParams,
-        mode: Mode,
-    ) -> Vec<(Vec<Neighbor>, SearchTrace)> {
-        self.try_search_batch_traced(queries, k, params, mode).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`CagraIndex::search_batch_traced`].
-    pub fn try_search_batch_traced<Q: VectorStore>(
-        &self,
-        queries: &Q,
-        k: usize,
-        params: &SearchParams,
-        mode: Mode,
-    ) -> Result<Vec<(Vec<Neighbor>, SearchTrace)>, SearchError> {
-        validate_request(params, k, self.store.len(), self.store.dim(), queries.dim())?;
-        self.check_rerank(params)?;
-        obs::metrics().search_batches.inc();
-        Ok(parallel_map_with(
-            queries.len(),
-            default_threads(),
-            SearchScratch::new,
-            |scratch, qi| {
-                self.batch_query_into(queries, qi, k, params, mode, scratch);
-                (scratch.results().to_vec(), scratch.trace().clone())
-            },
-        ))
-    }
-
-    /// Run batch query `qi` on `scratch`: stage the query vector into
-    /// the scratch's recycled buffer, derive the per-query seed, and
-    /// search. Output stays in the scratch.
-    fn batch_query_into<Q: VectorStore>(
-        &self,
-        queries: &Q,
-        qi: usize,
-        k: usize,
-        params: &SearchParams,
-        mode: Mode,
-        scratch: &mut SearchScratch,
-    ) {
-        // Take the staging buffer out so the query slice and the
-        // scratch can be borrowed simultaneously.
-        let mut q = std::mem::take(&mut scratch.query);
-        q.resize(queries.dim(), 0.0);
-        queries.get_into(qi, &mut q);
-        let mut p = *params;
-        p.seed = params.seed_for_query(qi);
-        self.search_mode_with(&q, k, &p, mode, scratch);
-        scratch.query = q;
     }
 }
 
@@ -675,7 +608,8 @@ mod tests {
         let (mut index, queries) = build_index(300);
         let mut p = SearchParams::for_k(5);
         p.rerank_depth = 20;
-        assert_eq!(index.try_search(queries.row(0), 5, &p), Err(SearchError::RerankWithoutSource));
+        let refused = index.try_search_batch(&queries, 5, &p, None, false);
+        assert_eq!(refused.err(), Some(SearchError::RerankWithoutSource));
         assert_eq!(
             index.validate_shape(queries.dim(), 5, &p),
             Err(SearchError::RerankWithoutSource)
@@ -684,7 +618,7 @@ mod tests {
             dataset::Dataset::from_flat(index.store().as_flat().to_vec(), index.store().dim());
         index.set_rerank_store(Box::new(copy));
         assert_eq!(index.validate_shape(queries.dim(), 5, &p), Ok(()));
-        assert_eq!(index.try_search(queries.row(0), 5, &p).unwrap().len(), 5);
+        assert_eq!(index.search(queries.row(0), 5, &p).len(), 5);
     }
 
     #[test]

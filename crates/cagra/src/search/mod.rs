@@ -1,21 +1,22 @@
 //! CAGRA search (Sec. IV of the paper).
 //!
-//! The functional algorithm is identical for both hardware mappings:
-//! a contiguous buffer holds the internal top-M list and the `p x d`
+//! A contiguous buffer holds the internal top-M list and the `p x d`
 //! candidate list; each iteration (1) merges sorted candidates into
 //! the top-M list, (2) expands the neighbors of the best not-yet-
 //! parented entries (tracked by an MSB flag on the stored index), and
 //! (3) computes distances only for nodes passing the visited hash
-//! table. [`single_cta`] maps one worker to a query; [`multi_cta`]
-//! maps several cooperating workers (sharing the visited set) to one
-//! query. [`planner`] picks between them per Fig. 7.
+//! table. That loop lives once, in [`kernel`]; the paper's two
+//! hardware mappings are *shapes* of it — how many workers share a
+//! query and one visited table, how many parents and how long a list
+//! each worker gets, how the table is sized and whether it is reset —
+//! selected by [`planner::Mode`]. [`planner`] picks the mode per
+//! Fig. 7; [`index`] is the public entry.
 
 pub mod buffer;
 pub mod hash;
 pub mod index;
-pub mod multi_cta;
+pub mod kernel;
 pub mod parent;
 pub mod planner;
 pub mod scratch;
-pub mod single_cta;
 pub mod trace;

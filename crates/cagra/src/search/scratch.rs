@@ -24,8 +24,7 @@ use knn::topk::Neighbor;
 /// Reusable working state for one search worker thread.
 ///
 /// Create once (cheap — everything starts empty), then pass to
-/// [`crate::search::single_cta::search_single_cta_with`],
-/// [`crate::search::multi_cta::search_multi_cta_with`], or
+/// [`crate::search::kernel::search_kernel`] or
 /// [`crate::CagraIndex::search_mode_with`] for as many queries as
 /// desired. After each call, [`SearchScratch::results`] and
 /// [`SearchScratch::trace`] hold that query's output until the next
@@ -36,9 +35,9 @@ pub struct SearchScratch {
     pub(crate) visited: Option<VisitedSet>,
     /// One buffer per worker (single-CTA uses exactly one).
     pub(crate) buffers: Vec<SearchBuffer>,
-    /// Multi-CTA per-worker liveness flags.
+    /// Per-worker liveness flags.
     pub(crate) active: Vec<bool>,
-    /// Single-CTA parent list (up to `search_width` ids).
+    /// The current worker's parent list (up to `search_width` ids).
     pub(crate) parents: Vec<u32>,
     /// Staging buffer for batch queries gathered out of a store.
     pub(crate) query: Vec<f32>,
@@ -106,12 +105,6 @@ impl SearchScratch {
     /// the most recent search ran on recycled state.
     pub fn reused(&self) -> bool {
         self.searches > 1
-    }
-
-    /// Consume the scratch, yielding the last search's output without
-    /// copying (the one-shot convenience path).
-    pub fn into_output(mut self) -> (Vec<Neighbor>, SearchTrace) {
-        (std::mem::take(&mut self.results), std::mem::take(&mut self.trace))
     }
 
     /// Re-shape for the next search: a `2^bits`-slot visited table and
@@ -195,16 +188,5 @@ mod tests {
         assert!(s.results.is_empty());
         assert_eq!(s.trace.init_distances, 0);
         assert_eq!(s.trace.iteration_count(), 0);
-    }
-
-    #[test]
-    fn into_output_moves_results() {
-        let mut s = SearchScratch::new();
-        s.begin(8, 1, 16, 8);
-        s.results.push(Neighbor::new(7, 1.25));
-        let (results, trace) = s.into_output();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].id, 7);
-        assert!(!trace.scratch_reused);
     }
 }

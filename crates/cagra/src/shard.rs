@@ -201,14 +201,7 @@ impl<S: VectorStore> ShardedIndex<S> {
         params: &SearchParams,
         mode: Mode,
     ) -> Vec<Neighbor> {
-        let mut all: Vec<Neighbor> = Vec::with_capacity(k * self.shards.len());
-        for (shard, &offset) in self.shards.iter().zip(&self.offsets) {
-            let (results, _) = shard.search_mode(query, k, params, mode);
-            all.extend(results.into_iter().map(|n| Neighbor::new(n.id + offset, n.dist)));
-        }
-        all.sort_unstable_by(cmp_neighbor);
-        all.truncate(k);
-        all
+        self.search_traced(query, k, params, mode).0
     }
 
     /// Search all shards, returning per-shard traces for multi-device

@@ -7,7 +7,7 @@
 //! Plus property legs: searches never return a tombstoned id, results
 //! stay sorted/live/deduplicated through arbitrary op sequences.
 
-use cagra::{DynamicIndex, DynamicParams, SearchError};
+use cagra::{DynamicIndex, DynamicParams, SearchError, SearchScratch};
 use dataset::synth::{Family, SynthSpec};
 use dataset::Dataset;
 use distance::Metric;
@@ -163,6 +163,8 @@ fn run_ops(ops: &[(u8, u16)], compact_every: usize) {
     let ix = DynamicIndex::new(dim, Metric::SquaredL2, params);
     let mut live: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
     let mut assigned: Vec<u32> = Vec::new();
+    // One scratch across the whole history, reshaped by every search.
+    let mut scratch = SearchScratch::new();
     for (step, &(op, x)) in ops.iter().enumerate() {
         match op % 3 {
             0 => {
@@ -179,7 +181,7 @@ fn run_ops(ops: &[(u8, u16)], compact_every: usize) {
             _ => {
                 let k = 1 + x as usize % 6;
                 let q: Vec<f32> = (0..dim).map(|d| ((x as usize + d) as f32 * 0.3).cos()).collect();
-                let got = ix.search_clamped(&q, k);
+                let got = ix.search_clamped(&q, k, &mut scratch);
                 assert_eq!(got.len(), k.min(live.len()), "clamped result size");
                 assert!(got.windows(2).all(|w| cmp_neighbor(&w[0], &w[1]).is_le()), "unsorted");
                 let mut seen = std::collections::BTreeSet::new();

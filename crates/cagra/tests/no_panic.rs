@@ -4,7 +4,7 @@
 //! n < itopk, self-loop-only graphs, zero-bit hashes) — the `try_*`
 //! entry points return `Ok` or a typed [`SearchError`], never panic.
 //!
-//! The second property pins the error taxonomy: `try_search_mode`
+//! The second property pins the error taxonomy: `try_search_batch`
 //! errors exactly when the input violates a documented rule, so the
 //! fallible API neither invents spurious failures nor lets invalid
 //! input through.
@@ -52,7 +52,6 @@ fn input_is_valid(p: &SearchParams, k: usize, n: usize, dim: usize, qdim: usize)
         && matches!(p.team_size, 2 | 4 | 8 | 16 | 32)
         && (1..=SearchParams::MAX_NUM_CTA).contains(&p.num_cta)
         && p.max_iterations <= SearchParams::MAX_ITERATION_BOUND
-        && p.min_iterations <= SearchParams::MAX_ITERATION_BOUND
         && match p.hash {
             HashPolicy::Standard => true,
             HashPolicy::Forgettable { bits, reset_interval } => {
@@ -65,7 +64,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     #[test]
-    fn try_search_mode_never_panics_and_errors_exactly_on_invalid_input(
+    fn try_search_batch_never_panics_and_errors_exactly_on_invalid_input(
         n in 0usize..48,
         dim in 1usize..8,
         degree in 1usize..6,
@@ -92,11 +91,12 @@ proptest! {
         } else {
             HashPolicy::Standard
         };
-        let q = vec![0.25f32; qdim];
+        let q = Dataset::from_flat(vec![0.25f32; qdim], qdim);
         let mode = if single { Mode::SingleCta } else { Mode::MultiCta };
         // Reaching a match arm at all is the no-panic property.
-        match index.try_search_mode(&q, k, &p, mode) {
-            Ok((res, _)) => {
+        match index.try_search_batch(&q, k, &p, Some(mode), false) {
+            Ok(out) => {
+                let res = &out.neighbors[0];
                 prop_assert!(
                     input_is_valid(&p, k, n, dim, qdim),
                     "invalid input accepted: n={} dim={} qdim={} k={} params={:?}",
@@ -125,7 +125,7 @@ proptest! {
     }
 
     #[test]
-    fn try_search_batch_never_panics(
+    fn try_search_batch_never_panics_for_any_batch_size(
         n in 0usize..40,
         dim in 1usize..6,
         degree in 1usize..5,
@@ -137,11 +137,13 @@ proptest! {
             CagraIndex::try_new(filler(n, dim, 11), ring(n, degree), Metric::SquaredL2).unwrap();
         let queries = filler(nq, qdim, 13);
         let p = SearchParams::for_k(k.max(1));
-        if let Ok(res) = index.try_search_batch(&queries, k, &p) {
-            prop_assert_eq!(res.len(), nq);
+        if let Ok(out) = index.try_search_batch(&queries, k, &p, None, false) {
+            prop_assert_eq!(out.neighbors.len(), nq);
+            prop_assert!(out.traces.is_empty());
         }
-        // Traced form takes the same path through validation.
-        let _ = index.try_search_batch_traced(&queries, k, &p, Mode::SingleCta);
+        if let Ok(out) = index.try_search_batch(&queries, k, &p, Some(Mode::SingleCta), true) {
+            prop_assert_eq!((out.neighbors.len(), out.traces.len()), (nq, nq));
+        }
     }
 
     #[test]
@@ -175,7 +177,7 @@ fn valid_request_returns_exactly_k() {
     let index = CagraIndex::try_new(filler(n, 4, 3), ring(n, 8), Metric::SquaredL2).unwrap();
     let p = SearchParams::for_k(10);
     for mode in [Mode::SingleCta, Mode::MultiCta] {
-        let (res, _) = index.try_search_mode(&[0.5; 4], 10, &p, mode).unwrap();
+        let (res, _) = index.search_mode(&[0.5; 4], 10, &p, mode);
         assert_eq!(res.len(), 10);
     }
 }
@@ -188,20 +190,21 @@ fn tiny_datasets_search_cleanly() {
     let index = CagraIndex::try_new(filler(1, 3, 5), ring(1, 2), Metric::SquaredL2).unwrap();
     let mut p = SearchParams::for_k(1);
     p.itopk = 1;
-    let res = index.try_search(&[0.0; 3], 1, &p).unwrap();
+    let res = index.search(&[0.0; 3], 1, &p);
     assert_eq!(res.len(), 1);
     assert_eq!(res[0].id, 0);
 
     // n = 5 with the default itopk = 64 (n < itopk): valid, returns k.
     let index = CagraIndex::try_new(filler(5, 3, 5), ring(5, 2), Metric::SquaredL2).unwrap();
     let p = SearchParams::for_k(3);
-    let res = index.try_search(&[0.0; 3], 3, &p).unwrap();
+    let res = index.search(&[0.0; 3], 3, &p);
     assert_eq!(res.len(), 3);
 
     // n = 0: any k >= 1 exceeds the dataset.
     let index = CagraIndex::try_new(Dataset::empty(3), ring(0, 2), Metric::SquaredL2).unwrap();
+    let q = Dataset::from_flat(vec![0.0; 3], 3);
     assert_eq!(
-        index.try_search(&[0.0; 3], 1, &SearchParams::for_k(1)).err(),
+        index.try_search_batch(&q, 1, &SearchParams::for_k(1), None, false).err(),
         Some(SearchError::KExceedsDataset { k: 1, n: 0 })
     );
 }

@@ -24,14 +24,14 @@ fn recording_does_not_perturb_results() {
     obs::set_recording(true);
     let recorded: Vec<_> = [Mode::SingleCta, Mode::MultiCta]
         .into_iter()
-        .map(|m| index.search_batch_mode(&queries, 10, &params, m))
+        .map(|m| index.try_search_batch(&queries, 10, &params, Some(m), false).unwrap().neighbors)
         .collect();
     let snap_on = obs::metrics().snapshot();
 
     obs::set_recording(false);
     let silent: Vec<_> = [Mode::SingleCta, Mode::MultiCta]
         .into_iter()
-        .map(|m| index.search_batch_mode(&queries, 10, &params, m))
+        .map(|m| index.try_search_batch(&queries, 10, &params, Some(m), false).unwrap().neighbors)
         .collect();
     obs::set_recording(true);
 

@@ -26,6 +26,16 @@ fn clone_of(index: &CagraIndex<Dataset>) -> CagraIndex<Dataset> {
     CagraIndex::from_parts(store, index.graph().clone(), index.metric())
 }
 
+fn batch(
+    index: &CagraIndex<Dataset>,
+    queries: &Dataset,
+    k: usize,
+    params: &SearchParams,
+    mode: Mode,
+) -> Vec<Vec<Neighbor>> {
+    index.try_search_batch(queries, k, params, Some(mode), false).expect("valid request").neighbors
+}
+
 fn assert_bit_identical(a: &[Vec<Neighbor>], b: &[Vec<Neighbor>], label: &str) {
     assert_eq!(a.len(), b.len(), "{label}: batch size");
     for (qi, (x, y)) in a.iter().zip(b).enumerate() {
@@ -64,10 +74,10 @@ fn relabeled_search_is_bit_identical_across_strategies_modes_threads() {
             "{strategy:?} on a real graph must not be the identity"
         );
         for mode in [Mode::SingleCta, Mode::MultiCta] {
-            let baseline = index.search_batch_mode(&queries, k, &params, mode);
+            let baseline = batch(&index, &queries, k, &params, mode);
             for threads in ["1", "4"] {
                 std::env::set_var("CAGRA_THREADS", threads);
-                let got = relabeled.search_batch_mode(&queries, k, &params, mode);
+                let got = batch(&relabeled, &queries, k, &params, mode);
                 std::env::remove_var("CAGRA_THREADS");
                 assert_bit_identical(
                     &got,
@@ -106,8 +116,8 @@ fn forgettable_hash_relabeled_search_is_bit_identical() {
             let mut relabeled = clone_of(&index);
             relabeled.relabel(strategy);
             for mode in [Mode::SingleCta, Mode::MultiCta] {
-                let baseline = index.search_batch_mode(&queries, k, &params, mode);
-                let got = relabeled.search_batch_mode(&queries, k, &params, mode);
+                let baseline = batch(&index, &queries, k, &params, mode);
+                let got = batch(&relabeled, &queries, k, &params, mode);
                 assert_bit_identical(
                     &got,
                     &baseline,

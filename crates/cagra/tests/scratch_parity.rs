@@ -87,7 +87,10 @@ fn batch_scratch_reuse_is_bit_identical_to_fresh_state() {
             // reuse) and several (one scratch per worker).
             for threads in ["1", "4"] {
                 std::env::set_var("CAGRA_THREADS", threads);
-                let batch = index.search_batch_mode(&queries, k, &params, mode);
+                let batch = index
+                    .try_search_batch(&queries, k, &params, Some(mode), false)
+                    .expect("valid request")
+                    .neighbors;
                 std::env::remove_var("CAGRA_THREADS");
                 assert_bit_identical(
                     &batch,

@@ -12,7 +12,6 @@ use dataset::{Dataset, VectorStore};
 use distance::Metric;
 use graph::stats::{graph_stats, locality_stats};
 use graph::AdjacencyGraph;
-use knn::topk::Neighbor;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read as _};
@@ -277,20 +276,6 @@ fn load_index(args: &Args) -> Result<LoadedIndex, String> {
     }
 }
 
-/// Batch-search either storage flavour with the parsed mode.
-fn search_batch<S: VectorStore>(
-    index: &CagraIndex<S>,
-    queries: &Dataset,
-    k: usize,
-    params: &SearchParams,
-    mode: Option<Mode>,
-) -> Vec<Vec<Neighbor>> {
-    match mode {
-        None => index.search_batch(queries, k, params),
-        Some(m) => index.search_batch_mode(queries, k, params, m),
-    }
-}
-
 /// `search`: query a persisted index; reports recall when ground truth
 /// is supplied. Accepts either `--index bundle.cgix` or the
 /// `--base fvecs --graph cagra` pair. `--rerank R` enables two-phase
@@ -320,9 +305,11 @@ pub fn search(args: &Args) -> Result<String, String> {
     }
     let t0 = Instant::now();
     let results = match &index {
-        LoadedIndex::F32(ix) => search_batch(ix, &queries, k, &params, mode),
-        LoadedIndex::Pq(ix) => search_batch(ix, &queries, k, &params, mode),
-    };
+        LoadedIndex::F32(ix) => ix.try_search_batch(&queries, k, &params, mode, false),
+        LoadedIndex::Pq(ix) => ix.try_search_batch(&queries, k, &params, mode, false),
+    }
+    .map_err(|e| e.to_string())?
+    .neighbors;
     let wall = t0.elapsed().as_secs_f64();
 
     let mut report = String::new();

@@ -86,7 +86,10 @@ pub fn measure(wl: &Workload, ctx: &ExpContext) -> Vec<StrategyRow> {
                 index.relabel(s);
             }
             let t0 = Instant::now();
-            let results = index.search_batch_mode(&wl.queries, ctx.k, &params, Mode::SingleCta);
+            let results = index
+                .try_search_batch(&wl.queries, ctx.k, &params, Some(Mode::SingleCta), false)
+                .expect("workload shape is valid")
+                .neighbors;
             let wall = t0.elapsed().as_secs_f64();
             let (_, traces) = traced_with_accesses(&index, wl, ctx.k, &params);
             let tx = replay_batch(&layout, &traces, DEFAULT_CACHE_LINES);

@@ -135,11 +135,11 @@ impl SearchBackend for DynamicIndex {
         k: usize,
         _params: &SearchParams,
         _mode: Mode,
-        _scratch: &mut SearchScratch,
+        scratch: &mut SearchScratch,
     ) -> Vec<Neighbor> {
         // Clamped: a delete racing between admission and dispatch can
         // shrink the live set below the validated `k`.
-        self.search_clamped(query, k)
+        self.search_clamped(query, k, scratch)
     }
 
     fn insert(&self, vector: &[f32]) -> Result<u32, ServeError> {

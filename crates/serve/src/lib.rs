@@ -36,7 +36,7 @@
 //! mode/CTA plan recorded in its [`ResponseMeta`] — never on the
 //! *content* of the batch it rode in. The integration tests recompute
 //! every served result bit-identically via
-//! [`cagra::CagraIndex::try_search_mode`].
+//! [`cagra::CagraIndex::search_mode`].
 
 pub mod backend;
 pub mod batcher;

@@ -1,7 +1,7 @@
 //! End-to-end serving semantics (ISSUE 6):
 //!
 //! * **Parity** — results served through the micro-batching service
-//!   are bit-identical to direct `try_search_mode` calls with the plan
+//!   are bit-identical to direct `search_mode` calls with the plan
 //!   the response reports, no matter how requests were coalesced.
 //! * **Exactly-once** — N concurrent client threads each get exactly
 //!   one response per request.
@@ -48,7 +48,7 @@ fn reference(
 ) -> Vec<Neighbor> {
     let mut p = *params;
     p.num_cta = resp.meta.num_cta as usize;
-    index.try_search_mode(query, K, &p, resp.meta.mode).expect("reference search").0
+    index.search_mode(query, K, &p, resp.meta.mode).0
 }
 
 fn assert_bit_identical(served: &[Neighbor], fresh: &[Neighbor], label: &str) {
