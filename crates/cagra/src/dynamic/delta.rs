@@ -1,18 +1,12 @@
 //! The delta segment: freshly inserted vectors not yet folded into
 //! the main CAGRA graph.
 //!
-//! Two regimes, switched on size:
-//!
-//! * **Brute** (small deltas) — no structure at all; a search
-//!   gang-scores every delta row through the batched distance kernel
-//!   ([`knn::brute::exact_search`]), which beats any graph up to a
-//!   few hundred rows.
-//! * **NSW** (once the delta outgrows [`nsw_threshold`]) — inserts
-//!   link each new row to its nearest existing delta rows
-//!   (bidirectional, lists truncated to the closest `2m`), and
-//!   searches run a deterministic best-first beam over those links —
-//!   the classic navigable-small-world insertion CAGRA itself uses as
-//!   a baseline (`ganns`), scoped to the delta only.
+//! It is a flat row block with no structure at all: a search
+//! gang-scores every delta row through the batched distance kernel
+//! ([`knn::brute::exact_search`]), so the delta's contribution to a
+//! result is exact. Compaction bounds the block's size, and at those
+//! sizes the scan beats a graph on both the insert and the search side
+//! (EXPERIMENTS.md, "Dynamic index").
 //!
 //! A segment is immutable; [`DeltaSeg::appended`] builds the successor
 //! copy-on-write so concurrent readers keep searching the snapshot
@@ -21,24 +15,9 @@
 //! sorted and membership is a binary search.
 
 use dataset::{Dataset, VectorStore};
-use distance::{DistanceOracle, Metric};
-use knn::topk::{cmp_neighbor, Neighbor, TopK};
+use distance::Metric;
+use knn::topk::Neighbor;
 use std::collections::BTreeSet;
-
-/// Delta tuning knobs (a slice of [`crate::dynamic::DynamicParams`]).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct DeltaConfig {
-    /// Row count at which the delta switches from brute scans to NSW
-    /// links.
-    pub nsw_threshold: usize,
-    /// Links per inserted row (`M`); lists are truncated to the
-    /// closest `2M` after reverse links.
-    pub nsw_degree: usize,
-    /// Beam width (`ef`) for NSW-mode searches and insertions. The
-    /// delta is bounded by the compaction trigger, so a generous beam
-    /// keeps delta recall near-exact at trivial cost.
-    pub nsw_ef: usize,
-}
 
 /// An immutable batch of not-yet-compacted rows. See module docs.
 #[derive(Debug)]
@@ -46,30 +25,19 @@ pub(crate) struct DeltaSeg {
     vecs: Dataset,
     /// External id of each row, strictly ascending.
     ids: Vec<u32>,
-    /// NSW adjacency (row indices); empty until the segment crosses
-    /// `nsw_threshold`.
-    links: Vec<Vec<u32>>,
 }
 
 impl DeltaSeg {
     pub fn empty(dim: usize) -> Self {
-        DeltaSeg { vecs: Dataset::empty(dim), ids: Vec::new(), links: Vec::new() }
+        DeltaSeg::from_rows(Vec::new(), Vec::new(), dim)
     }
 
-    /// Build a segment from `(external id, vector)` rows already in
-    /// ascending id order, linking them if past the NSW threshold.
-    pub fn from_rows(
-        dim: usize,
-        rows: &[(u32, Vec<f32>)],
-        metric: Metric,
-        cfg: DeltaConfig,
-    ) -> Self {
-        let mut seg = DeltaSeg::empty(dim);
-        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "delta rows must be id-sorted");
-        for (id, v) in rows {
-            seg.push_row(*id, v, metric, cfg);
-        }
-        seg
+    /// A segment over `ids.len()` row-major rows in `flat`, already in
+    /// ascending id order.
+    pub fn from_rows(ids: Vec<u32>, flat: Vec<f32>, dim: usize) -> Self {
+        debug_assert!(ids.is_sorted_by(|a, b| a < b), "delta rows must be id-sorted");
+        debug_assert_eq!(flat.len(), ids.len() * dim);
+        DeltaSeg { vecs: Dataset::from_flat(flat, dim), ids }
     }
 
     pub fn len(&self) -> usize {
@@ -84,84 +52,42 @@ impl DeltaSeg {
         self.vecs.row(i)
     }
 
+    /// Ids and row-major vectors of every row from `from` on (the
+    /// suffix a compaction splices; empty when `from >= len`).
+    pub fn rows_from(&self, from: usize) -> (&[u32], &[f32]) {
+        let dim = self.vecs.dim();
+        (
+            self.ids.get(from..).unwrap_or_default(),
+            self.vecs.as_flat().get(from * dim..).unwrap_or_default(),
+        )
+    }
+
     pub fn contains(&self, id: u32) -> bool {
         self.ids.binary_search(&id).is_ok()
     }
 
     /// Copy-on-write append: the successor segment with one more row.
     /// `id` must exceed every stored id (monotonic external ids).
-    pub fn appended(&self, id: u32, v: &[f32], metric: Metric, cfg: DeltaConfig) -> Self {
+    pub fn appended(&self, id: u32, v: &[f32]) -> Self {
         debug_assert!(self.ids.last().is_none_or(|&last| last < id));
         // ALLOW(alloc): copy-on-write by design — readers of the old
-        // segment must never observe the new row.
-        let mut seg = DeltaSeg {
-            vecs: Dataset::from_flat(self.vecs.as_flat().to_vec(), self.vecs.dim()),
-            ids: self.ids.clone(),
-            links: self.links.clone(),
-        };
-        seg.push_row(id, v, metric, cfg);
-        seg
-    }
-
-    fn push_row(&mut self, id: u32, v: &[f32], metric: Metric, cfg: DeltaConfig) {
-        self.vecs.push(v);
-        self.ids.push(id);
-        let n = self.ids.len();
-        if n < cfg.nsw_threshold.max(2) {
-            return;
-        }
-        if self.links.is_empty() && n > 1 {
-            // Crossing the threshold: link every existing row by
-            // replaying insertions in row order (deterministic).
-            self.links = vec![Vec::new(); n];
-            for row in 1..n {
-                self.link_row(row, metric, cfg);
-            }
-        } else {
-            self.links.push(Vec::new());
-            self.link_row(n - 1, metric, cfg);
-        }
-    }
-
-    /// NSW insertion for `row`: beam-search the rows before it for the
-    /// `M` nearest, link bidirectionally, truncate overfull lists.
-    fn link_row(&mut self, row: usize, metric: Metric, cfg: DeltaConfig) {
-        let m = cfg.nsw_degree.max(1);
-        let oracle = DistanceOracle::new(&self.vecs, metric);
-        let prepared = oracle.prepare(self.vecs.row(row));
-        let nearest = beam_search(
-            // ALLOW(panic): callers push `links[row]` before linking, so
-            // `row < self.links.len()` and the prefix slice is in range.
-            &self.links[..row],
-            &oracle,
-            &prepared,
-            row,
-            m,
-            cfg.nsw_ef.max(2 * m),
-        );
-        for nb in nearest {
-            let u = nb.id as usize;
-            // ALLOW(panic): `row` is in range per above; `u` comes from
-            // beam_search over `links[..row]`, so `u < row`.
-            self.links[row].push(nb.id);
-            self.links[u].push(row as u32); // ALLOW(panic): `u < row` per above.
-                                            // ALLOW(panic): `u < row` per above.
-            truncate_closest(&mut self.links[u], u, &oracle, 2 * m);
-        }
-        // ALLOW(panic): `row` is in range per above.
-        truncate_closest(&mut self.links[row], row, &oracle, 2 * m);
+        // segment must never observe the new row. `concat` sizes the
+        // successor for the new row up front, so the append is one
+        // copy, not copy + regrow.
+        let flat = [self.vecs.as_flat(), v].concat();
+        let ids = [self.ids.as_slice(), &[id]].concat();
+        DeltaSeg::from_rows(ids, flat, self.vecs.dim())
     }
 
     /// Top-`k` *live* rows for `query` as external-id neighbors,
-    /// ascending by `(dist, id)`. `masked` is the tombstone set; dead
-    /// rows still steer NSW traversal but never appear in results.
+    /// ascending by `(dist, id)` — exactly the brute-force answer over
+    /// the rows not in `masked` (the tombstone set).
     pub fn search(
         &self,
         query: &[f32],
         k: usize,
         metric: Metric,
         masked: &BTreeSet<u32>,
-        cfg: DeltaConfig,
     ) -> Vec<Neighbor> {
         if self.ids.is_empty() || k == 0 {
             return Vec::new();
@@ -169,18 +95,7 @@ impl DeltaSeg {
         // Over-fetch so masking cannot starve the merge: at most
         // `masked.len()` of the closest rows can be dead.
         let fetch = (k + masked.len()).min(self.ids.len());
-        let internal = if self.links.is_empty() {
-            knn::brute::exact_search(&self.vecs, metric, query, fetch)
-        } else {
-            let oracle = DistanceOracle::new(&self.vecs, metric);
-            let prepared = oracle.prepare(query);
-            // `ef` floors the beam; it also grows with segment size so
-            // a delta that has outrun its compaction trigger (manual
-            // compaction, churn tests) keeps near-exact recall.
-            let beam = cfg.nsw_ef.max(2 * fetch).max(self.ids.len() / 8);
-            beam_search(&self.links, &oracle, &prepared, usize::MAX, fetch, beam)
-        };
-        internal
+        knn::brute::exact_search(&self.vecs, metric, query, fetch)
             .into_iter()
             .filter_map(|nb| {
                 let ext = *self.ids.get(nb.id as usize)?;
@@ -191,123 +106,60 @@ impl DeltaSeg {
     }
 }
 
-/// Deterministic best-first beam over `links` (rows `0..links.len()`),
-/// skipping `exclude`. Entry points: row 0 and the last row. Returns
-/// the `k` closest visited rows ascending by `(dist, id)`.
-fn beam_search(
-    links: &[Vec<u32>],
-    oracle: &DistanceOracle<'_, Dataset>,
-    prepared: &distance::PreparedQuery<'_>,
-    exclude: usize,
-    k: usize,
-    beam: usize,
-) -> Vec<Neighbor> {
-    let n = links.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut visited = vec![false; n];
-    let mut top = TopK::new(beam.max(k).max(1));
-    // Frontier kept sorted descending so the best candidate pops off
-    // the back; the delta is small enough that insertion sort wins.
-    let mut frontier: Vec<Neighbor> = Vec::new();
-    let mut dist = [0.0f32; 1];
-    let mut offer =
-        |row: u32, visited: &mut Vec<bool>, top: &mut TopK, frontier: &mut Vec<Neighbor>| {
-            let r = row as usize;
-            // ALLOW(panic): `visited` has length n and `r < n` was just checked.
-            if r >= n || visited[r] || r == exclude {
-                return;
-            }
-            visited[r] = true; // ALLOW(panic): same `r < n` guard as above.
-            oracle.to_rows(prepared, &[row], &mut dist);
-            // ALLOW(panic): `dist` is a fixed [f32; 1]; index 0 always exists.
-            let nb = Neighbor::new(row, dist[0]);
-            top.push(nb);
-            let at = frontier.partition_point(|e| cmp_neighbor(e, &nb).is_gt());
-            frontier.insert(at, nb);
-        };
-    offer(0, &mut visited, &mut top, &mut frontier);
-    offer(n as u32 - 1, &mut visited, &mut top, &mut frontier);
-    while let Some(best) = frontier.pop() {
-        // `threshold` is +inf until the beam fills, so early exit only
-        // fires once `beam` candidates are held.
-        if best.dist > top.threshold() {
-            break;
-        }
-        for &u in links.get(best.id as usize).into_iter().flatten() {
-            offer(u, &mut visited, &mut top, &mut frontier);
-        }
-    }
-    let mut out = top.into_sorted();
-    out.truncate(k);
-    out
-}
-
-/// Keep the `cap` closest links of row `v`, dropping duplicates.
-fn truncate_closest(
-    links: &mut Vec<u32>,
-    v: usize,
-    oracle: &DistanceOracle<'_, Dataset>,
-    cap: usize,
-) {
-    links.sort_unstable();
-    links.dedup();
-    if links.len() <= cap {
-        return;
-    }
-    let mut with_dist: Vec<Neighbor> =
-        links.iter().map(|&u| Neighbor::new(u, oracle.between_rows(v, u as usize))).collect();
-    with_dist.sort_unstable_by(cmp_neighbor);
-    with_dist.truncate(cap);
-    *links = with_dist.into_iter().map(|nb| nb.id).collect();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const CFG: DeltaConfig = DeltaConfig { nsw_threshold: 8, nsw_degree: 4, nsw_ef: 32 };
+    fn vec_for(i: usize, dim: usize) -> Vec<f32> {
+        (0..dim).map(|d| ((i * dim + d) as f32 * 0.173).sin()).collect()
+    }
 
+    /// `n` rows with external ids `0, 2, 4, ..`, grown one append at a
+    /// time the way inserts grow the live delta.
     fn grown(n: usize, dim: usize) -> DeltaSeg {
-        let mut seg = DeltaSeg::empty(dim);
-        for i in 0..n {
-            let v: Vec<f32> = (0..dim).map(|d| (i * dim + d) as f32 * 0.37).collect();
-            seg = seg.appended(i as u32 * 2, &v, Metric::SquaredL2, CFG);
-        }
-        seg
+        (0..n).fold(DeltaSeg::empty(dim), |seg, i| seg.appended(i as u32 * 2, &vec_for(i, dim)))
     }
 
     #[test]
     fn append_is_copy_on_write() {
         let a = grown(3, 4);
-        let b = a.appended(100, &[9.0; 4], Metric::SquaredL2, CFG);
+        let b = a.appended(100, &[9.0; 4]);
         assert_eq!(a.len(), 3);
         assert_eq!(b.len(), 4);
         assert!(b.contains(100) && !a.contains(100));
+        assert_eq!(b.rows_from(3), (&[100u32][..], &[9.0f32; 4][..]));
+        assert_eq!(b.rows_from(4), (&[][..], &[][..]));
     }
 
+    /// The delta's answer is the brute-force answer over its live
+    /// rows, ids and distance bits, at sizes on both sides of one gang
+    /// block — including when the `k` closest rows are all tombstoned.
     #[test]
-    fn brute_and_nsw_regimes_agree_with_exact_search() {
-        for n in [6usize, 40] {
-            let seg = grown(n, 8);
-            let q: Vec<f32> = (0..8).map(|d| (n / 2 * 8 + d) as f32 * 0.37).collect();
-            let got = seg.search(&q, 5, Metric::SquaredL2, &BTreeSet::new(), CFG);
-            let exact = knn::brute::exact_search(&seg.vecs, Metric::SquaredL2, &q, 5);
-            let exact_ids: Vec<u32> = exact.iter().map(|nb| seg.ids[nb.id as usize]).collect();
-            let got_ids: Vec<u32> = got.iter().map(|nb| nb.id).collect();
-            assert_eq!(got_ids, exact_ids, "n = {n} (links: {})", !seg.links.is_empty());
+    fn search_equals_exact_search_over_live_rows_bit_for_bit() {
+        let (dim, k) = (8, 5);
+        for n in [6usize, 127, 128, 600] {
+            let seg = grown(n, dim);
+            let q = vec_for(n / 2, dim);
+            for metric in [Metric::SquaredL2, Metric::Cosine] {
+                let unmasked = seg.search(&q, k, metric, &BTreeSet::new());
+                // Tombstone every fifth row and the whole unmasked top-k.
+                let mut masked: BTreeSet<u32> = seg.ids.iter().copied().step_by(5).collect();
+                masked.extend(unmasked.iter().map(|nb| nb.id));
+                let live: Vec<usize> = (0..n).filter(|&r| !masked.contains(&seg.ids[r])).collect();
+                let flat: Vec<f32> = live.iter().flat_map(|&r| seg.row(r)).copied().collect();
+                let want: Vec<(u32, u32)> =
+                    knn::brute::exact_search(&Dataset::from_flat(flat, dim), metric, &q, k)
+                        .iter()
+                        .map(|nb| (seg.ids[live[nb.id as usize]], nb.dist.to_bits()))
+                        .collect();
+                let got: Vec<(u32, u32)> = seg
+                    .search(&q, k, metric, &masked)
+                    .iter()
+                    .map(|nb| (nb.id, nb.dist.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "n = {n}, {metric:?}, {} masked", masked.len());
+                assert_eq!(got.len(), k.min(live.len()), "masking must not shrink the result");
+            }
         }
-    }
-
-    #[test]
-    fn masked_rows_never_surface_but_fetch_still_fills_k() {
-        let seg = grown(30, 8);
-        let q: Vec<f32> = (0..8).map(|d| d as f32 * 0.37).collect();
-        let full = seg.search(&q, 6, Metric::SquaredL2, &BTreeSet::new(), CFG);
-        let masked: BTreeSet<u32> = full.iter().take(3).map(|nb| nb.id).collect();
-        let got = seg.search(&q, 6, Metric::SquaredL2, &masked, CFG);
-        assert_eq!(got.len(), 6, "masking must not shrink the result set");
-        assert!(got.iter().all(|nb| !masked.contains(&nb.id)));
     }
 }

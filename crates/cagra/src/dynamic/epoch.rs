@@ -44,9 +44,12 @@ impl<T> EpochPtr<T> {
         }
     }
 
-    /// Clone the current snapshot. Wait-free against publishers (a
-    /// publish touches the other slot); the short critical section
-    /// only covers the `Arc` refcount bump.
+    /// Clone the current snapshot: a short critical section on the
+    /// active slot's mutex that clones an `Arc`. Not wait-free — a
+    /// reader can wait behind another reader's clone, or behind a
+    /// publisher that has come round to this slot again — but a publish
+    /// in progress writes the *other* slot, so readers do not queue
+    /// behind it.
     pub fn load(&self) -> Arc<T> {
         let a = self.active.load(Ordering::Acquire) & 1;
         // A poisoned slot mutex can only mean a reader panicked while

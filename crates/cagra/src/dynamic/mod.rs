@@ -1,17 +1,18 @@
-//! `cagra::dynamic` — a mutable index over the immutable CAGRA graph
-//! (ROADMAP item 2, ISSUE 10 tentpole).
+//! `cagra::dynamic` — a mutable index over the immutable CAGRA graph.
 //!
 //! CAGRA's fixed-degree graph is build-once: there is no incremental
 //! insert, and the paper's answer to churn is "rebuild". This module
 //! makes that answer *online*. A [`DynamicIndex`] wraps everything
 //! behind an epoch-stamped snapshot pointer ([`EpochPtr`]):
 //!
-//! * **Readers** clone the current [`Snapshot`] and search it with no
-//!   locks held — a snapshot is immutable, so searches race nothing.
+//! * **Readers** clone the current [`Snapshot`] ([`EpochPtr::load`]: a
+//!   short critical section on the active slot's mutex that clones an
+//!   `Arc`) and search it with no locks held — a snapshot is
+//!   immutable, so searches race nothing.
 //! * **Inserts** route into a small copy-on-write delta segment
-//!   ([`delta::DeltaSeg`]): brute-force gang-scored while small,
-//!   NSW-linked once it grows. Each mutation publishes a fresh
-//!   snapshot and bumps the epoch.
+//!   ([`delta::DeltaSeg`]): a flat row block that every search
+//!   brute-force gang-scores, so its results are exact. Each mutation
+//!   publishes a fresh snapshot and bumps the epoch.
 //! * **Deletes** are tombstones: a `BTreeSet` of external ids masked
 //!   out when main and delta results merge at the top-k boundary
 //!   (searches over-fetch by the tombstone count so masking cannot
@@ -19,10 +20,10 @@
 //! * **Compaction** (a background thread, or [`DynamicIndex::compact_now`])
 //!   rebuilds delta + live main rows — minus tombstones — into a
 //!   fresh [`CagraIndex`] *off the writer lock*, then splices: rows
-//!   inserted during the rebuild survive as the new delta (the delta
-//!   is append-only, so the pre-rebuild prefix is exact), tombstones
-//!   added during the rebuild are retained, and the swap is one
-//!   epoch publish concurrent with readers.
+//!   inserted during the rebuild are copied over as the new delta (the
+//!   delta is append-only, so the pre-rebuild prefix is exact),
+//!   tombstones added during the rebuild are retained, and the swap is
+//!   one epoch publish concurrent with readers.
 //!
 //! External ids are `u32`, assigned once, never reused. Every mutation
 //! and compaction records into the `dyn.*` observability group (delta
@@ -41,7 +42,7 @@ use crate::search::index::CagraIndex;
 use crate::search::planner::Mode;
 use crate::search::scratch::SearchScratch;
 use dataset::{Dataset, VectorStore};
-use delta::{DeltaConfig, DeltaSeg};
+use delta::DeltaSeg;
 use distance::Metric;
 pub use epoch::EpochPtr;
 use knn::parallel::{default_threads, parallel_map_with};
@@ -66,18 +67,9 @@ pub struct DynamicParams {
     /// Tombstone ratio (deleted / total rows) that triggers a
     /// compaction.
     pub max_tombstone_ratio: f64,
-    /// Delta size at which inserts start maintaining NSW links
-    /// (below: brute-force scans, which win at small sizes).
-    pub nsw_threshold: usize,
-    /// NSW links per inserted delta row.
-    pub nsw_degree: usize,
-    /// NSW beam width (`ef`) for delta searches and insertions; the
-    /// effective search beam also scales with delta size, so this is a
-    /// floor, not a cap.
-    pub nsw_ef: usize,
     /// Smallest live count worth a graph build; below it compaction
-    /// folds everything into a (brute/NSW) delta and no main segment
-    /// exists.
+    /// folds everything into the brute-scanned delta and no main
+    /// segment exists.
     pub min_main: usize,
     /// Run the background compaction thread. Off: compaction happens
     /// only via [`DynamicIndex::compact_now`] (deterministic tests).
@@ -92,19 +84,8 @@ impl DynamicParams {
             search: SearchParams::for_k(degree.max(10)),
             max_delta: 512,
             max_tombstone_ratio: 0.25,
-            nsw_threshold: 128,
-            nsw_degree: 12,
-            nsw_ef: 128,
             min_main: (4 * degree).max(64),
             auto_compact: true,
-        }
-    }
-
-    fn delta_cfg(&self) -> DeltaConfig {
-        DeltaConfig {
-            nsw_threshold: self.nsw_threshold,
-            nsw_degree: self.nsw_degree,
-            nsw_ef: self.nsw_ef,
         }
     }
 
@@ -175,6 +156,21 @@ impl Snapshot {
         !self.deleted.contains(&id)
             && (self.delta.contains(id) || self.main.as_ref().is_some_and(|m| m.contains(id)))
     }
+
+    /// Tombstoned share of the rows physically present.
+    fn tombstone_ratio(&self) -> f64 {
+        self.deleted.len() as f64 / self.total_rows().max(1) as f64
+    }
+}
+
+/// The one compaction trigger rule: the delta has reached `max_delta`
+/// rows or tombstones exceed `max_tombstone_ratio` of the rows present.
+/// Mutators use it to decide whether to wake the compactor, and the
+/// compactor re-checks it against the snapshot current when it wakes,
+/// so wake-ups queued during a rebuild do not start a second one over
+/// a delta that rebuild just folded.
+fn needs_compaction(snap: &Snapshot, params: &DynamicParams) -> bool {
+    snap.delta.len() >= params.max_delta || snap.tombstone_ratio() > params.max_tombstone_ratio
 }
 
 /// Point-in-time shape of a [`DynamicIndex`] (for eval tables and
@@ -205,7 +201,8 @@ struct Shared {
     writer: Mutex<u32>,
     /// Serializes compactions (manual vs. background).
     compact_lock: Mutex<u64>,
-    /// Compaction trigger: `(pending, shutdown)` under the gate.
+    /// Compactor wake-up: `(woken, shutdown)` under the gate. `woken`
+    /// only says "look again"; [`needs_compaction`] decides.
     gate: Mutex<(bool, bool)>,
     cv: Condvar,
     compacting: AtomicBool,
@@ -342,8 +339,7 @@ impl DynamicIndex {
             return Err(SearchError::DimMismatch { expected: self.shared.dim, got: vector.len() });
         }
         let shared = &*self.shared;
-        let delta_len;
-        let id;
+        let (id, delta_len, wake);
         {
             let mut next = lock(&shared.writer);
             id = *next;
@@ -351,19 +347,20 @@ impl DynamicIndex {
             // space is exhausted only after 2^32 lifetime inserts.
             *next = next.checked_add(1).unwrap_or_else(|| panic!("external id space exhausted"));
             let snap = shared.ptr.load();
-            let delta = snap.delta.appended(id, vector, shared.metric, shared.params.delta_cfg());
-            delta_len = delta.len();
-            shared.ptr.publish(Arc::new(Snapshot {
+            let succ = Snapshot {
                 main: snap.main.clone(),
-                delta: Arc::new(delta),
+                delta: Arc::new(snap.delta.appended(id, vector)),
                 deleted: snap.deleted.clone(),
-            }));
+            };
+            delta_len = succ.delta.len();
+            wake = needs_compaction(&succ, &shared.params);
+            shared.ptr.publish(Arc::new(succ));
         }
         let m = obs::metrics();
         m.dyn_inserts.inc();
         m.dyn_delta_size.record(delta_len as u64);
-        if delta_len >= shared.params.max_delta {
-            self.request_compaction();
+        if wake {
+            self.wake_compactor();
         }
         Ok(id)
     }
@@ -374,7 +371,7 @@ impl DynamicIndex {
     /// returns; its storage is reclaimed by the next compaction.
     pub fn delete(&self, id: u32) -> bool {
         let shared = &*self.shared;
-        let ratio;
+        let (ratio, wake);
         {
             let _w = lock(&shared.writer);
             let snap = shared.ptr.load();
@@ -385,18 +382,20 @@ impl DynamicIndex {
             // the published snapshot must not observe the new entry.
             let mut deleted = (*snap.deleted).clone();
             deleted.insert(id);
-            ratio = deleted.len() as f64 / snap.total_rows().max(1) as f64;
-            shared.ptr.publish(Arc::new(Snapshot {
+            let succ = Snapshot {
                 main: snap.main.clone(),
                 delta: snap.delta.clone(),
                 deleted: Arc::new(deleted),
-            }));
+            };
+            ratio = succ.tombstone_ratio();
+            wake = needs_compaction(&succ, &shared.params);
+            shared.ptr.publish(Arc::new(succ));
         }
         let m = obs::metrics();
         m.dyn_deletes.inc();
         m.dyn_tombstone_permille.record((ratio * 1000.0) as u64);
-        if ratio > shared.params.max_tombstone_ratio {
-            self.request_compaction();
+        if wake {
+            self.wake_compactor();
         }
         true
     }
@@ -475,24 +474,24 @@ impl DynamicIndex {
                 })
                 .collect();
         }
-        let from_delta =
-            snap.delta.search(query, k, self.shared.metric, masked, self.shared.params.delta_cfg());
+        let from_delta = snap.delta.search(query, k, self.shared.metric, masked);
         merge_topk(&from_main, &from_delta, k)
     }
 
     /// Thread-parallel batch search (eval/bench convenience). Each
     /// query independently loads the current snapshot.
     pub fn search_batch<Q: VectorStore>(&self, queries: &Q, k: usize) -> Vec<Vec<Neighbor>> {
-        let dim = queries.dim();
-        parallel_map_with(queries.len(), default_threads(), untraced_scratch, |scratch, qi| {
-            let mut q = vec![0.0f32; dim];
-            queries.get_into(qi, &mut q);
-            self.search_clamped(&q, k, scratch)
+        // Per-thread state: the traversal scratch and one query buffer.
+        let state = || (untraced_scratch(), vec![0.0f32; queries.dim()]);
+        parallel_map_with(queries.len(), default_threads(), state, |(scratch, q), qi| {
+            queries.get_into(qi, q);
+            self.search_clamped(q, k, scratch)
         })
     }
 
-    /// Ask the background compactor to run (no-op without one).
-    fn request_compaction(&self) {
+    /// Wake the background compactor to re-check the trigger (no-op
+    /// without one).
+    fn wake_compactor(&self) {
         if self.compactor.is_none() {
             return;
         }
@@ -536,7 +535,9 @@ fn compactor_loop(shared: &Shared) {
             }
             gate.0 = false;
         }
-        compact_once(shared);
+        if needs_compaction(&shared.ptr.load(), &shared.params) {
+            compact_once(shared);
+        }
     }
 }
 
@@ -553,55 +554,48 @@ fn compact_once(shared: &Shared) {
     // order. Main ids all precede delta ids (the id counter is
     // monotonic and compaction preserves order), so concatenation
     // stays sorted.
-    let mut rows: Vec<(u32, Vec<f32>)> = Vec::with_capacity(s0.total_rows());
+    let mut ids: Vec<u32> = Vec::with_capacity(s0.live());
+    let mut flat: Vec<f32> = Vec::with_capacity(s0.live() * shared.dim);
+    let mut keep_live = |id: u32, row: &[f32]| {
+        if !s0.deleted.contains(&id) {
+            ids.push(id);
+            flat.extend_from_slice(row);
+        }
+    };
     if let Some(main) = &s0.main {
         let store = main.index.store();
         for (row, &id) in main.ids.iter().enumerate() {
-            if !s0.deleted.contains(&id) {
-                rows.push((id, store.row(row).to_vec()));
-            }
+            keep_live(id, store.row(row));
         }
     }
-    for row in 0..s0.delta.len() {
-        let id = s0.delta.ids()[row];
-        if !s0.deleted.contains(&id) {
-            rows.push((id, s0.delta.row(row).to_vec()));
-        }
+    for (row, &id) in s0.delta.ids().iter().enumerate() {
+        keep_live(id, s0.delta.row(row));
     }
 
     // Phase 2 (off-lock): rebuild. Below the viability floor the rows
-    // stay delta-resident (brute/NSW searchable) and no main exists.
-    let (new_main, leftover) = if rows.len() >= shared.params.min_main_eff() {
-        let mut flat = Vec::with_capacity(rows.len() * shared.dim);
-        let mut ids = Vec::with_capacity(rows.len());
-        for (id, v) in &rows {
-            ids.push(*id);
-            flat.extend_from_slice(v);
-        }
+    // stay delta-resident (brute-scanned) and no main exists.
+    let (new_main, mut ids, mut flat) = if ids.len() >= shared.params.min_main_eff() {
         let store = Dataset::from_flat(flat, shared.dim);
         let (index, _report) = CagraIndex::build(store, shared.metric, &shared.params.graph);
-        (Some(Arc::new(MainSeg { index, ids })), Vec::new())
+        (Some(Arc::new(MainSeg { index, ids })), Vec::new(), Vec::new())
     } else {
-        (None, rows)
+        (None, ids, flat)
     };
 
     // Phase 3 (writer lock): splice concurrent mutations and swap.
     // The delta is append-only, so everything past s0's length arrived
-    // during the rebuild; tombstones added since s0 still refer to
-    // rows we just kept, so they carry over.
+    // during the rebuild and is copied over as is; tombstones added
+    // since s0 still refer to rows we just kept, so they carry over.
     {
         let _w = lock(&shared.writer);
         let s1 = shared.ptr.load();
-        let mut tail = leftover;
-        for row in s0.delta.len()..s1.delta.len() {
-            tail.push((s1.delta.ids()[row], s1.delta.row(row).to_vec()));
-        }
-        let delta =
-            DeltaSeg::from_rows(shared.dim, &tail, shared.metric, shared.params.delta_cfg());
+        let (tail_ids, tail_flat) = s1.delta.rows_from(s0.delta.len());
+        ids.extend_from_slice(tail_ids);
+        flat.extend_from_slice(tail_flat);
         let deleted: BTreeSet<u32> = s1.deleted.difference(&s0.deleted).copied().collect();
         shared.ptr.publish(Arc::new(Snapshot {
             main: new_main,
-            delta: Arc::new(delta),
+            delta: Arc::new(DeltaSeg::from_rows(ids, flat, shared.dim)),
             deleted: Arc::new(deleted),
         }));
     }
@@ -650,8 +644,6 @@ mod tests {
     fn small_params() -> DynamicParams {
         let mut p = DynamicParams::new(8);
         p.auto_compact = false;
-        p.nsw_threshold = 32;
-        p.nsw_degree = 6;
         p.min_main = 48;
         p.max_delta = 64;
         p
@@ -701,6 +693,28 @@ mod tests {
         assert!(ix.search(&vec_for(3, 4), 9).iter().all(|nb| nb.id != top));
         assert_eq!(ix.live(), 9);
         assert!(!ix.contains(top));
+    }
+
+    /// The trigger rule on hand-built snapshots, no thread involved:
+    /// `max_delta` is inclusive, `max_tombstone_ratio` is exclusive and
+    /// taken over the rows present (live + tombstoned).
+    #[test]
+    fn needs_compaction_is_delta_size_or_tombstone_ratio() {
+        let snap = |rows: u32, dead: u32| Snapshot {
+            main: None,
+            delta: Arc::new(DeltaSeg::from_rows((0..rows).collect(), vec![0.0; rows as usize], 1)),
+            deleted: Arc::new((0..dead).collect()),
+        };
+        let mut p = small_params();
+        (p.max_delta, p.max_tombstone_ratio) = (64, 0.25);
+        assert!(!needs_compaction(&snap(0, 0), &p));
+        assert!(!needs_compaction(&snap(63, 0), &p));
+        assert!(needs_compaction(&snap(64, 0), &p), "delta == max_delta triggers");
+        assert!(!needs_compaction(&snap(40, 10), &p), "ratio == max does not trigger");
+        assert!(needs_compaction(&snap(40, 11), &p), "ratio > max triggers");
+        // The post-compaction shape that must *not* re-trigger: a short
+        // delta suffix, no tombstones.
+        assert!(!needs_compaction(&snap(5, 0), &p));
     }
 
     #[test]

@@ -20,8 +20,6 @@ use std::collections::BTreeMap;
 fn churn_params() -> DynamicParams {
     let mut p = DynamicParams::new(16);
     p.auto_compact = false;
-    p.nsw_threshold = 96;
-    p.nsw_degree = 10;
     p.min_main = 128;
     // Widen the main-graph traversal: the acceptance bar is recall,
     // not latency, and clustered data punishes a narrow itopk.
@@ -128,26 +126,47 @@ fn recall_stays_above_090_across_three_compaction_cycles() {
 
 #[test]
 fn background_compactor_triggers_on_delta_growth() {
+    use std::time::{Duration, Instant};
+    let max_delta = 200;
+    let tail = max_delta / 4;
     let mut params = churn_params();
     params.auto_compact = true;
-    params.max_delta = 200;
+    params.max_delta = max_delta;
     params.min_main = 128;
-    let spec = SynthSpec { dim: 8, n: 600, queries: 0, family: Family::Gaussian, seed: 5 };
+    let spec =
+        SynthSpec { dim: 8, n: max_delta + tail, queries: 0, family: Family::Gaussian, seed: 5 };
     let (pool, _) = spec.generate();
     let ix = DynamicIndex::new(8, Metric::SquaredL2, params);
-    for i in 0..600 {
+    for i in 0..max_delta {
         ix.insert(pool.row(i)).expect("insert");
     }
-    // The compactor runs asynchronously; wait (bounded) for it to fold
-    // at least the first trigger's worth of delta into a main segment.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while ix.stats().compactions == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(20));
+    // The last insert woke the compactor. Wait (bounded) until its
+    // rebuild is running — or, if this thread was descheduled across
+    // the whole rebuild, until its publish moved the epoch.
+    let loaded = ix.epoch();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !ix.is_compacting() && ix.epoch() == loaded && Instant::now() < deadline {
+        std::thread::yield_now();
     }
+    // A tail shorter than `max_delta`, landing during the rebuild:
+    // each of these inserts still sees a full delta and wakes the
+    // compactor again.
+    for i in max_delta..max_delta + tail {
+        ix.insert(pool.row(i)).expect("insert");
+    }
+    // Let the rebuild finish and give a (wrongly) re-armed trigger time
+    // to start the next one; `stats` then blocks until that is done.
+    while ix.is_compacting() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(100));
     let s = ix.stats();
-    assert!(s.compactions >= 1, "background compactor never ran: {s:?}");
     assert!(s.main > 0, "background compaction built no main segment: {s:?}");
-    assert_eq!(s.live, 600);
+    assert_eq!(s.live, max_delta + tail);
+    // The wake-ups queued during the rebuild must not start a second
+    // one over the short suffix the first left behind.
+    assert_eq!(s.compactions, 1, "trigger re-armed during the rebuild: {s:?}");
+    assert!(s.delta < max_delta, "{s:?}");
 }
 
 /// Mirror-checked op sequence: the merge-with-tombstones path never
@@ -157,8 +176,6 @@ fn run_ops(ops: &[(u8, u16)], compact_every: usize) {
     let dim = 4;
     let mut params = DynamicParams::new(8);
     params.auto_compact = false;
-    params.nsw_threshold = 12;
-    params.nsw_degree = 4;
     params.min_main = 40;
     let ix = DynamicIndex::new(dim, Metric::SquaredL2, params);
     let mut live: BTreeMap<u32, Vec<f32>> = BTreeMap::new();

@@ -4,7 +4,7 @@
 //! The paper's CAGRA index is static — the dynamic wrapper bolts
 //! insert/delete/compaction onto it, and the question this experiment
 //! answers is what that costs in recall at each point of the churn
-//! cycle: fresh rows sitting in the brute/NSW delta, deletes masked as
+//! cycle: fresh rows sitting in the brute-scanned delta, deletes masked as
 //! tombstones at the merge, and the fully compacted state where
 //! everything is back in one CAGRA graph. Recall is measured against a
 //! brute-force oracle over the *live* set at that instant, so the
