@@ -29,6 +29,10 @@
 //! two-phase rerank source, so a multi-million-point bundle keeps only
 //! `m` bytes per vector resident. [`write_index`] still emits v2 —
 //! plain f32 bundles stay readable by older loaders.
+//!
+//! Every reader shares one prefix parser (header, relabel section,
+//! storage tag). [`read_bundle`] loads whichever storage a file
+//! carries; [`read_index`] and [`read_index_pq`] accept exactly one.
 
 use crate::mmap::MmapVectors;
 use crate::search::index::CagraIndex;
@@ -48,6 +52,10 @@ const VERSION_PQ: u32 = 3;
 const STORAGE_F32: u8 = 0;
 const STORAGE_PQ: u8 = 1;
 
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
 fn metric_tag(m: Metric) -> u8 {
     match m {
         Metric::SquaredL2 => 0,
@@ -61,7 +69,7 @@ fn tag_metric(t: u8) -> io::Result<Metric> {
         0 => Ok(Metric::SquaredL2),
         1 => Ok(Metric::InnerProduct),
         2 => Ok(Metric::Cosine),
-        other => Err(io::Error::new(io::ErrorKind::InvalidData, format!("bad metric tag {other}"))),
+        other => Err(invalid(format!("bad metric tag {other}"))),
     }
 }
 
@@ -149,129 +157,153 @@ pub fn write_index_pq<W: Write>(
     write_f32s(&mut w, full.as_flat())
 }
 
-/// The fixed-size bundle prologue.
-struct Header {
-    version: u32,
+/// Which body follows the bundle prefix.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Storage {
+    F32,
+    Pq,
+}
+
+/// Everything before the storage-dependent body: the fixed header, the
+/// relabel section (version >= 2; version 1 predates relabeling and is
+/// identity-labeled) and the storage tag (version >= 3; earlier
+/// versions are always plain f32).
+struct Prefix {
     metric: Metric,
     dim: usize,
     n: usize,
+    id_map: Option<IdMap>,
+    storage: Storage,
 }
 
-fn read_header<R: Read>(r: &mut R) -> io::Result<Header> {
+fn read_prefix<R: Read>(r: &mut R) -> io::Result<Prefix> {
     let mut header = [0u8; 4 + 4 + 1 + 8 + 8];
     r.read_exact(&mut header)?;
     if &header[0..4] != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad index magic"));
+        return Err(invalid("bad index magic"));
     }
     let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
     if version == 0 || version > VERSION_PQ {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported index version {version}"),
-        ));
+        return Err(invalid(format!("unsupported index version {version}")));
     }
     let metric = tag_metric(header[8])?;
     let dim = u64::from_le_bytes(header[9..17].try_into().unwrap()) as usize;
     let n = u64::from_le_bytes(header[17..25].try_into().unwrap()) as usize;
     if dim == 0 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "zero dimension"));
+        return Err(invalid("zero dimension"));
     }
-    Ok(Header { version, metric, dim, n })
-}
-
-/// Deserialize a bundle written by [`write_index`].
-pub fn read_index<R: Read>(mut r: R) -> io::Result<CagraIndex<Dataset>> {
-    let Header { version, metric, dim, n } = read_header(&mut r)?;
-    // Version 1 predates relabeling: the index is identity-labeled.
-    let id_map = if version >= 2 { read_id_map(&mut r, n)? } else { None };
-    if version >= VERSION_PQ {
+    let id_map = if version >= 2 { read_id_map(r, n)? } else { None };
+    let storage = if version >= VERSION_PQ {
         let mut tag = [0u8; 1];
         r.read_exact(&mut tag)?;
-        if tag[0] != STORAGE_F32 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bundle stores product-quantized vectors; load it with read_index_pq",
-            ));
+        match tag[0] {
+            STORAGE_F32 => Storage::F32,
+            STORAGE_PQ => Storage::Pq,
+            other => return Err(invalid(format!("bad storage tag {other}"))),
         }
+    } else {
+        Storage::F32
+    };
+    Ok(Prefix { metric, dim, n, id_map, storage })
+}
+
+fn read_graph<R: Read>(r: R, n: usize) -> io::Result<graph::FixedDegreeGraph> {
+    let g = graph::io::read_fixed(r)?;
+    if g.len() != n {
+        return Err(invalid(format!("graph covers {} nodes but bundle has {n} vectors", g.len())));
     }
-    let total = n
-        .checked_mul(dim)
-        .and_then(|t| t.checked_mul(4))
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "index size overflow"))?;
+    Ok(g)
+}
+
+/// The plain-f32 body: `n * dim` vectors, then the graph.
+fn read_f32_body<R: Read>(mut r: R, p: Prefix) -> io::Result<CagraIndex<Dataset>> {
+    let total =
+        p.n.checked_mul(p.dim)
+            .and_then(|t| t.checked_mul(4))
+            .ok_or_else(|| invalid("index size overflow"))?;
     let mut body = vec![0u8; total];
     r.read_exact(&mut body)?;
     let flat: Vec<f32> =
         body.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
-    let store = Dataset::from_flat(flat, dim);
-    let g = graph::io::read_fixed(r)?;
-    if g.len() != n {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("graph covers {} nodes but bundle has {n} vectors", g.len()),
-        ));
-    }
-    Ok(CagraIndex::from_parts_mapped(store, g, metric, id_map))
+    let store = Dataset::from_flat(flat, p.dim);
+    let g = read_graph(r, p.n)?;
+    Ok(CagraIndex::from_parts_mapped(store, g, p.metric, p.id_map))
 }
 
-/// Load a product-quantized v3 bundle from disk. The codebook, codes,
-/// and graph are read into memory; the trailing full-precision region
-/// is memory-mapped ([`MmapVectors`]) and attached as the index's
-/// rerank source, so searches with `rerank_depth > 0` work out of the
-/// box while resident memory stays at `m` bytes per vector.
-pub fn read_index_pq(path: &Path) -> io::Result<CagraIndex<PqStore>> {
-    let file = std::fs::File::open(path)?;
-    let mut r = CountReader { inner: BufReader::new(file), pos: 0 };
-    let Header { version, metric, dim, n } = read_header(&mut r)?;
-    if version < VERSION_PQ {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bundle stores plain f32 vectors; load it with read_index",
-        ));
-    }
-    let id_map = read_id_map(&mut r, n)?;
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    if tag[0] != STORAGE_PQ {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bundle stores plain f32 vectors; load it with read_index",
-        ));
-    }
-    let codebook = PqCodebook::read_from(&mut r)?;
-    if codebook.dim() != dim {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("codebook dim {} does not match bundle dim {dim}", codebook.dim()),
-        ));
-    }
-    let code_bytes = n
-        .checked_mul(codebook.m())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "code matrix overflow"))?;
+/// The PQ body: codebook, codes and graph are read into memory; the
+/// trailing full-precision region of `path` is memory-mapped
+/// ([`MmapVectors`]) and attached as the index's rerank source.
+fn read_pq_body<R: Read>(
+    r: &mut CountReader<R>,
+    p: Prefix,
+    path: &Path,
+) -> io::Result<CagraIndex<PqStore>> {
+    let codebook = PqCodebook::read_from(r, p.dim)?;
+    let code_bytes =
+        p.n.checked_mul(codebook.m()).ok_or_else(|| invalid("code matrix overflow"))?;
     let mut codes = vec![0u8; code_bytes];
     r.read_exact(&mut codes)?;
-    let g = graph::io::read_fixed(&mut r)?;
-    if g.len() != n {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("graph covers {} nodes but bundle has {n} vectors", g.len()),
-        ));
-    }
+    let g = read_graph(&mut *r, p.n)?;
     let mut pad = [0u8; 1];
     r.read_exact(&mut pad)?;
     if pad[0] >= 8 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad vector-region padding"));
+        return Err(invalid("bad vector-region padding"));
     }
     let mut padding = [0u8; 8];
     r.read_exact(&mut padding[..pad[0] as usize])?;
     let vec_off = r.pos;
-    if vec_off % 8 != 0 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "misaligned vector region"));
+    if !vec_off.is_multiple_of(8) {
+        return Err(invalid("misaligned vector region"));
     }
-    let store = PqStore::from_parts(Arc::new(codebook), codes, n);
-    let vectors = MmapVectors::open(path, vec_off, n, dim)?;
-    let mut index = CagraIndex::from_parts_mapped(store, g, metric, id_map);
+    let store = PqStore::from_parts(Arc::new(codebook), codes, p.n);
+    let vectors = MmapVectors::open(path, vec_off, p.n, p.dim)?;
+    let mut index = CagraIndex::from_parts_mapped(store, g, p.metric, p.id_map);
     index.set_rerank_store(Box::new(vectors));
     Ok(index)
+}
+
+fn open_bundle(path: &Path) -> io::Result<(CountReader<BufReader<std::fs::File>>, Prefix)> {
+    let mut r = CountReader { inner: BufReader::new(std::fs::File::open(path)?), pos: 0 };
+    let prefix = read_prefix(&mut r)?;
+    Ok((r, prefix))
+}
+
+/// A loaded bundle of either storage flavour.
+pub enum Bundle {
+    /// Plain f32 vectors (any version).
+    F32(CagraIndex<Dataset>),
+    /// Product-quantized codes with a memory-mapped rerank tail (v3).
+    Pq(CagraIndex<PqStore>),
+}
+
+/// Load a bundle from disk, whichever storage it carries.
+pub fn read_bundle(path: &Path) -> io::Result<Bundle> {
+    let (mut r, prefix) = open_bundle(path)?;
+    match prefix.storage {
+        Storage::F32 => read_f32_body(r, prefix).map(Bundle::F32),
+        Storage::Pq => read_pq_body(&mut r, prefix, path).map(Bundle::Pq),
+    }
+}
+
+/// Deserialize a bundle written by [`write_index`].
+pub fn read_index<R: Read>(mut r: R) -> io::Result<CagraIndex<Dataset>> {
+    let prefix = read_prefix(&mut r)?;
+    if prefix.storage != Storage::F32 {
+        return Err(invalid("bundle stores product-quantized vectors; load it with read_index_pq"));
+    }
+    read_f32_body(r, prefix)
+}
+
+/// Load a product-quantized v3 bundle from disk. Searches with
+/// `rerank_depth > 0` work out of the box (the full-precision tail is
+/// mapped, not read) while resident memory stays at `m` bytes per
+/// vector.
+pub fn read_index_pq(path: &Path) -> io::Result<CagraIndex<PqStore>> {
+    let (mut r, prefix) = open_bundle(path)?;
+    if prefix.storage != Storage::Pq {
+        return Err(invalid("bundle stores plain f32 vectors; load it with read_index"));
+    }
+    read_pq_body(&mut r, prefix, path)
 }
 
 /// Write adapter tracking the absolute byte position — lets the PQ
@@ -316,13 +348,9 @@ fn read_id_map<R: Read>(r: &mut R, n: usize) -> io::Result<Option<IdMap>> {
     r.read_exact(&mut tag)?;
     let strategy = match tag[0] {
         0 => return Ok(None),
-        t => RelabelStrategy::from_tag(t).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad relabel tag {t}"))
-        })?,
+        t => RelabelStrategy::from_tag(t).ok_or_else(|| invalid(format!("bad relabel tag {t}")))?,
     };
-    let bytes = n
-        .checked_mul(4)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "permutation size overflow"))?;
+    let bytes = n.checked_mul(4).ok_or_else(|| invalid("permutation size overflow"))?;
     let mut raw = vec![0u8; bytes];
     r.read_exact(&mut raw)?;
     let old_of_new: Vec<u32> =
@@ -330,10 +358,7 @@ fn read_id_map<R: Read>(r: &mut R, n: usize) -> io::Result<Option<IdMap>> {
     let mut seen = vec![false; n];
     for &old in &old_of_new {
         if (old as usize) >= n || std::mem::replace(&mut seen[old as usize], true) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("relabel permutation is not a bijection over {n} nodes"),
-            ));
+            return Err(invalid(format!("relabel permutation is not a bijection over {n} nodes")));
         }
     }
     Ok(Some(IdMap { perm: Permutation::from_old_of_new(old_of_new), strategy }))
@@ -468,6 +493,58 @@ mod tests {
 
     fn tmpfile(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("cagra_bundle_{}_{tag}.cgix", std::process::id()))
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// PQ training, encoding and the v3 layout, pinned byte for byte.
+    /// The constants were taken at commit b10a9ed, the last one whose
+    /// codebook could carry a rotation, by running this same test.
+    #[test]
+    fn pq_codebook_and_bundle_bytes_are_pinned() {
+        let (index, base, _) = build_pq();
+        let mut blob = Vec::new();
+        index.store().codebook().write_to(&mut blob).unwrap();
+        assert_eq!((blob.len(), fnv1a(&blob)), (12321, 0x1d6d_b001_d138_ee14), "codebook blob");
+        let mut bundle = Vec::new();
+        write_index_pq(&mut bundle, &index, &base).unwrap();
+        assert_eq!((bundle.len(), fnv1a(&bundle)), (45976, 0x344f_6617_9c4f_f58f), "v3 bundle");
+    }
+
+    #[test]
+    fn read_bundle_branches_on_the_storage_tag() {
+        let (pq_index, base, _) = build_pq();
+        let path = tmpfile("any_pq");
+        write_index_pq(std::fs::File::create(&path).unwrap(), &pq_index, &base).unwrap();
+        match read_bundle(&path).unwrap() {
+            Bundle::Pq(back) => assert_eq!(back.store().codes(), pq_index.store().codes()),
+            Bundle::F32(_) => panic!("PQ bundle loaded as f32"),
+        }
+
+        // Plain storage under a v2 header (no tag) and under a v3
+        // header (tag 0, spliced in after the relabel byte at 25).
+        let index = build();
+        let mut v2 = Vec::new();
+        write_index(&mut v2, &index).unwrap();
+        let mut v3 = v2.clone();
+        v3[4..8].copy_from_slice(&VERSION_PQ.to_le_bytes());
+        v3.insert(26, STORAGE_F32);
+        let mut bad_tag = v3.clone();
+        bad_tag[26] = 7;
+        for bytes in [v2, v3] {
+            std::fs::write(&path, &bytes).unwrap();
+            match read_bundle(&path).unwrap() {
+                Bundle::F32(back) => assert_eq!(back.graph(), index.graph()),
+                Bundle::Pq(_) => panic!("f32 bundle loaded as PQ"),
+            }
+        }
+        std::fs::write(&path, &bad_tag).unwrap();
+        assert_eq!(read_bundle(&path).err().unwrap().kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

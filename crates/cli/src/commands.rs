@@ -3,10 +3,11 @@
 
 use crate::args::Args;
 use cagra::build::GraphConfig;
+use cagra::index_io::Bundle;
 use cagra::params::ReorderStrategy;
 use cagra::search::planner::Mode;
 use cagra::{CagraIndex, RelabelStrategy, SearchParams};
-use dataset::pq::{PqConfig, PqStore};
+use dataset::pq::PqConfig;
 use dataset::presets::{DatasetPreset, PresetName};
 use dataset::{Dataset, VectorStore};
 use distance::Metric;
@@ -14,7 +15,7 @@ use graph::stats::{graph_stats, locality_stats};
 use graph::AdjacencyGraph;
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read as _};
+use std::io::{BufReader, BufWriter};
 use std::path::Path;
 use std::time::Instant;
 
@@ -230,49 +231,20 @@ pub fn bundle(args: &Args) -> Result<String, String> {
     Ok(text)
 }
 
-/// A loaded index of either storage flavour. The two variants share
-/// every search surface; dispatch once here instead of at each call.
-enum LoadedIndex {
-    F32(CagraIndex<Dataset>),
-    Pq(CagraIndex<PqStore>),
-}
-
-/// Peek a bundle's format version (magic + u32, before any payload).
-fn bundle_version(path: &str) -> Result<u32, String> {
-    let mut head = [0u8; 8];
-    let mut f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    f.read_exact(&mut head).map_err(|e| format!("read {path}: {e}"))?;
-    if &head[0..4] != b"CGIX" {
-        return Err(format!("{path} is not an index bundle (bad magic)"));
-    }
-    Ok(u32::from_le_bytes(head[4..8].try_into().unwrap()))
-}
-
-/// Load a persisted index: either `--index bundle.cgix` (format
-/// version dispatched automatically — v3 PQ bundles get their mmap'd
+/// Load a persisted index: either `--index bundle.cgix` (storage
+/// flavour read from the bundle — v3 PQ bundles get their mmap'd
 /// rerank tail attached) or the `--base fvecs --graph cagra
 /// [--metric m]` pair (shared by `search` and `serve`).
-fn load_index(args: &Args) -> Result<LoadedIndex, String> {
+fn load_index(args: &Args) -> Result<Bundle, String> {
     if let Some(bundle_path) = args.opt("index") {
-        if bundle_version(bundle_path)? >= 3 {
-            match cagra::index_io::read_index_pq(Path::new(bundle_path)) {
-                Ok(index) => return Ok(LoadedIndex::Pq(index)),
-                // A v3+ bundle can still carry plain f32 storage; the
-                // reader's pointer error says to fall through.
-                Err(e) if e.to_string().contains("read_index") => {}
-                Err(e) => return Err(e.to_string()),
-            }
-        }
-        let f = File::open(bundle_path).map_err(|e| format!("open {bundle_path}: {e}"))?;
-        cagra::index_io::read_index(BufReader::new(f))
-            .map(LoadedIndex::F32)
-            .map_err(|e| e.to_string())
+        cagra::index_io::read_bundle(Path::new(bundle_path))
+            .map_err(|e| format!("load {bundle_path}: {e}"))
     } else {
         let base = read_dataset(args.req("base")?)?;
         let graph_file = File::open(args.req("graph")?).map_err(|e| e.to_string())?;
         let g = graph::io::read_fixed(BufReader::new(graph_file)).map_err(|e| e.to_string())?;
         let metric = parse_metric(args)?;
-        Ok(LoadedIndex::F32(CagraIndex::from_parts(base, g, metric)))
+        Ok(Bundle::F32(CagraIndex::from_parts(base, g, metric)))
     }
 }
 
@@ -296,7 +268,7 @@ pub fn search(args: &Args) -> Result<String, String> {
     };
 
     let index = load_index(args)?;
-    if params.rerank_depth > 0 && matches!(index, LoadedIndex::F32(_)) {
+    if params.rerank_depth > 0 && matches!(index, Bundle::F32(_)) {
         return Err(
             "--rerank needs a full-precision rerank source; f32 indexes are already exact \
              (build a PQ bundle with `bundle --pq M`)"
@@ -305,8 +277,8 @@ pub fn search(args: &Args) -> Result<String, String> {
     }
     let t0 = Instant::now();
     let results = match &index {
-        LoadedIndex::F32(ix) => ix.try_search_batch(&queries, k, &params, mode, false),
-        LoadedIndex::Pq(ix) => ix.try_search_batch(&queries, k, &params, mode, false),
+        Bundle::F32(ix) => ix.try_search_batch(&queries, k, &params, mode, false),
+        Bundle::Pq(ix) => ix.try_search_batch(&queries, k, &params, mode, false),
     }
     .map_err(|e| e.to_string())?
     .neighbors;
@@ -372,7 +344,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
 
     let dynamic = args.bool_or("dynamic", false)?;
     match load_index(args)? {
-        LoadedIndex::F32(ix) => {
+        Bundle::F32(ix) => {
             if params.rerank_depth > 0 {
                 return Err(
                     "--rerank needs a PQ bundle (f32 indexes are already exact)".to_string()
@@ -393,7 +365,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
                 serve_index(ix, sample, n, args, k, params, config, addr, self_test)
             }
         }
-        LoadedIndex::Pq(ix) => {
+        Bundle::Pq(ix) => {
             if dynamic {
                 return Err(
                     "--dynamic true needs a plain f32 index (PQ bundles are static)".to_string()

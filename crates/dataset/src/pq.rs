@@ -11,27 +11,14 @@
 //! asymmetric distance (in `distance::adc`) never decodes at all — it
 //! looks the codes up in a per-query table.
 //!
-//! An optional OPQ-style rotation multiplies every vector by a seeded
-//! random orthonormal matrix before encoding. Rotation mixes
-//! coordinates across subspaces, balancing per-subspace energy on
-//! datasets whose variance concentrates in a few dimensions; because
-//! the matrix is orthonormal, L2 distances and inner products against
-//! rotated queries are preserved exactly, so search quality only ever
-//! gains. Decoding applies the transpose to return to the original
-//! space.
-//!
 //! Everything here is deterministic for a given `(data, config)` pair
 //! under any thread count: training touches rows in sampled-ascending
 //! order on a single RNG stream, ties in assignment break toward the
 //! lowest centroid index, and empty clusters are reseeded from the
 //! farthest sample point by a strict-greater scan.
 
-use crate::sample::{derive_seed, sample_rows, STAGE_KMEANS, STAGE_ROTATION, STAGE_SAMPLE};
+use crate::sample::{derive_seed, sample_rows, STAGE_KMEANS, STAGE_SAMPLE};
 use crate::storage::{PermutableStore, PqView, VectorStore};
-use crate::synth::StdNormal;
-use rand::distributions::Distribution;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
@@ -44,8 +31,6 @@ pub struct PqConfig {
     pub iters: usize,
     /// Training sample size (clamped to the dataset size).
     pub sample: usize,
-    /// Apply an OPQ-style random orthonormal rotation before encoding.
-    pub rotate: bool,
     /// Base seed; all internal streams derive from it.
     pub seed: u64,
 }
@@ -55,28 +40,25 @@ impl PqConfig {
     /// 16k-row sample train a 96-dim codebook in a few seconds on one
     /// core while recall@10 after rerank matches full precision.
     pub fn new(m: usize) -> PqConfig {
-        PqConfig { m, iters: 8, sample: 16_384, rotate: false, seed: 0x9a7e }
+        PqConfig { m, iters: 8, sample: 16_384, seed: 0x9a7e }
     }
 }
 
-/// Per-subspace centroid tables plus the optional rotation.
+/// Per-subspace centroid tables.
 #[derive(Clone, Debug)]
 pub struct PqCodebook {
     dim: usize,
     m: usize,
     /// Centroids per subspace (shared across subspaces), `1..=256`.
     ksub: usize,
-    /// Subspace boundaries in the (rotated) vector: subspace `s`
-    /// covers dims `starts[s]..starts[s+1]`. Length `m + 1`.
+    /// Subspace boundaries: subspace `s` covers dims
+    /// `starts[s]..starts[s+1]`. Length `m + 1`.
     starts: Vec<u32>,
     /// Concatenated per-subspace centroid tables, subspace-major:
     /// subspace `s` holds `ksub * dsub_s` f32 at `cent_off[s]`.
     centroids: Vec<f32>,
     /// Offsets into `centroids`, length `m + 1`.
     cent_off: Vec<u32>,
-    /// Row-major `dim x dim` orthonormal matrix `R`; encode uses
-    /// `R x`, decode uses `R^T`.
-    rotation: Option<Vec<f32>>,
     /// Max squared distance from any training-sample subvector to its
     /// nearest centroid, per subspace — the quantizer's error bound
     /// for vectors drawn from the training set.
@@ -95,60 +77,6 @@ fn subspace_starts(dim: usize, m: usize) -> Vec<u32> {
         starts.push(at);
     }
     starts
-}
-
-/// `y = R x` for row-major `R`.
-fn rotate_forward(rot: &[f32], dim: usize, x: &[f32], y: &mut [f32]) {
-    for (i, yi) in y.iter_mut().enumerate() {
-        let row = &rot[i * dim..(i + 1) * dim];
-        *yi = row.iter().zip(x).map(|(&r, &v)| r * v).sum();
-    }
-}
-
-/// `x = R^T y` for row-major `R`.
-fn rotate_back(rot: &[f32], dim: usize, y: &[f32], x: &mut [f32]) {
-    x.fill(0.0);
-    for (i, &yi) in y.iter().enumerate() {
-        let row = &rot[i * dim..(i + 1) * dim];
-        for (xj, &r) in x.iter_mut().zip(row) {
-            *xj += r * yi;
-        }
-    }
-}
-
-/// Seeded random orthonormal matrix: Gaussian entries, then modified
-/// Gram–Schmidt. A row that degenerates during orthogonalization
-/// (probability ~0, but the loop must terminate deterministically)
-/// falls back to the matching standard basis vector before
-/// re-orthogonalizing.
-fn random_rotation(dim: usize, seed: u64) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let normal = StdNormal;
-    let mut r: Vec<f32> = (0..dim * dim).map(|_| normal.sample(&mut rng)).collect();
-    for i in 0..dim {
-        for attempt in 0..2 {
-            if attempt == 1 {
-                let row = &mut r[i * dim..(i + 1) * dim];
-                row.fill(0.0);
-                row[i] = 1.0;
-            }
-            for j in 0..i {
-                let dot: f32 = (0..dim).map(|d| r[i * dim + d] * r[j * dim + d]).sum();
-                for d in 0..dim {
-                    r[i * dim + d] -= dot * r[j * dim + d];
-                }
-            }
-            let norm_sq: f32 = r[i * dim..(i + 1) * dim].iter().map(|v| v * v).sum();
-            if norm_sq > 1e-12 {
-                let inv = 1.0 / norm_sq.sqrt();
-                for d in 0..dim {
-                    r[i * dim + d] *= inv;
-                }
-                break;
-            }
-        }
-    }
-    r
 }
 
 /// Nearest centroid for one subvector: strictly-less comparison keeps
@@ -237,19 +165,9 @@ impl PqCodebook {
         assert!(cfg.m >= 1 && cfg.m <= dim, "subspace count {} out of range for dim {dim}", cfg.m);
         let rows = sample_rows(n, cfg.sample.max(1), derive_seed(cfg.seed, STAGE_SAMPLE));
         let sn = rows.len();
-        let rotation =
-            cfg.rotate.then(|| random_rotation(dim, derive_seed(cfg.seed, STAGE_ROTATION)));
         let mut sample = vec![0f32; sn * dim];
-        let mut buf = vec![0f32; dim];
         for (r, &i) in rows.iter().enumerate() {
-            let dst = &mut sample[r * dim..(r + 1) * dim];
-            match &rotation {
-                Some(rot) => {
-                    store.get_into(i as usize, &mut buf);
-                    rotate_forward(rot, dim, &buf, dst);
-                }
-                None => store.get_into(i as usize, dst),
-            }
+            store.get_into(i as usize, &mut sample[r * dim..(r + 1) * dim]);
         }
         let ksub = sn.min(256);
         let starts = subspace_starts(dim, cfg.m);
@@ -271,10 +189,10 @@ impl PqCodebook {
             cent_off.push(centroids.len() as u32);
             bound.push(b);
         }
-        PqCodebook { dim, m: cfg.m, ksub, starts, centroids, cent_off, rotation, bound }
+        PqCodebook { dim, m: cfg.m, ksub, starts, centroids, cent_off, bound }
     }
 
-    /// Original (un-rotated) vector dimensionality.
+    /// Vector dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
     }
@@ -289,7 +207,7 @@ impl PqCodebook {
         self.ksub
     }
 
-    /// Dimension range `[lo, hi)` of subspace `s` in the rotated space.
+    /// Dimension range `[lo, hi)` of subspace `s`.
     pub fn subspace(&self, s: usize) -> (usize, usize) {
         (self.starts[s] as usize, self.starts[s + 1] as usize)
     }
@@ -297,11 +215,6 @@ impl PqCodebook {
     /// Centroid table of subspace `s`: `ksub` rows of `dsub_s` f32.
     pub fn centroids(&self, s: usize) -> &[f32] {
         &self.centroids[self.cent_off[s] as usize..self.cent_off[s + 1] as usize]
-    }
-
-    /// The OPQ rotation, if trained with one (row-major `dim x dim`).
-    pub fn rotation(&self) -> Option<&[f32]> {
-        self.rotation.as_deref()
     }
 
     /// Max squared distance from any training-sample subvector to its
@@ -312,46 +225,21 @@ impl PqCodebook {
         self.bound[s]
     }
 
-    /// Rotate `x` into codebook space (copy when no rotation).
-    pub fn rotate_into(&self, x: &[f32], out: &mut [f32]) {
-        match &self.rotation {
-            Some(rot) => rotate_forward(rot, self.dim, x, out),
-            None => out.copy_from_slice(x),
-        }
-    }
-
-    /// Encode one row. `scratch` must be `dim`-sized; it holds the
-    /// rotated vector so encoding allocates nothing.
-    pub fn encode_row(&self, row: &[f32], codes: &mut [u8], scratch: &mut [f32]) {
+    /// Encode one row.
+    pub fn encode_row(&self, row: &[f32], codes: &mut [u8]) {
         assert_eq!(row.len(), self.dim, "row length");
         assert_eq!(codes.len(), self.m, "code length");
-        self.rotate_into(row, scratch);
         for (s, code) in codes.iter_mut().enumerate() {
             let (lo, hi) = self.subspace(s);
-            let (c, _) = nearest(self.centroids(s), hi - lo, &scratch[lo..hi]);
+            let (c, _) = nearest(self.centroids(s), hi - lo, &row[lo..hi]);
             *code = c as u8;
         }
     }
 
-    /// Decode codes into an original-space vector.
+    /// Decode codes into a vector: the chosen centroids, concatenated.
     pub fn decode_into(&self, codes: &[u8], out: &mut [f32]) {
         assert_eq!(codes.len(), self.m, "code length");
         assert_eq!(out.len(), self.dim, "output length");
-        match &self.rotation {
-            Some(rot) => {
-                // Reconstruction lives in rotated space; concatenate
-                // there, then rotate back. The temporary is the price
-                // of rotation — decode is never on the search hot path
-                // (ADC scores codes directly).
-                let mut y = vec![0f32; self.dim];
-                self.concat_centroids(codes, &mut y);
-                rotate_back(rot, self.dim, &y, out);
-            }
-            None => self.concat_centroids(codes, out),
-        }
-    }
-
-    fn concat_centroids(&self, codes: &[u8], out: &mut [f32]) {
         for (s, &code) in codes.iter().enumerate() {
             let (lo, hi) = self.subspace(s);
             let dsub = hi - lo;
@@ -365,12 +253,9 @@ impl PqCodebook {
         w.write_all(&(self.dim as u64).to_le_bytes())?;
         w.write_all(&(self.m as u32).to_le_bytes())?;
         w.write_all(&(self.ksub as u32).to_le_bytes())?;
-        w.write_all(&[u8::from(self.rotation.is_some())])?;
-        if let Some(rot) = &self.rotation {
-            for &v in rot {
-                w.write_all(&v.to_le_bytes())?;
-            }
-        }
+        // Reserved flag byte of the blob layout; `read_from` accepts
+        // only 0.
+        w.write_all(&[0u8])?;
         for &v in &self.centroids {
             w.write_all(&v.to_le_bytes())?;
         }
@@ -380,14 +265,19 @@ impl PqCodebook {
         Ok(())
     }
 
-    /// Deserialize a blob written by [`PqCodebook::write_to`].
-    pub fn read_from<R: Read>(r: &mut R) -> io::Result<PqCodebook> {
+    /// Deserialize a blob written by [`PqCodebook::write_to`] for
+    /// vectors of `dim` dimensions (the enclosing bundle's header
+    /// value). Every table is sized from `dim`, so a blob claiming a
+    /// different one is rejected before anything is allocated.
+    pub fn read_from<R: Read>(r: &mut R, dim: usize) -> io::Result<PqCodebook> {
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let mut b8 = [0u8; 8];
         let mut b4 = [0u8; 4];
         let mut b1 = [0u8; 1];
         r.read_exact(&mut b8)?;
-        let dim = u64::from_le_bytes(b8) as usize;
+        if u64::from_le_bytes(b8) != dim as u64 {
+            return Err(bad("pq codebook dim does not match the bundle dim"));
+        }
         r.read_exact(&mut b4)?;
         let m = u32::from_le_bytes(b4) as usize;
         r.read_exact(&mut b4)?;
@@ -396,15 +286,11 @@ impl PqCodebook {
             return Err(bad("pq codebook header out of range"));
         }
         r.read_exact(&mut b1)?;
-        let rotation = match b1[0] {
-            0 => None,
-            1 => {
-                let mut rot = vec![0f32; dim * dim];
-                read_f32_into(r, &mut rot)?;
-                Some(rot)
-            }
-            _ => return Err(bad("pq codebook rotation flag")),
-        };
+        if b1[0] != 0 {
+            return Err(bad(
+                "pq codebook has the rotation flag set; rotated codebooks are unsupported",
+            ));
+        }
         let starts = subspace_starts(dim, m);
         let mut cent_off = vec![0u32];
         for s in 0..m {
@@ -415,7 +301,7 @@ impl PqCodebook {
         read_f32_into(r, &mut centroids)?;
         let mut bound = vec![0f32; m];
         read_f32_into(r, &mut bound)?;
-        Ok(PqCodebook { dim, m, ksub, starts, centroids, cent_off, rotation, bound })
+        Ok(PqCodebook { dim, m, ksub, starts, centroids, cent_off, bound })
     }
 }
 
@@ -448,10 +334,9 @@ impl PqStore {
         let (n, m, dim) = (store.len(), codebook.m(), codebook.dim());
         let mut codes = vec![0u8; n * m];
         let mut row = vec![0f32; dim];
-        let mut scratch = vec![0f32; dim];
         for i in 0..n {
             store.get_into(i, &mut row);
-            codebook.encode_row(&row, &mut codes[i * m..(i + 1) * m], &mut scratch);
+            codebook.encode_row(&row, &mut codes[i * m..(i + 1) * m]);
         }
         PqStore { codebook, codes, n }
     }
@@ -563,43 +448,16 @@ mod tests {
     }
 
     #[test]
-    fn rotation_is_orthonormal_and_distance_preserving() {
-        let rot = random_rotation(16, 99);
-        // R R^T == I
-        for i in 0..16 {
-            for j in 0..16 {
-                let dot: f32 = (0..16).map(|d| rot[i * 16 + d] * rot[j * 16 + d]).sum();
-                let want = if i == j { 1.0 } else { 0.0 };
-                assert!((dot - want).abs() < 1e-4, "R R^T [{i}][{j}] = {dot}");
-            }
-        }
-        let d = synth(50, 16, 5);
-        let mut y = vec![0f32; 16];
-        let mut back = vec![0f32; 16];
-        for i in 0..d.len() {
-            rotate_forward(&rot, 16, d.row(i), &mut y);
-            let n0: f32 = d.row(i).iter().map(|v| v * v).sum();
-            let n1: f32 = y.iter().map(|v| v * v).sum();
-            assert!((n0 - n1).abs() <= 1e-3 * n0.max(1.0), "norm drifted: {n0} vs {n1}");
-            rotate_back(&rot, 16, &y, &mut back);
-            for (a, b) in back.iter().zip(d.row(i)) {
-                assert!((a - b).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
-    fn rotated_codebook_round_trips_through_serialization() {
+    fn codebook_round_trips_through_serialization() {
         let d = synth(120, 10, 11);
-        let cfg = PqConfig { rotate: true, sample: 64, ..PqConfig::new(5) };
+        let cfg = PqConfig { sample: 64, ..PqConfig::new(5) };
         let store = build(&d, &cfg);
         let mut blob = Vec::new();
         store.codebook().write_to(&mut blob).unwrap();
-        let cb = PqCodebook::read_from(&mut blob.as_slice()).unwrap();
+        let cb = PqCodebook::read_from(&mut blob.as_slice(), 10).unwrap();
         assert_eq!(cb.dim(), 10);
         assert_eq!(cb.m(), 5);
         assert_eq!(cb.ksub(), store.codebook().ksub());
-        assert_eq!(cb.rotation(), store.codebook().rotation());
         for s in 0..5 {
             assert_eq!(cb.centroids(s), store.codebook().centroids(s));
             assert_eq!(cb.quantizer_bound(s), store.codebook().quantizer_bound(s));
@@ -607,6 +465,22 @@ mod tests {
         // Re-encoding under the deserialized codebook is bit-identical.
         let again = PqStore::encode(Arc::new(cb), &d);
         assert_eq!(again.codes(), store.codes());
+    }
+
+    #[test]
+    fn read_from_rejects_a_set_rotation_flag_and_a_foreign_dim() {
+        let d = synth(40, 6, 3);
+        let mut blob = Vec::new();
+        build(&d, &PqConfig::new(2)).codebook().write_to(&mut blob).unwrap();
+        let invalid = |blob: &[u8], dim| {
+            let err = PqCodebook::read_from(&mut &blob[..], dim).expect_err("must be rejected");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        };
+        invalid(&blob, 7);
+        // dim u64 | m u32 | ksub u32 | flag u8
+        assert_eq!(blob[16], 0, "the writer always emits flag 0");
+        blob[16] = 1;
+        invalid(&blob, 6);
     }
 
     #[test]
@@ -651,7 +525,7 @@ mod tests {
         ) {
             let m = (m_frac % dim.max(1)) + 1;
             let d = synth(n, dim, seed);
-            let cfg = PqConfig { m, sample: n, iters: 3, rotate: false, seed };
+            let cfg = PqConfig { m, sample: n, iters: 3, seed };
             let store = build(&d, &cfg);
             let cb = store.codebook();
             let mut rec = vec![0f32; dim];

@@ -20,8 +20,6 @@ pub const GOLDEN_STRIDE: u64 = 0x9e37_79b9_7f4a_7c15;
 /// k-means trainer and the int8 scale estimator so both quantizers
 /// fit on the *same* rows for a given seed.
 pub const STAGE_SAMPLE: u64 = 1;
-/// Stage id for the OPQ rotation draw.
-pub const STAGE_ROTATION: u64 = 2;
 /// First stage id of the per-subspace k-means streams (subspace `s`
 /// uses `STAGE_KMEANS + s`).
 pub const STAGE_KMEANS: u64 = 16;

@@ -73,7 +73,7 @@ impl SynthSpec {
 
 /// Standard normal sampled via Box–Muller (avoids depending on
 /// `rand_distr`, which is outside the allowed crate list).
-pub(crate) struct StdNormal;
+struct StdNormal;
 
 impl Distribution<f32> for StdNormal {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f32 {

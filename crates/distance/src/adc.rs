@@ -52,7 +52,7 @@ pub struct AdcTable {
 impl AdcTable {
     /// Build the table for `query` against a PQ view, computing the
     /// per-subspace entries with `kern` (the building oracle's
-    /// backend). Rotated codebooks rotate the query here, once.
+    /// backend).
     pub fn build(
         view: &PqView<'_>,
         metric: Metric,
@@ -62,21 +62,11 @@ impl AdcTable {
         let cb = view.codebook;
         let (m, ksub) = (cb.m(), cb.ksub());
         assert_eq!(query.len(), cb.dim(), "query/codebook dim mismatch");
-        let rotated;
-        let q: &[f32] = match cb.rotation() {
-            Some(_) => {
-                let mut r = vec![0.0f32; cb.dim()];
-                cb.rotate_into(query, &mut r);
-                rotated = r;
-                &rotated
-            }
-            None => query,
-        };
         let paired = metric == Metric::Cosine;
         let mut data = vec![0.0f32; m * 256 * if paired { 2 } else { 1 }];
         for s in 0..m {
             let (lo, hi) = cb.subspace(s);
-            let qs = &q[lo..hi];
+            let qs = &query[lo..hi];
             let dsub = hi - lo;
             let cents = cb.centroids(s);
             for c in 0..ksub {
@@ -422,26 +412,6 @@ mod tests {
             let adc = table.score(store.row_codes(row), 0.0);
             let exact = crate::squared_l2(&q, &rec);
             assert!((adc - exact).abs() <= 1e-4 * exact.max(1.0), "row {row}: {adc} vs {exact}");
-        }
-    }
-
-    #[test]
-    fn rotated_codebook_scores_match_rotated_space_distance() {
-        let d = synth(25, 12, 6);
-        let cfg = PqConfig { sample: 25, iters: 3, rotate: true, ..PqConfig::new(4) };
-        let store = pq::build(&d, &cfg);
-        let view = store.flat_pq().unwrap();
-        let q = d.row(3).to_vec();
-        let table = AdcTable::build(&view, Metric::SquaredL2, &q, kernels::scalar());
-        // Distance in rotated space to the rotated-space reconstruction
-        // == distance in original space to the decoded row (R is
-        // orthonormal); check against the decode path.
-        let mut rec = vec![0.0f32; 12];
-        for row in 0..store.len() {
-            store.get_into(row, &mut rec);
-            let adc = table.score(store.row_codes(row), 0.0);
-            let exact = crate::squared_l2(&q, &rec);
-            assert!((adc - exact).abs() <= 1e-3 * exact.max(1.0), "row {row}: {adc} vs {exact}");
         }
     }
 

@@ -446,11 +446,6 @@ impl<'a, S: VectorStore + ?Sized> DistanceOracle<'a, S> {
     pub fn computed(&self) -> u64 {
         self.count.get()
     }
-
-    /// Reset the distance counter.
-    pub fn reset_count(&self) {
-        self.count.set(0);
-    }
 }
 
 /// Stream `ids` through a per-row distance closure with a two-ahead
@@ -519,8 +514,6 @@ mod tests {
         assert_eq!(o.to_row(&[0.0, 0.0], 1), 25.0);
         assert_eq!(o.between_rows(0, 1), 25.0);
         assert_eq!(o.computed(), 2);
-        o.reset_count();
-        assert_eq!(o.computed(), 0);
     }
 
     #[test]

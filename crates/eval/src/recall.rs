@@ -25,13 +25,6 @@ pub fn recall_at_k(results: &[Vec<Neighbor>], gt: &[Vec<u32>], k: usize) -> f64 
     }
 }
 
-/// recall@k when the ANNS side is plain id lists.
-pub fn recall_ids(results: &[Vec<u32>], gt: &[Vec<u32>], k: usize) -> f64 {
-    let wrapped: Vec<Vec<Neighbor>> =
-        results.iter().map(|r| r.iter().map(|&id| Neighbor::new(id, 0.0)).collect()).collect();
-    recall_at_k(&wrapped, gt, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,13 +66,6 @@ mod tests {
     #[test]
     fn empty_batch_is_perfect() {
         assert_eq!(recall_at_k(&[], &[], 10), 1.0);
-    }
-
-    #[test]
-    fn id_list_variant_agrees() {
-        let res = vec![vec![1, 9, 8]];
-        let gt = vec![vec![1, 2, 3]];
-        assert!((recall_ids(&res, &gt, 3) - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

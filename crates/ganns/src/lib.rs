@@ -11,10 +11,9 @@
 //! so the same device model prices GANNS and CAGRA (Figs. 11, 13).
 
 use cagra::search::trace::SearchTrace;
-use dataset::{PermutableStore, VectorStore};
+use dataset::VectorStore;
 use distance::{DistanceOracle, Metric};
 use gpu_sim::{traced_beam_search, BeamParams};
-use graph::relabel::{self, IdMap, RelabelStrategy};
 use knn::parallel::{default_threads, parallel_map};
 use knn::topk::{cmp_neighbor, Neighbor};
 use std::time::{Duration, Instant};
@@ -46,25 +45,6 @@ pub struct Ganns<S> {
     metric: Metric,
     adjacency: Vec<Vec<u32>>,
     params: GannsParams,
-    id_map: Option<IdMap>,
-}
-
-impl<S: VectorStore + PermutableStore> Ganns<S> {
-    /// Renumber vertices for memory locality (same contract as
-    /// `CagraIndex::relabel`): adjacency and vector rows move together
-    /// and searches keep returning original ids.
-    pub fn relabel(&mut self, strategy: RelabelStrategy) {
-        let perm = relabel::compute_lists(&self.adjacency, strategy);
-        if perm.is_identity() {
-            return;
-        }
-        self.adjacency = relabel::apply_to_lists(&self.adjacency, &perm);
-        self.store = self.store.permuted(perm.old_of_new_slice());
-        self.id_map = Some(match self.id_map.take() {
-            Some(prev) => IdMap { perm: prev.perm.then(&perm), strategy },
-            None => IdMap { perm, strategy },
-        });
-    }
 }
 
 impl<S: VectorStore> Ganns<S> {
@@ -119,7 +99,7 @@ impl<S: VectorStore> Ganns<S> {
             next = end;
         }
 
-        (Ganns { store, metric, adjacency, params, id_map: None }, t0.elapsed())
+        (Ganns { store, metric, adjacency, params }, t0.elapsed())
     }
 
     /// Single-query search via the SONG-style kernel.
@@ -132,14 +112,7 @@ impl<S: VectorStore> Ganns<S> {
     ) -> (Vec<Neighbor>, SearchTrace) {
         let p =
             BeamParams { beam: beam.max(k), n_starts: 8, max_iterations: beam.max(k) * 4, seed };
-        let (mut res, trace) =
-            traced_beam_search(&self.adjacency, &self.store, self.metric, query, k, &p);
-        if let Some(m) = &self.id_map {
-            for nb in &mut res {
-                nb.id = m.original_of_internal(nb.id);
-            }
-        }
-        (res, trace)
+        traced_beam_search(&self.adjacency, &self.store, self.metric, query, k, &p)
     }
 
     /// Thread-parallel batch search returning results and traces.
@@ -179,11 +152,6 @@ impl<S: VectorStore> Ganns<S> {
     /// Build parameters.
     pub fn params(&self) -> &GannsParams {
         &self.params
-    }
-
-    /// The active relabel map, if [`Ganns::relabel`] reordered the index.
-    pub fn id_map(&self) -> Option<&IdMap> {
-        self.id_map.as_ref()
     }
 }
 
@@ -262,22 +230,6 @@ mod tests {
         let timing =
             gpu_sim::simulate_batch(&device, &traces, 8, 4, 32, gpu_sim::Mapping::SingleCta);
         assert!(timing.qps > 0.0);
-    }
-
-    #[test]
-    fn relabel_preserves_recall_and_reports_original_ids() {
-        let (mut g, queries) = setup(1200);
-        let gt = ground_truth(g.store(), Metric::SquaredL2, &queries, 10);
-        g.relabel(RelabelStrategy::Gorder);
-        assert_eq!(g.id_map().unwrap().strategy, RelabelStrategy::Gorder);
-        let got = g.search_batch(&queries, 10, 128);
-        let mut hits = 0usize;
-        for ((res, _), t) in got.iter().zip(&gt) {
-            let ts: std::collections::HashSet<u32> = t.iter().copied().collect();
-            hits += res.iter().filter(|nb| ts.contains(&nb.id)).count();
-        }
-        let recall = hits as f64 / (gt.len() * 10) as f64;
-        assert!(recall > 0.8, "relabeled GANNS recall@10 = {recall}");
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! same way it prices CAGRA (Figs. 11 and 13).
 
 use cagra::search::trace::SearchTrace;
-use dataset::{PermutableStore, VectorStore};
+use dataset::VectorStore;
 use distance::{DistanceOracle, Metric};
 use gpu_sim::{traced_beam_search, BeamParams};
-use graph::relabel::{self, IdMap, RelabelStrategy};
 use knn::parallel::{default_threads, parallel_chunks};
 use knn::topk::{cmp_neighbor, Neighbor, TopK};
 use std::time::{Duration, Instant};
@@ -47,25 +46,6 @@ pub struct Ggnn<S> {
     metric: Metric,
     adjacency: Vec<Vec<u32>>,
     params: GgnnParams,
-    id_map: Option<IdMap>,
-}
-
-impl<S: VectorStore + PermutableStore> Ggnn<S> {
-    /// Renumber vertices for memory locality (same contract as
-    /// `CagraIndex::relabel`): adjacency and vector rows move together
-    /// and searches keep returning original ids.
-    pub fn relabel(&mut self, strategy: RelabelStrategy) {
-        let perm = relabel::compute_lists(&self.adjacency, strategy);
-        if perm.is_identity() {
-            return;
-        }
-        self.adjacency = relabel::apply_to_lists(&self.adjacency, &perm);
-        self.store = self.store.permuted(perm.old_of_new_slice());
-        self.id_map = Some(match self.id_map.take() {
-            Some(prev) => IdMap { perm: prev.perm.then(&perm), strategy },
-            None => IdMap { perm, strategy },
-        });
-    }
 }
 
 impl<S: VectorStore> Ggnn<S> {
@@ -176,7 +156,7 @@ impl<S: VectorStore> Ggnn<S> {
             }
         }
 
-        (Ggnn { store, metric, adjacency, params, id_map: None }, t0.elapsed())
+        (Ggnn { store, metric, adjacency, params }, t0.elapsed())
     }
 
     /// Single-query search with the SONG-style kernel; returns results
@@ -190,14 +170,7 @@ impl<S: VectorStore> Ggnn<S> {
     ) -> (Vec<Neighbor>, SearchTrace) {
         let p =
             BeamParams { beam: beam.max(k), n_starts: 8, max_iterations: beam.max(k) * 4, seed };
-        let (mut res, trace) =
-            traced_beam_search(&self.adjacency, &self.store, self.metric, query, k, &p);
-        if let Some(m) = &self.id_map {
-            for nb in &mut res {
-                nb.id = m.original_of_internal(nb.id);
-            }
-        }
-        (res, trace)
+        traced_beam_search(&self.adjacency, &self.store, self.metric, query, k, &p)
     }
 
     /// Batch search (thread-parallel), returning per-query results and
@@ -238,11 +211,6 @@ impl<S: VectorStore> Ggnn<S> {
     /// Build parameters.
     pub fn params(&self) -> &GgnnParams {
         &self.params
-    }
-
-    /// The active relabel map, if [`Ggnn::relabel`] reordered the index.
-    pub fn id_map(&self) -> Option<&IdMap> {
-        self.id_map.as_ref()
     }
 }
 
@@ -312,26 +280,6 @@ mod tests {
             gpu_sim::simulate_batch(&device, &traces, 8, 4, 32, gpu_sim::Mapping::SingleCta);
         assert!(timing.qps > 0.0);
         assert!(traces.iter().all(|t| !t.hash_in_shared));
-    }
-
-    #[test]
-    fn relabel_preserves_recall_and_reports_original_ids() {
-        let (mut g, queries) = setup(1200);
-        let gt = ground_truth(g.store(), Metric::SquaredL2, &queries, 10);
-        for strategy in [RelabelStrategy::Degree, RelabelStrategy::Rcm] {
-            g.relabel(strategy);
-            assert_eq!(g.id_map().unwrap().strategy, strategy);
-            let got = g.search_batch(&queries, 10, 128);
-            let mut hits = 0usize;
-            for ((res, _), t) in got.iter().zip(&gt) {
-                let ts: std::collections::HashSet<u32> = t.iter().copied().collect();
-                hits += res.iter().filter(|nb| ts.contains(&nb.id)).count();
-            }
-            let recall = hits as f64 / (gt.len() * 10) as f64;
-            // Original-id ground truth only matches if outputs are
-            // mapped back; beam starts differ so allow a small dip.
-            assert!(recall > 0.8, "{strategy:?} relabeled recall@10 = {recall}");
-        }
     }
 
     #[test]

@@ -76,12 +76,6 @@ impl FixedDegreeGraph {
         &self.neighbors[node * self.degree..(node + 1) * self.degree]
     }
 
-    /// Mutable out-neighbors of `node`.
-    #[inline]
-    pub fn neighbors_mut(&mut self, node: usize) -> &mut [u32] {
-        &mut self.neighbors[node * self.degree..(node + 1) * self.degree]
-    }
-
     /// The flat neighbor buffer.
     pub fn as_flat(&self) -> &[u32] {
         &self.neighbors
@@ -147,12 +141,5 @@ mod tests {
         let g = FixedDegreeGraph::from_flat(vec![0, 1, 1, 0], 2, 2);
         assert_eq!(g.self_loops(), 2); // node0->0 and node1->1
         assert_eq!(ring(4, 2).self_loops(), 0);
-    }
-
-    #[test]
-    fn neighbors_mut_edits_in_place() {
-        let mut g = ring(4, 2);
-        g.neighbors_mut(0)[0] = 3;
-        assert_eq!(g.neighbors(0), &[3, 2]);
     }
 }

@@ -157,11 +157,6 @@ impl Permutation {
         &self.old_of_new
     }
 
-    /// The full `new_of_old` array.
-    pub fn new_of_old_slice(&self) -> &[u32] {
-        &self.new_of_old
-    }
-
     /// True when the permutation maps every id to itself.
     pub fn is_identity(&self) -> bool {
         self.new_of_old.iter().enumerate().all(|(i, &v)| i as u32 == v)
@@ -221,67 +216,22 @@ impl IdMap {
     }
 }
 
-/// Uniform read access over the two graph representations the
-/// workspace uses (fixed-degree matrix and ragged lists).
-trait NeighborAccess {
-    fn node_count(&self) -> usize;
-    fn row(&self, u: usize) -> &[u32];
-}
-
-impl NeighborAccess for FixedDegreeGraph {
-    fn node_count(&self) -> usize {
-        self.len()
-    }
-    fn row(&self, u: usize) -> &[u32] {
-        self.neighbors(u)
-    }
-}
-
-impl NeighborAccess for [Vec<u32>] {
-    fn node_count(&self) -> usize {
-        self.len()
-    }
-    fn row(&self, u: usize) -> &[u32] {
-        &self[u]
-    }
-}
-
 /// Compute the permutation a strategy induces on a fixed-degree graph.
 pub fn compute_fixed(g: &FixedDegreeGraph, strategy: RelabelStrategy) -> Permutation {
-    compute(g, strategy)
-}
-
-/// Compute the permutation a strategy induces on adjacency lists (the
-/// shared entry point for the variable-degree baseline indexes).
-pub fn compute_lists(lists: &[Vec<u32>], strategy: RelabelStrategy) -> Permutation {
-    compute(lists, strategy)
-}
-
-fn compute<G: NeighborAccess + ?Sized>(g: &G, strategy: RelabelStrategy) -> Permutation {
     match strategy {
-        RelabelStrategy::Identity => Permutation::identity(g.node_count()),
+        RelabelStrategy::Identity => Permutation::identity(g.len()),
         RelabelStrategy::Degree => degree_order(g),
         RelabelStrategy::Rcm => rcm_order(g),
         RelabelStrategy::Gorder => gorder(g),
     }
 }
 
-fn in_degrees<G: NeighborAccess + ?Sized>(g: &G) -> Vec<u32> {
-    let mut deg = vec![0u32; g.node_count()];
-    for u in 0..g.node_count() {
-        for &v in g.row(u) {
-            deg[v as usize] += 1;
-        }
-    }
-    deg
-}
-
 /// Hub-first: stable sort by in-degree descending. In-degree (not
 /// out-degree, which is constant for CAGRA graphs) measures how often
 /// a node is *gathered*, which is what cache residency rewards.
-fn degree_order<G: NeighborAccess + ?Sized>(g: &G) -> Permutation {
-    let deg = in_degrees(g);
-    let mut order: Vec<u32> = (0..g.node_count() as u32).collect();
+fn degree_order(g: &FixedDegreeGraph) -> Permutation {
+    let deg = g.in_degrees();
+    let mut order: Vec<u32> = (0..g.len() as u32).collect();
     order.sort_by_key(|&u| (std::cmp::Reverse(deg[u as usize]), u));
     Permutation::from_old_of_new(order)
 }
@@ -289,11 +239,11 @@ fn degree_order<G: NeighborAccess + ?Sized>(g: &G) -> Permutation {
 /// Symmetrized adjacency (out ∪ in), deduplicated and sorted, which
 /// both RCM and Gorder traverse: locality matters for whoever touches
 /// a row, regardless of edge direction.
-fn symmetrize<G: NeighborAccess + ?Sized>(g: &G) -> Vec<Vec<u32>> {
-    let n = g.node_count();
+fn symmetrize(g: &FixedDegreeGraph) -> Vec<Vec<u32>> {
+    let n = g.len();
     let mut sym: Vec<Vec<u32>> = vec![Vec::new(); n];
     for u in 0..n {
-        for &v in g.row(u) {
+        for &v in g.neighbors(u) {
             if v as usize != u {
                 sym[u].push(v);
                 sym[v as usize].push(u as u32);
@@ -310,8 +260,8 @@ fn symmetrize<G: NeighborAccess + ?Sized>(g: &G) -> Vec<Vec<u32>> {
 /// Reverse Cuthill–McKee: BFS from a minimum-degree seed, visiting
 /// neighbors in increasing symmetric-degree order, final order
 /// reversed. Deterministic: every tie breaks on the original id.
-fn rcm_order<G: NeighborAccess + ?Sized>(g: &G) -> Permutation {
-    let n = g.node_count();
+fn rcm_order(g: &FixedDegreeGraph) -> Permutation {
+    let n = g.len();
     let sym = symmetrize(g);
     let mut order: Vec<u32> = Vec::with_capacity(n);
     let mut visited = vec![false; n];
@@ -356,11 +306,11 @@ const GORDER_WINDOW: usize = 8;
 /// with the highest shared-neighborhood score against the last
 /// [`GORDER_WINDOW`] placed nodes (score = # of symmetric edges into
 /// the window). Lazy max-heap keeps each step near O(d log n).
-fn gorder<G: NeighborAccess + ?Sized>(g: &G) -> Permutation {
+fn gorder(g: &FixedDegreeGraph) -> Permutation {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    let n = g.node_count();
+    let n = g.len();
     let sym = symmetrize(g);
     let mut order: Vec<u32> = Vec::with_capacity(n);
     let mut placed = vec![false; n];
@@ -453,22 +403,6 @@ pub fn apply_to_fixed(g: &FixedDegreeGraph, perm: &Permutation) -> FixedDegreeGr
         }
     }
     FixedDegreeGraph::from_flat_unchecked(flat, n, d)
-}
-
-/// [`apply_to_fixed`] for ragged adjacency lists (the baselines).
-///
-/// # Panics
-/// Panics if the permutation size differs from the list count.
-pub fn apply_to_lists(lists: &[Vec<u32>], perm: &Permutation) -> Vec<Vec<u32>> {
-    assert_eq!(lists.len(), perm.len(), "permutation/list size mismatch");
-    (0..lists.len())
-        .map(|new_u| {
-            lists[perm.old_of_new(new_u as u32) as usize]
-                .iter()
-                .map(|&old_v| perm.new_of_old(old_v))
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -640,20 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_to_lists_matches_fixed() {
-        let g = ring(12, 2);
-        let lists: Vec<Vec<u32>> = (0..12).map(|u| g.neighbors(u).to_vec()).collect();
-        let p = compute_lists(&lists, RelabelStrategy::Rcm);
-        let pf = compute_fixed(&g, RelabelStrategy::Rcm);
-        assert_eq!(p, pf, "same graph, same permutation");
-        let relabeled = apply_to_lists(&lists, &p);
-        let fixed = apply_to_fixed(&g, &p);
-        for (u, row) in relabeled.iter().enumerate() {
-            assert_eq!(row, fixed.neighbors(u));
-        }
-    }
-
-    #[test]
     fn strategy_labels_round_trip() {
         for s in RelabelStrategy::ALL {
             assert_eq!(RelabelStrategy::parse(s.label()), Some(s));
@@ -680,7 +600,7 @@ mod tests {
     #[test]
     fn empty_graph_permutations() {
         for s in RelabelStrategy::ALL {
-            let p = compute_lists(&[], s);
+            let p = compute_fixed(&FixedDegreeGraph::from_rows(&[], 1), s);
             assert!(p.is_empty());
             assert!(p.is_identity());
         }

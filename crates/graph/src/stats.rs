@@ -65,47 +65,6 @@ mod tests {
     }
 }
 
-/// In-degree distribution summary. The NSW "hub" problem the paper
-/// cites as HNSW's motivation (Sec. I) shows up as heavy in-degree
-/// skew; CAGRA's reverse-edge cap keeps skew moderate even though only
-/// *out*-degree is fixed.
-#[derive(Clone, Debug)]
-pub struct InDegreeStats {
-    /// Maximum in-degree.
-    pub max: u32,
-    /// Mean in-degree (equals mean out-degree).
-    pub mean: f64,
-    /// Gini coefficient of the in-degree distribution (0 = perfectly
-    /// uniform, →1 = a few hubs own every edge).
-    pub gini: f64,
-}
-
-/// Compute the in-degree distribution summary of `g`.
-pub fn in_degree_stats(g: &AdjacencyGraph) -> InDegreeStats {
-    let n = g.len();
-    if n == 0 {
-        return InDegreeStats { max: 0, mean: 0.0, gini: 0.0 };
-    }
-    let mut deg = vec![0u32; n];
-    for u in 0..n {
-        for &v in g.neighbors(u) {
-            deg[v as usize] += 1;
-        }
-    }
-    let max = deg.iter().copied().max().unwrap_or(0);
-    let total: u64 = deg.iter().map(|&d| d as u64).sum();
-    let mean = total as f64 / n as f64;
-    // Gini via the sorted-rank formula.
-    deg.sort_unstable();
-    let gini = if total == 0 {
-        0.0
-    } else {
-        let weighted: f64 = deg.iter().enumerate().map(|(i, &d)| (i as f64 + 1.0) * d as f64).sum();
-        (2.0 * weighted) / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64
-    };
-    InDegreeStats { max, mean, gini }
-}
-
 /// Memory-locality metrics of a node numbering (the `relabel` module
 /// exists to improve these). All three are pure functions of the
 /// layout: relabeling changes them, the topology does not.
@@ -221,34 +180,5 @@ mod locality_tests {
         assert_eq!(s.bandwidth, 0);
         assert_eq!(s.mean_edge_span, 0.0);
         assert_eq!(s.est_row_transactions, 0.0);
-    }
-}
-
-#[cfg(test)]
-mod in_degree_tests {
-    use super::*;
-
-    #[test]
-    fn uniform_ring_has_zero_gini() {
-        let lists: Vec<Vec<u32>> = (0..8).map(|i| vec![((i + 1) % 8) as u32]).collect();
-        let s = in_degree_stats(&AdjacencyGraph::from_lists(&lists));
-        assert_eq!(s.max, 1);
-        assert!((s.mean - 1.0).abs() < 1e-12);
-        assert!(s.gini.abs() < 1e-9, "gini {}", s.gini);
-    }
-
-    #[test]
-    fn star_graph_has_high_gini() {
-        // Everyone points at node 0.
-        let lists: Vec<Vec<u32>> = (0..10).map(|i| if i == 0 { vec![] } else { vec![0] }).collect();
-        let s = in_degree_stats(&AdjacencyGraph::from_lists(&lists));
-        assert_eq!(s.max, 9);
-        assert!(s.gini > 0.85, "gini {}", s.gini);
-    }
-
-    #[test]
-    fn empty_graph_is_zeroed() {
-        let s = in_degree_stats(&AdjacencyGraph::from_lists(&[]));
-        assert_eq!((s.max, s.mean, s.gini), (0, 0.0, 0.0));
     }
 }

@@ -7,7 +7,6 @@
 //! number of search iterations can explore.
 
 use crate::adj::AdjacencyGraph;
-use crate::fixed::FixedDegreeGraph;
 
 /// Exact 2-hop count for one node using a stamped visited array.
 fn two_hop_one(g: &AdjacencyGraph, u: usize, stamp: &mut [u32], cur: u32) -> usize {
@@ -64,11 +63,6 @@ pub fn average_two_hop_sampled(g: &AdjacencyGraph, stride: usize) -> f64 {
         u += stride;
     }
     total as f64 / samples as f64
-}
-
-/// Convenience wrapper for fixed-degree graphs.
-pub fn average_two_hop_fixed(g: &FixedDegreeGraph) -> f64 {
-    average_two_hop(&AdjacencyGraph::from_fixed(g))
 }
 
 /// Theoretical maximum 2-hop count for degree `d` (`d + d^2`).
@@ -140,12 +134,5 @@ mod tests {
     #[test]
     fn max_two_hop_formula() {
         assert_eq!(max_two_hop(32), 32 + 32 * 32);
-    }
-
-    #[test]
-    fn fixed_wrapper_agrees() {
-        let f = FixedDegreeGraph::from_flat(vec![1, 2, 2, 0, 0, 1], 3, 2);
-        let a = AdjacencyGraph::from_fixed(&f);
-        assert_eq!(average_two_hop_fixed(&f), average_two_hop(&a));
     }
 }

@@ -1,9 +1,8 @@
 //! HNSW index construction.
 
 use crate::search::{greedy_descend, search_layer, Candidate};
-use dataset::{PermutableStore, VectorStore};
+use dataset::VectorStore;
 use distance::{DistanceOracle, Metric};
-use graph::relabel::{self, IdMap, RelabelStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,40 +40,6 @@ pub struct Hnsw<S> {
     pub(crate) entry: u32,
     pub(crate) max_level: usize,
     pub(crate) params: HnswParams,
-    pub(crate) id_map: Option<IdMap>,
-}
-
-impl<S: VectorStore + PermutableStore> Hnsw<S> {
-    /// Renumber vertices for memory locality (same contract as
-    /// `CagraIndex::relabel`). The order is computed from the bottom
-    /// layer — where nearly all search time is spent — and applied to
-    /// every layer's links, the entry point, and the vector rows;
-    /// searches keep returning original ids.
-    pub fn relabel(&mut self, strategy: RelabelStrategy) {
-        let bottom: Vec<Vec<u32>> =
-            self.nodes.iter().map(|n| n.links.first().cloned().unwrap_or_default()).collect();
-        let perm = relabel::compute_lists(&bottom, strategy);
-        if perm.is_identity() {
-            return;
-        }
-        let mut nodes = Vec::with_capacity(self.nodes.len());
-        for new in 0..self.nodes.len() {
-            let mut node = self.nodes[perm.old_of_new(new as u32) as usize].clone();
-            for layer in &mut node.links {
-                for u in layer.iter_mut() {
-                    *u = perm.new_of_old(*u);
-                }
-            }
-            nodes.push(node);
-        }
-        self.nodes = nodes;
-        self.entry = perm.new_of_old(self.entry);
-        self.store = self.store.permuted(perm.old_of_new_slice());
-        self.id_map = Some(match self.id_map.take() {
-            Some(prev) => IdMap { perm: prev.perm.then(&perm), strategy },
-            None => IdMap { perm, strategy },
-        });
-    }
 }
 
 impl<S: VectorStore> Hnsw<S> {
@@ -84,15 +49,8 @@ impl<S: VectorStore> Hnsw<S> {
         assert!(params.m >= 2, "M must be at least 2");
         assert!(params.ef_construction >= params.m, "efConstruction must be >= M");
         let n = store.len();
-        let mut index = Hnsw {
-            store,
-            metric,
-            nodes: Vec::with_capacity(n),
-            entry: 0,
-            max_level: 0,
-            params,
-            id_map: None,
-        };
+        let mut index =
+            Hnsw { store, metric, nodes: Vec::with_capacity(n), entry: 0, max_level: 0, params };
         let mut rng = StdRng::seed_from_u64(params.seed);
         let ml = 1.0 / (params.m as f64).ln();
         for i in 0..n {
@@ -130,11 +88,6 @@ impl<S: VectorStore> Hnsw<S> {
     /// Highest populated layer.
     pub fn max_level(&self) -> usize {
         self.max_level
-    }
-
-    /// The active relabel map, if [`Hnsw::relabel`] reordered the index.
-    pub fn id_map(&self) -> Option<&IdMap> {
-        self.id_map.as_ref()
     }
 
     fn insert(&mut self, id: u32, level: usize) {

@@ -752,47 +752,3 @@ mod tests {
         assert!(g.entries().windows(2).all(|w| w[0].n.dist <= w[1].n.dist));
     }
 }
-
-/// Convert NN-Descent lists into a fixed-degree graph, truncating each
-/// list to `degree` (the "plain k-NN graph" baseline of Fig. 3).
-///
-/// # Panics
-/// Panics if the lists are shorter than `degree`.
-pub fn lists_to_fixed_graph(lists: &KnnLists, degree: usize) -> graph::FixedDegreeGraph {
-    assert!(lists.k() >= degree, "list shorter than degree {degree}");
-    let n = lists.len();
-    let mut flat: Vec<u32> = Vec::with_capacity(n * degree);
-    for v in 0..n {
-        flat.extend(lists.row(v)[..degree].iter().map(|n| n.id));
-    }
-    graph::FixedDegreeGraph::from_flat(flat, n, degree)
-}
-
-#[cfg(test)]
-mod graph_conv_tests {
-    use super::*;
-
-    fn sample_lists() -> KnnLists {
-        KnnLists::from_rows(&[
-            vec![Neighbor::new(1, 0.1), Neighbor::new(2, 0.2)],
-            vec![Neighbor::new(0, 0.1), Neighbor::new(2, 0.3)],
-            vec![Neighbor::new(0, 0.2), Neighbor::new(1, 0.3)],
-        ])
-    }
-
-    #[test]
-    fn lists_convert_to_fixed_graph() {
-        let lists = sample_lists();
-        let g = lists_to_fixed_graph(&lists, 2);
-        assert_eq!(g.degree(), 2);
-        assert_eq!(g.neighbors(0), &[1, 2]);
-        let g1 = lists_to_fixed_graph(&lists, 1);
-        assert_eq!(g1.neighbors(2), &[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shorter than degree")]
-    fn short_lists_rejected_in_conversion() {
-        lists_to_fixed_graph(&sample_lists(), 3);
-    }
-}

@@ -1,8 +1,7 @@
 //! NSSG construction: k-NN base graph + angle pruning + connectivity.
 
-use dataset::{PermutableStore, VectorStore};
+use dataset::VectorStore;
 use distance::{dot, DistanceOracle, Metric};
-use graph::relabel::{self, IdMap, RelabelStrategy};
 use graph::AdjacencyGraph;
 use knn::flat::KnnLists;
 use knn::topk::Neighbor;
@@ -48,27 +47,6 @@ pub struct Nssg<S> {
     adjacency: Vec<Vec<u32>>,
     root: u32,
     params: NssgParams,
-    id_map: Option<IdMap>,
-}
-
-impl<S: VectorStore + PermutableStore> Nssg<S> {
-    /// Renumber vertices for memory locality (same contract as
-    /// `CagraIndex::relabel`): adjacency, vector rows, and the
-    /// connectivity root move together; searches keep returning
-    /// original ids.
-    pub fn relabel(&mut self, strategy: RelabelStrategy) {
-        let perm = relabel::compute_lists(&self.adjacency, strategy);
-        if perm.is_identity() {
-            return;
-        }
-        self.adjacency = relabel::apply_to_lists(&self.adjacency, &perm);
-        self.store = self.store.permuted(perm.old_of_new_slice());
-        self.root = perm.new_of_old(self.root);
-        self.id_map = Some(match self.id_map.take() {
-            Some(prev) => IdMap { perm: prev.perm.then(&perm), strategy },
-            None => IdMap { perm, strategy },
-        });
-    }
 }
 
 impl<S: VectorStore> Nssg<S> {
@@ -90,10 +68,7 @@ impl<S: VectorStore> Nssg<S> {
         ensure_connectivity(&mut adjacency, root, &knn);
         let opt_time = t1.elapsed();
 
-        (
-            Nssg { store, metric, adjacency, root, params, id_map: None },
-            NssgBuildReport { knn_time, opt_time },
-        )
+        (Nssg { store, metric, adjacency, root, params }, NssgBuildReport { knn_time, opt_time })
     }
 
     /// Average out-degree (the quantity Fig. 12 matches CAGRA's `d` to).
@@ -128,11 +103,6 @@ impl<S: VectorStore> Nssg<S> {
     /// Adjacency lists (borrowed by the search and the experiments).
     pub fn adjacency(&self) -> &[Vec<u32>] {
         &self.adjacency
-    }
-
-    /// The active relabel map, if [`Nssg::relabel`] reordered the index.
-    pub fn id_map(&self) -> Option<&IdMap> {
-        self.id_map.as_ref()
     }
 
     /// CSR view for the graph-analysis tooling.

@@ -140,11 +140,15 @@ impl From<std::io::Error> for ProtoError {
     }
 }
 
-/// Write one `[len][payload]` frame.
+/// Write one `[len][payload]` frame as a single write: on a socket,
+/// prefix and payload sent separately leave the payload waiting on the
+/// peer's delayed ACK of the prefix (Nagle), ~40 ms per frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), ProtoError> {
     debug_assert!(payload.len() <= MAX_PAYLOAD);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

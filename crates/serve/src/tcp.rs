@@ -83,6 +83,10 @@ impl Drop for TcpServer {
 }
 
 fn handle_connection<B: SearchBackend>(mut stream: TcpStream, service: &Service<B>) {
+    // Responses are single small frames the client is blocked on: send
+    // them now instead of letting Nagle hold them for an ACK. A socket
+    // that refuses the option still serves, only slower.
+    let _ = stream.set_nodelay(true);
     loop {
         let payload = match read_frame(&mut stream) {
             Ok(p) => p,

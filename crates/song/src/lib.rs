@@ -23,9 +23,8 @@
 
 use cagra::search::hash::VisitedSet;
 use cagra::search::trace::{IterationTrace, SearchTrace};
-use dataset::{PermutableStore, VectorStore};
+use dataset::VectorStore;
 use distance::{DistanceOracle, Metric};
-use graph::relabel::{self, IdMap, RelabelStrategy};
 use knn::topk::{cmp_neighbor, Neighbor, TopK};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,50 +112,6 @@ impl BoundedPq {
             Some(self.items.remove(0))
         }
     }
-}
-
-/// Jointly renumber a foreign adjacency structure and its store for
-/// memory locality (SONG searches graphs it did not build, so the
-/// relabel entry point is free-standing too). Returns the relabeled
-/// graph, the permuted store, and the map for
-/// [`song_search_mapped`].
-pub fn relabel_graph<S: VectorStore + PermutableStore>(
-    adjacency: &[Vec<u32>],
-    store: &S,
-    strategy: RelabelStrategy,
-) -> (Vec<Vec<u32>>, S, IdMap) {
-    let perm = relabel::compute_lists(adjacency, strategy);
-    let relabeled = relabel::apply_to_lists(adjacency, &perm);
-    let permuted = store.permuted(perm.old_of_new_slice());
-    (relabeled, permuted, IdMap { perm, strategy })
-}
-
-/// [`song_search`] over a relabeled graph: a `Fixed` entry vertex is
-/// interpreted as an *original* id, and results come back in original
-/// ids. With `id_map == None` this is exactly [`song_search`].
-pub fn song_search_mapped<S: VectorStore + ?Sized>(
-    adjacency: &[Vec<u32>],
-    store: &S,
-    metric: Metric,
-    query: &[f32],
-    k: usize,
-    params: &SongParams,
-    id_map: Option<&IdMap>,
-) -> (Vec<Neighbor>, SearchTrace) {
-    let Some(m) = id_map else {
-        return song_search(adjacency, store, metric, query, k, params);
-    };
-    let mut p = *params;
-    if let StartPolicy::Fixed(id) = p.starts {
-        if (id as usize) < m.len() {
-            p.starts = StartPolicy::Fixed(m.internal_of_original(id));
-        }
-    }
-    let (mut res, trace) = song_search(adjacency, store, metric, query, k, &p);
-    for nb in &mut res {
-        nb.id = m.original_of_internal(nb.id);
-    }
-    (res, trace)
 }
 
 /// SONG search over `adjacency`. Returns ascending-distance results
@@ -342,30 +297,6 @@ mod tests {
         assert_eq!(res.len(), 5);
         assert_eq!(trace.init_distances, 1);
         assert!(!trace.hash_in_shared);
-    }
-
-    #[test]
-    fn relabeled_fixed_start_search_matches_bit_exactly() {
-        let (base, adj, queries) = setup(800);
-        let params = SongParams { starts: StartPolicy::Fixed(17), ..SongParams::new(64) };
-        let (relabeled, permuted, map) = relabel_graph(&adj, &base, RelabelStrategy::Rcm);
-        assert!(!map.perm.is_identity(), "rcm on a real graph is not identity");
-        for qi in 0..5 {
-            let q = queries.row(qi);
-            let baseline = song_search(&adj, &base, Metric::SquaredL2, q, 10, &params).0;
-            let (mapped, _) = song_search_mapped(
-                &relabeled,
-                &permuted,
-                Metric::SquaredL2,
-                q,
-                10,
-                &params,
-                Some(&map),
-            );
-            // A fixed start pins the traversal, so the relabeled run
-            // visits the same points and reports original ids.
-            assert_eq!(mapped, baseline);
-        }
     }
 
     #[test]
