@@ -75,12 +75,14 @@ impl BuildReport {
 /// Fig. 4/11 experiment drivers.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BuildStats {
-    /// NN-Descent random initialization (or the exact-all-pairs
-    /// shortcut on tiny datasets).
+    /// NN-Descent random initialization — or the whole exact
+    /// all-pairs scan when `knn::nn_descent::exact_is_cheaper` picked
+    /// it (then `nn_iterations == 0`).
     pub nn_init: Duration,
     /// NN-Descent descent iterations (sampling + scatter + joins).
     pub nn_iters: Duration,
-    /// Descent iterations executed (0 when the exact path was taken).
+    /// Descent iterations executed. `0` means the exact path ran: the
+    /// k-NN lists are exact and all of the stage's time is `nn_init`.
     pub nn_iterations: u32,
     /// Detour-count reordering + prune.
     pub reorder: Duration,

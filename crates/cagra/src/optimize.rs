@@ -528,7 +528,7 @@ mod tests {
     }
 
     fn exact_lists(base: &Dataset, k: usize) -> KnnLists {
-        KnnLists::from_rows(&exact_all_pairs(base, Metric::SquaredL2, k, 1))
+        exact_all_pairs(base, Metric::SquaredL2, k, 1)
     }
 
     /// Hand-built 4-node k-NN lists where detour structure is known.

@@ -1,6 +1,7 @@
 //! One runner per table/figure of the paper (ids match DESIGN.md).
 
 pub mod ext_churn;
+pub mod ext_knn_crossover;
 pub mod ext_pq;
 pub mod ext_relabel;
 pub mod ext_search_ablation;
@@ -47,6 +48,7 @@ pub const ALL: &[&str] = &[
     "ext-relabel",
     "ext-pq",
     "ext-churn",
+    "ext-knn-crossover",
 ];
 
 /// Dispatch an experiment by id. Returns false for unknown ids.
@@ -71,6 +73,7 @@ pub fn run(id: &str, ctx: &ExpContext) -> bool {
         "ext-relabel" => ext_relabel::run(ctx),
         "ext-pq" => ext_pq::run(ctx),
         "ext-churn" => ext_churn::run(ctx),
+        "ext-knn-crossover" => ext_knn_crossover::run(ctx),
         _ => return false,
     }
     true
@@ -120,6 +123,6 @@ mod tests {
 
     #[test]
     fn registry_lists_every_runner() {
-        assert_eq!(ALL.len(), 19);
+        assert_eq!(ALL.len(), 20);
     }
 }

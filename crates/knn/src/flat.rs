@@ -80,11 +80,6 @@ impl KnnLists {
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Neighbor]> {
         self.data.chunks_exact(self.k.max(1)).take(self.n)
     }
-
-    /// Copy out as per-node `Vec`s (tests and adapters).
-    pub fn to_vecs(&self) -> Vec<Vec<Neighbor>> {
-        (0..self.n).map(|v| self.row(v).to_vec()).collect()
-    }
 }
 
 /// Fixed-stride scratch arena: one `n × cap` slab plus a per-row
@@ -103,21 +98,6 @@ impl<T: Copy + Default> FlatArena<T> {
         FlatArena { slab: vec![T::default(); n * cap], lens: vec![0; n], cap }
     }
 
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.lens.len()
-    }
-
-    /// True when the arena has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.lens.is_empty()
-    }
-
-    /// Row capacity.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// Reset every row to empty, keeping the allocation.
     pub fn clear(&mut self) {
         self.lens.fill(0);
@@ -127,18 +107,6 @@ impl<T: Copy + Default> FlatArena<T> {
     #[inline]
     pub fn row(&self, v: usize) -> &[T] {
         &self.slab[v * self.cap..v * self.cap + self.lens[v] as usize]
-    }
-
-    /// Append to row `v`.
-    ///
-    /// # Panics
-    /// Panics if the row is at capacity.
-    #[inline]
-    pub fn push(&mut self, v: usize, x: T) {
-        let len = self.lens[v] as usize;
-        assert!(len < self.cap, "arena row {v} overflow (cap {})", self.cap);
-        self.slab[v * self.cap + len] = x;
-        self.lens[v] += 1;
     }
 
     /// Split into disjoint per-chunk mutable views matching `ranges`
@@ -175,6 +143,9 @@ pub struct ArenaChunkMut<'a, T> {
 
 impl<T: Copy> ArenaChunkMut<'_, T> {
     /// Append to (global) row `v`.
+    ///
+    /// # Panics
+    /// Panics if the row is at capacity.
     #[inline]
     pub fn push(&mut self, v: usize, x: T) {
         let r = v - self.start;
@@ -465,8 +436,7 @@ mod tests {
         assert_eq!(lists.len(), 2);
         assert_eq!(lists.k(), 2);
         assert_eq!(lists.row(1)[1].id, 2);
-        assert_eq!(lists.to_vecs(), rows);
-        assert_eq!(lists.rows().count(), 2);
+        assert!(lists.rows().eq(rows.iter().map(Vec::as_slice)));
     }
 
     #[test]
@@ -478,15 +448,16 @@ mod tests {
     #[test]
     fn arena_push_clear_reuse() {
         let mut a = FlatArena::<u32>::new(3, 2);
-        a.push(0, 7);
-        a.push(2, 9);
-        a.push(2, 11);
+        let push = |a: &mut FlatArena<u32>, v, x| a.chunks_mut(&[(0, 3)])[0].push(v, x);
+        push(&mut a, 0, 7);
+        push(&mut a, 2, 9);
+        push(&mut a, 2, 11);
         assert_eq!(a.row(0), &[7]);
         assert_eq!(a.row(1), &[] as &[u32]);
         assert_eq!(a.row(2), &[9, 11]);
         a.clear();
         assert_eq!(a.row(2), &[] as &[u32]);
-        a.push(2, 1);
+        push(&mut a, 2, 1);
         assert_eq!(a.row(2), &[1]);
     }
 
@@ -494,8 +465,9 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn arena_overflow_rejected() {
         let mut a = FlatArena::<u32>::new(1, 1);
-        a.push(0, 1);
-        a.push(0, 2);
+        let mut chunk = a.chunks_mut(&[(0, 1)]).remove(0);
+        chunk.push(0, 1);
+        chunk.push(0, 2);
     }
 
     #[test]

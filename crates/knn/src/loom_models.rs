@@ -1,4 +1,4 @@
-//! `cfg(loom)` concurrency models for the two genuinely concurrent
+//! `cfg(loom)` concurrency models for the three genuinely concurrent
 //! protocols in the construction pipeline (ISSUE 4 / DESIGN.md
 //! "Soundness & analysis"):
 //!
@@ -6,7 +6,14 @@
 //!    `try_insert`s through per-row mutexes must behave as a bounded
 //!    sorted *set*: the final row is the k smallest of the offered
 //!    multiset, independent of interleaving, and never exceeds `cap`.
-//! 2. **Snapshot-diff termination handshake** — NN-Descent decides
+//! 2. **Lock-free worst-distance hint** — `LockedLists::offer` reads a
+//!    row's worst retained distance with a relaxed load *outside* the
+//!    row lock and drops the candidate if it is farther. The hint is
+//!    only written under the lock and only ever falls once the row is
+//!    full, so a stale read may let a hopeless offer through to the
+//!    locked insert but can never turn away one the insert would have
+//!    kept: the final row is still the k smallest of the offers.
+//! 3. **Snapshot-diff termination handshake** — NN-Descent decides
 //!    termination by counting positional id changes against a
 //!    snapshot *after* the join phase's scope barrier, accumulating
 //!    per-worker counts into an atomic. The count must be a pure
@@ -67,7 +74,42 @@ fn locked_lists_inserts_are_interleaving_independent() {
     });
 }
 
-/// Model 2: the snapshot-diff change count is a pure function of the
+/// Model 2: offers filtered by the unlocked worst-distance hint, racing
+/// locked inserts that lower it, still leave the k smallest offers.
+#[test]
+fn unlocked_worst_hint_rejects_nothing_the_locked_insert_would_keep() {
+    loom::model(|| {
+        let lists = Arc::new(LockedLists::new(1, 3));
+        // Both workers fill the row and then keep lowering its worst
+        // distance under the other's hint reads; (6, 3.0) and (7, 3.0)
+        // tie with a retained distance, where only the id decides.
+        let offers_a = [(9u32, 9.0f32), (5, 5.0), (1, 1.0), (7, 3.0), (8, 8.0)];
+        let offers_b = [(4u32, 4.0f32), (6, 3.0), (3, 3.0), (2, 2.0), (5, 5.0)];
+        let handles: Vec<_> = [offers_a, offers_b]
+            .into_iter()
+            .map(|offers| {
+                let lists = Arc::clone(&lists);
+                thread::spawn(move || {
+                    let mut last_hint = f32::INFINITY;
+                    for (id, d) in offers {
+                        lists.offer(0, Neighbor::new(id, d));
+                        // The hint a worker observes never rises.
+                        let hint = lists.worst_hint(0);
+                        assert!(hint <= last_hint, "worst hint rose from {last_hint} to {hint}");
+                        last_hint = hint;
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(row_ids(&lists, 0), vec![1, 2, 3], "row is not the 3 smallest offers");
+        assert_eq!(lists.worst_hint(0), 3.0, "hint does not match the final row");
+    });
+}
+
+/// Model 3: the snapshot-diff change count is a pure function of the
 /// lists, not of the join interleaving.
 #[test]
 fn snapshot_handshake_count_is_schedule_independent() {
@@ -146,7 +188,8 @@ fn nn_descent_output_is_thread_count_independent_under_model() {
     let (base, _) = spec.generate();
     let build = |threads| {
         NnDescent::new(NnDescentParams { threads, max_iters: 3, ..NnDescentParams::new(4) })
-            .build(&base, Metric::SquaredL2)
+            .descent(&base, Metric::SquaredL2)
+            .0
     };
     let one = build(1);
     for _ in 0..4 {

@@ -25,8 +25,10 @@
 //! ranks* that CAGRA's rank-based reordering consumes.
 
 use crate::flat::{counting_scatter, CsrRows, FlatArena, KnnLists, ScatterScratch};
-use crate::parallel::{chunk_ranges, default_threads, parallel_chunks, parallel_fill_rows_with};
-use crate::topk::{cmp_neighbor, Neighbor};
+use crate::parallel::{
+    chunk_ranges, default_threads, parallel_chunks, parallel_fill_chunks, parallel_fill_rows_with,
+};
+use crate::topk::{cmp_neighbor, Neighbor, TopK};
 use dataset::VectorStore;
 use distance::{DistanceOracle, Metric};
 use parking_lot::{Mutex, MutexGuard};
@@ -34,7 +36,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Per-node seed salts. Each RNG in the build is seeded from
@@ -95,6 +97,10 @@ pub(crate) struct Entry {
 pub(crate) struct LockedLists {
     slab: Box<[UnsafeCell<Entry>]>,
     rows: Vec<Mutex<u32>>,
+    /// Per row, the bits of its worst retained distance once the row
+    /// is full (`+inf` before). Written under the row lock, read
+    /// without it by [`Self::offer`].
+    worst: Vec<AtomicU32>,
     cap: usize,
 }
 
@@ -103,6 +109,7 @@ pub(crate) struct LockedLists {
 // occupy disjoint `cap`-sized slab ranges (see the in-slab assertion
 // in `lock`), so concurrent guards never alias. The `UnsafeCell`
 // wrapper is what licenses writes through the `&self`-derived pointer.
+// `rows` and `worst` are `Sync` on their own.
 unsafe impl Sync for LockedLists {}
 
 impl LockedLists {
@@ -111,8 +118,31 @@ impl LockedLists {
         LockedLists {
             slab: (0..n * cap).map(|_| UnsafeCell::new(Entry::default())).collect(),
             rows: (0..n).map(|_| Mutex::new(0)).collect(),
+            worst: (0..n).map(|_| AtomicU32::new(f32::INFINITY.to_bits())).collect(),
             cap,
         }
+    }
+
+    /// Row `v`'s worst retained distance at some moment up to now
+    /// (`+inf` while the row is not full).
+    // Relaxed: the value publishes nothing — row contents are only
+    // read under the row lock. A full row's worst distance only falls,
+    // so a stale read is never below the current one and
+    // `dist > worst_hint(v)` rejects nothing the locked insert would
+    // keep (`loom_models` model 2).
+    #[inline]
+    pub(crate) fn worst_hint(&self, v: usize) -> f32 {
+        f32::from_bits(self.worst[v].load(Ordering::Relaxed))
+    }
+
+    /// [`RowGuard::try_insert`] on row `v`, skipping the lock when the
+    /// hint already rules the candidate out.
+    #[inline]
+    pub(crate) fn offer(&self, v: usize, n: Neighbor) -> bool {
+        if n.dist > self.worst_hint(v) {
+            return false;
+        }
+        self.lock(v).try_insert(n)
     }
 
     /// Lock row `v` for exclusive access.
@@ -142,7 +172,7 @@ impl LockedLists {
         // SAFETY: `v` indexes `rows`, so `v * cap` is in bounds of the
         // `n * cap` slab; `raw_get` only converts the pointer type.
         let row = unsafe { UnsafeCell::raw_get(self.slab.as_ptr().add(v * self.cap)) };
-        RowGuard { len, row, cap: self.cap }
+        RowGuard { len, row, worst: &self.worst[v], cap: self.cap }
     }
 }
 
@@ -150,6 +180,7 @@ impl LockedLists {
 pub(crate) struct RowGuard<'a> {
     len: MutexGuard<'a, u32>,
     row: *mut Entry,
+    worst: &'a AtomicU32,
     cap: usize,
 }
 
@@ -182,6 +213,15 @@ impl RowGuard<'_> {
         // SAFETY: exclusive access via the guard; length set to match.
         unsafe { std::ptr::copy_nonoverlapping(entries.as_ptr(), self.row, entries.len()) };
         *self.len = entries.len() as u32;
+        self.publish_worst();
+    }
+
+    /// Refresh the lock-free hint after the row changed.
+    #[inline]
+    fn publish_worst(&self) {
+        if let Some(last) = self.entries().last().filter(|_| self.len() == self.cap) {
+            self.worst.store(last.n.dist.to_bits(), Ordering::Relaxed);
+        }
     }
 
     /// Insert into the sorted bounded row if closer than the current
@@ -208,6 +248,7 @@ impl RowGuard<'_> {
             row.copy_within(pos..row.len() - 1, pos + 1);
         }
         row[pos] = Entry { n, is_new: true };
+        self.publish_worst();
         true
     }
 }
@@ -242,36 +283,40 @@ impl NnDescent {
         metric: Metric,
     ) -> (KnnLists, NnDescentStats) {
         let n = store.len();
-        if n == 0 {
-            return (KnnLists::from_rows(&[]), NnDescentStats::default());
-        }
-        let k = self.params.k.min(n - 1);
+        let k = self.params.k.min(n.saturating_sub(1));
         if k == 0 {
             return (KnnLists::from_flat(Vec::new(), n, 0), NnDescentStats::default());
         }
-        // Tiny datasets: exact all-pairs is both faster and exact.
-        if n <= 2048 && n * n <= 64 * n * self.params.k.max(1) {
-            let start = Instant::now();
-            let lists = exact_all_pairs(store, metric, k, self.params.threads);
-            let stats = NnDescentStats {
-                distance_computations: (n * (n - 1)) as u64,
-                init_time: start.elapsed(),
-                ..NnDescentStats::default()
-            };
-            obs::metrics().build_nn_init.record_duration(stats.init_time);
-            obs::metrics().build_nn_distances.add(stats.distance_computations);
-            return (KnnLists::from_rows(&lists), stats);
+        if !exact_is_cheaper(n, k, self.params.rho, store.dim()) {
+            return self.descent(store, metric);
         }
-        self.descent(store, metric, k)
+        let start = Instant::now();
+        let lists = exact_all_pairs(store, metric, k, self.params.threads);
+        let stats = NnDescentStats {
+            distance_computations: (n * (n - 1)) as u64,
+            init_time: start.elapsed(),
+            ..NnDescentStats::default()
+        };
+        obs::metrics().build_nn_init.record_duration(stats.init_time);
+        obs::metrics().build_nn_distances.add(stats.distance_computations);
+        (lists, stats)
     }
 
-    fn descent<S: VectorStore + ?Sized>(
+    /// The NN-Descent iterations themselves, whatever
+    /// [`exact_is_cheaper`] says: what `build` runs above the
+    /// crossover, and the entry point for tests and experiments that
+    /// must exercise descent below it.
+    ///
+    /// # Panics
+    /// Panics if the store has fewer than two rows.
+    pub fn descent<S: VectorStore + ?Sized>(
         &self,
         store: &S,
         metric: Metric,
-        k: usize,
     ) -> (KnnLists, NnDescentStats) {
         let n = store.len();
+        assert!(n >= 2, "NN-Descent needs at least two rows");
+        let k = self.params.k.min(n - 1);
         let seed = self.params.seed;
         let threads =
             if self.params.threads == 0 { default_threads() } else { self.params.threads };
@@ -432,6 +477,9 @@ impl NnDescent {
                 let oracle = DistanceOracle::new(store, metric);
                 let mut news: Vec<u32> = Vec::new();
                 let mut olds: Vec<u32> = Vec::new();
+                let mut a_row = vec![0.0f32; store.dim()];
+                let mut partners: Vec<u32> = Vec::new();
+                let mut dists: Vec<f32> = Vec::new();
                 for v in start..end {
                     news.clear();
                     olds.clear();
@@ -443,14 +491,21 @@ impl NnDescent {
                     olds.extend_from_slice(sample_prefix(rev_old.row(v), max_samples));
                     olds.sort_unstable();
                     olds.dedup();
+                    // `a` meets every later new and every old: one
+                    // prepared query and one gang call for all of
+                    // them, then each side is offered the other (no
+                    // two row locks are ever held together).
                     for (ai, &a) in news.iter().enumerate() {
-                        for &b in &news[ai + 1..] {
-                            join(&oracle, &lists, a, b);
-                        }
-                        for &b in olds.iter() {
-                            if a != b {
-                                join(&oracle, &lists, a, b);
-                            }
+                        partners.clear();
+                        partners.extend_from_slice(&news[ai + 1..]);
+                        partners.extend(olds.iter().copied().filter(|&b| b != a));
+                        store.get_into(a as usize, &mut a_row);
+                        let prepared = oracle.prepare(&a_row);
+                        dists.resize(partners.len(), 0.0);
+                        oracle.to_rows(&prepared, &partners, &mut dists);
+                        for (&b, &d) in partners.iter().zip(&dists) {
+                            lists.offer(a as usize, Neighbor::new(b, d));
+                            lists.offer(b as usize, Neighbor::new(a, d));
                         }
                     }
                 }
@@ -464,33 +519,19 @@ impl NnDescent {
             // pure function of the lists, hence thread-count
             // independent.
             let changed = AtomicU64::new(0);
-            {
-                let mut rest: &mut [u32] = &mut prev_ids;
-                std::thread::scope(|scope| {
-                    for &(start, end) in &ranges {
-                        let (head, tail) =
-                            std::mem::take(&mut rest).split_at_mut((end - start) * k);
-                        rest = tail;
-                        let (lists, changed) = (&lists, &changed);
-                        scope.spawn(move || {
-                            let mut local = 0u64;
-                            let mut head = head;
-                            for v in start..end {
-                                let (row, t) = std::mem::take(&mut head).split_at_mut(k);
-                                head = t;
-                                let guard = lists.lock(v);
-                                for (slot, e) in row.iter_mut().zip(guard.entries()) {
-                                    if *slot != e.n.id {
-                                        local += 1;
-                                        *slot = e.n.id;
-                                    }
-                                }
-                            }
-                            changed.fetch_add(local, Ordering::Relaxed);
-                        });
+            parallel_fill_chunks(&mut prev_ids, n, k, threads, |start, _, rows| {
+                let mut local = 0u64;
+                for (i, row) in rows.chunks_exact_mut(k).enumerate() {
+                    let guard = lists.lock(start + i);
+                    for (slot, e) in row.iter_mut().zip(guard.entries()) {
+                        if *slot != e.n.id {
+                            local += 1;
+                            *slot = e.n.id;
+                        }
                     }
-                });
-            }
+                }
+                changed.fetch_add(local, Ordering::Relaxed);
+            });
             if changed.load(Ordering::Relaxed) < stop_at {
                 break;
             }
@@ -533,99 +574,109 @@ fn sample_prefix(row: &[u32], max_samples: usize) -> &[u32] {
 pub struct NnDescentStats {
     /// Total query/dataset distance computations performed.
     pub distance_computations: u64,
-    /// Time spent in random initialization (or the exact-all-pairs
-    /// shortcut for tiny datasets).
+    /// Time spent in random initialization — or in the whole exact
+    /// all-pairs scan when [`exact_is_cheaper`] picked it.
     pub init_time: Duration,
     /// Time spent in the descent iterations (sampling + scatter +
     /// local joins).
     pub iter_time: Duration,
-    /// Descent iterations executed (0 when the exact path was taken).
+    /// Descent iterations executed. `0` means the exact path ran: the
+    /// lists are exact, `distance_computations == n * (n - 1)` and all
+    /// of the time is `init_time`.
     pub iterations: u32,
 }
 
-/// Try to make `a` and `b` neighbors of each other.
-fn join<S: VectorStore + ?Sized>(
-    oracle: &DistanceOracle<'_, S>,
-    lists: &LockedLists,
-    a: u32,
-    b: u32,
-) {
-    let d = oracle.between_rows(a as usize, b as usize);
-    lists.lock(a as usize).try_insert(Neighbor::new(b, d));
-    lists.lock(b as usize).try_insert(Neighbor::new(a, d));
+/// Whether the exact all-pairs scan beats NN-Descent for `n` rows of
+/// `dim` components at list length `k` and sample rate `rho`: a pure
+/// function of its arguments — never of wall-clock, thread count or
+/// the environment — so the same rows build the same graph anywhere.
+///
+/// Distance work per node: the scan scores `n` rows at a cost
+/// ∝ `dim + 80`; NN-Descent scores ~1.1 rounds of `2s·(2s + k)`
+/// local-join pairs (`s = ⌈rho·k⌉`: up to `2s` new samples against each
+/// other and `k + s` old ones) at a cost ∝ `1.36·(dim + 300)`. Exact
+/// wins up to `n ≈ 1.5·(dim + 300)/(dim + 80)·2s(2s + k)` — 27 648
+/// rows at `k = 64, rho = 0.5, dim = 96`. The constants are fitted to
+/// `results/ext_knn_crossover.txt` (`eval ext-knn-crossover`); the scan
+/// grows as `n²` against NN-Descent's `~n^1.15`, so the two stay within
+/// 1.5× of each other for a factor ~1.6 in `n` around the switch.
+/// Ties go to the scan, whose lists are exact. Monotone in `n`.
+pub fn exact_is_cheaper(n: usize, k: usize, rho: f64, dim: usize) -> bool {
+    let s = ((rho * k as f64).ceil() as u128).max(1);
+    let round_pairs = 2 * s * (2 * s + k as u128);
+    2 * n as u128 * (dim as u128 + 80) <= 3 * (dim as u128 + 300) * round_pairs
 }
 
-/// Exact k-NN lists by all-pairs distance (used for tiny datasets and
-/// as the test oracle).
+/// Query rows per tile of [`exact_all_pairs`].
+const QUERY_TILE: usize = 64;
+/// Bytes of data rows per tile: half of a 48 KiB L1d, so the tile stays
+/// resident while `QUERY_TILE` queries stream over it.
+const DATA_TILE_BYTES: usize = 24 * 1024;
+
+/// Exact k-NN lists by all-pairs distance (the path [`exact_is_cheaper`]
+/// picks, and the test oracle). Each worker owns a block of output
+/// rows and walks it in tiles — [`QUERY_TILE`] queries against an
+/// L1-sized block of data rows — so the dataset streams from memory
+/// once per query *tile*, not once per query. Every query still meets
+/// the data rows in ascending id order, which the `d < threshold`
+/// prefilter needs to agree with the `(dist, id)` order on ties.
 pub fn exact_all_pairs<S: VectorStore + ?Sized>(
     store: &S,
     metric: Metric,
     k: usize,
     threads: usize,
-) -> Vec<Vec<Neighbor>> {
+) -> KnnLists {
     let n = store.len();
     let threads = if threads == 0 { default_threads() } else { threads };
     let k = k.min(n.saturating_sub(1));
-    let mut out: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-    {
-        let slots = std::sync::Mutex::new(&mut out);
-        parallel_chunks(n, threads, |start, end| {
-            let oracle = DistanceOracle::new(store, metric);
-            let mut scratch = vec![0.0f32; store.dim()];
-            let gang = crate::brute::GANG;
-            let mut ids: Vec<u32> = Vec::with_capacity(gang);
-            let mut dists = vec![0.0f32; gang];
-            let mut local: Vec<(usize, Vec<Neighbor>)> = Vec::with_capacity(end - start);
-            for v in start..end {
-                store.get_into(v, &mut scratch);
-                let prepared = oracle.prepare(&scratch);
-                let mut top = crate::topk::TopK::new(k.max(1));
-                let mut u0 = 0usize;
-                while u0 < n {
-                    let stop = (u0 + gang).min(n);
-                    ids.clear();
-                    ids.extend((u0..stop).filter(|&u| u != v).map(|u| u as u32));
-                    oracle.to_rows(&prepared, &ids, &mut dists[..ids.len()]);
-                    for (&u, &d) in ids.iter().zip(dists.iter()) {
-                        if d < top.threshold() {
-                            top.push(Neighbor::new(u, d));
+    if k == 0 {
+        return KnnLists::from_flat(Vec::new(), n, 0);
+    }
+    let dim = store.dim();
+    let data_tile = (DATA_TILE_BYTES / (4 * dim)).clamp(8, crate::brute::GANG);
+    let mut data = vec![Neighbor::default(); n * k];
+    parallel_fill_chunks(&mut data, n, k, threads, |start, end, out| {
+        let oracle = DistanceOracle::new(store, metric);
+        let mut queries = vec![0.0f32; QUERY_TILE * dim];
+        let mut ids: Vec<u32> = Vec::with_capacity(data_tile);
+        let mut dists = vec![0.0f32; data_tile];
+        for q0 in (start..end).step_by(QUERY_TILE) {
+            let q1 = (q0 + QUERY_TILE).min(end);
+            for (v, q) in (q0..q1).zip(queries.chunks_exact_mut(dim)) {
+                store.get_into(v, q);
+            }
+            let mut tile: Vec<_> = queries
+                .chunks_exact(dim)
+                .take(q1 - q0)
+                .map(|q| (oracle.prepare(q), TopK::new(k)))
+                .collect();
+            for u0 in (0..n).step_by(data_tile) {
+                ids.clear();
+                ids.extend((u0..(u0 + data_tile).min(n)).map(|u| u as u32));
+                for (v, (prepared, top)) in (q0..q1).zip(&mut tile) {
+                    // Skip `v` itself by scoring the tile's two sides of it.
+                    let (left, right) = match v.checked_sub(u0).filter(|&c| c < ids.len()) {
+                        Some(c) => (&ids[..c], &ids[c + 1..]),
+                        None => (&ids[..], &ids[..0]),
+                    };
+                    for part in [left, right] {
+                        let dists = &mut dists[..part.len()];
+                        oracle.to_rows(prepared, part, dists);
+                        for (&u, &d) in part.iter().zip(dists.iter()) {
+                            if d < top.threshold() {
+                                top.push(Neighbor::new(u, d));
+                            }
                         }
                     }
-                    u0 = stop;
                 }
-                local.push((v, top.into_sorted()));
             }
-            let mut guard = slots.lock().unwrap();
-            for (v, list) in local {
-                guard[v] = list;
-            }
-        });
-    }
-    out
-}
-
-/// Fraction of true k-NN edges recovered by `approx` (graph recall).
-pub fn knn_graph_recall(approx: &KnnLists, exact: &[Vec<Neighbor>]) -> f64 {
-    assert_eq!(approx.len(), exact.len());
-    if approx.is_empty() {
-        return 1.0;
-    }
-    let mut hit = 0usize;
-    let mut total = 0usize;
-    for (v, e) in exact.iter().enumerate() {
-        let a = approx.row(v);
-        total += e.len();
-        for t in e {
-            if a.iter().any(|x| x.id == t.id) {
-                hit += 1;
+            for ((_, top), row) in tile.into_iter().zip(out[(q0 - start) * k..].chunks_exact_mut(k))
+            {
+                row.copy_from_slice(&top.into_sorted());
             }
         }
-    }
-    if total == 0 {
-        1.0
-    } else {
-        hit as f64 / total as f64
-    }
+    });
+    KnnLists::from_flat(data, n, k)
 }
 
 #[cfg(test)]
@@ -633,16 +684,28 @@ mod tests {
     use super::*;
     use dataset::synth::{Family, SynthSpec};
 
+    /// Fraction of true k-NN edges recovered by `approx` (graph recall).
+    fn knn_graph_recall(approx: &KnnLists, exact: &KnnLists) -> f64 {
+        assert_eq!(approx.len(), exact.len());
+        let total = exact.len() * exact.k();
+        if total == 0 {
+            return 1.0;
+        }
+        let hit: usize = (approx.rows().zip(exact.rows()))
+            .map(|(a, e)| e.iter().filter(|t| a.iter().any(|x| x.id == t.id)).count())
+            .sum();
+        hit as f64 / total as f64
+    }
+
     #[test]
     fn exact_on_tiny_dataset() {
         let spec = SynthSpec { dim: 4, n: 50, queries: 0, family: Family::Gaussian, seed: 3 };
         let (base, _) = spec.generate();
         let nd = NnDescent::new(NnDescentParams::new(5));
-        let got = nd.build(&base, Metric::SquaredL2);
-        let want = exact_all_pairs(&base, Metric::SquaredL2, 5, 1);
-        assert_eq!(got.len(), 50);
+        let (got, stats) = nd.build_with_stats(&base, Metric::SquaredL2);
         // Tiny datasets route through the exact path.
-        assert_eq!(knn_graph_recall(&got, &want), 1.0);
+        assert_eq!(got, exact_all_pairs(&base, Metric::SquaredL2, 5, 1));
+        assert_eq!((stats.iterations, stats.distance_computations), (0, 50 * 49));
     }
 
     #[test]
@@ -650,7 +713,7 @@ mod tests {
         let spec = SynthSpec { dim: 8, n: 4000, queries: 0, family: Family::Gaussian, seed: 9 };
         let (base, _) = spec.generate();
         let nd = NnDescent::new(NnDescentParams { threads: 2, ..NnDescentParams::new(8) });
-        let lists = nd.build(&base, Metric::SquaredL2);
+        let (lists, _) = nd.descent(&base, Metric::SquaredL2);
         for (v, list) in lists.rows().enumerate() {
             assert_eq!(list.len(), 8, "node {v}");
             assert!(list.iter().all(|n| n.id as usize != v), "self loop at {v}");
@@ -667,7 +730,7 @@ mod tests {
         let spec = SynthSpec { dim: 8, n: 4000, queries: 0, family: Family::Gaussian, seed: 1 };
         let (base, _) = spec.generate();
         let nd = NnDescent::new(NnDescentParams { rho: 1.0, ..NnDescentParams::new(10) });
-        let lists = nd.build(&base, Metric::SquaredL2);
+        let (lists, _) = nd.descent(&base, Metric::SquaredL2);
         let exact = exact_all_pairs(&base, Metric::SquaredL2, 10, 0);
         let recall = knn_graph_recall(&lists, &exact);
         assert!(recall > 0.90, "graph recall {recall}");
@@ -690,7 +753,7 @@ mod tests {
             .is_empty());
         let single = dataset::Dataset::from_flat(vec![1.0, 2.0], 2);
         let lists = NnDescent::new(NnDescentParams::new(4)).build(&single, Metric::SquaredL2);
-        assert_eq!(lists.to_vecs(), vec![Vec::new()]);
+        assert_eq!((lists.len(), lists.k()), (1, 0));
     }
 
     #[test]
@@ -698,8 +761,8 @@ mod tests {
         let spec = SynthSpec { dim: 6, n: 3000, queries: 0, family: Family::Gaussian, seed: 5 };
         let (base, _) = spec.generate();
         let p = NnDescentParams { threads: 1, ..NnDescentParams::new(6) };
-        let a = NnDescent::new(p.clone()).build(&base, Metric::SquaredL2);
-        let b = NnDescent::new(p).build(&base, Metric::SquaredL2);
+        let a = NnDescent::new(p.clone()).descent(&base, Metric::SquaredL2).0;
+        let b = NnDescent::new(p).descent(&base, Metric::SquaredL2).0;
         assert_eq!(a, b);
     }
 
@@ -710,11 +773,14 @@ mod tests {
         // make the output independent of the chunking.
         let spec = SynthSpec { dim: 6, n: 3000, queries: 0, family: Family::Gaussian, seed: 5 };
         let (base, _) = spec.generate();
-        let one = NnDescent::new(NnDescentParams { threads: 1, ..NnDescentParams::new(6) })
-            .build(&base, Metric::SquaredL2);
+        let descend = |threads| {
+            NnDescent::new(NnDescentParams { threads, ..NnDescentParams::new(6) })
+                .descent(&base, Metric::SquaredL2)
+                .0
+        };
+        let one = descend(1);
         for threads in [2usize, 4, 7] {
-            let multi = NnDescent::new(NnDescentParams { threads, ..NnDescentParams::new(6) })
-                .build(&base, Metric::SquaredL2);
+            let multi = descend(threads);
             assert_eq!(one, multi, "{threads} threads diverged from 1 thread");
         }
     }
@@ -724,7 +790,7 @@ mod tests {
         let spec = SynthSpec { dim: 6, n: 3000, queries: 0, family: Family::Gaussian, seed: 5 };
         let (base, _) = spec.generate();
         let nd = NnDescent::new(NnDescentParams { threads: 1, ..NnDescentParams::new(6) });
-        let (_, stats) = nd.build_with_stats(&base, Metric::SquaredL2);
+        let (_, stats) = nd.descent(&base, Metric::SquaredL2);
         assert!(stats.iterations >= 1);
         assert!(stats.distance_computations > 0);
         assert!(stats.init_time + stats.iter_time > Duration::ZERO);
@@ -734,6 +800,117 @@ mod tests {
     #[should_panic(expected = "rho must be in")]
     fn invalid_rho_rejected() {
         NnDescent::new(NnDescentParams { rho: 0.0, ..NnDescentParams::new(4) });
+    }
+
+    /// `n` Gaussian rows of which every third is a copy of one of the
+    /// first ten, so many distances tie exactly and the `(dist, id)`
+    /// order decides who stays in a list.
+    fn rows_with_duplicates(n: usize, dim: usize) -> dataset::Dataset {
+        let spec = SynthSpec { dim, n, queries: 0, family: Family::Gaussian, seed: 21 };
+        let mut flat = spec.generate().0.as_flat().to_vec();
+        for v in (0..n).step_by(3) {
+            let src = (v / 3) % 10;
+            flat.copy_within(src * dim..(src + 1) * dim, v * dim);
+        }
+        dataset::Dataset::from_flat(flat, dim)
+    }
+
+    /// The tiled scan against a row-at-a-time one: every other row
+    /// scored one call at a time, fully sorted by `(dist, id)`.
+    #[test]
+    fn tiled_exact_matches_row_at_a_time_scan_bitwise_on_ties() {
+        // dim 7: one 256-row data tile per pass; dim 200: 30-row tiles.
+        for (n, dim, k) in [(700usize, 7usize, 9usize), (150, 200, 20)] {
+            let base = rows_with_duplicates(n, dim);
+            for metric in [Metric::SquaredL2, Metric::InnerProduct, Metric::Cosine] {
+                let oracle = DistanceOracle::new(&base, metric);
+                let mut want = Vec::with_capacity(n * k);
+                for v in 0..n {
+                    let q = oracle.prepare(base.row(v));
+                    let mut all: Vec<Neighbor> = (0..n)
+                        .filter(|&u| u != v)
+                        .map(|u| Neighbor::new(u as u32, oracle.to_row_prepared(&q, u)))
+                        .collect();
+                    all.sort_unstable_by(cmp_neighbor);
+                    want.extend_from_slice(&all[..k]);
+                }
+                let want = KnnLists::from_flat(want, n, k);
+                assert!(
+                    want.rows().any(|r| r.windows(2).any(|w| w[0].dist == w[1].dist)),
+                    "{metric:?}: the fixture produced no tied distances"
+                );
+                for threads in [1usize, 3] {
+                    let got = exact_all_pairs(&base, metric, k, threads);
+                    assert_eq!(got, want, "{metric:?} dim {dim} at {threads} threads");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chooser_is_monotone_in_n() {
+        for (k, rho, dim) in
+            [(8usize, 1.0f64, 6usize), (32, 0.5, 32), (64, 0.5, 96), (96, 0.3, 200)]
+        {
+            let mut descent_seen = false;
+            for n in (k + 1..200_000).step_by(97) {
+                let exact = exact_is_cheaper(n, k, rho, dim);
+                assert!(!(descent_seen && exact), "k={k} dim={dim}: exact again at n={n}");
+                descent_seen |= !exact;
+            }
+            assert!(exact_is_cheaper(k + 1, k, rho, dim), "k={k}: tiny input not exact");
+            assert!(descent_seen, "k={k} dim={dim}: never switches to descent");
+        }
+    }
+
+    /// One row either side of the switch point: `build` takes the
+    /// exact path below it and descent above it, the graph does not
+    /// depend on the thread count on either side, and quality does not
+    /// fall off the edge.
+    #[test]
+    fn both_sides_of_the_switch_point_build_the_same_graph_at_any_thread_count() {
+        let (k, rho, dim) = (8usize, 1.0f64, 6usize);
+        let last_exact =
+            (k + 1..).find(|&n| !exact_is_cheaper(n + 1, k, rho, dim)).expect("chooser switches");
+        for (n, exact_side) in [(last_exact, true), (last_exact + 1, false)] {
+            let spec = SynthSpec { dim, n, queries: 0, family: Family::Gaussian, seed: 4 };
+            let (base, _) = spec.generate();
+            let build = |threads| {
+                let p = NnDescentParams { rho, threads, ..NnDescentParams::new(k) };
+                NnDescent::new(p).build_with_stats(&base, Metric::SquaredL2)
+            };
+            let (one, stats) = build(1);
+            assert_eq!(stats.iterations == 0, exact_side, "n={n} took the wrong path");
+            for threads in [2usize, 4] {
+                assert_eq!(build(threads).0, one, "n={n}: {threads} threads diverged");
+            }
+            let recall = knn_graph_recall(&one, &exact_all_pairs(&base, Metric::SquaredL2, k, 0));
+            if exact_side {
+                assert_eq!(recall, 1.0, "n={n}");
+            } else {
+                assert!(recall >= 0.95, "n={n}: descent-side graph recall {recall}");
+            }
+        }
+    }
+
+    #[test]
+    fn offers_beyond_the_worst_hint_never_take_the_lock() {
+        let lists = LockedLists::new(1, 2);
+        assert_eq!(lists.worst_hint(0), f32::INFINITY);
+        assert!(lists.offer(0, Neighbor::new(4, 4.0)));
+        assert_eq!(lists.worst_hint(0), f32::INFINITY, "row not full yet");
+        assert!(lists.offer(0, Neighbor::new(2, 2.0)));
+        assert_eq!(lists.worst_hint(0), 4.0);
+        let held = lists.lock(0);
+        // Would deadlock if the hopeless offer went for the row lock.
+        assert!(!lists.offer(0, Neighbor::new(9, 9.0)));
+        drop(held);
+        // A tie on the worst distance goes through the lock: the id decides.
+        assert!(lists.offer(0, Neighbor::new(3, 4.0)));
+        assert!(!lists.offer(0, Neighbor::new(5, 4.0)));
+        assert_eq!(lists.worst_hint(0), 4.0);
+        assert!(lists.offer(0, Neighbor::new(1, 1.0)));
+        assert_eq!(lists.worst_hint(0), 2.0);
     }
 
     #[test]

@@ -63,13 +63,43 @@ where
     });
 }
 
-/// Fill a flat row-major `n_rows x row_len` buffer in parallel:
-/// `f(&mut state, row_index, row)` runs once per row, rows are handed
-/// out in disjoint contiguous chunks (one per worker), and `init`
-/// creates the per-worker scratch state. Entirely safe: the buffer is
-/// pre-split at chunk boundaries, so no worker can alias another's
-/// rows. This is the primitive behind the flat-arena construction
-/// pipeline (reorder/prune output, merge output).
+/// Hand each worker its own contiguous block of rows of a flat
+/// row-major `n_rows x row_len` buffer: `f(start, end, rows)` runs once
+/// per [`chunk_ranges`] chunk with `rows` covering rows `start..end`.
+/// Entirely safe: the buffer is pre-split at chunk boundaries, so no
+/// worker can alias another's rows. This is the primitive behind the
+/// flat-arena construction pipeline (exact k-NN tiles, reorder/prune
+/// output, merge output).
+pub fn parallel_fill_chunks<T, F>(
+    buf: &mut [T],
+    n_rows: usize,
+    row_len: usize,
+    threads: usize,
+    f: F,
+) where
+    T: Send,
+    F: Fn(usize, usize, &mut [T]) + Sync,
+{
+    assert_eq!(buf.len(), n_rows * row_len, "row buffer shape mismatch");
+    let ranges = chunk_ranges(n_rows, threads);
+    if ranges.len() == 1 {
+        f(0, n_rows, buf);
+        return;
+    }
+    let mut rest = buf;
+    std::thread::scope(|scope| {
+        for &(start, end) in &ranges {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut((end - start) * row_len);
+            rest = tail;
+            let f = &f;
+            scope.spawn(move || f(start, end, head));
+        }
+    });
+}
+
+/// [`parallel_fill_chunks`] one row at a time:
+/// `f(&mut state, row_index, row)` runs once per row and `init`
+/// creates the per-worker scratch state.
 pub fn parallel_fill_rows_with<T, S, I, F>(
     buf: &mut [T],
     n_rows: usize,
@@ -82,30 +112,13 @@ pub fn parallel_fill_rows_with<T, S, I, F>(
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut [T]) + Sync,
 {
-    assert_eq!(buf.len(), n_rows * row_len, "row buffer shape mismatch");
-    let ranges = chunk_ranges(n_rows, threads);
-    if ranges.len() == 1 {
+    parallel_fill_chunks(buf, n_rows, row_len, threads, |start, end, rows| {
         let mut state = init();
-        for v in 0..n_rows {
-            f(&mut state, v, &mut buf[v * row_len..(v + 1) * row_len]);
-        }
-        return;
-    }
-    let mut rest = buf;
-    std::thread::scope(|scope| {
-        for &(start, end) in &ranges {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut((end - start) * row_len);
+        let mut rest = rows;
+        for v in start..end {
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(row_len);
+            f(&mut state, v, row);
             rest = tail;
-            let (init, f) = (&init, &f);
-            scope.spawn(move || {
-                let mut state = init();
-                let mut head = head;
-                for v in start..end {
-                    let (row, t) = std::mem::take(&mut head).split_at_mut(row_len);
-                    f(&mut state, v, row);
-                    head = t;
-                }
-            });
         }
     });
 }

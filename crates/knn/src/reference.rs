@@ -14,7 +14,8 @@
 
 use crate::flat::KnnLists;
 use crate::nn_descent::{
-    exact_all_pairs, init_seed, iter_seed, NnDescentParams, SALT_REV_NEW, SALT_REV_OLD, SALT_SAMPLE,
+    exact_all_pairs, exact_is_cheaper, init_seed, iter_seed, NnDescentParams, SALT_REV_NEW,
+    SALT_REV_OLD, SALT_SAMPLE,
 };
 use crate::topk::{cmp_neighbor, Neighbor};
 use dataset::VectorStore;
@@ -30,8 +31,28 @@ struct RefEntry {
 }
 
 /// Serial reference build: returns exactly what
-/// [`crate::NnDescent::build`] returns, computed the slow plain way.
+/// [`crate::NnDescent::build`] returns, computed the slow plain way —
+/// the exact scan where [`exact_is_cheaper`] says so, otherwise
+/// [`reference_descent`].
 pub fn reference_build<S: VectorStore + ?Sized>(
+    params: &NnDescentParams,
+    store: &S,
+    metric: Metric,
+) -> KnnLists {
+    let n = store.len();
+    let k = params.k.min(n.saturating_sub(1));
+    if k == 0 || exact_is_cheaper(n, k, params.rho, store.dim()) {
+        return exact_all_pairs(store, metric, k, 1);
+    }
+    reference_descent(params, store, metric)
+}
+
+/// Serial reference for [`crate::NnDescent::descent`]: the iterations
+/// themselves, whatever the chooser says about this input.
+///
+/// # Panics
+/// Panics if the store has fewer than two rows.
+pub fn reference_descent<S: VectorStore + ?Sized>(
     params: &NnDescentParams,
     store: &S,
     metric: Metric,
@@ -39,16 +60,8 @@ pub fn reference_build<S: VectorStore + ?Sized>(
     assert!(params.k > 0, "k must be positive");
     assert!(params.rho > 0.0 && params.rho <= 1.0, "rho must be in (0, 1]");
     let n = store.len();
-    if n == 0 {
-        return KnnLists::from_rows(&[]);
-    }
+    assert!(n >= 2, "NN-Descent needs at least two rows");
     let k = params.k.min(n - 1);
-    if k == 0 {
-        return KnnLists::from_flat(Vec::new(), n, 0);
-    }
-    if n <= 2048 && n * n <= 64 * n * params.k.max(1) {
-        return KnnLists::from_rows(&exact_all_pairs(store, metric, k, 1));
-    }
 
     let seed = params.seed;
     let oracle = DistanceOracle::new(store, metric);
@@ -211,16 +224,17 @@ mod tests {
     /// is bit-identical to this naive serial implementation, at one
     /// thread and at several.
     #[test]
-    fn optimized_build_matches_reference_bitwise() {
-        // n > 64 * k so the descent path (not exact all-pairs) runs.
+    fn optimized_descent_matches_reference_bitwise() {
         let spec = SynthSpec { dim: 6, n: 1200, queries: 0, family: Family::Gaussian, seed: 11 };
         let (base, _) = spec.generate();
-        let params = NnDescentParams { threads: 1, ..NnDescentParams::new(12) };
-        let want = reference_build(&params, &base, Metric::SquaredL2);
-        for threads in [1usize, 4] {
-            let p = NnDescentParams { threads, ..params.clone() };
-            let got = NnDescent::new(p).build(&base, Metric::SquaredL2);
-            assert_eq!(got, want, "descent diverged from reference at {threads} threads");
+        for metric in [Metric::SquaredL2, Metric::Cosine] {
+            let params = NnDescentParams { threads: 1, ..NnDescentParams::new(12) };
+            let want = reference_descent(&params, &base, metric);
+            for threads in [1usize, 4] {
+                let p = NnDescentParams { threads, ..params.clone() };
+                let (got, _) = NnDescent::new(p).descent(&base, metric);
+                assert_eq!(got, want, "{metric:?}: diverged from reference at {threads} threads");
+            }
         }
     }
 
@@ -229,7 +243,7 @@ mod tests {
         let spec = SynthSpec { dim: 4, n: 50, queries: 0, family: Family::Gaussian, seed: 3 };
         let (base, _) = spec.generate();
         let params = NnDescentParams::new(5);
-        let want = KnnLists::from_rows(&exact_all_pairs(&base, Metric::SquaredL2, 5, 1));
+        let want = exact_all_pairs(&base, Metric::SquaredL2, 5, 1);
         assert_eq!(reference_build(&params, &base, Metric::SquaredL2), want);
     }
 }

@@ -149,7 +149,7 @@ mod tests {
         let (base, queries) = spec.generate();
         let knn = knn::nn_descent::exact_all_pairs(&base, Metric::SquaredL2, 8, 1);
         let adjacency: Vec<Vec<u32>> =
-            knn.iter().map(|l| l.iter().map(|n| n.id).collect()).collect();
+            knn.rows().map(|l| l.iter().map(|n| n.id).collect()).collect();
         let (got, dists) =
             beam_search(&adjacency, &base, Metric::SquaredL2, queries.row(0), 5, 64, 8, 7);
         assert_eq!(got.len(), 5);

@@ -9,7 +9,6 @@
 
 use cagra::optimize::{detour_counts_rank, merge, reverse_lists};
 use cagra_repro::prelude::*;
-use knn::flat::KnnLists;
 use knn::nn_descent::exact_all_pairs;
 
 fn main() {
@@ -26,7 +25,7 @@ fn main() {
 
     // Stage 1: exact k-NN lists, sorted by distance — list position is
     // the *initial rank* the optimization uses in place of distances.
-    let knn = KnnLists::from_rows(&exact_all_pairs(&base, Metric::SquaredL2, d_init, 1));
+    let knn = exact_all_pairs(&base, Metric::SquaredL2, d_init, 1);
     println!("initial {d_init}-NN lists (id:rank, sorted by distance):");
     for (v, list) in knn.rows().enumerate() {
         let row: Vec<String> =
