@@ -9,7 +9,7 @@
 //! one-line conveniences over the validated entry.
 
 use super::kernel::search_kernel;
-use super::planner::{choose, Mode, Thresholds};
+use super::planner::{choose, Mode};
 use super::scratch::SearchScratch;
 use super::trace::SearchTrace;
 use crate::build::{build_graph, BuildReport, GraphConfig};
@@ -35,8 +35,6 @@ pub struct CagraIndex<S> {
     /// **original** id order (see [`CagraIndex::set_rerank_store`]).
     /// `None` until attached; required when `rerank_depth > 0`.
     rerank: Option<Box<dyn VectorStore + Send + Sync>>,
-    /// Dispatch thresholds used by [`CagraIndex::search_batch`].
-    pub thresholds: Thresholds,
 }
 
 /// What [`CagraIndex::try_search_batch`] returns, one entry per query
@@ -71,17 +69,7 @@ impl<S: VectorStore> CagraIndex<S> {
     /// Build a new index (NN-Descent + CAGRA optimization).
     pub fn build(store: S, metric: Metric, config: &GraphConfig) -> (Self, BuildReport) {
         let (graph, report) = build_graph(&store, metric, config);
-        (
-            CagraIndex {
-                store,
-                graph,
-                metric,
-                id_map: None,
-                rerank: None,
-                thresholds: Thresholds::default(),
-            },
-            report,
-        )
+        (CagraIndex { store, graph, metric, id_map: None, rerank: None }, report)
     }
 
     /// Wrap an already-built graph (e.g. deserialized with
@@ -90,14 +78,7 @@ impl<S: VectorStore> CagraIndex<S> {
         if store.len() != graph.len() {
             return Err(SearchError::SizeMismatch { store: store.len(), graph: graph.len() });
         }
-        Ok(CagraIndex {
-            store,
-            graph,
-            metric,
-            id_map: None,
-            rerank: None,
-            thresholds: Thresholds::default(),
-        })
+        Ok(CagraIndex { store, graph, metric, id_map: None, rerank: None })
     }
 
     /// Wrap an already-built graph (e.g. deserialized with
@@ -215,7 +196,7 @@ impl<S: VectorStore> CagraIndex<S> {
         traced: bool,
     ) -> Result<SearchOutput, SearchError> {
         self.validate_shape(queries.dim(), k, params)?;
-        let mode = mode.unwrap_or_else(|| choose(queries.len(), params.itopk, self.thresholds));
+        let mode = mode.unwrap_or_else(|| choose(queries.len(), params.itopk));
         let scratch = || {
             let mut scratch = SearchScratch::new();
             // Untraced: skip per-iteration records so the steady state

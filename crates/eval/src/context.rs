@@ -8,9 +8,9 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Global experiment knobs. Paper sizes (290k–100M vectors, 10k-query
-/// batches) do not fit this 1-core reproduction host; the defaults are
-/// scaled down and every runner records the scale it used. Environment
-/// overrides: `CAGRA_N`, `CAGRA_QUERIES`, `CAGRA_BATCH`.
+/// batches) do not fit this 2-core reproduction host; the defaults are
+/// scaled down and every runner records the scale it used. Overridden
+/// per run by `eval`'s `--n/--queries/--batch/--k/--seed` flags.
 #[derive(Clone, Copy, Debug)]
 pub struct ExpContext {
     /// Base vectors per dataset.
@@ -29,15 +29,7 @@ pub struct ExpContext {
 
 impl Default for ExpContext {
     fn default() -> Self {
-        let env =
-            |k: &str, d: usize| std::env::var(k).ok().and_then(|v| v.parse().ok()).unwrap_or(d);
-        ExpContext {
-            n: env("CAGRA_N", 4000),
-            queries: env("CAGRA_QUERIES", 200),
-            k: 10,
-            batch_target: env("CAGRA_BATCH", 10_000),
-            seed: 0xda7a,
-        }
+        ExpContext { n: 4000, queries: 200, k: 10, batch_target: 10_000, seed: 0xda7a }
     }
 }
 

@@ -61,9 +61,9 @@ pub(crate) fn pq_m(dim: usize) -> usize {
     (1..=dim / 4).rev().find(|&m| dim.is_multiple_of(m)).unwrap_or(1)
 }
 
-/// `CAGRA_PQ_M` override for the subspace count (same spirit as
-/// `CAGRA_N`): any `1..=dim` value is accepted — `PqConfig` handles
-/// non-dividing splits — falling back to [`pq_m`] when unset/invalid.
+/// `CAGRA_PQ_M` override for the subspace count: any `1..=dim` value
+/// is accepted — `PqConfig` handles non-dividing splits — falling
+/// back to [`pq_m`] when unset/invalid.
 fn pq_m_for(dim: usize) -> usize {
     std::env::var("CAGRA_PQ_M")
         .ok()

@@ -73,7 +73,7 @@ mod tests {
         // of the dataset, so every post-reset candidate is a re-visit
         // and the forgettable table recomputes far more distances than
         // it would at the paper's 1M+ scale (where it matches or beats
-        // the standard table -- reproduced at CAGRA_N=8000, see
+        // the standard table -- reproduced at --n 8000, see
         // EXPERIMENTS.md). The test therefore checks the two paper
         // claims that survive downscaling: no recall collapse, and
         // competitiveness at the narrow-search end where re-visits are

@@ -27,56 +27,66 @@ use cagra::CagraIndex;
 use dataset::Dataset;
 use dataset::VectorStore;
 
-/// All experiment ids, in paper order.
-pub const ALL: &[&str] = &[
-    "table1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "headline",
-    "ext-shard",
-    "ext-search",
-    "ext-relabel",
-    "ext-pq",
-    "ext-churn",
-    "ext-knn-crossover",
+/// One committed output of an experiment: `results/<stem>.txt` and
+/// the scale its `# context:` line records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Run {
+    /// File stem under `results/`.
+    pub stem: &'static str,
+    /// Base vectors per dataset (`--n`).
+    pub n: usize,
+    /// Queries searched (`--queries`).
+    pub queries: usize,
+}
+
+/// One row of the registry.
+pub struct Experiment {
+    /// Command-line id (matches DESIGN.md's experiment index).
+    pub id: &'static str,
+    /// Prints the experiment's tables to stdout.
+    pub runner: fn(&ExpContext),
+    /// What `eval all --out-dir` regenerates for this experiment.
+    /// Empty where the only committed outputs are one-off scale runs
+    /// (listed with their command lines in `tests/results_registry.rs`).
+    pub recorded: &'static [Run],
+}
+
+const fn at(stem: &'static str, n: usize, queries: usize) -> Run {
+    Run { stem, n, queries }
+}
+
+const fn exp(id: &'static str, runner: fn(&ExpContext), recorded: &'static [Run]) -> Experiment {
+    Experiment { id, runner, recorded }
+}
+
+/// Every experiment, in paper order, with the scale of each committed
+/// `results/` file — the one place that scale is written down.
+pub const TABLE: &[Experiment] = &[
+    exp("table1", table1::run, &[at("table1", 4000, 200)]),
+    exp("fig3", fig3_graph_props::run, &[at("fig3", 4000, 200)]),
+    exp("fig4", fig4_opt_time::run, &[at("fig4", 4000, 200)]),
+    exp("fig5", fig5_reorder_search::run, &[at("fig5", 4000, 200)]),
+    exp("fig8", fig8_team_size::run, &[at("fig8", 4000, 200)]),
+    exp("fig9", fig9_hash::run, &[at("fig9", 4000, 200), at("fig9_n8000", 8000, 200)]),
+    exp("fig10", fig10_cta_modes::run, &[at("fig10", 4000, 200)]),
+    exp("fig11", fig11_construction::run, &[at("fig11", 4000, 200)]),
+    exp("fig12", fig12_graph_quality::run, &[at("fig12", 4000, 200)]),
+    exp("fig13", fig13_large_batch::run, &[at("fig13", 4000, 200)]),
+    exp("fig14", fig14_single_query::run, &[at("fig14", 4000, 200)]),
+    exp("fig15", fig15_scaling_build::run, &[at("fig15", 4000, 200)]),
+    exp("fig16", fig16_scaling_search::run, &[at("fig16", 1000, 150)]),
+    exp("headline", headline::run, &[at("headline", 2000, 100)]),
+    exp("ext-shard", ext_sharding::run, &[at("ext_shard", 3000, 100)]),
+    exp("ext-search", ext_search_ablation::run, &[at("ext_search", 1500, 80)]),
+    exp("ext-relabel", ext_relabel::run, &[at("ext_relabel", 4000, 100)]),
+    exp("ext-pq", ext_pq::run, &[]),
+    exp("ext-churn", ext_churn::run, &[at("ext_churn", 4000, 100)]),
+    exp("ext-knn-crossover", ext_knn_crossover::run, &[]),
 ];
 
-/// Dispatch an experiment by id. Returns false for unknown ids.
-pub fn run(id: &str, ctx: &ExpContext) -> bool {
-    match id {
-        "table1" => table1::run(ctx),
-        "fig3" => fig3_graph_props::run(ctx),
-        "fig4" => fig4_opt_time::run(ctx),
-        "fig5" => fig5_reorder_search::run(ctx),
-        "fig8" => fig8_team_size::run(ctx),
-        "fig9" => fig9_hash::run(ctx),
-        "fig10" => fig10_cta_modes::run(ctx),
-        "fig11" => fig11_construction::run(ctx),
-        "fig12" => fig12_graph_quality::run(ctx),
-        "fig13" => fig13_large_batch::run(ctx),
-        "fig14" => fig14_single_query::run(ctx),
-        "fig15" => fig15_scaling_build::run(ctx),
-        "fig16" => fig16_scaling_search::run(ctx),
-        "headline" => headline::run(ctx),
-        "ext-shard" => ext_sharding::run(ctx),
-        "ext-search" => ext_search_ablation::run(ctx),
-        "ext-relabel" => ext_relabel::run(ctx),
-        "ext-pq" => ext_pq::run(ctx),
-        "ext-churn" => ext_churn::run(ctx),
-        "ext-knn-crossover" => ext_knn_crossover::run(ctx),
-        _ => return false,
-    }
-    true
+/// Look an experiment up by id.
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    TABLE.iter().find(|e| e.id == id)
 }
 
 /// Build a CAGRA index over a workload's base vectors (cloned, since
@@ -117,12 +127,9 @@ mod tests {
     }
 
     #[test]
-    fn unknown_experiment_returns_false() {
-        assert!(!run("nope", &ExpContext::default()));
-    }
-
-    #[test]
-    fn registry_lists_every_runner() {
-        assert_eq!(ALL.len(), 20);
+    fn find_resolves_table_ids_only() {
+        assert_eq!(find("ext-shard").map(|e| e.id), Some("ext-shard"));
+        assert!(find("ext_shard").is_none(), "stems are not ids");
+        assert!(find("nope").is_none());
     }
 }

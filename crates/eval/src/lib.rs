@@ -5,11 +5,13 @@
 //! binary dispatches to them by id (`cargo run -p eval --release --
 //! fig13`). Shared machinery: workload loading with ground-truth
 //! caching ([`context`]), recall ([`recall`]), recall↔QPS sweeps
-//! ([`sweep`]) and plain-text tables ([`report`]).
+//! ([`sweep`]) and plain-text tables ([`report`]); [`record`] is the
+//! `eval all --out-dir` path that regenerates `results/`.
 
 pub mod context;
 pub mod experiments;
 pub mod recall;
+pub mod record;
 pub mod report;
 pub mod sweep;
 

@@ -1,9 +1,8 @@
 //! Point-in-time metric export: JSON (machine) and table (human).
 //!
 //! The JSON writer is hand-rolled because the workspace's `serde` is
-//! an API-surface shim with no runtime (same approach as the criterion
-//! shim's report writer). Output is deterministic: fixed field order,
-//! metrics in registry declaration order.
+//! an API-surface shim with no runtime. Output is deterministic: fixed
+//! field order, metrics in registry declaration order.
 
 /// One counter at a point in time.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -20,7 +20,7 @@
 //! panicking mid-batch.
 
 use crate::error::ServeError;
-use cagra::search::planner::{Mode, Thresholds};
+use cagra::search::planner::Mode;
 use cagra::{CagraIndex, DynamicIndex, SearchError, SearchParams, SearchScratch};
 use dataset::VectorStore;
 use knn::topk::Neighbor;
@@ -34,9 +34,6 @@ pub trait SearchBackend: Send + Sync + 'static {
     /// return a constant; mutable backends bump it on every visible
     /// change. The service keys its shape cache on this value.
     fn epoch(&self) -> u64;
-
-    /// Planner thresholds for the mode/CTA dispatch rule.
-    fn thresholds(&self) -> Thresholds;
 
     /// Full request validation (admission path; cached per epoch).
     fn validate_shape(
@@ -76,10 +73,6 @@ impl<S: VectorStore + Send + 'static> SearchBackend for CagraIndex<S> {
         0
     }
 
-    fn thresholds(&self) -> Thresholds {
-        self.thresholds
-    }
-
     fn validate_shape(
         &self,
         query_dim: usize,
@@ -111,10 +104,6 @@ impl SearchBackend for DynamicIndex {
 
     fn epoch(&self) -> u64 {
         DynamicIndex::epoch(self)
-    }
-
-    fn thresholds(&self) -> Thresholds {
-        Thresholds::default()
     }
 
     fn validate_shape(

@@ -204,12 +204,7 @@ fn dispatch_loop<B: SearchBackend>(backend: &B, batcher: &Batcher, config: &Serv
     let mut txs: Vec<mpsc::Sender<Response>> = Vec::with_capacity(config.max_batch);
     while batcher.pop_batch(config.max_batch, config.max_wait, &mut jobs, &mut txs) {
         let dispatched = Instant::now();
-        let plan = planner::plan(
-            jobs.len(),
-            config.params.itopk,
-            config.params.num_cta,
-            backend.thresholds(),
-        );
+        let plan = planner::plan(jobs.len(), config.params.itopk, config.params.num_cta);
         let mut params = config.params;
         params.num_cta = plan.num_cta;
         let m = obs::metrics();

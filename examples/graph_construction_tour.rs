@@ -36,7 +36,7 @@ fn main() {
     // Stage 2: detourable-route counts (Eq. 3, rank form). An edge
     // X->Y with many two-hop detours max(rank) < rank(X->Y) is
     // redundant and gets pushed back in the reorder.
-    println!("\ndetourable-route counts per edge (rank criterion):");
+    println!("\ndetourable-route counts per edge (rank-based):");
     for v in 0..knn.len() {
         let counts = detour_counts_rank(&knn, v);
         let row: Vec<String> =

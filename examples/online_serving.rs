@@ -22,13 +22,12 @@ fn main() {
 
     // The paper's dispatch rule: batch 1 -> multi-CTA; a 10k batch
     // with small itopk -> single-CTA.
-    let t = Thresholds::default();
-    assert_eq!(choose(1, params.itopk, t), Mode::MultiCta);
-    assert_eq!(choose(10_000, params.itopk, t), Mode::SingleCta);
+    assert_eq!(choose(1, params.itopk), Mode::MultiCta);
+    assert_eq!(choose(10_000, params.itopk), Mode::SingleCta);
     println!(
         "dispatch: batch=1 -> {:?}, batch=10k -> {:?}",
-        choose(1, params.itopk, t),
-        choose(10_000, params.itopk, t)
+        choose(1, params.itopk),
+        choose(10_000, params.itopk)
     );
 
     // Serve queries one at a time and collect latencies.
