@@ -2,14 +2,26 @@
 //! the top-M update (step 1, Sec. IV-B2).
 //!
 //! Entries are `(distance, packed index)` pairs; the packed index
-//! carries the parent flag in its MSB (see [`super::parent`]). The
-//! candidate segment is sorted with a **bitonic network** — the same
-//! network the GPU kernel runs in registers — and merged with the
-//! already-sorted top-M list. Dummy entries carry `FLT_MAX` distance
-//! and the `INVALID` index, so they sort last, exactly as the paper
-//! initializes the list.
+//! carries the parent flag in its MSB (see [`super::parent`]). Dummy
+//! entries carry `FLT_MAX` distance and the `INVALID` index, so they
+//! sort last, exactly as the paper initializes the list.
+//!
+//! The GPU kernel sorts the whole candidate segment with a
+//! warp-register bitonic network and merges it with the top-M list.
+//! `(distance, node id)` is a total order, so the list that comes out
+//! does not depend on *how* it was sorted, and the host does only the
+//! work the list needs: a candidate that is not better than the
+//! current M-th entry is dropped with one compare (in steady state
+//! that is nearly all of them), the survivors are sorted, and the
+//! merge touches only the tail of the list they displace. `gpu-sim`
+//! prices the network analytically from the trace's `sort_len`; it
+//! never ran it.
+//!
+//! **NaN contract:** a candidate whose distance is NaN never enters
+//! the top-M list (it is not better than any entry, dummies included).
 
 use super::parent::{node_id, INVALID};
+use std::cmp::Ordering;
 
 /// One buffer slot: distance plus flagged node index.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -28,84 +40,25 @@ impl BufEntry {
     pub fn new(id: u32, dist: f32) -> Self {
         BufEntry { dist, packed: id }
     }
-
-    /// Sort key: distance, node id (flag excluded so parenting never
-    /// perturbs the order), NaN last.
-    #[inline]
-    fn key(&self) -> (f32, u32) {
-        (self.dist, node_id(self.packed))
-    }
 }
 
+/// The list order: distance, then node id (flag excluded so parenting
+/// never perturbs the order), NaN last.
 #[inline]
-fn less(a: &BufEntry, b: &BufEntry) -> bool {
-    let (da, ia) = a.key();
-    let (db, ib) = b.key();
-    match da.partial_cmp(&db) {
-        Some(std::cmp::Ordering::Less) => true,
-        Some(std::cmp::Ordering::Greater) => false,
-        Some(std::cmp::Ordering::Equal) => ia < ib,
-        None => db.is_nan() && !da.is_nan(), // NaN sorts last
+fn order(a: &BufEntry, b: &BufEntry) -> Ordering {
+    match a.dist.partial_cmp(&b.dist) {
+        Some(by_dist) => by_dist.then_with(|| node_id(a.packed).cmp(&node_id(b.packed))),
+        None => a.dist.is_nan().cmp(&b.dist.is_nan()),
     }
-}
-
-/// Sort `entries` ascending in place with a bitonic network, padded to
-/// the next power of two with DUMMY entries (which sort last) for the
-/// duration of the call. The padding lives in the vector's own spare
-/// capacity — [`SearchBuffer`] reserves it up front — so a hot-loop
-/// sort allocates nothing.
-///
-/// This mirrors the warp-level register sort of the CUDA kernel (used
-/// when the candidate buffer is <= 512 entries); for larger buffers
-/// the GPU switches to a radix sort, which is functionally identical,
-/// so the host implementation keeps one code path.
-pub fn bitonic_sort(entries: &mut Vec<BufEntry>) {
-    let n = entries.len();
-    if n <= 1 {
-        return;
-    }
-    let padded = n.next_power_of_two();
-    entries.resize(padded, BufEntry::DUMMY);
-    // The network runs on a slice of known length: through `&mut Vec`
-    // every swap would make the compiler reload the vector's pointer
-    // and length, and bounds-check `i` against it.
-    // ALLOW(panic): `resize` just made the length exactly `padded`.
-    let slots = &mut entries[..padded];
-
-    let mut k = 2;
-    while k <= padded {
-        let mut j = k / 2;
-        while j > 0 {
-            for i in 0..padded {
-                let l = i ^ j;
-                if l > i {
-                    let ascending = i & k == 0;
-                    // ALLOW(panic): `i < padded` and `l = i ^ j` with
-                    // `j < padded` (a power of two), so `l < padded`.
-                    if less(&slots[l], &slots[i]) == ascending {
-                        slots.swap(i, l);
-                    }
-                }
-            }
-            j /= 2;
-        }
-        k *= 2;
-    }
-    // The first `n` slots hold the input (only a NaN distance sorts
-    // after the padding, and such an entry is dropped for a DUMMY).
-    entries.truncate(n);
 }
 
 /// The contiguous search buffer (Fig. 6 top).
 #[derive(Clone, Debug)]
 pub struct SearchBuffer {
-    /// Internal top-M list, always sorted ascending.
+    /// Internal top-M list, always sorted ascending; length M.
     topm: Vec<BufEntry>,
-    /// Candidate list (`p * d` slots, with capacity for the sort's
-    /// power-of-two padding).
+    /// Candidate list (`p * d` slots).
     candidates: Vec<BufEntry>,
-    m: usize,
-    scratch: Vec<BufEntry>,
 }
 
 impl SearchBuffer {
@@ -115,12 +68,7 @@ impl SearchBuffer {
         // ALLOW(panic): constructor precondition; zero-sized lists
         // have no meaningful search semantics.
         assert!(m > 0 && width > 0, "buffer sizes must be positive");
-        SearchBuffer {
-            topm: vec![BufEntry::DUMMY; m],
-            candidates: Vec::with_capacity(width.next_power_of_two()),
-            m,
-            scratch: Vec::with_capacity(m + width),
-        }
+        SearchBuffer { topm: vec![BufEntry::DUMMY; m], candidates: Vec::with_capacity(width) }
     }
 
     /// Re-initialize for a fresh search with top-M length `m` and
@@ -131,13 +79,10 @@ impl SearchBuffer {
     pub fn reset(&mut self, m: usize, width: usize) {
         // ALLOW(panic): same precondition as `new`.
         assert!(m > 0 && width > 0, "buffer sizes must be positive");
-        self.m = m;
         self.topm.clear();
         self.topm.resize(m, BufEntry::DUMMY);
         self.candidates.clear();
-        self.candidates.reserve(width.next_power_of_two());
-        self.scratch.clear();
-        self.scratch.reserve(m + width);
+        self.candidates.reserve(width);
     }
 
     /// The sorted top-M list.
@@ -169,51 +114,49 @@ impl SearchBuffer {
     }
 
     /// Mutable candidate segment. The expansion loop pushes every
-    /// neighbor with a placeholder distance in adjacency order (the
-    /// order feeds the bitonic sort's tie-breaking), then patches the
-    /// first-visit entries from one batched distance call.
+    /// neighbor with a placeholder distance in adjacency order, then
+    /// patches the first-visit entries from one batched distance call.
     #[inline]
     pub fn candidates_mut(&mut self) -> &mut [BufEntry] {
         &mut self.candidates
     }
 
-    /// Step 1: sort the candidate list and merge it into the top-M
-    /// list, keeping the M smallest. Returns the number of candidates
-    /// that entered the list (a progress signal).
+    /// Step 1: merge the candidate list into the top-M list, keeping
+    /// the M smallest in list order (a list entry precedes a candidate
+    /// that compares equal to it). Returns the number of candidates
+    /// that entered the list (a progress signal). A round that admits
+    /// nothing costs one compare per candidate and leaves the list
+    /// untouched.
     pub fn update_topm(&mut self) -> usize {
-        bitonic_sort(&mut self.candidates);
-        self.scratch.clear();
-        let mut ti = 0usize;
-        let mut ci = 0usize;
-        let mut admitted = 0usize;
-        while self.scratch.len() < self.m {
-            // Matching on the fetched entries (instead of re-indexing
-            // after a take/skip decision) keeps the merge panic-free.
-            match (self.topm.get(ti), self.candidates.get(ci)) {
-                (Some(&t), Some(&c)) if less(&c, &t) => {
-                    self.scratch.push(c);
-                    ci += 1;
-                    admitted += 1;
-                }
-                (_, Some(&c)) if ti >= self.topm.len() => {
-                    self.scratch.push(c);
-                    ci += 1;
-                    admitted += 1;
-                }
-                (Some(&t), _) => {
-                    self.scratch.push(t);
-                    ti += 1;
-                }
-                _ => break,
-            }
+        // `new` / `reset` keep the list at M >= 1 entries.
+        let Some(&worst) = self.topm.last() else { return 0 };
+        self.candidates.retain(|c| order(c, &worst).is_lt());
+        self.candidates.sort_unstable_by(order);
+        // The a-th survivor in ascending order has `a` survivors ahead
+        // of it, so it makes the list exactly when it beats the entry
+        // `a` slots from the end — and once one fails, the rest do.
+        let admitted = self
+            .candidates
+            .iter()
+            .zip(self.topm.iter().rev())
+            .take_while(|(c, t)| order(c, t).is_lt())
+            .count();
+        // Merge from the back, largest survivor first. `topm[..keep]`
+        // still sit in their old slots and `gap` survivors are
+        // unplaced, so the entries a survivor precedes move up `gap`
+        // slots — onto slots already vacated — and it takes the slot
+        // below them. The prefix no survivor reaches is never touched.
+        let mut keep = self.topm.len() - admitted;
+        for (placed_before, c) in self.candidates.iter().take(admitted).enumerate().rev() {
+            let gap = placed_before + 1;
+            // ALLOW(panic): `keep <= M - admitted` only shrinks.
+            let stay = self.topm[..keep].partition_point(|t| !order(c, t).is_lt());
+            self.topm.copy_within(stay..keep, stay + gap);
+            // ALLOW(panic): `stay + gap <= keep + gap <= M`.
+            self.topm[stay + gap - 1] = *c;
+            keep = stay;
         }
-        while self.scratch.len() < self.m {
-            self.scratch.push(BufEntry::DUMMY);
-        }
-        std::mem::swap(&mut self.topm, &mut self.scratch);
         self.candidates.clear();
-        // Dummies admitted from an undersized candidate list are not
-        // progress.
         admitted
     }
 
@@ -240,35 +183,10 @@ impl SearchBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::parent::set_parented;
+    use crate::search::parent::{is_parented, set_parented};
 
     fn e(id: u32, dist: f32) -> BufEntry {
         BufEntry::new(id, dist)
-    }
-
-    #[test]
-    fn bitonic_sorts_arbitrary_lengths() {
-        for n in [0usize, 1, 2, 3, 5, 8, 13, 64, 100, 257] {
-            let mut x = 99u64;
-            let mut v: Vec<BufEntry> = (0..n)
-                .map(|i| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(11);
-                    e(i as u32, ((x >> 40) as f32) / 1e3)
-                })
-                .collect();
-            let mut want = v.clone();
-            want.sort_by(|a, b| a.dist.partial_cmp(&b.dist).unwrap().then(a.packed.cmp(&b.packed)));
-            bitonic_sort(&mut v);
-            assert_eq!(v, want, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn bitonic_sort_ignores_parent_flag_in_order() {
-        let mut v = vec![BufEntry { dist: 2.0, packed: set_parented(7) }, e(3, 1.0)];
-        bitonic_sort(&mut v);
-        assert_eq!(node_id(v[0].packed), 3);
-        assert!(super::super::parent::is_parented(v[1].packed), "flag preserved");
     }
 
     #[test]
@@ -281,9 +199,38 @@ mod tests {
         assert_eq!(ids, vec![1, 3, 2]);
         // Second round: only better candidates displace.
         b.set_candidates([e(4, 0.5), e(5, 10.0)]);
-        b.update_topm();
+        assert_eq!(b.update_topm(), 1);
         let ids: Vec<u32> = b.topm_ids().collect();
         assert_eq!(ids, vec![4, 1, 3]);
+    }
+
+    #[test]
+    fn equal_distances_order_by_id_with_the_parent_flag_ignored() {
+        let mut b = SearchBuffer::new(4, 4);
+        b.set_candidates([e(7, 2.0), e(9, 1.0)]);
+        b.update_topm();
+        b.topm_mut()[1].packed = set_parented(7);
+        // 3 < 7 < 8 at equal distance, flag or no flag.
+        b.set_candidates([e(8, 2.0), e(3, 2.0)]);
+        assert_eq!(b.update_topm(), 2);
+        assert_eq!(b.topm_ids().collect::<Vec<_>>(), vec![9, 3, 7, 8]);
+        assert!(is_parented(b.topm()[2].packed), "flag preserved");
+    }
+
+    #[test]
+    fn nan_candidates_never_enter_the_list() {
+        // Underfull list, full list, and NaN beside admissible
+        // candidates: the NaN entry is dropped every time.
+        let mut b = SearchBuffer::new(3, 4);
+        b.set_candidates([e(0, f32::NAN)]);
+        assert_eq!(b.update_topm(), 0);
+        assert_eq!(b.topm(), [BufEntry::DUMMY; 3]);
+        b.set_candidates([e(1, 5.0), e(2, f32::NAN), e(3, 1.0), e(4, f32::NAN)]);
+        assert_eq!(b.update_topm(), 2);
+        b.set_candidates([e(5, f32::NAN), e(6, f32::INFINITY), e(7, f32::NEG_INFINITY)]);
+        assert_eq!(b.update_topm(), 1, "+inf sorts after the dummies, -inf first");
+        assert_eq!(b.topm_ids().collect::<Vec<_>>(), vec![7, 3, 1]);
+        assert!(b.topm().iter().all(|t| !t.dist.is_nan()));
     }
 
     #[test]
@@ -302,8 +249,8 @@ mod tests {
         b.update_topm();
         b.topm_mut()[0].packed = set_parented(b.topm()[0].packed);
         b.set_candidates([e(2, 3.0)]);
-        b.update_topm();
-        assert!(super::super::parent::is_parented(b.topm()[0].packed));
+        assert_eq!(b.update_topm(), 0);
+        assert!(is_parented(b.topm()[0].packed));
     }
 
     #[test]

@@ -12,14 +12,33 @@
 //!   current top-M survivors are re-registered. Forgetting can cause
 //!   re-computation of distances but, per the paper (and our Fig. 9
 //!   runs), no catastrophic recall loss.
+//!
+//! On the GPU a reset is a CTA-wide store over shared memory, a few
+//! cycles. On the host the same wipe is a `memset` of the whole table
+//! per round (forgettable) or per query (standard, up to 2^18 slots),
+//! which cost more than the distances it saved. So each slot carries
+//! the *generation* it was written in beside the id, a slot from an
+//! older generation reads as empty, and a reset is one increment.
+//! Slot count, hash and probe sequence are those of the plain table,
+//! so which ids are admitted, [`VisitedSet::len`] and
+//! [`VisitedSet::probes`] are too.
 
-const EMPTY: u32 = u32::MAX;
+/// Generation a new table starts in. Slots are allocated zeroed and
+/// generation 0 is never current, so they read as empty. Starting a
+/// thousand resets short of the wrap (the kernel's `INITIAL_JIFFIES`
+/// trick) means every long-lived table crosses it early, not once in
+/// 2^32 resets where nobody would see it break.
+const FIRST_GENERATION: u32 = u32::MAX - 1000;
 
 /// Fixed-capacity open-addressing set of node ids.
 #[derive(Clone, Debug)]
 pub struct VisitedSet {
-    slots: Vec<u32>,
+    /// `generation << 32 | id`; occupied iff the generation is current.
+    /// The table is the first `mask + 1` slots (a scratch re-shaped to
+    /// a smaller table keeps its allocation).
+    slots: Vec<u64>,
     mask: u32,
+    generation: u32,
     len: usize,
     /// Total probe steps performed (costing input for `gpu-sim`).
     probes: u64,
@@ -40,34 +59,39 @@ impl VisitedSet {
         // ALLOW(panic): documented precondition (see `# Panics`).
         assert!((4..=30).contains(&bits), "hash bits {bits} out of range");
         let size = 1usize << bits;
-        let v = VisitedSet { slots: vec![EMPTY; size], mask: (size - 1) as u32, len: 0, probes: 0 };
+        let v = VisitedSet {
+            slots: vec![0; size],
+            mask: (size - 1) as u32,
+            generation: FIRST_GENERATION,
+            len: 0,
+            probes: 0,
+        };
         v.check_shape();
         v
     }
 
     /// `debug_invariants` shadow: the linear-probe loops terminate
-    /// because (a) the table is a power of two whose wrap mask is
-    /// `size - 1`, so `(slot + 1) & mask` cycles through every slot,
-    /// and (b) each loop is bounded by `capacity` steps. Verify (a)
-    /// and the occupancy accounting that (b)'s full-table fallback
-    /// relies on.
+    /// because (a) the table is a power of two inside the allocation
+    /// with wrap mask `size - 1`, so `(slot + 1) & mask` cycles
+    /// through every slot,
+    /// and (b) each loop is bounded by `capacity` steps. Verify (a),
+    /// the occupancy accounting that (b)'s full-table fallback relies
+    /// on, and that no slot can carry the current generation unwritten.
     #[inline]
     fn check_shape(&self) {
         #[cfg(feature = "debug_invariants")]
         {
             // ALLOW(panic): compiled only under `debug_invariants`.
+            assert!(self.capacity().is_power_of_two(), "probe invariant: table not a power of two");
+            // ALLOW(panic): compiled only under `debug_invariants`.
             assert!(
-                self.slots.len().is_power_of_two(),
-                "probe invariant: table not a power of two"
+                self.capacity() <= self.slots.len(),
+                "probe invariant: wrap mask reaches past the allocation"
             );
             // ALLOW(panic): compiled only under `debug_invariants`.
-            assert_eq!(
-                self.mask as usize,
-                self.slots.len() - 1,
-                "probe invariant: wrap mask does not match table size"
-            );
+            assert!(self.len <= self.capacity(), "probe invariant: len exceeds capacity");
             // ALLOW(panic): compiled only under `debug_invariants`.
-            assert!(self.len <= self.slots.len(), "probe invariant: len exceeds capacity");
+            assert_ne!(self.generation, 0, "generation 0 marks never-written slots");
         }
     }
 
@@ -81,7 +105,7 @@ impl VisitedSet {
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.mask as usize + 1
     }
 
     /// Number of occupied slots.
@@ -99,26 +123,31 @@ impl VisitedSet {
         self.probes
     }
 
+    /// What a slot holding `id` in the current generation reads as.
+    #[inline]
+    fn stamped(&self, id: u32) -> u64 {
+        (self.generation as u64) << 32 | id as u64
+    }
+
     /// Insert `id`; returns `true` if it was not present (i.e. the
     /// caller should compute its distance). A full table reports
     /// `false` ("already visited"), which is safe: it suppresses a
     /// distance computation, mirroring the bounded GPU probe loop.
     #[inline]
     pub fn insert(&mut self, id: u32) -> bool {
-        debug_assert_ne!(id, EMPTY, "EMPTY sentinel cannot be inserted");
+        let want = self.stamped(id);
         let mut slot = hash(id) & self.mask;
-        let cap = self.slots.len();
+        let cap = self.capacity();
         for _ in 0..cap {
             self.probes += 1;
             // ALLOW(panic): `slot` is masked by `size - 1` of the
             // power-of-two table, so it is always in bounds.
-            let cur = self.slots[slot as usize];
-            if cur == id {
+            let cur = &mut self.slots[slot as usize];
+            if *cur == want {
                 return false;
             }
-            if cur == EMPTY {
-                // ALLOW(panic): same masked in-bounds `slot` as above.
-                self.slots[slot as usize] = id;
+            if (*cur >> 32) as u32 != self.generation {
+                *cur = want;
                 self.len += 1;
                 self.check_shape();
                 return true;
@@ -139,15 +168,16 @@ impl VisitedSet {
 
     /// Membership query without insertion.
     pub fn contains(&self, id: u32) -> bool {
+        let want = self.stamped(id);
         let mut slot = hash(id) & self.mask;
-        for _ in 0..self.slots.len() {
+        for _ in 0..self.capacity() {
             // ALLOW(panic): `slot` is masked by `size - 1` of the
             // power-of-two table, so it is always in bounds.
             let cur = self.slots[slot as usize];
-            if cur == id {
+            if cur == want {
                 return true;
             }
-            if cur == EMPTY {
+            if (cur >> 32) as u32 != self.generation {
                 return false;
             }
             slot = (slot + 1) & self.mask;
@@ -155,10 +185,23 @@ impl VisitedSet {
         false
     }
 
+    /// Forget every id: O(1), except once per 2^32 calls when the
+    /// generation counter wraps and the slots are really wiped — a
+    /// stamp left over from the previous cycle would otherwise come
+    /// back to life when its generation number is reused.
+    fn clear(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.slots.fill(0);
+            self.generation = 1;
+        }
+        self.len = 0;
+    }
+
     /// Re-initialize for a fresh search at `2^bits` slots, reusing the
     /// existing allocation whenever the size matches (the scratch-reuse
     /// path: per-thread tables are recycled across a whole batch, so in
-    /// steady state this is a `memset`, not an allocation).
+    /// steady state this touches no slot and allocates nothing).
     ///
     /// # Panics
     /// Panics unless `4 <= bits <= 30`.
@@ -166,14 +209,13 @@ impl VisitedSet {
         // ALLOW(panic): documented precondition (see `# Panics`).
         assert!((4..=30).contains(&bits), "hash bits {bits} out of range");
         let size = 1usize << bits;
-        if self.slots.len() == size {
-            self.slots.fill(EMPTY);
-        } else {
-            self.slots.clear();
-            self.slots.resize(size, EMPTY);
-            self.mask = (size - 1) as u32;
+        // A stale stamp reads as empty wherever the new mask puts it,
+        // so re-shaping wipes nothing; the allocation only ever grows.
+        if self.slots.len() < size {
+            self.slots.resize(size, 0);
         }
-        self.len = 0;
+        self.mask = (size - 1) as u32;
+        self.clear();
         self.probes = 0;
         self.check_shape();
     }
@@ -181,8 +223,7 @@ impl VisitedSet {
     /// Forgettable-mode reset: evict everything, then re-register the
     /// given survivors (the paper re-registers the current top-M list).
     pub fn reset(&mut self, survivors: impl IntoIterator<Item = u32>) {
-        self.slots.fill(EMPTY);
-        self.len = 0;
+        self.clear();
         for id in survivors {
             self.insert(id);
         }
@@ -243,6 +284,31 @@ mod tests {
     }
 
     #[test]
+    fn generation_wrap_wipes_stale_stamps() {
+        // An id written in the generation the counter is about to
+        // reuse must not come back to life after the wrap.
+        let mut v = VisitedSet::new(4);
+        v.generation = 1;
+        assert!(v.insert(7));
+        v.generation = u32::MAX;
+        assert!(!v.contains(7) && v.insert(8));
+        v.reset([8]);
+        assert_eq!(v.generation, 1, "0 is reserved for never-written slots");
+        assert!(v.contains(8) && !v.contains(7));
+        assert_eq!(v.len(), 1);
+        // A fresh table meets the wrap within its first 1001 resets.
+        let mut v = VisitedSet::new(4);
+        let start = v.generation;
+        for round in 0..1100u32 {
+            assert!(v.insert(round), "round {round}");
+            assert!(!v.insert(round));
+            v.reset([]);
+            assert!(v.is_empty() && !v.contains(round));
+        }
+        assert!(v.generation < start, "the counter wrapped");
+    }
+
+    #[test]
     fn standard_bits_gives_headroom() {
         // 64 iterations * width 32 = 2048 entries -> >= 4096 slots.
         let bits = VisitedSet::standard_bits(64, 32);
@@ -271,7 +337,7 @@ mod tests {
         for id in 0..30 {
             v.insert(id);
         }
-        // Same size: contents and counters wiped, capacity kept.
+        // Same size: contents and counters forgotten, capacity kept.
         v.reset_to(6);
         assert_eq!(v.capacity(), 64);
         assert_eq!(v.len(), 0);
@@ -286,5 +352,9 @@ mod tests {
         v.reset_to(4);
         assert_eq!(v.capacity(), 16);
         assert!(v.is_empty());
+        // The shrunken table is a real 16-slot table: it fills at 16
+        // and ids left in the larger shapes' slots are gone.
+        assert!(!v.contains(1000) && !v.contains(3));
+        assert_eq!((0..40).filter(|&id| v.insert(id)).count(), 16);
     }
 }

@@ -204,6 +204,9 @@ pub fn search_kernel<S: VectorStore + ?Sized>(
 
     let mut rounds = 0usize;
     let mut total_computed = trace.init_distances;
+    // Whole-query obs inputs: one histogram write each after the loop,
+    // not one per round.
+    let (mut total_probes, mut widest_sort) = (0u64, 0u64);
     while rounds < shape.max_rounds {
         let mut round = IterationTrace::default();
         if let Some(log) = trace.accesses.as_mut() {
@@ -292,7 +295,8 @@ pub fn search_kernel<S: VectorStore + ?Sized>(
             round.hash_probes += hash.probes() - probes_before;
             let segment = buf.candidates().len() as u64;
             round.candidates += segment;
-            // Each worker sorts its own segment next round.
+            // Each worker's own segment is what the GPU network would
+            // sort next round.
             round.sort_len = round.sort_len.max(segment);
         }
         if !any_active {
@@ -301,9 +305,8 @@ pub fn search_kernel<S: VectorStore + ?Sized>(
             }
             break;
         }
-        let om = obs::metrics();
-        om.search_probe_len.record(round.hash_probes);
-        om.search_sort_len.record(round.sort_len);
+        total_probes += round.hash_probes;
+        widest_sort = widest_sort.max(round.sort_len);
         total_computed += round.distances_computed;
         if *record_trace {
             trace.iterations.push(round);
@@ -314,6 +317,8 @@ pub fn search_kernel<S: VectorStore + ?Sized>(
     let om = obs::metrics();
     om.search_iterations.record(rounds as u64);
     om.search_distances.record(total_computed);
+    om.search_probe_len.record(total_probes);
+    om.search_sort_len.record(widest_sort);
     if hash.capacity() > 0 {
         om.search_hash_occupancy_permille
             .record((hash.len() as u64 * 1000) / hash.capacity() as u64);

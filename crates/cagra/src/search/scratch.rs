@@ -13,8 +13,9 @@
 //!
 //! [`SearchScratch::begin`] re-shapes the scratch for the next search;
 //! when the shape matches the previous query (the common case inside a
-//! batch) no allocation occurs — tables are `memset`, vectors are
-//! `clear()`ed, and capacity is retained.
+//! batch) no allocation occurs — the visited table forgets its
+//! contents in O(1) (see [`super::hash`]), vectors are `clear()`ed,
+//! and capacity is retained.
 
 use super::buffer::SearchBuffer;
 use super::hash::VisitedSet;

@@ -146,6 +146,41 @@ proptest! {
         }
     }
 
+    /// Hostile query *values*: NaN and ±∞ components make some or all
+    /// distances NaN / infinite. The top-M list never admits a NaN
+    /// distance, so the search must come back `Ok` with at most `k`
+    /// distinct in-range ids — possibly none — in both modes.
+    #[test]
+    fn non_finite_query_components_never_panic_or_duplicate(
+        n in 1usize..48,
+        dim in 1usize..8,
+        degree in 1usize..6,
+        k in 1usize..12,
+        poison in proptest::collection::vec((0usize..8, 0u8..3), 1..4),
+        metric in 0usize..3,
+    ) {
+        let metric = [Metric::SquaredL2, Metric::InnerProduct, Metric::Cosine][metric];
+        let index = CagraIndex::try_new(filler(n, dim, 19), ring(n, degree), metric).unwrap();
+        let mut q = filler(1, dim, 23).as_flat().to_vec();
+        for &(at, kind) in &poison {
+            q[at % dim] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][kind as usize];
+        }
+        let q = Dataset::from_flat(q, dim);
+        let k = k.min(n);
+        for mode in [Mode::SingleCta, Mode::MultiCta] {
+            let out = index.try_search_batch(&q, k, &SearchParams::for_k(k), Some(mode), false);
+            prop_assert!(out.is_ok(), "{:?}: {:?}", mode, out.err());
+            let res = &out.unwrap().neighbors[0];
+            prop_assert!(res.len() <= k, "{} results for k={}", res.len(), k);
+            prop_assert!(res.iter().all(|x| !x.dist.is_nan()), "NaN distance in results");
+            let mut ids: Vec<u32> = res.iter().map(|x| x.id).collect();
+            prop_assert!(ids.iter().all(|&id| (id as usize) < n));
+            ids.sort_unstable();
+            ids.dedup();
+            prop_assert_eq!(ids.len(), res.len(), "duplicate ids in results");
+        }
+    }
+
     #[test]
     fn try_new_rejects_exactly_size_mismatches(
         n_store in 0usize..30,

@@ -1,21 +1,175 @@
 //! CAGRA search-machinery invariants over arbitrary inputs.
 
-use cagra::search::buffer::{bitonic_sort, BufEntry, SearchBuffer};
+use cagra::search::buffer::{BufEntry, SearchBuffer};
 use cagra::search::hash::VisitedSet;
-use cagra::search::parent::{is_parented, node_id, set_parented};
+use cagra::search::parent::{is_parented, node_id, set_parented, INVALID};
 use proptest::prelude::*;
 
+/// The visited table as it was before generation stamps — `u32::MAX`
+/// marks an empty slot and every reset is a `memset` — kept as the
+/// reference [`VisitedSet`] must be indistinguishable from.
+struct MemsetTable {
+    slots: Vec<u32>,
+    len: usize,
+    probes: u64,
+}
+
+impl MemsetTable {
+    const EMPTY: u32 = u32::MAX;
+
+    fn new(bits: u8) -> Self {
+        MemsetTable { slots: vec![Self::EMPTY; 1 << bits], len: 0, probes: 0 }
+    }
+
+    fn home(&self, id: u32) -> usize {
+        id.wrapping_mul(0x9e37_79b1) as usize & (self.slots.len() - 1)
+    }
+
+    fn insert(&mut self, id: u32) -> bool {
+        let mut slot = self.home(id);
+        for _ in 0..self.slots.len() {
+            self.probes += 1;
+            if self.slots[slot] == id {
+                return false;
+            }
+            if self.slots[slot] == Self::EMPTY {
+                self.slots[slot] = id;
+                self.len += 1;
+                return true;
+            }
+            slot = (slot + 1) & (self.slots.len() - 1);
+        }
+        false
+    }
+
+    fn contains(&self, id: u32) -> bool {
+        let mut slot = self.home(id);
+        for _ in 0..self.slots.len() {
+            if self.slots[slot] == id {
+                return true;
+            }
+            if self.slots[slot] == Self::EMPTY {
+                return false;
+            }
+            slot = (slot + 1) & (self.slots.len() - 1);
+        }
+        false
+    }
+
+    fn reset(&mut self, survivors: &[u32]) {
+        self.slots.fill(Self::EMPTY);
+        self.len = 0;
+        for &id in survivors {
+            self.insert(id);
+        }
+    }
+
+    fn reset_to(&mut self, bits: u8) {
+        *self = MemsetTable::new(bits);
+    }
+}
+
+/// The distance an id scores whenever it is scored (so an id that is
+/// scored twice — forgotten by the hash, then met again — comes back
+/// as an exact duplicate of its list entry). Quantized: distinct ids
+/// tie often.
+fn dist_of(id: u32) -> f32 {
+    (id.wrapping_mul(2_654_435_761) % 23) as f32 * 0.5
+}
+
 proptest! {
+    /// `update_topm` against its definition, round by round: stable
+    /// sort of `topm ++ candidates` by `(dist, node_id)`, NaN
+    /// candidates dropped, first M kept. The stream has everything the
+    /// kernel produces: `f32::MAX` hash-suppressed placeholders, ids
+    /// repeated within a round (two parents sharing a neighbor) and
+    /// across rounds (re-scored duplicates of list entries), underfull
+    /// lists, and entries parented between rounds.
     #[test]
-    fn bitonic_network_sorts_like_std(dists in proptest::collection::vec(-1e6f32..1e6, 0..300)) {
-        let mut entries: Vec<BufEntry> =
-            dists.iter().enumerate().map(|(i, &d)| BufEntry::new(i as u32, d)).collect();
-        let mut want = entries.clone();
-        want.sort_by(|a, b| {
-            a.dist.partial_cmp(&b.dist).unwrap().then(a.packed.cmp(&b.packed))
-        });
-        bitonic_sort(&mut entries);
-        prop_assert_eq!(entries, want);
+    fn update_topm_equals_sort_and_truncate_oracle(
+        m in 1usize..24,
+        rounds in proptest::collection::vec(
+            (proptest::collection::vec((0u32..48, 0u8..8), 0..40), 0usize..24, 0usize..24),
+            1..12,
+        ),
+    ) {
+        let mut buf = SearchBuffer::new(m, 40);
+        let mut want = vec![BufEntry::DUMMY; m];
+        for (round, (candidates, parent_a, parent_b)) in rounds.iter().enumerate() {
+            let candidates: Vec<BufEntry> = candidates
+                .iter()
+                .map(|&(id, kind)| match kind {
+                    0..=2 => BufEntry::new(id, f32::MAX),
+                    3 => BufEntry::new(id, f32::NAN),
+                    _ => BufEntry::new(id, dist_of(id)),
+                })
+                .collect();
+            buf.set_candidates(candidates.iter().copied());
+            let admitted = buf.update_topm();
+
+            let mut all: Vec<(BufEntry, bool)> = want.iter().map(|&e| (e, false)).collect();
+            all.extend(candidates.iter().filter(|c| !c.dist.is_nan()).map(|&c| (c, true)));
+            all.sort_by(|(a, _), (b, _)| {
+                a.dist.partial_cmp(&b.dist).unwrap().then(node_id(a.packed).cmp(&node_id(b.packed)))
+            });
+            all.truncate(m);
+            want = all.iter().map(|&(e, _)| e).collect();
+            prop_assert_eq!(buf.topm(), &want[..], "round {}", round);
+            prop_assert_eq!(admitted, all.iter().filter(|(_, fresh)| *fresh).count());
+            prop_assert!(buf.candidates().is_empty());
+
+            // Parent two entries, as step 2 would, in both lists.
+            for slot in [*parent_a, *parent_b].into_iter().filter(|&slot| slot < m) {
+                if want[slot].packed != INVALID {
+                    want[slot].packed = set_parented(want[slot].packed);
+                    buf.topm_mut()[slot].packed = want[slot].packed;
+                }
+            }
+        }
+    }
+
+    /// Model test: the generation-stamped table and the memset table
+    /// take the same random `insert` / `contains` / `reset(survivors)`
+    /// / `reset_to(bits)` sequence and must agree on every return
+    /// value, `len()` and `probes()` after every step. Tables of 16–64
+    /// slots against 96 ids, so they fill up. A fresh `VisitedSet`
+    /// starts 1001 resets short of its generation wrap (`hash.rs`,
+    /// `FIRST_GENERATION`); 990–1010 burn-in resets put the wrap
+    /// before, inside, or after the random sequence.
+    #[test]
+    fn visited_set_is_indistinguishable_from_a_memset_table(
+        burn_in in 990u32..1010,
+        ops in proptest::collection::vec((0u8..10, 0u32..96, 4u8..7), 1..400),
+    ) {
+        let mut ours = VisitedSet::new(5);
+        let mut model = MemsetTable::new(5);
+        for _ in 0..burn_in {
+            ours.reset([]);
+            model.reset(&[]);
+        }
+        for (step, &(op, id, bits)) in ops.iter().enumerate() {
+            match op {
+                0..=5 => prop_assert_eq!(ours.insert(id), model.insert(id), "step {}: insert {}", step, id),
+                6 | 7 => prop_assert_eq!(ours.contains(id), model.contains(id), "step {}: contains {}", step, id),
+                8 => {
+                    // Survivors as the kernel picks them: a few ids,
+                    // some present, some not, one repeated.
+                    let survivors = [id, id / 2, id, id + 1];
+                    ours.reset(survivors);
+                    model.reset(&survivors);
+                }
+                _ => {
+                    ours.reset_to(bits);
+                    model.reset_to(bits);
+                    prop_assert_eq!(ours.capacity(), model.slots.len());
+                }
+            }
+            prop_assert_eq!(ours.len(), model.len, "step {}: len", step);
+            prop_assert_eq!(ours.probes(), model.probes, "step {}: probes", step);
+        }
+        for id in 0..96 {
+            prop_assert_eq!(ours.contains(id), model.contains(id), "final contains {}", id);
+        }
     }
 
     #[test]

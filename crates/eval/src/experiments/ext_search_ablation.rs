@@ -9,6 +9,11 @@
 //! improves on), and NSSG's CPU beam search. The simulated GPU QPS
 //! gap between CAGRA and SONG on the identical graph is the kernel
 //! contribution in isolation.
+//!
+//! Simulated cycles and this host's clock are different instruments
+//! and never share a row: beside NSSG's wall-clock rows, CAGRA's own
+//! search loop is timed the same way (one thread, one query at a time)
+//! in both mappings.
 
 use crate::context::{ExpContext, Workload};
 use crate::experiments::{build_cagra, itopk_sweep};
@@ -17,7 +22,7 @@ use crate::report::{fmt_qps, Table};
 use crate::sweep::{cagra_curve, sim_batch_qps, CurvePoint};
 use cagra::search::planner::Mode;
 use cagra::search::trace::SearchTrace;
-use cagra::HashPolicy;
+use cagra::{HashPolicy, SearchParams, SearchScratch};
 use dataset::presets::PresetName;
 use dataset::VectorStore;
 use gpu_sim::Mapping;
@@ -25,7 +30,9 @@ use knn::topk::Neighbor;
 use song::{song_search, SongParams, StartPolicy};
 use std::time::Instant;
 
-/// Curves for the three search implementations on one shared graph.
+/// Curves for the three search implementations on one shared graph
+/// (simulated for the two GPU kernels, wall clock for NSSG), then
+/// CAGRA's two mappings on the wall clock.
 pub fn measure(wl: &Workload, ctx: &ExpContext) -> Vec<(&'static str, Vec<CurvePoint>)> {
     let (index, _) = build_cagra(wl);
     let adjacency: Vec<Vec<u32>> =
@@ -93,37 +100,59 @@ pub fn measure(wl: &Workload, ctx: &ExpContext) -> Vec<(&'static str, Vec<CurveP
     out.push(("SONG search", song_curve));
 
     // NSSG beam (CPU) over the same graph.
-    let nssg_curve: Vec<CurvePoint> = sweep
-        .iter()
-        .map(|&l| {
-            let t0 = Instant::now();
-            let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(wl.queries.len());
-            for qi in 0..wl.queries.len() {
-                let (res, _) = nssg::beam_search(
-                    &adjacency,
-                    &wl.base,
-                    wl.metric,
-                    wl.queries.row(qi),
-                    ctx.k,
-                    l,
-                    l,
-                    0x7e57 ^ qi as u64,
-                );
-                results.push(res);
-            }
-            let wall = t0.elapsed().as_secs_f64();
-            CurvePoint {
-                param: l,
-                recall: recall_at_k(&results, &gt, ctx.k),
-                qps_cpu: wl.queries.len() as f64 / wall,
-                qps_sim: 0.0,
-                scratch_reused: false,
-            }
-        })
-        .collect();
+    let nssg_curve = wall_curve(wl, &gt, ctx.k, &sweep, false, |l, qi| {
+        let q = wl.queries.row(qi);
+        nssg::beam_search(&adjacency, &wl.base, wl.metric, q, ctx.k, l, l, 0x7e57 ^ qi as u64).0
+    });
     out.push(("NSSG beam (CPU)", nssg_curve));
 
+    // CAGRA's loop on the same clock as the NSSG rows: one thread, a
+    // query at a time on one recycled scratch, per-query seeds as the
+    // batch entry draws them (so the single-CTA recall column repeats
+    // the simulated row's).
+    for (label, mode) in
+        [("CAGRA single-CTA (CPU)", Mode::SingleCta), ("CAGRA multi-CTA (CPU)", Mode::MultiCta)]
+    {
+        let mut scratch = SearchScratch::new();
+        scratch.set_record_trace(false);
+        let curve = wall_curve(wl, &gt, ctx.k, &sweep, true, |itopk, qi| {
+            let params = SearchParams { itopk: itopk.max(ctx.k), ..SearchParams::for_k(ctx.k) };
+            let p = SearchParams { seed: params.seed_for_query(qi), ..params };
+            index.search_mode_with(wl.queries.row(qi), ctx.k, &p, mode, &mut scratch);
+            scratch.results().to_vec()
+        });
+        out.push((label, curve));
+    }
+
     out
+}
+
+/// A wall-clock curve: for each sweep width, `search(width, qi)` runs
+/// once per query on this thread, back to back.
+fn wall_curve(
+    wl: &Workload,
+    gt: &[Vec<u32>],
+    k: usize,
+    sweep: &[usize],
+    scratch_reused: bool,
+    mut search: impl FnMut(usize, usize) -> Vec<Neighbor>,
+) -> Vec<CurvePoint> {
+    sweep
+        .iter()
+        .map(|&param| {
+            let t0 = Instant::now();
+            let results: Vec<Vec<Neighbor>> =
+                (0..wl.queries.len()).map(|qi| search(param, qi)).collect();
+            let wall = t0.elapsed().as_secs_f64();
+            CurvePoint {
+                param,
+                recall: recall_at_k(&results, gt, k),
+                qps_cpu: wl.queries.len() as f64 / wall,
+                qps_sim: 0.0,
+                scratch_reused,
+            }
+        })
+        .collect()
 }
 
 /// Run on DEEP-like and GloVe-like workloads.
@@ -133,7 +162,7 @@ pub fn run(ctx: &ExpContext) {
     for preset in [PresetName::Deep, PresetName::Glove] {
         let wl = Workload::load(preset, ctx);
         for (label, curve) in measure(&wl, ctx) {
-            let sim = label != "NSSG beam (CPU)";
+            let sim = !label.ends_with("(CPU)");
             for p in curve {
                 t.row(vec![
                     preset.label().to_string(),

@@ -49,12 +49,13 @@ pub struct Metrics {
     pub search_iterations: Histogram,
     /// Distance computations per query.
     pub search_distances: Histogram,
-    /// Hash probe steps per traversal iteration.
+    /// Hash probe steps per query (summed over its iterations).
     pub search_probe_len: Histogram,
     /// Visited-table occupancy per query, in tenths of a percent
     /// (0..=1000) so the log buckets resolve the low end.
     pub search_hash_occupancy_permille: Histogram,
-    /// Top-M sort input length per iteration.
+    /// Widest per-worker candidate segment of the query (the input
+    /// length of the GPU's top-M sort; the largest over its iterations).
     pub search_sort_len: Histogram,
     /// Queries that ran the two-phase exact rerank pass.
     pub search_rerank_queries: Counter,

@@ -7,7 +7,7 @@ use crate::config::ServeConfig;
 use crate::error::ServeError;
 use cagra::search::planner;
 use cagra::SearchScratch;
-use knn::parallel::{default_threads, parallel_map_with};
+use knn::parallel::{default_threads, parallel_map_lent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -194,9 +194,22 @@ impl<B: SearchBackend> Drop for Service<B> {
 /// from the realized batch size, fan the batch out over worker
 /// threads, answer every request. Runs until the batcher is closed
 /// and drained.
+///
+/// The dispatcher owns one [`SearchScratch`] per worker slot for the
+/// life of the service and lends them to each batch, so the search
+/// working set (up to a 2 MiB visited table in the multi-CTA plan) is
+/// shaped once rather than allocated and page-faulted per request.
 fn dispatch_loop<B: SearchBackend>(backend: &B, batcher: &Batcher, config: &ServeConfig) {
     let worker_cap =
         if config.worker_threads == 0 { default_threads() } else { config.worker_threads };
+    let untraced = |_| {
+        let mut scratch = SearchScratch::new();
+        scratch.set_record_trace(false);
+        scratch
+    };
+    // ALLOW(alloc): one-time setup before the loop; each scratch is
+    // recycled by every batch its worker slot serves.
+    let mut scratches: Vec<SearchScratch> = (0..worker_cap).map(untraced).collect();
     // ALLOW(alloc): one-time setup before the loop; both buffers are
     // drained and reused across every batch, never reallocated.
     let mut jobs: Vec<Job> = Vec::with_capacity(config.max_batch);
@@ -218,21 +231,13 @@ fn dispatch_loop<B: SearchBackend>(backend: &B, batcher: &Batcher, config: &Serv
         // (A mutable backend's search is clamped, so even a shape
         // staled by a concurrent delete degrades instead of failing.)
         let jobs_ref = &jobs;
-        let results = parallel_map_with(
-            jobs_ref.len(),
-            worker_cap.min(jobs_ref.len()),
-            || {
-                let mut scratch = SearchScratch::new();
-                scratch.set_record_trace(false);
-                scratch
-            },
-            |scratch, i| {
-                // ALLOW(panic): `parallel_map_with` hands out `i` in
-                // `0..jobs_ref.len()` by contract.
-                let job = &jobs_ref[i];
-                backend.search(&job.query, job.k, &params, plan.mode, scratch)
-            },
-        );
+        // `min(batch, worker_cap)` workers; a batch of one runs here.
+        let results = parallel_map_lent(jobs_ref.len(), &mut scratches, |scratch, i| {
+            // ALLOW(panic): `parallel_map_lent` hands out `i` in
+            // `0..jobs_ref.len()` by contract.
+            let job = &jobs_ref[i];
+            backend.search(&job.query, job.k, &params, plan.mode, scratch)
+        });
         let batch_size = jobs.len() as u32;
         for ((job, tx), neighbors) in jobs.drain(..).zip(txs.drain(..)).zip(results) {
             let queue_ns = dispatched.duration_since(job.enqueued).as_nanos() as u64;

@@ -16,14 +16,21 @@
 //!   rejected with the underlying `SearchError` without poisoning the
 //!   batcher.
 //! * **TCP** — the same contract holds across the wire protocol.
+//! * **Scratch recycling** — the dispatcher's per-worker-slot
+//!   `SearchScratch`es outlive every batch; a scratch re-shaped from
+//!   one plan to another (and from `k` to `k`, with rerank) serves
+//!   the same bits as a fresh one, and a batch of `b` still runs on
+//!   `min(b, worker_threads)` workers.
 
-use cagra::{CagraIndex, GraphConfig, SearchError, SearchParams};
+use cagra::search::planner::Mode;
+use cagra::{CagraIndex, GraphConfig, SearchError, SearchParams, SearchScratch};
 use dataset::synth::{Family, SynthSpec};
 use dataset::{Dataset, VectorStore};
 use distance::Metric;
 use knn::topk::Neighbor;
-use serve::{Client, Response, ServeConfig, ServeError, Service, TcpServer};
-use std::sync::Arc;
+use serve::{Client, Response, SearchBackend, ServeConfig, ServeError, Service, TcpServer};
+use std::collections::{BTreeSet, HashSet};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -329,6 +336,131 @@ fn pq_backed_service_serves_two_phase_exact_distances() {
         for n in &resp.neighbors {
             let want = Metric::SquaredL2.distance(queries.row(qi), base.row(n.id as usize));
             assert_eq!(n.dist.to_bits(), want.to_bits(), "query {qi} id {}", n.id);
+        }
+    }
+}
+
+/// The case a recycled scratch could get wrong: one service, one pair
+/// of long-lived scratches, and traffic whose *shape* keeps changing —
+/// lone requests (multi-CTA, 16 workers, the large standard table),
+/// full batches past the Fig. 7 crossover (single-CTA, one worker, the
+/// small forgettable table), small batches in between (fewer CTAs),
+/// `k = 10` beside `k = 1`, every request followed by the exact rerank
+/// pass. Each response must equal `search_mode_with` on a fresh scratch
+/// under the plan its `ResponseMeta` reports, bit for bit.
+#[test]
+fn a_recycled_scratch_serves_every_shape_bit_identically() {
+    const FULL: usize = 112; // >= planner::BATCH_THRESHOLD: single-CTA
+    let spec = SynthSpec { dim: 12, n: 900, queries: FULL, family: Family::Gaussian, seed: 42 };
+    let (base, queries) = spec.generate();
+    let pq_store = dataset::pq::build(&base, &dataset::pq::PqConfig::new(4));
+    let (graph, _) = cagra::build_graph(&base, Metric::SquaredL2, &GraphConfig::new(16));
+    let mut index = CagraIndex::from_parts(pq_store, graph, Metric::SquaredL2);
+    index.set_rerank_store(Box::new(Dataset::from_flat(base.as_flat().to_vec(), base.dim())));
+
+    let mut params = SearchParams::for_k(K);
+    params.itopk = 128;
+    params.rerank_depth = 64;
+    let mut config = ServeConfig::new(params);
+    config.max_batch = FULL;
+    // Co-submitted waves coalesce; a full wave dispatches at once.
+    config.max_wait = Duration::from_millis(500);
+    config.worker_threads = 2;
+    let service = Service::start(index, config).expect("start service");
+
+    let mut plans = BTreeSet::new();
+    for (wave, &size) in [1, FULL, 1, 7, FULL, 2].iter().enumerate() {
+        let ks: Vec<usize> = (0..size).map(|i| if (wave + i) % 3 == 0 { 1 } else { K }).collect();
+        let handles: Vec<_> = ks
+            .iter()
+            .enumerate()
+            .map(|(qi, &k)| service.submit(queries.row(qi), k).expect("admitted"))
+            .collect();
+        for (qi, (handle, &k)) in handles.into_iter().zip(&ks).enumerate() {
+            let resp = handle.wait().expect("served");
+            let mode = resp.meta.mode;
+            plans.insert((mode == Mode::SingleCta, resp.meta.num_cta));
+            let p = SearchParams { num_cta: resp.meta.num_cta as usize, ..params };
+            let mut fresh = SearchScratch::new();
+            service.backend().search_mode_with(queries.row(qi), k, &p, mode, &mut fresh);
+            assert_eq!(resp.neighbors.len(), k);
+            let label = format!("wave {wave} query {qi} k {k} {mode:?} x{}", resp.meta.num_cta);
+            assert_bit_identical(&resp.neighbors, fresh.results(), &label);
+        }
+    }
+    assert!(plans.contains(&(false, 16)), "a lone request runs the full multi-CTA plan");
+    assert!(plans.iter().any(|&(single, _)| single), "a full batch runs single-CTA: {plans:?}");
+    assert!(plans.len() >= 3, "the scratch was re-shaped across plans: {plans:?}");
+}
+
+/// A backend that notes, for every search, which thread ran it, which
+/// scratch it was lent, and whether that scratch had served before.
+struct Probe {
+    index: CagraIndex<Dataset>,
+    seen: Mutex<Vec<(thread::ThreadId, usize, bool)>>,
+}
+
+impl SearchBackend for Probe {
+    fn dim(&self) -> usize {
+        SearchBackend::dim(&self.index)
+    }
+
+    fn epoch(&self) -> u64 {
+        0
+    }
+
+    fn validate_shape(&self, dim: usize, k: usize, p: &SearchParams) -> Result<(), SearchError> {
+        self.index.validate_shape(dim, k, p)
+    }
+
+    fn search(
+        &self,
+        query: &[f32],
+        k: usize,
+        params: &SearchParams,
+        mode: Mode,
+        scratch: &mut SearchScratch,
+    ) -> Vec<Neighbor> {
+        let neighbors = SearchBackend::search(&self.index, query, k, params, mode, scratch);
+        let lent = scratch as *const SearchScratch as usize;
+        self.seen.lock().unwrap().push((thread::current().id(), lent, scratch.reused()));
+        neighbors
+    }
+}
+
+#[test]
+fn batches_fan_out_over_min_b_worker_threads_recycled_scratches() {
+    // (worker_threads, batch): 2 workers for 4 jobs, 3 workers for 3.
+    for (worker_threads, batch) in [(2usize, 4usize), (8, 3)] {
+        let (index, queries) = build_index();
+        let mut config = ServeConfig::new(SearchParams::for_k(K));
+        config.worker_threads = worker_threads;
+        config.max_batch = batch;
+        config.max_wait = Duration::from_secs(2);
+        let probe = Probe { index, seen: Mutex::new(Vec::new()) };
+        let service = Service::start(probe, config).expect("start service");
+        let workers = batch.min(worker_threads);
+
+        let mut scratches = BTreeSet::new();
+        for wave in 0..3 {
+            let handles: Vec<_> = (0..batch)
+                .map(|qi| service.submit(queries.row(qi), K).expect("admitted"))
+                .collect();
+            for handle in handles {
+                assert_eq!(handle.wait().expect("served").meta.batch_size as usize, batch);
+            }
+            let seen = std::mem::take(&mut *service.backend().seen.lock().unwrap());
+            assert_eq!(seen.len(), batch);
+            let threads: HashSet<_> = seen.iter().map(|&(thread, _, _)| thread).collect();
+            assert_eq!(threads.len(), workers, "wave {wave}: one thread per worker");
+            let lent: BTreeSet<usize> = seen.iter().map(|&(_, scratch, _)| scratch).collect();
+            assert_eq!(lent.len(), workers, "wave {wave}: one scratch per worker");
+            if wave == 0 {
+                scratches = lent;
+            } else {
+                assert_eq!(lent, scratches, "wave {wave}: the same scratches, not fresh ones");
+                assert!(seen.iter().all(|&(_, _, reused)| reused), "wave {wave}: recycled state");
+            }
         }
     }
 }
