@@ -54,8 +54,7 @@ pub fn to_json(reports: &[PassReport]) -> String {
         counters.push((format!("analyze.{}.violations", r.pass), r.violations));
     }
     let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"schema\": \"cagra-metrics-v1\",\n  \"enabled\": true");
-    out.push_str(",\n  \"counters\": [");
+    out.push_str("{\n  \"schema\": \"cagra-metrics-v1\",\n  \"counters\": [");
     for (i, (name, value)) in counters.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str("    {\"name\": ");

@@ -24,15 +24,18 @@
 //! code matrix (internal row order, matching the graph), then the
 //! graph, then the **full-precision vectors in original id order**,
 //! zero-padded so the f32 region starts on an 8-byte-aligned file
-//! offset. [`read_index_pq`] memory-maps that tail region
+//! offset. The loader memory-maps that tail region
 //! ([`crate::mmap::MmapVectors`]) and attaches it as the index's
 //! two-phase rerank source, so a multi-million-point bundle keeps only
 //! `m` bytes per vector resident. [`write_index`] still emits v2 —
 //! plain f32 bundles stay readable by older loaders.
 //!
-//! Every reader shares one prefix parser (header, relabel section,
-//! storage tag). [`read_bundle`] loads whichever storage a file
-//! carries; [`read_index`] and [`read_index_pq`] accept exactly one.
+//! There is one loader, [`read_bundle`], which takes whichever storage
+//! a file carries, plus one typed wrapper, [`read_index_pq`], for
+//! callers that need the PQ index. Both read a path, so every
+//! allocation a header sizes is first checked against the bytes the
+//! file actually holds: a corrupt header is a typed error, never an
+//! abort.
 
 use crate::mmap::MmapVectors;
 use crate::search::index::CagraIndex;
@@ -125,7 +128,7 @@ pub fn write_index<W: Write>(mut w: W, index: &CagraIndex<Dataset>) -> io::Resul
 
 /// Serialize a product-quantized index as a v3 bundle: codes + graph
 /// up front, then `full`'s f32 rows as the 8-aligned tail region
-/// [`read_index_pq`] memory-maps for the two-phase rerank.
+/// [`read_bundle`] memory-maps for the two-phase rerank.
 ///
 /// `full` must hold the full-precision vectors in **original** id
 /// order (the order before any locality relabel — search results carry
@@ -176,7 +179,7 @@ struct Prefix {
     storage: Storage,
 }
 
-fn read_prefix<R: Read>(r: &mut R) -> io::Result<Prefix> {
+fn read_prefix<R: Read>(r: &mut CountReader<R>) -> io::Result<Prefix> {
     let mut header = [0u8; 4 + 4 + 1 + 8 + 8];
     r.read_exact(&mut header)?;
     if &header[0..4] != MAGIC {
@@ -216,13 +219,12 @@ fn read_graph<R: Read>(r: R, n: usize) -> io::Result<graph::FixedDegreeGraph> {
 }
 
 /// The plain-f32 body: `n * dim` vectors, then the graph.
-fn read_f32_body<R: Read>(mut r: R, p: Prefix) -> io::Result<CagraIndex<Dataset>> {
+fn read_f32_body<R: Read>(mut r: CountReader<R>, p: Prefix) -> io::Result<CagraIndex<Dataset>> {
     let total =
         p.n.checked_mul(p.dim)
             .and_then(|t| t.checked_mul(4))
             .ok_or_else(|| invalid("index size overflow"))?;
-    let mut body = vec![0u8; total];
-    r.read_exact(&mut body)?;
+    let body = r.read_vec(total, "vector block")?;
     let flat: Vec<f32> =
         body.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
     let store = Dataset::from_flat(flat, p.dim);
@@ -238,11 +240,15 @@ fn read_pq_body<R: Read>(
     p: Prefix,
     path: &Path,
 ) -> io::Result<CagraIndex<PqStore>> {
+    // The codebook stores at least one f32 per dimension: a header
+    // `dim` the file cannot hold is refused before its tables are sized.
+    if (p.dim as u64).saturating_mul(4) > r.remaining() {
+        return Err(invalid(format!("dimension {} exceeds what the file holds", p.dim)));
+    }
     let codebook = PqCodebook::read_from(r, p.dim)?;
     let code_bytes =
         p.n.checked_mul(codebook.m()).ok_or_else(|| invalid("code matrix overflow"))?;
-    let mut codes = vec![0u8; code_bytes];
-    r.read_exact(&mut codes)?;
+    let codes = r.read_vec(code_bytes, "code matrix")?;
     let g = read_graph(&mut *r, p.n)?;
     let mut pad = [0u8; 1];
     r.read_exact(&mut pad)?;
@@ -263,7 +269,9 @@ fn read_pq_body<R: Read>(
 }
 
 fn open_bundle(path: &Path) -> io::Result<(CountReader<BufReader<std::fs::File>>, Prefix)> {
-    let mut r = CountReader { inner: BufReader::new(std::fs::File::open(path)?), pos: 0 };
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut r = CountReader { inner: BufReader::new(file), pos: 0, len };
     let prefix = read_prefix(&mut r)?;
     Ok((r, prefix))
 }
@@ -285,15 +293,6 @@ pub fn read_bundle(path: &Path) -> io::Result<Bundle> {
     }
 }
 
-/// Deserialize a bundle written by [`write_index`].
-pub fn read_index<R: Read>(mut r: R) -> io::Result<CagraIndex<Dataset>> {
-    let prefix = read_prefix(&mut r)?;
-    if prefix.storage != Storage::F32 {
-        return Err(invalid("bundle stores product-quantized vectors; load it with read_index_pq"));
-    }
-    read_f32_body(r, prefix)
-}
-
 /// Load a product-quantized v3 bundle from disk. Searches with
 /// `rerank_depth > 0` work out of the box (the full-precision tail is
 /// mapped, not read) while resident memory stays at `m` bytes per
@@ -301,7 +300,7 @@ pub fn read_index<R: Read>(mut r: R) -> io::Result<CagraIndex<Dataset>> {
 pub fn read_index_pq(path: &Path) -> io::Result<CagraIndex<PqStore>> {
     let (mut r, prefix) = open_bundle(path)?;
     if prefix.storage != Storage::Pq {
-        return Err(invalid("bundle stores plain f32 vectors; load it with read_index"));
+        return Err(invalid("bundle stores plain f32 vectors; load it with read_bundle"));
     }
     read_pq_body(&mut r, prefix, path)
 }
@@ -325,10 +324,32 @@ impl<W: Write> Write for CountWriter<W> {
 }
 
 /// Read adapter tracking the absolute byte position — yields the file
-/// offset of the mapped vector region after the sequential prefix.
+/// offset of the mapped vector region after the sequential prefix —
+/// against the file's length, which bounds every header-sized read.
 struct CountReader<R> {
     inner: R,
     pos: u64,
+    len: u64,
+}
+
+impl<R: Read> CountReader<R> {
+    fn remaining(&self) -> u64 {
+        self.len.saturating_sub(self.pos)
+    }
+
+    /// Read `bytes` bytes of a section the header sized, refusing
+    /// before allocating when the file cannot hold them.
+    fn read_vec(&mut self, bytes: usize, what: &str) -> io::Result<Vec<u8>> {
+        let left = self.remaining();
+        if bytes as u64 > left {
+            return Err(invalid(format!(
+                "{what} claims {bytes} bytes but only {left} remain in the file"
+            )));
+        }
+        let mut buf = vec![0u8; bytes];
+        self.read_exact(&mut buf)?;
+        Ok(buf)
+    }
 }
 
 impl<R: Read> Read for CountReader<R> {
@@ -343,7 +364,7 @@ impl<R: Read> Read for CountReader<R> {
 /// tag is nonzero) the `old_of_new` permutation, validated as a
 /// bijection so a corrupt bundle fails here instead of panicking (or
 /// silently mis-mapping) at search time.
-fn read_id_map<R: Read>(r: &mut R, n: usize) -> io::Result<Option<IdMap>> {
+fn read_id_map<R: Read>(r: &mut CountReader<R>, n: usize) -> io::Result<Option<IdMap>> {
     let mut tag = [0u8; 1];
     r.read_exact(&mut tag)?;
     let strategy = match tag[0] {
@@ -351,8 +372,7 @@ fn read_id_map<R: Read>(r: &mut R, n: usize) -> io::Result<Option<IdMap>> {
         t => RelabelStrategy::from_tag(t).ok_or_else(|| invalid(format!("bad relabel tag {t}")))?,
     };
     let bytes = n.checked_mul(4).ok_or_else(|| invalid("permutation size overflow"))?;
-    let mut raw = vec![0u8; bytes];
-    r.read_exact(&mut raw)?;
+    let raw = r.read_vec(bytes, "relabel permutation")?;
     let old_of_new: Vec<u32> =
         raw.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
     let mut seen = vec![false; n];
@@ -378,12 +398,38 @@ mod tests {
         CagraIndex::build(base, Metric::SquaredL2, &GraphConfig::new(8)).0
     }
 
+    fn tmpfile(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("cagra_bundle_{}_{tag}.cgix", std::process::id()))
+    }
+
+    /// Load `bytes` through [`read_bundle`] from a temp file named by
+    /// `tag` (tests run in parallel, so every call site uses its own).
+    fn load(tag: &str, bytes: &[u8]) -> io::Result<Bundle> {
+        let path = tmpfile(tag);
+        std::fs::write(&path, bytes).unwrap();
+        let out = read_bundle(&path);
+        std::fs::remove_file(&path).ok();
+        out
+    }
+
+    /// [`load`] a bundle that must carry plain f32 storage.
+    fn load_f32(tag: &str, bytes: &[u8]) -> io::Result<CagraIndex<Dataset>> {
+        match load(tag, bytes)? {
+            Bundle::F32(index) => Ok(index),
+            Bundle::Pq(_) => panic!("f32 bundle loaded as PQ"),
+        }
+    }
+
+    fn write(index: &CagraIndex<Dataset>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_index(&mut buf, index).unwrap();
+        buf
+    }
+
     #[test]
     fn bundle_round_trip_searches_identically() {
         let index = build();
-        let mut buf = Vec::new();
-        write_index(&mut buf, &index).unwrap();
-        let back = read_index(&buf[..]).unwrap();
+        let back = load_f32("rt", &write(&index)).unwrap();
         assert_eq!(back.metric(), Metric::SquaredL2);
         assert_eq!(back.graph(), index.graph());
         let q: Vec<f32> = index.store().row(5).to_vec();
@@ -393,27 +439,23 @@ mod tests {
 
     #[test]
     fn corrupt_magic_and_version_rejected() {
-        let index = build();
-        let mut buf = Vec::new();
-        write_index(&mut buf, &index).unwrap();
+        let buf = write(&build());
         let mut bad = buf.clone();
         bad[0] = b'X';
-        assert!(read_index(&bad[..]).is_err());
+        assert!(load_f32("bad_magic", &bad).is_err());
         let mut bad = buf.clone();
         bad[4] = 9;
-        assert!(read_index(&bad[..]).is_err());
+        assert!(load_f32("bad_version", &bad).is_err());
         let mut bad = buf;
         bad[8] = 7; // invalid metric tag
-        assert!(read_index(&bad[..]).is_err());
+        assert!(load_f32("bad_metric", &bad).is_err());
     }
 
     #[test]
     fn truncated_bundle_rejected() {
-        let index = build();
-        let mut buf = Vec::new();
-        write_index(&mut buf, &index).unwrap();
+        let mut buf = write(&build());
         buf.truncate(buf.len() / 2);
-        assert!(read_index(&buf[..]).is_err());
+        assert!(load_f32("trunc", &buf).is_err());
     }
 
     #[test]
@@ -424,9 +466,7 @@ mod tests {
         p.hash = crate::params::HashPolicy::Standard;
         let baseline = index.search(&q, 5, &p);
         index.relabel(crate::RelabelStrategy::Rcm);
-        let mut buf = Vec::new();
-        write_index(&mut buf, &index).unwrap();
-        let back = read_index(&buf[..]).unwrap();
+        let back = load_f32("relabel_rt", &write(&index)).unwrap();
         let m = back.id_map().expect("relabeled bundle must carry its map");
         assert_eq!(m.strategy, crate::RelabelStrategy::Rcm);
         assert_eq!(m.perm, index.id_map().unwrap().perm);
@@ -436,14 +476,13 @@ mod tests {
     #[test]
     fn version_1_bundle_loads_as_identity() {
         let index = build();
-        let mut buf = Vec::new();
-        write_index(&mut buf, &index).unwrap();
+        let mut buf = write(&index);
         // Surgically downgrade: version 2 → 1, drop the relabel tag
         // byte that v1 never had (offset 25, right after the header).
         assert_eq!(buf[25], 0, "unrelabeled bundle writes tag 0");
         buf[4..8].copy_from_slice(&1u32.to_le_bytes());
         buf.remove(25);
-        let back = read_index(&buf[..]).unwrap();
+        let back = load_f32("v1", &buf).unwrap();
         assert!(back.id_map().is_none());
         assert_eq!(back.graph(), index.graph());
         let q: Vec<f32> = index.store().row(7).to_vec();
@@ -455,15 +494,14 @@ mod tests {
     fn corrupt_relabel_section_rejected() {
         let mut index = build();
         index.relabel(crate::RelabelStrategy::Degree);
-        let mut buf = Vec::new();
-        write_index(&mut buf, &index).unwrap();
+        let buf = write(&index);
         let mut bad = buf.clone();
         bad[25] = 9; // unknown strategy tag
-        assert!(read_index(&bad[..]).is_err());
+        assert!(load_f32("bad_relabel_tag", &bad).is_err());
         let mut bad = buf;
         let dup: [u8; 4] = bad[30..34].try_into().unwrap();
         bad[26..30].copy_from_slice(&dup); // duplicate id
-        assert!(read_index(&bad[..]).is_err());
+        assert!(load_f32("dup_relabel_id", &bad).is_err());
     }
 
     #[test]
@@ -473,9 +511,8 @@ mod tests {
                 SynthSpec { dim: 6, n: 120, queries: 0, family: Family::Gaussian, seed: 2 }
                     .generate();
             let index = CagraIndex::build(base, m, &GraphConfig::new(8)).0;
-            let mut buf = Vec::new();
-            write_index(&mut buf, &index).unwrap();
-            assert_eq!(read_index(&buf[..]).unwrap().metric(), m);
+            let tag = format!("metric_{}", metric_tag(m));
+            assert_eq!(load_f32(&tag, &write(&index)).unwrap().metric(), m);
         }
     }
 
@@ -489,10 +526,6 @@ mod tests {
         let mut index = CagraIndex::from_parts(store, g, Metric::SquaredL2);
         index.set_rerank_store(Box::new(Dataset::from_flat(base.as_flat().to_vec(), base.dim())));
         (index, base, queries)
-    }
-
-    fn tmpfile(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("cagra_bundle_{}_{tag}.cgix", std::process::id()))
     }
 
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -596,18 +629,12 @@ mod tests {
     }
 
     #[test]
-    fn readers_reject_each_others_bundles_with_pointers() {
-        let (index, base, _) = build_pq();
-        let mut pq_bytes = Vec::new();
-        write_index_pq(&mut pq_bytes, &index, &base).unwrap();
-        let err = read_index(&pq_bytes[..]).err().expect("plain reader must reject PQ bundle");
-        assert!(err.to_string().contains("read_index_pq"), "got: {err}");
-
+    fn pq_reader_rejects_f32_bundle_with_pointer() {
         let f32_index = build();
         let path = tmpfile("f32_as_pq");
         write_index(std::fs::File::create(&path).unwrap(), &f32_index).unwrap();
         let err = read_index_pq(&path).err().expect("PQ reader must reject f32 bundle");
-        assert!(err.to_string().contains("read_index"), "got: {err}");
+        assert!(err.to_string().contains("read_bundle"), "got: {err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -69,12 +69,6 @@ fn dump_metrics(args: &Args, report: &mut String) -> Result<(), String> {
     std::fs::write(path, snap.to_json()).map_err(|e| format!("write {path}: {e}"))?;
     let _ = writeln!(report, "\n{}", snap.render());
     let _ = writeln!(report, "[metrics written to {path}]");
-    if !snap.enabled {
-        let _ = writeln!(
-            report,
-            "note: built without the `obs` feature; metrics are empty (rebuild with `--features obs`)"
-        );
-    }
     Ok(())
 }
 

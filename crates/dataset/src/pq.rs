@@ -297,21 +297,23 @@ impl PqCodebook {
             let dsub = (starts[s + 1] - starts[s]) as usize;
             cent_off.push(cent_off[s] + (ksub * dsub) as u32);
         }
-        let mut centroids = vec![0f32; *cent_off.last().unwrap() as usize];
-        read_f32_into(r, &mut centroids)?;
-        let mut bound = vec![0f32; m];
-        read_f32_into(r, &mut bound)?;
+        let centroids = read_f32s(r, *cent_off.last().unwrap() as usize)?;
+        let bound = read_f32s(r, m)?;
         Ok(PqCodebook { dim, m, ksub, starts, centroids, cent_off, bound })
     }
 }
 
-fn read_f32_into<R: Read>(r: &mut R, out: &mut [f32]) -> io::Result<()> {
+/// Read `len` little-endian f32s, growing the table as values arrive
+/// so a corrupt header fails at end of input instead of allocating
+/// what it claims.
+fn read_f32s<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<f32>> {
+    let mut out = Vec::new();
     let mut buf = [0u8; 4];
-    for v in out {
+    for _ in 0..len {
         r.read_exact(&mut buf)?;
-        *v = f32::from_le_bytes(buf);
+        out.push(f32::from_le_bytes(buf));
     }
-    Ok(())
+    Ok(out)
 }
 
 /// An `N x m` matrix of one-byte codes over a shared codebook.

@@ -7,7 +7,7 @@
 //! ```text
 //! cargo run -p eval --release -- fig13 --n 8000
 //! cargo run -p eval --release -- all --out-dir results
-//! cargo run -p eval --features obs -- fig10 --metrics-out metrics.json
+//! cargo run -p eval --release -- fig10 --metrics-out metrics.json
 //! ```
 
 use eval::context::ExpContext;
@@ -119,9 +119,6 @@ fn main() {
         }
         println!("\n{}", snap.render());
         println!("[metrics written to {path}]");
-        if !snap.enabled {
-            eprintln!("note: built without the `obs` feature; metrics are empty (rebuild with `--features obs`)");
-        }
     }
 }
 

@@ -54,11 +54,20 @@ pub fn read_fixed<R: Read>(mut r: R) -> io::Result<FixedDegreeGraph> {
     }
     let n = cursor.get_u64_le() as usize;
     let degree = cursor.get_u64_le() as usize;
-    let total = n
+    if degree == 0 {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "graph degree is zero"));
+    }
+    let bytes = n
         .checked_mul(degree)
+        .and_then(|t| t.checked_mul(4))
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "graph size overflow"))?;
-    let mut body = vec![0u8; total * 4];
-    r.read_exact(&mut body)?;
+    // The header is untrusted: grow the body as bytes actually arrive
+    // instead of allocating what it claims up front.
+    let mut body = Vec::new();
+    r.take(bytes as u64).read_to_end(&mut body)?;
+    if body.len() != bytes {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated graph body"));
+    }
     let neighbors = body
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))

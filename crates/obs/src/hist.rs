@@ -2,26 +2,21 @@
 //!
 //! Values are binned log-linearly: 4 sub-buckets per power of two
 //! (values 0..8 are exact), giving <= 12.5% relative error on any
-//! reported quantile while keeping `record` to a handful of relaxed
-//! atomic adds — cheap enough for the single-CTA per-iteration hot
-//! path. `sum` and `max` are tracked exactly.
+//! reported quantile while keeping `record` to four relaxed atomic ops
+//! (bucket, count and sum adds plus a `fetch_max`). `sum` and `max`
+//! are tracked exactly.
 
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// log2 of the sub-buckets per power of two.
-#[cfg(any(feature = "enabled", test))]
 const SUB_BITS: u32 = 2;
 /// Sub-buckets per power of two.
-#[cfg(any(feature = "enabled", test))]
 const SUBS: u64 = 1 << SUB_BITS;
 /// Total bucket count: identity range + (exponent, sub) pairs. The
 /// largest index, for `u64::MAX`, is `(63 - 1) * 4 + 3 = 251`.
-#[cfg(any(feature = "enabled", test))]
 const BUCKETS: usize = 252;
 
 /// Bucket index for `v` (monotone in `v`).
-#[cfg(any(feature = "enabled", test))]
 #[inline]
 fn bucket_index(v: u64) -> usize {
     if v < 2 * SUBS {
@@ -35,7 +30,6 @@ fn bucket_index(v: u64) -> usize {
 }
 
 /// Largest value falling into bucket `i` (the reported quantile value).
-#[cfg(any(feature = "enabled", test))]
 fn bucket_upper(i: usize) -> u64 {
     let i = i as u64;
     if i < 2 * SUBS {
@@ -50,17 +44,11 @@ fn bucket_upper(i: usize) -> u64 {
 }
 
 /// A concurrent log-bucketed histogram of `u64` samples.
-///
-/// Zero-sized and inert without the `enabled` feature.
 #[derive(Debug)]
 pub struct Histogram {
-    #[cfg(feature = "enabled")]
     buckets: [AtomicU64; BUCKETS],
-    #[cfg(feature = "enabled")]
     count: AtomicU64,
-    #[cfg(feature = "enabled")]
     sum: AtomicU64,
-    #[cfg(feature = "enabled")]
     max: AtomicU64,
 }
 
@@ -73,98 +61,57 @@ impl Default for Histogram {
 impl Histogram {
     /// An empty histogram (const — usable in statics).
     pub const fn new() -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            #[allow(clippy::declare_interior_mutable_const)]
-            const ZERO: AtomicU64 = AtomicU64::new(0);
-            Histogram {
-                buckets: [ZERO; BUCKETS],
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                max: AtomicU64::new(0),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Histogram {}
+        #[allow(clippy::declare_interior_mutable_const)]
+        const ZERO: AtomicU64 = AtomicU64::new(0);
+        Histogram {
+            buckets: [ZERO; BUCKETS],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(feature = "enabled")]
-        if crate::recording() {
-            self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Number of recorded samples (0 in a disabled build).
+    /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.count.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.count.load(Ordering::Relaxed)
     }
 
     /// Exact sum of recorded samples.
     pub fn sum(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.sum.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// Exact maximum recorded sample (0 when empty).
     pub fn max(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.max.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.max.load(Ordering::Relaxed)
     }
 
     /// The `q`-quantile (`0.0..=1.0`) as the upper bound of the bucket
     /// holding the rank-`ceil(q * count)` sample; 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            let count = self.count();
-            if count == 0 {
-                return 0;
-            }
-            let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-            let mut seen = 0u64;
-            for (i, b) in self.buckets.iter().enumerate() {
-                seen += b.load(Ordering::Relaxed);
-                if seen >= rank {
-                    // Never report past the exact max.
-                    return bucket_upper(i).min(self.max());
-                }
-            }
-            self.max()
+        let count = self.count();
+        if count == 0 {
+            return 0;
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = q;
-            0
+        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (i, b) in self.buckets.iter().enumerate() {
+            seen += b.load(Ordering::Relaxed);
+            if seen >= rank {
+                // Never report past the exact max.
+                return bucket_upper(i).min(self.max());
+            }
         }
+        self.max()
     }
 
     /// Mean of recorded samples (0 when empty).
@@ -174,15 +121,12 @@ impl Histogram {
 
     /// Forget all samples.
     pub fn reset(&self) {
-        #[cfg(feature = "enabled")]
-        {
-            for b in &self.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            self.count.store(0, Ordering::Relaxed);
-            self.sum.store(0, Ordering::Relaxed);
-            self.max.store(0, Ordering::Relaxed);
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
         }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
     }
 }
 
@@ -231,14 +175,9 @@ mod tests {
 
     #[test]
     fn quantiles_of_uniform_stream() {
-        let _g = crate::test_lock();
         let h = Histogram::new();
         for v in 1..=1000u64 {
             h.record(v);
-        }
-        if !crate::compiled_in() {
-            assert_eq!(h.count(), 0);
-            return;
         }
         assert_eq!(h.count(), 1000);
         assert_eq!(h.sum(), 500_500);

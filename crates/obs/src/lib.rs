@@ -17,17 +17,13 @@
 //!   renderable as an aligned text table or machine-readable JSON
 //!   (hand-rolled writer; the workspace has no serde runtime).
 //!
-//! # Feature gating
+//! # Cost
 //!
-//! Everything compiles to a **true no-op unless the `enabled` feature
-//! is on**: the structs carry no fields, the record methods are empty
-//! inline functions, and no `Instant::now` is ever called — zero
-//! overhead, zero size. Downstream crates re-export the switch as
-//! their own `obs` feature (e.g. `cagra/obs`), so a production build
-//! pays nothing unless observability is asked for. With the feature
-//! on, a runtime kill-switch ([`set_recording`]) allows bit-identical
-//! A/B runs inside one binary; recording never feeds back into any
-//! algorithm, so results are identical either way.
+//! There is one build: every record is a relaxed atomic op on a
+//! statically allocated field, with no lookup, lock or allocation.
+//! Recording never feeds back into any algorithm, so results are
+//! identical to an uninstrumented run (`tests/search_golden.rs` pins
+//! the search kernel bit for bit with recording on).
 
 pub mod hist;
 pub mod registry;
@@ -39,69 +35,24 @@ pub use registry::{metrics, reset, Metrics};
 pub use snapshot::{CounterSnapshot, HistogramSnapshot, MetricsSnapshot, SpanSnapshot};
 pub use span::{Span, SpanGuard, Stopwatch};
 
-#[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// True when the crate was compiled with the `enabled` feature.
-pub const fn compiled_in() -> bool {
-    cfg!(feature = "enabled")
-}
-
-#[cfg(feature = "enabled")]
-static RECORDING: AtomicBool = AtomicBool::new(true);
-
-/// Runtime kill-switch: when off, every record call returns without
-/// touching state. Always `false` in a build without the `enabled`
-/// feature.
-#[inline]
-pub fn recording() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        RECORDING.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
-}
-
-/// Enable or disable recording at runtime (no-op when the `enabled`
-/// feature is off). Used by the parity tests to prove instrumentation
-/// never perturbs search results.
-pub fn set_recording(on: bool) {
-    #[cfg(feature = "enabled")]
-    RECORDING.store(on, Ordering::Relaxed);
-    #[cfg(not(feature = "enabled"))]
-    let _ = on;
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically increasing event count.
-///
-/// Zero-sized and inert without the `enabled` feature.
 #[derive(Debug, Default)]
 pub struct Counter {
-    #[cfg(feature = "enabled")]
     value: AtomicU64,
 }
 
 impl Counter {
     /// A zeroed counter (const — usable in statics).
     pub const fn new() -> Self {
-        Counter {
-            #[cfg(feature = "enabled")]
-            value: AtomicU64::new(0),
-        }
+        Counter { value: AtomicU64::new(0) }
     }
 
     /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
-        if recording() {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add one.
@@ -110,34 +61,14 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value (0 in a disabled build).
+    /// Current value.
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.value.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.value.load(Ordering::Relaxed)
     }
 
     /// Reset to zero.
     pub fn reset(&self) {
-        #[cfg(feature = "enabled")]
         self.value.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Serializes tests that record or toggle the global recording flag
-/// (the flag is process-wide, and `cargo test` runs in parallel).
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    use std::sync::{Mutex, OnceLock};
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }
 
@@ -146,27 +77,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_counts_and_kill_switch_stops_recording() {
-        let _g = test_lock();
+    fn counter_counts_and_resets() {
         let c = Counter::new();
         c.add(3);
         c.inc();
-        assert_eq!(c.get(), if compiled_in() { 4 } else { 0 });
+        assert_eq!(c.get(), 4);
         c.reset();
-        set_recording(false);
+        assert_eq!(c.get(), 0);
         c.add(10);
-        assert_eq!(c.get(), 0, "recording off must drop the add");
-        set_recording(true);
-        c.add(10);
-        assert_eq!(c.get(), if compiled_in() { 10 } else { 0 });
-    }
-
-    #[test]
-    fn disabled_build_is_zero_sized() {
-        if !compiled_in() {
-            assert_eq!(std::mem::size_of::<Counter>(), 0);
-            assert_eq!(std::mem::size_of::<Histogram>(), 0);
-            assert_eq!(std::mem::size_of::<Span>(), 0);
-        }
+        assert_eq!(c.get(), 10);
     }
 }

@@ -280,7 +280,7 @@ impl Metrics {
                 max: h.max(),
             })
             .collect();
-        MetricsSnapshot { enabled: crate::compiled_in(), counters, spans, histograms }
+        MetricsSnapshot { counters, spans, histograms }
     }
 
     /// Zero every metric (test/bench isolation).
@@ -318,7 +318,6 @@ mod tests {
 
     #[test]
     fn snapshot_covers_every_field_and_reset_zeroes() {
-        let _g = crate::test_lock();
         reset();
         let m = metrics();
         m.build_graphs.inc();
@@ -328,25 +327,20 @@ mod tests {
         m.sim_tx_expand.add(3);
         m.serve_batch_size.record(4);
         let snap = m.snapshot();
-        assert_eq!(snap.enabled, crate::compiled_in());
         assert_eq!(snap.counters.len(), 25);
         assert_eq!(snap.spans.len(), 7);
         assert_eq!(snap.histograms.len(), 15);
         let get = |n: &str| snap.counters.iter().find(|c| c.name == n).unwrap().value;
-        if crate::compiled_in() {
-            assert_eq!(get("build.graphs"), 1);
-            assert_eq!(get("sim.cycles_hash"), 7);
-            assert_eq!(get("sim.tx_expand"), 3);
-            let lat = snap.histograms.iter().find(|h| h.name == "search.latency_ns").unwrap();
-            assert_eq!(lat.count, 1);
-            assert_eq!(lat.max, 1234);
-            let join = snap.spans.iter().find(|s| s.name == "build.nn_join").unwrap();
-            assert_eq!(join.total_ns, 999);
-            let bs = snap.histograms.iter().find(|h| h.name == "serve.batch_size").unwrap();
-            assert_eq!((bs.count, bs.max), (1, 4));
-        } else {
-            assert_eq!(get("build.graphs"), 0);
-        }
+        assert_eq!(get("build.graphs"), 1);
+        assert_eq!(get("sim.cycles_hash"), 7);
+        assert_eq!(get("sim.tx_expand"), 3);
+        let lat = snap.histograms.iter().find(|h| h.name == "search.latency_ns").unwrap();
+        assert_eq!(lat.count, 1);
+        assert_eq!(lat.max, 1234);
+        let join = snap.spans.iter().find(|s| s.name == "build.nn_join").unwrap();
+        assert_eq!(join.total_ns, 999);
+        let bs = snap.histograms.iter().find(|h| h.name == "serve.batch_size").unwrap();
+        assert_eq!((bs.count, bs.max), (1, 4));
         reset();
         let snap = m.snapshot();
         assert!(snap.counters.iter().all(|c| c.value == 0));

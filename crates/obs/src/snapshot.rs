@@ -37,9 +37,6 @@ pub struct HistogramSnapshot {
 /// A copy of every registered metric, ready for export.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Whether the producing binary compiled the `enabled` feature in.
-    /// `false` means every list below is present but all-zero.
-    pub enabled: bool,
     pub counters: Vec<CounterSnapshot>,
     pub spans: Vec<SpanSnapshot>,
     pub histograms: Vec<HistogramSnapshot>,
@@ -65,9 +62,7 @@ impl MetricsSnapshot {
     /// Serialize as a self-describing JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"cagra-metrics-v1\",\n  \"enabled\": ");
-        out.push_str(if self.enabled { "true" } else { "false" });
-        out.push_str(",\n  \"counters\": [");
+        out.push_str("{\n  \"schema\": \"cagra-metrics-v1\",\n  \"counters\": [");
         for (i, c) in self.counters.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    {\"name\": ");
@@ -102,11 +97,7 @@ impl MetricsSnapshot {
     /// Render as an aligned human-readable table. Metrics that never
     /// recorded are skipped here (unlike the JSON, which keeps them).
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "metrics snapshot (obs {})\n",
-            if self.enabled { "enabled" } else { "disabled — all zero" }
-        ));
+        let mut out = String::from("metrics snapshot\n");
         let live_spans: Vec<_> = self.spans.iter().filter(|s| s.count > 0).collect();
         if !live_spans.is_empty() {
             out.push_str(&format!(
@@ -144,9 +135,6 @@ impl MetricsSnapshot {
                 out.push_str(&format!("  {:<34} {:>16}\n", c.name, c.value));
             }
         }
-        if !self.enabled {
-            out.push_str("\n  (build without the `obs` feature: nothing was recorded)\n");
-        }
         out
     }
 }
@@ -157,7 +145,6 @@ mod tests {
 
     fn sample() -> MetricsSnapshot {
         MetricsSnapshot {
-            enabled: true,
             counters: vec![
                 CounterSnapshot { name: "search.queries".into(), value: 64 },
                 CounterSnapshot { name: "sim.cycles_hash".into(), value: 0 },
@@ -186,7 +173,6 @@ mod tests {
     fn json_is_well_formed_and_complete() {
         let j = sample().to_json();
         assert!(j.contains("\"schema\": \"cagra-metrics-v1\""));
-        assert!(j.contains("\"enabled\": true"));
         assert!(j.contains("{\"name\": \"search.queries\", \"value\": 64}"));
         assert!(j.contains("\"total_ns\": 1500000"));
         assert!(j.contains("\"p99\": 31"));
@@ -210,13 +196,5 @@ mod tests {
         assert!(table.contains("search.iterations"));
         assert!(table.contains("search.queries"));
         assert!(!table.contains("sim.cycles_hash"), "zero counter must be hidden in the table");
-    }
-
-    #[test]
-    fn disabled_snapshot_renders_notice() {
-        let snap =
-            MetricsSnapshot { enabled: false, counters: vec![], spans: vec![], histograms: vec![] };
-        assert!(snap.render().contains("disabled"));
-        assert!(snap.to_json().contains("\"enabled\": false"));
     }
 }

@@ -3,55 +3,34 @@
 //! A [`Span`] accumulates total/max duration and an invocation count
 //! for one stage (e.g. `build.reorder`). Timing starts with
 //! [`Span::start`], whose guard records on drop, or the closure form
-//! [`Span::time`]. In a disabled build no `Instant::now` is ever
-//! called and the guard is zero-sized.
+//! [`Span::time`].
 
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
 /// Cumulative timing for one named stage.
-///
-/// Zero-sized and inert without the `enabled` feature.
 #[derive(Debug, Default)]
 pub struct Span {
-    #[cfg(feature = "enabled")]
     count: AtomicU64,
-    #[cfg(feature = "enabled")]
     total_ns: AtomicU64,
-    #[cfg(feature = "enabled")]
     max_ns: AtomicU64,
+}
+
+/// Nanoseconds since `begin`, saturating at `u64::MAX`.
+fn ns_since(begin: Instant) -> u64 {
+    u64::try_from(begin.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl Span {
     /// An empty span (const — usable in statics).
     pub const fn new() -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            Span {
-                count: AtomicU64::new(0),
-                total_ns: AtomicU64::new(0),
-                max_ns: AtomicU64::new(0),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Span {}
-        }
+        Span { count: AtomicU64::new(0), total_ns: AtomicU64::new(0), max_ns: AtomicU64::new(0) }
     }
 
     /// Begin timing; the returned guard records on drop.
     #[inline]
     pub fn start(&self) -> SpanGuard<'_> {
-        SpanGuard {
-            #[cfg(feature = "enabled")]
-            span: self,
-            #[cfg(feature = "enabled")]
-            begin: if crate::recording() { Some(Instant::now()) } else { None },
-            #[cfg(not(feature = "enabled"))]
-            _marker: std::marker::PhantomData,
-        }
+        SpanGuard { span: self, begin: Instant::now() }
     }
 
     /// Time a closure, returning its value.
@@ -64,59 +43,30 @@ impl Span {
     /// Record an externally measured duration in nanoseconds.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        #[cfg(feature = "enabled")]
-        if crate::recording() {
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.total_ns.fetch_add(ns, Ordering::Relaxed);
-            self.max_ns.fetch_max(ns, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = ns;
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.total_ns.fetch_add(ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
     /// Record an externally measured [`std::time::Duration`].
     #[inline]
     pub fn record_duration(&self, d: std::time::Duration) {
-        #[cfg(feature = "enabled")]
         self.record_ns(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-        #[cfg(not(feature = "enabled"))]
-        let _ = d;
     }
 
-    /// Number of recorded invocations (0 in a disabled build).
+    /// Number of recorded invocations.
     pub fn count(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.count.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.count.load(Ordering::Relaxed)
     }
 
     /// Total recorded nanoseconds.
     pub fn total_ns(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.total_ns.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.total_ns.load(Ordering::Relaxed)
     }
 
     /// Longest single invocation in nanoseconds.
     pub fn max_ns(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.max_ns.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.max_ns.load(Ordering::Relaxed)
     }
 
     /// Mean nanoseconds per invocation (0 when empty).
@@ -126,12 +76,9 @@ impl Span {
 
     /// Forget all recordings.
     pub fn reset(&self) {
-        #[cfg(feature = "enabled")]
-        {
-            self.count.store(0, Ordering::Relaxed);
-            self.total_ns.store(0, Ordering::Relaxed);
-            self.max_ns.store(0, Ordering::Relaxed);
-        }
+        self.count.store(0, Ordering::Relaxed);
+        self.total_ns.store(0, Ordering::Relaxed);
+        self.max_ns.store(0, Ordering::Relaxed);
     }
 }
 
@@ -139,58 +86,35 @@ impl Span {
 #[must_use = "the span records when this guard is dropped"]
 #[derive(Debug)]
 pub struct SpanGuard<'a> {
-    #[cfg(feature = "enabled")]
     span: &'a Span,
-    #[cfg(feature = "enabled")]
-    begin: Option<Instant>,
-    #[cfg(not(feature = "enabled"))]
-    _marker: std::marker::PhantomData<&'a Span>,
+    begin: Instant,
 }
 
 impl Drop for SpanGuard<'_> {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
-        if let Some(begin) = self.begin {
-            let ns = u64::try_from(begin.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.span.count.fetch_add(1, Ordering::Relaxed);
-            self.span.total_ns.fetch_add(ns, Ordering::Relaxed);
-            self.span.max_ns.fetch_max(ns, Ordering::Relaxed);
-        }
+        self.span.record_ns(ns_since(self.begin));
     }
 }
 
 /// A standalone timer for feeding histograms (e.g. per-query latency):
-/// starts at construction, reads out once. Never calls `Instant::now`
-/// in a disabled build or while recording is off.
+/// starts at construction, reads out once.
 #[derive(Debug)]
 pub struct Stopwatch {
-    #[cfg(feature = "enabled")]
-    begin: Option<Instant>,
+    begin: Instant,
 }
 
 impl Stopwatch {
-    /// Start timing now (a no-op unless recording).
+    /// Start timing now.
     #[inline]
-    #[allow(clippy::new_without_default)]
     pub fn start() -> Self {
-        Stopwatch {
-            #[cfg(feature = "enabled")]
-            begin: if crate::recording() { Some(Instant::now()) } else { None },
-        }
+        Stopwatch { begin: Instant::now() }
     }
 
-    /// Nanoseconds since [`Stopwatch::start`]; 0 when not recording.
+    /// Nanoseconds since [`Stopwatch::start`].
     #[inline]
     pub fn elapsed_ns(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.begin.map_or(0, |b| u64::try_from(b.elapsed().as_nanos()).unwrap_or(u64::MAX))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        ns_since(self.begin)
     }
 }
 
@@ -200,7 +124,6 @@ mod tests {
 
     #[test]
     fn span_accumulates_guard_and_manual_records() {
-        let _g = crate::test_lock();
         let s = Span::new();
         {
             let _t = s.start();
@@ -208,15 +131,10 @@ mod tests {
         }
         s.record_ns(500);
         s.record_duration(std::time::Duration::from_nanos(700));
-        if crate::compiled_in() {
-            assert_eq!(s.count(), 3);
-            assert!(s.total_ns() >= 1200);
-            assert!(s.max_ns() >= 700);
-            assert!(s.mean_ns() > 0);
-        } else {
-            assert_eq!(s.count(), 0);
-            assert_eq!(s.total_ns(), 0);
-        }
+        assert_eq!(s.count(), 3);
+        assert!(s.total_ns() >= 1200);
+        assert!(s.max_ns() >= 700);
+        assert!(s.mean_ns() > 0);
         s.reset();
         assert_eq!(s.count(), 0);
     }
@@ -226,14 +144,5 @@ mod tests {
         let s = Span::new();
         let v = s.time(|| 41 + 1);
         assert_eq!(v, 42);
-    }
-
-    #[test]
-    fn stopwatch_is_silent_when_off() {
-        let _g = crate::test_lock();
-        crate::set_recording(false);
-        let w = Stopwatch::start();
-        assert_eq!(w.elapsed_ns(), 0);
-        crate::set_recording(true);
     }
 }

@@ -1,7 +1,8 @@
 //! Cross-crate integration: every index in the workspace builds over
-//! the same dataset and reaches its expected recall floor, and CAGRA's
+//! the same dataset and reaches its expected recall floor, CAGRA's
 //! full pipeline (dataset -> NN-Descent -> optimize -> search ->
-//! gpu-sim costing) holds together end to end.
+//! gpu-sim costing) holds together end to end, and the `obs` registry
+//! records what that pipeline did.
 
 use cagra_repro::prelude::*;
 use ganns::{Ganns, GannsParams};
@@ -123,4 +124,57 @@ fn fp16_index_matches_fp32_results_closely() {
     let r32 = recall(&index.search_batch(&queries, K, &params), &gt);
     let r16 = recall(&index16.search_batch(&queries, K, &params), &gt);
     assert!((r32 - r16).abs() < 0.03, "fp32 {r32} vs fp16 {r16}");
+}
+
+/// The registry is process-global and the tests in this file run in
+/// parallel, so the assertions are lower bounds on deltas.
+#[test]
+fn build_and_search_populate_the_metrics_registry() {
+    let (base, queries, _) = workload();
+    let snap = || obs::metrics().snapshot();
+    let counter = |s: &obs::MetricsSnapshot, name: &str| {
+        s.counters.iter().find(|c| c.name == name).map(|c| c.value).unwrap()
+    };
+    let iterations = |s: &obs::MetricsSnapshot| {
+        s.histograms.iter().find(|h| h.name == "search.iterations").map(|h| h.count).unwrap()
+    };
+    let n = queries.len() as u64;
+
+    let before = snap();
+    let (index, _) = CagraIndex::build(base, Metric::SquaredL2, &GraphConfig::new(16));
+    let out = index.try_search_batch(&queries, K, &SearchParams::for_k(K), None, false).unwrap();
+    assert_eq!(out.neighbors.len(), queries.len());
+    let after = snap();
+
+    let delta = |name: &str| counter(&after, name) - counter(&before, name);
+    assert!(delta("build.graphs") >= 1, "build.graphs +{}", delta("build.graphs"));
+    assert!(delta("search.queries") >= n, "search.queries +{}", delta("search.queries"));
+    let iters = iterations(&after) - iterations(&before);
+    assert!(iters >= n, "search.iterations count +{iters}");
+
+    // Every metric the registry declares is exported under its dotted
+    // name (`search_latency_ns` -> `search.latency_ns`) in the section
+    // its type belongs to. The pretty Debug form lists the declared
+    // fields one per line at the first indent level.
+    let json = after.to_json();
+    let declared = format!("{:#?}", obs::metrics());
+    let fields: Vec<(&str, &str)> = declared
+        .lines()
+        .filter(|l| l.starts_with("    ") && !l.starts_with("     "))
+        .filter_map(|l| l.trim().strip_suffix(" {")?.split_once(": "))
+        .collect();
+    assert_eq!(fields.len(), after.counters.len() + after.spans.len() + after.histograms.len());
+    for (field, kind) in fields {
+        let name = field.replacen('_', ".", 1);
+        let entry = format!("{{\"name\": \"{name}\", ");
+        let line = json.lines().find(|l| l.contains(&entry));
+        let line = line.unwrap_or_else(|| panic!("{field} ({kind}) missing from the snapshot"));
+        let key = match kind {
+            "Counter" => "\"value\"",
+            "Span" => "\"total_ns\"",
+            "Histogram" => "\"p99\"",
+            other => panic!("{field} has unexpected metric type {other}"),
+        };
+        assert!(line.contains(key), "{name} exported as the wrong kind: {line}");
+    }
 }
