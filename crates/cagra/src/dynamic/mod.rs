@@ -348,8 +348,10 @@ impl DynamicIndex {
             *next = next.checked_add(1).unwrap_or_else(|| panic!("external id space exhausted"));
             let snap = shared.ptr.load();
             let succ = Snapshot {
+                // ALLOW(alloc): an `Arc` handle, not a copy of the segment.
                 main: snap.main.clone(),
                 delta: Arc::new(snap.delta.appended(id, vector)),
+                // ALLOW(alloc): an `Arc` handle, not a copy of the set.
                 deleted: snap.deleted.clone(),
             };
             delta_len = succ.delta.len();

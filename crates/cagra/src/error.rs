@@ -33,17 +33,10 @@ pub enum SearchError {
     KExceedsItopk { k: usize, itopk: usize },
     /// `k` exceeds the dataset size (includes searching an empty index).
     KExceedsDataset { k: usize, n: usize },
-    /// `team_size` is not one of the warp-dividing values 2/4/8/16/32.
-    InvalidTeamSize { team_size: usize },
     /// `search_width == 0` — no parents would ever be expanded.
     ZeroSearchWidth,
     /// `num_cta == 0` — no workers in multi-CTA mode.
     ZeroNumCta,
-    /// Forgettable hash table size outside the supported `4..=24` bits.
-    InvalidHashBits { bits: u8 },
-    /// Forgettable `reset_interval == 0` — the reset cadence is a
-    /// modulus, so zero is nonsensical.
-    ZeroResetInterval,
     /// `rerank_depth` is nonzero but below `k` — the exact-rescore
     /// pass could not produce `k` results.
     RerankDepthBelowK { depth: usize, k: usize },
@@ -78,15 +71,8 @@ impl fmt::Display for SearchError {
             SearchError::KExceedsDataset { k, n } => {
                 write!(f, "k ({k}) exceeds dataset size ({n})")
             }
-            SearchError::InvalidTeamSize { team_size } => {
-                write!(f, "team_size {team_size} must divide a 32-thread warp")
-            }
             SearchError::ZeroSearchWidth => write!(f, "search_width must be positive"),
             SearchError::ZeroNumCta => write!(f, "num_cta must be positive"),
-            SearchError::InvalidHashBits { bits } => {
-                write!(f, "forgettable hash bits {bits} out of range 4..=24")
-            }
-            SearchError::ZeroResetInterval => write!(f, "reset_interval must be positive"),
             SearchError::RerankDepthBelowK { depth, k } => {
                 write!(f, "rerank_depth ({depth}) must be >= k ({k}) when nonzero")
             }
@@ -136,7 +122,6 @@ mod tests {
         assert!(SearchError::SizeMismatch { store: 1, graph: 2 }
             .to_string()
             .contains("size mismatch"));
-        assert!(SearchError::InvalidHashBits { bits: 30 }.to_string().contains("out of range"));
     }
 
     #[test]

@@ -462,8 +462,7 @@ mod tests {
     fn relabeled_bundle_round_trips_map_and_results() {
         let mut index = build();
         let q: Vec<f32> = index.store().row(5).to_vec();
-        let mut p = SearchParams::for_k(5);
-        p.hash = crate::params::HashPolicy::Standard;
+        let p = SearchParams::for_k(5);
         let baseline = index.search(&q, 5, &p);
         index.relabel(crate::RelabelStrategy::Rcm);
         let back = load_f32("relabel_rt", &write(&index)).unwrap();
@@ -609,7 +608,6 @@ mod tests {
     fn relabeled_pq_bundle_round_trips() {
         let (mut index, base, queries) = build_pq();
         let mut p = SearchParams::for_k(5);
-        p.hash = crate::params::HashPolicy::Standard;
         p.rerank_depth = 32;
         let baseline: Vec<_> =
             (0..queries.len()).map(|qi| index.search(queries.row(qi), 5, &p)).collect();

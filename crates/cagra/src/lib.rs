@@ -9,8 +9,9 @@
 //!   [`optimize`].
 //! * **Search** (Sec. IV): an iterative traversal over a contiguous
 //!   buffer holding an internal top-M list and a `p x d` candidate
-//!   list, with an open-addressing *visited* hash table (standard or
-//!   "forgettable") and MSB-flag parent tracking — one loop,
+//!   list, a *visited* set (one stamp per row on the host; the GPU's
+//!   standard or "forgettable" hash table in simulated searches) and
+//!   MSB-flag parent tracking — one loop,
 //!   [`search::kernel`], run in either of two hardware mappings:
 //!   single-CTA (one worker per query, large batches) or multi-CTA
 //!   (several workers cooperating on one query). [`search::planner`]

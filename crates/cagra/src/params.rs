@@ -16,7 +16,9 @@ pub enum ReorderStrategy {
     DistanceBased,
 }
 
-/// Visited-set management for the search (Sec. IV-B3).
+/// The GPU's visited-table management (Sec. IV-B3), chosen per
+/// simulated search ([`crate::SearchScratch::simulate`]). Host searches
+/// run a dense table that admits exactly what `Standard` admits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum HashPolicy {
     /// One table sized for the whole search
@@ -35,8 +37,9 @@ pub enum HashPolicy {
     },
 }
 
-/// Search-time parameters (the paper's `M`, `p`, `I_max` and the GPU
-/// mapping knobs).
+/// Search-time parameters: the paper's `M`, `p` and `I_max`, the
+/// multi-CTA worker count, the rerank depth and the seed — what changes
+/// a host result.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SearchParams {
     /// Internal top-M list length (`itopk`); must be >= k.
@@ -46,12 +49,6 @@ pub struct SearchParams {
     pub search_width: usize,
     /// Hard iteration cap (`I_max`).
     pub max_iterations: usize,
-    /// Visited-set policy.
-    pub hash: HashPolicy,
-    /// Threads cooperating on one distance computation in the GPU
-    /// model (2, 4, 8, 16 or 32). Purely a `gpu-sim` costing input —
-    /// results are identical across team sizes.
-    pub team_size: usize,
     /// Number of CTAs per query in multi-CTA mode.
     pub num_cta: usize,
     /// Two-phase rerank depth `r` (0 = off). When nonzero, graph
@@ -69,15 +66,13 @@ pub struct SearchParams {
 
 impl SearchParams {
     /// Paper-flavored defaults for returning `k` results: `itopk = max(64, k)`,
-    /// `p = 1`, forgettable hash, auto iteration cap.
+    /// `p = 1`, auto iteration cap.
     pub fn for_k(k: usize) -> Self {
         let itopk = k.max(64);
         SearchParams {
             itopk,
             search_width: 1,
             max_iterations: 0, // 0 = auto (derived from itopk)
-            hash: HashPolicy::Forgettable { bits: 11, reset_interval: 1 },
-            team_size: 8,
             num_cta: 16,
             rerank_depth: 0,
             seed: 0xcaa7,
@@ -120,8 +115,7 @@ impl SearchParams {
     pub const MAX_RERANK_DEPTH: usize = 1 << 16;
 
     /// Validate parameter consistency for a result size `k`: rejects
-    /// `k == 0`, `k > itopk`, zero/absurd knob values, non-warp team
-    /// sizes, and degenerate forgettable-hash configs. Dataset-shape
+    /// `k == 0`, `k > itopk` and zero/absurd knob values. Dataset-shape
     /// checks (`k > n`, query dimension) live in the index `try_*`
     /// entry points, which know the dataset.
     pub fn validate(&self, k: usize) -> Result<(), SearchError> {
@@ -147,9 +141,6 @@ impl SearchParams {
                 value: self.search_width,
                 max: Self::MAX_SEARCH_WIDTH,
             });
-        }
-        if !matches!(self.team_size, 2 | 4 | 8 | 16 | 32) {
-            return Err(SearchError::InvalidTeamSize { team_size: self.team_size });
         }
         if self.num_cta == 0 {
             return Err(SearchError::ZeroNumCta);
@@ -178,14 +169,6 @@ impl SearchParams {
                 max: Self::MAX_RERANK_DEPTH,
             });
         }
-        if let HashPolicy::Forgettable { bits, reset_interval } = self.hash {
-            if !(4..=24).contains(&bits) {
-                return Err(SearchError::InvalidHashBits { bits });
-            }
-            if reset_interval == 0 {
-                return Err(SearchError::ZeroResetInterval);
-            }
-        }
         Ok(())
     }
 }
@@ -206,22 +189,6 @@ mod tests {
         let mut p = SearchParams::for_k(10);
         p.itopk = 5;
         assert!(p.validate(10).is_err());
-    }
-
-    #[test]
-    fn bad_team_size_rejected() {
-        let mut p = SearchParams::for_k(1);
-        p.team_size = 7;
-        assert!(p.validate(1).is_err());
-    }
-
-    #[test]
-    fn bad_hash_bits_rejected() {
-        let mut p = SearchParams::for_k(1);
-        p.hash = HashPolicy::Forgettable { bits: 2, reset_interval: 1 };
-        assert!(p.validate(1).is_err());
-        p.hash = HashPolicy::Forgettable { bits: 11, reset_interval: 0 };
-        assert!(p.validate(1).is_err());
     }
 
     #[test]

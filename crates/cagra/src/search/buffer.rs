@@ -4,7 +4,10 @@
 //! Entries are `(distance, packed index)` pairs; the packed index
 //! carries the parent flag in its MSB (see [`super::parent`]). Dummy
 //! entries carry `FLT_MAX` distance and the `INVALID` index, so they
-//! sort last, exactly as the paper initializes the list.
+//! sort last, exactly as the paper initializes the list. Only scored
+//! nodes are ever pushed: the GPU would also sort a placeholder for
+//! every already-visited neighbor, but a placeholder never becomes a
+//! parent or a result, so the host skips it.
 //!
 //! The GPU kernel sorts the whole candidate segment with a
 //! warp-register bitonic network and merges it with the top-M list.
@@ -26,7 +29,7 @@ use std::cmp::Ordering;
 /// One buffer slot: distance plus flagged node index.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BufEntry {
-    /// Query distance (`f32::MAX` for dummies / hash-suppressed nodes).
+    /// Query distance (`f32::MAX` for dummies).
     pub dist: f32,
     /// Node id with MSB parent flag.
     pub packed: u32,
@@ -113,14 +116,6 @@ impl SearchBuffer {
         &self.candidates
     }
 
-    /// Mutable candidate segment. The expansion loop pushes every
-    /// neighbor with a placeholder distance in adjacency order, then
-    /// patches the first-visit entries from one batched distance call.
-    #[inline]
-    pub fn candidates_mut(&mut self) -> &mut [BufEntry] {
-        &mut self.candidates
-    }
-
     /// Step 1: merge the candidate list into the top-M list, keeping
     /// the M smallest in list order (a list entry precedes a candidate
     /// that compares equal to it). Returns the number of candidates
@@ -163,20 +158,6 @@ impl SearchBuffer {
     /// Ids of the real (non-dummy) top-M entries, flags stripped.
     pub fn topm_ids(&self) -> impl Iterator<Item = u32> + '_ {
         self.topm.iter().filter(|e| e.packed != INVALID).map(|e| node_id(e.packed))
-    }
-
-    /// Ids of the *live* top-M entries: non-dummy AND carrying a
-    /// computed distance. Hash-suppressed placeholders sit at
-    /// `dist == f32::MAX` with a real id; which of those survive in an
-    /// underfull list is tie-broken by id, so any consumer that must
-    /// stay invariant under vertex relabeling (the forgettable-hash
-    /// reset re-seed) has to skip them and take only the entries whose
-    /// position is determined by geometry.
-    pub fn topm_live_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.topm
-            .iter()
-            .filter(|e| e.packed != INVALID && e.dist < f32::MAX)
-            .map(|e| node_id(e.packed))
     }
 }
 
@@ -258,7 +239,7 @@ mod tests {
         let mut b = SearchBuffer::new(2, 2);
         b.set_candidates([e(0, 1.0), e(1, 2.0)]);
         b.update_topm();
-        // Hash-suppressed candidates arrive as dist = MAX.
+        // A candidate at the dummies' distance ties them and loses.
         b.set_candidates([BufEntry { dist: f32::MAX, packed: 5 }]);
         b.update_topm();
         let ids: Vec<u32> = b.topm_ids().collect();

@@ -1,7 +1,9 @@
-//! Open-addressing visited-node hash table (Sec. IV-B3).
+//! Open-addressing visited-node hash table (Sec. IV-B3): the GPU's
+//! visited set, run only by simulated searches so that `gpu-sim` can
+//! price it. A host search uses [`super::dense::DenseVisited`], which
+//! admits exactly what a standard table does.
 //!
-//! Tracks which nodes have already had their query distance computed,
-//! in the manner of SONG: a power-of-two table of node ids probed
+//! In the manner of SONG, a power-of-two table of node ids probed
 //! linearly. Two management modes mirror the paper:
 //!
 //! * **standard** — sized at construction for `2 * I_max * p * d`
@@ -13,22 +15,18 @@
 //!   re-computation of distances but, per the paper (and our Fig. 9
 //!   runs), no catastrophic recall loss.
 //!
-//! On the GPU a reset is a CTA-wide store over shared memory, a few
-//! cycles. On the host the same wipe is a `memset` of the whole table
-//! per round (forgettable) or per query (standard, up to 2^18 slots),
-//! which cost more than the distances it saved. So each slot carries
-//! the *generation* it was written in beside the id, a slot from an
-//! older generation reads as empty, and a reset is one increment.
-//! Slot count, hash and probe sequence are those of the plain table,
-//! so which ids are admitted, [`VisitedSet::len`] and
-//! [`VisitedSet::probes`] are too.
+//! A reset is one increment, not a wipe: each slot carries the
+//! *generation* it was written in beside the id, and a slot from an
+//! older generation reads as empty. Slot count, hash and probe
+//! sequence are those of the plain table, so which ids are admitted,
+//! [`VisitedSet::len`] and [`VisitedSet::probes`] are too.
 
 /// Generation a new table starts in. Slots are allocated zeroed and
 /// generation 0 is never current, so they read as empty. Starting a
 /// thousand resets short of the wrap (the kernel's `INITIAL_JIFFIES`
 /// trick) means every long-lived table crosses it early, not once in
 /// 2^32 resets where nobody would see it break.
-const FIRST_GENERATION: u32 = u32::MAX - 1000;
+pub(super) const FIRST_GENERATION: u32 = u32::MAX - 1000;
 
 /// Fixed-capacity open-addressing set of node ids.
 #[derive(Clone, Debug)]

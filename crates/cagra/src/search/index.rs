@@ -5,16 +5,17 @@
 //! a batch of queries, the mapping either given or chosen per Fig. 7,
 //! traces on request; thread-parallel over queries, the CPU analogue
 //! of launching one CTA per query), one unchecked hot entry on caller
-//! scratch ([`CagraIndex::search_mode_with`]), and four panicking
-//! one-line conveniences over the validated entry.
+//! scratch ([`CagraIndex::search_mode_with`]), three panicking
+//! one-line conveniences over the validated entry, and the simulated
+//! entry for `gpu-sim` ([`CagraIndex::search_batch_traced`]).
 
-use super::kernel::search_kernel;
+use super::kernel::search_query;
 use super::planner::{choose, Mode};
 use super::scratch::SearchScratch;
 use super::trace::SearchTrace;
 use crate::build::{build_graph, BuildReport, GraphConfig};
 use crate::error::{validate_request, SearchError};
-use crate::params::SearchParams;
+use crate::params::{HashPolicy, SearchParams};
 use dataset::{PermutableStore, VectorStore};
 use distance::Metric;
 use graph::relabel::{self, IdMap, RelabelStrategy};
@@ -48,7 +49,7 @@ pub struct SearchOutput {
 }
 
 /// A lone query viewed as a one-row batch.
-struct OneQuery<'a>(&'a [f32]);
+pub(crate) struct OneQuery<'a>(pub(crate) &'a [f32]);
 
 impl VectorStore for OneQuery<'_> {
     fn len(&self) -> usize {
@@ -195,6 +196,20 @@ impl<S: VectorStore> CagraIndex<S> {
         mode: Option<Mode>,
         traced: bool,
     ) -> Result<SearchOutput, SearchError> {
+        self.run_batch(queries, k, params, mode, traced, None)
+    }
+
+    /// [`CagraIndex::try_search_batch`], on the GPU's visited table
+    /// under `simulated` when given.
+    fn run_batch<Q: VectorStore>(
+        &self,
+        queries: &Q,
+        k: usize,
+        params: &SearchParams,
+        mode: Option<Mode>,
+        traced: bool,
+        simulated: Option<HashPolicy>,
+    ) -> Result<SearchOutput, SearchError> {
         self.validate_shape(queries.dim(), k, params)?;
         let mode = mode.unwrap_or_else(|| choose(queries.len(), params.itopk));
         let scratch = || {
@@ -202,6 +217,9 @@ impl<S: VectorStore> CagraIndex<S> {
             // Untraced: skip per-iteration records so the steady state
             // stays allocation-free.
             scratch.set_record_trace(traced);
+            if let Some(policy) = simulated {
+                scratch.simulate(policy);
+            }
             scratch
         };
         let run = |scratch: &mut SearchScratch, qi: usize| {
@@ -225,8 +243,7 @@ impl<S: VectorStore> CagraIndex<S> {
         Ok(SearchOutput { neighbors, traces: traces.into_iter().flatten().collect() })
     }
 
-    /// [`CagraIndex::try_search_batch`] for the four panicking
-    /// conveniences below.
+    /// [`CagraIndex::run_batch`] for the panicking conveniences below.
     fn must_search<Q: VectorStore>(
         &self,
         queries: &Q,
@@ -234,8 +251,9 @@ impl<S: VectorStore> CagraIndex<S> {
         params: &SearchParams,
         mode: Option<Mode>,
         traced: bool,
+        simulated: Option<HashPolicy>,
     ) -> SearchOutput {
-        let out = self.try_search_batch(queries, k, params, mode, traced);
+        let out = self.run_batch(queries, k, params, mode, traced, simulated);
         // ALLOW(panic): documented contract of the panicking wrappers.
         out.unwrap_or_else(|e| panic!("{e}"))
     }
@@ -244,10 +262,10 @@ impl<S: VectorStore> CagraIndex<S> {
     /// always dispatches to multi-CTA, as in the paper).
     ///
     /// # Panics
-    /// Panics on invalid input, as do the three conveniences below;
+    /// Panics on invalid input, as do the conveniences below;
     /// [`CagraIndex::try_search_batch`] is the non-panicking form.
     pub fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Vec<Neighbor> {
-        let mut out = self.must_search(&OneQuery(query), k, params, None, false);
+        let mut out = self.must_search(&OneQuery(query), k, params, None, false, None);
         out.neighbors.pop().unwrap_or_default()
     }
 
@@ -260,7 +278,7 @@ impl<S: VectorStore> CagraIndex<S> {
         params: &SearchParams,
         mode: Mode,
     ) -> (Vec<Neighbor>, SearchTrace) {
-        let mut out = self.must_search(&OneQuery(query), k, params, Some(mode), true);
+        let mut out = self.must_search(&OneQuery(query), k, params, Some(mode), true, None);
         (out.neighbors.pop().unwrap_or_default(), out.traces.pop().unwrap_or_default())
     }
 
@@ -271,18 +289,21 @@ impl<S: VectorStore> CagraIndex<S> {
         k: usize,
         params: &SearchParams,
     ) -> Vec<Vec<Neighbor>> {
-        self.must_search(queries, k, params, None, false).neighbors
+        self.must_search(queries, k, params, None, false, None).neighbors
     }
 
-    /// Batch search that also returns traces (experiment harness use).
+    /// Batch search on the GPU's visited table under `policy` (see
+    /// [`SearchScratch::simulate`]), with the traces `gpu-sim` prices.
+    /// Panics like [`SearchScratch::simulate`] and the entries above.
     pub fn search_batch_traced<Q: VectorStore>(
         &self,
         queries: &Q,
         k: usize,
         params: &SearchParams,
         mode: Mode,
+        policy: HashPolicy,
     ) -> Vec<(Vec<Neighbor>, SearchTrace)> {
-        let out = self.must_search(queries, k, params, Some(mode), true);
+        let out = self.must_search(queries, k, params, Some(mode), true, Some(policy));
         out.neighbors.into_iter().zip(out.traces).collect()
     }
 
@@ -315,17 +336,7 @@ impl<S: VectorStore> CagraIndex<S> {
             Some(_) => params.rerank_depth.max(k).min(params.itopk).min(self.store.len()),
             None => k,
         };
-        search_kernel(
-            &self.graph,
-            &self.store,
-            self.metric,
-            query,
-            k_eff,
-            params,
-            mode,
-            self.id_map.as_ref(),
-            scratch,
-        );
+        search_query(self, query, k_eff, params, mode, scratch);
         if let Some(src) = rerank {
             self.rerank_results(query, k, src, scratch);
         }
@@ -349,10 +360,11 @@ impl<S: VectorStore> CagraIndex<S> {
     ) {
         let clock = obs::Stopwatch::start();
         let depth = scratch.results.len();
-        // Remember the approximate top-k to count promotions.
+        // Remember the approximate top-k, sorted, to count promotions.
         let mut approx = std::mem::take(&mut scratch.rerank_ids);
         approx.clear();
         approx.extend(scratch.results.iter().take(k).map(|n| n.id));
+        approx.sort_unstable();
         let mut row = std::mem::take(&mut scratch.rerank_row);
         row.resize(src.dim(), 0.0);
         // Hoist the query norm once, as the oracle's prepare() does.
@@ -376,7 +388,8 @@ impl<S: VectorStore> CagraIndex<S> {
         }
         scratch.results.sort_unstable_by(knn::topk::cmp_neighbor);
         scratch.results.truncate(k);
-        let promoted = scratch.results.iter().filter(|n| !approx.contains(&n.id)).count();
+        let promoted =
+            scratch.results.iter().filter(|n| approx.binary_search(&n.id).is_err()).count();
         scratch.rerank_row = row;
         scratch.rerank_ids = approx;
         let m = obs::metrics();
@@ -516,10 +529,7 @@ mod tests {
     #[test]
     fn relabel_preserves_batch_results_bit_exactly() {
         let (index, queries) = build_index(800);
-        let mut p = SearchParams::for_k(5);
-        // Standard hash: the forgettable reset's topm re-registration
-        // can be id-dependent at the boundary (see DESIGN.md).
-        p.hash = crate::params::HashPolicy::Standard;
+        let p = SearchParams::for_k(5);
         let baseline = index.search_batch(&queries, 5, &p);
         for strategy in [RelabelStrategy::Degree, RelabelStrategy::Rcm, RelabelStrategy::Gorder] {
             let mut relabeled = clone_of(&index);
@@ -544,8 +554,7 @@ mod tests {
     #[test]
     fn repeated_relabel_composes() {
         let (index, queries) = build_index(500);
-        let mut p = SearchParams::for_k(5);
-        p.hash = crate::params::HashPolicy::Standard;
+        let p = SearchParams::for_k(5);
         let baseline = index.search_batch(&queries, 5, &p);
         let mut idx = clone_of(&index);
         idx.relabel(RelabelStrategy::Degree);
@@ -557,8 +566,7 @@ mod tests {
     #[test]
     fn from_parts_mapped_round_trips_the_map() {
         let (index, queries) = build_index(400);
-        let mut p = SearchParams::for_k(5);
-        p.hash = crate::params::HashPolicy::Standard;
+        let p = SearchParams::for_k(5);
         let baseline = index.search_batch(&queries, 5, &p);
         let mut relabeled = clone_of(&index);
         relabeled.relabel(RelabelStrategy::Rcm);
@@ -616,7 +624,6 @@ mod tests {
         // final top-k must match single-phase search exactly.
         let (mut index, queries) = build_index(800);
         let mut p = SearchParams::for_k(10);
-        p.hash = crate::params::HashPolicy::Standard;
         let baseline = index.search_batch(&queries, 10, &p);
         let copy =
             dataset::Dataset::from_flat(index.store().as_flat().to_vec(), index.store().dim());

@@ -3,33 +3,40 @@
 //! Every round each live worker (1) merges its sorted candidates into
 //! its top-M list, (2) picks the best entries that have not been
 //! parents yet, and (3) expands their neighbors, computing distances
-//! only for nodes that pass the visited hash. The paper's two hardware
+//! only for nodes visited for the first time. The paper's two hardware
 //! mappings (Sec. IV-C) differ only in how that loop is laid out, which
 //! a private [`Shape`] captures; the loop itself never looks at
 //! [`Mode`]:
 //!
 //! * **single-CTA** — one worker per query expanding `search_width`
-//!   parents per round over an `itopk`-long list, with the visited
-//!   hash in shared memory when the policy is forgettable; batches of
-//!   queries run as concurrent blocks.
+//!   parents per round over an `itopk`-long list; batches of queries
+//!   run as concurrent blocks.
 //! * **multi-CTA** — `num_cta` workers per query, each expanding one
-//!   parent per round over its own short list, all sharing one
-//!   standard (never reset) hash table in device memory. The shared
-//!   table admits each node once, so the workers partition the explored
-//!   region and a round examines up to `num_cta * d` nodes versus
-//!   `p * d`, which keeps the GPU busy at batch sizes as small as 1.
+//!   parent per round over its own short list, all sharing one visited
+//!   set. The shared set admits each node once, so the workers
+//!   partition the explored region and a round examines up to
+//!   `num_cta * d` nodes versus `p * d`, which keeps the GPU busy at
+//!   batch sizes as small as 1.
+//!
+//! The loop is generic over its visited set. A host search runs
+//! [`DenseVisited`] (one stamp per graph row, never full); a simulated
+//! one ([`SearchScratch::simulate`]) runs the GPU's [`VisitedSet`] and
+//! counts its probes. The standard table never fills either, so it
+//! admits what the dense one does and the results agree bit for bit.
+//! Only first-visit neighbors enter the candidate segment; the trace
+//! reports the `p * d` slots a warp would sort.
 
-use super::buffer::BufEntry;
+use super::buffer::{BufEntry, SearchBuffer};
+use super::dense::DenseVisited;
 use super::hash::VisitedSet;
+use super::index::CagraIndex;
 use super::parent::{is_parented, node_id, set_parented, INVALID};
 use super::planner::Mode;
 use super::scratch::SearchScratch;
 use super::trace::{IterAccess, IterationTrace};
 use crate::params::{HashPolicy, SearchParams};
 use dataset::VectorStore;
-use distance::{DistanceOracle, Metric};
-use graph::relabel::IdMap;
-use graph::FixedDegreeGraph;
+use distance::DistanceOracle;
 use knn::topk::{cmp_neighbor, Neighbor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,12 +51,6 @@ struct Shape {
     m: usize,
     /// Round cap (`I_max`).
     max_rounds: usize,
-    /// log2 of the visited table's slot count.
-    hash_bits: u8,
-    /// Rounds between forgettable resets; 0 = standard table, never
-    /// reset. Nonzero only with one worker: a forgettable table is one
-    /// CTA's shared memory.
-    reset_interval: usize,
     /// Whether the per-worker lists are merged by `(dist, id)` at the
     /// end; a lone list is already in order and is taken as it stands.
     merge: bool,
@@ -59,38 +60,23 @@ impl Shape {
     fn new(mode: Mode, params: &SearchParams, degree: usize) -> Shape {
         let cap = params.effective_max_iterations(degree);
         match mode {
-            Mode::SingleCta => {
-                let (hash_bits, reset_interval) = match params.hash {
-                    HashPolicy::Standard => {
-                        (VisitedSet::standard_bits(cap, params.search_width * degree), 0)
-                    }
-                    HashPolicy::Forgettable { bits, reset_interval } => {
-                        (bits, reset_interval as usize)
-                    }
-                };
-                Shape {
-                    workers: 1,
-                    parents: params.search_width,
-                    m: params.itopk,
-                    max_rounds: cap,
-                    hash_bits,
-                    reset_interval,
-                    merge: false,
-                }
-            }
+            Mode::SingleCta => Shape {
+                workers: 1,
+                parents: params.search_width,
+                m: params.itopk,
+                max_rounds: cap,
+                merge: false,
+            },
             Mode::MultiCta => {
                 // The paper splits the search across CTAs with small
                 // per-CTA lists; 32 matches the cuVS floor. A worker
                 // may need a round per list slot, hence the cap floor.
                 let m = params.itopk.div_ceil(params.num_cta).max(32);
-                let max_rounds = cap.max(m);
                 Shape {
                     workers: params.num_cta,
                     parents: 1,
                     m,
-                    max_rounds,
-                    hash_bits: VisitedSet::standard_bits(max_rounds, params.num_cta * degree),
-                    reset_interval: 0,
+                    max_rounds: cap.max(m),
                     merge: true,
                 }
             }
@@ -98,57 +84,119 @@ impl Shape {
     }
 }
 
-/// Search the graph for the `k` nearest neighbors of `query` with the
-/// mapping `mode`, entirely on caller-provided scratch.
+/// What the loop asks of its visited set.
+trait Visited {
+    /// Mark `id` visited; `true` on its first visit.
+    fn insert(&mut self, id: u32) -> bool;
+    /// Hash probe steps so far.
+    fn probes(&self) -> u64 {
+        0
+    }
+    /// Before a worker expands in `round`: forget all but its top-M if
+    /// a reset is due (Sec. IV-B3). `true` if one happened.
+    fn forget(&mut self, _round: usize, _buf: &SearchBuffer) -> bool {
+        false
+    }
+}
+
+impl Visited for DenseVisited {
+    fn insert(&mut self, id: u32) -> bool {
+        DenseVisited::insert(self, id)
+    }
+}
+
+/// The GPU's table and its reset interval in rounds (0 = never).
+struct Hashed<'a>(&'a mut VisitedSet, usize);
+
+impl Visited for Hashed<'_> {
+    fn insert(&mut self, id: u32) -> bool {
+        self.0.insert(id)
+    }
+    fn probes(&self) -> u64 {
+        self.0.probes()
+    }
+    fn forget(&mut self, round: usize, buf: &SearchBuffer) -> bool {
+        let due = self.1 > 0 && round > 0 && round.is_multiple_of(self.1);
+        if due {
+            self.0.reset(buf.topm_ids());
+        }
+        due
+    }
+}
+
+/// Search `index` for the `k` nearest neighbors of `query` with the
+/// mapping `mode`, entirely on caller-provided scratch and its visited
+/// set. Results land in [`SearchScratch::results`] (ascending
+/// distance) and the trace in [`SearchScratch::trace`], one entry per
+/// round; a scratch reused across queries of one shape allocates
+/// nothing per query in steady state.
 ///
-/// Results land in [`SearchScratch::results`] (ascending distance) and
-/// the trace `gpu-sim` consumes in [`SearchScratch::trace`], one entry
-/// per round. Reusing one scratch across queries of identical shape
-/// performs zero heap allocations per query in steady state — the CPU
-/// analogue of the GPU kernel's fixed shared-memory working set.
-///
-/// With an [`IdMap`] (a *relabeled* graph/store pair), the random
-/// start sets are drawn in the original numbering, so the traversal
-/// visits the same vectors as the unpermuted index bit for bit, and
-/// results are translated back to original ids once at the end — the
-/// loop runs on internal ids with zero per-hop overhead. `None` is the
-/// identity.
+/// On a *relabeled* index, the random start sets are drawn in the
+/// original numbering, so the traversal visits the same vectors as the
+/// unpermuted index bit for bit, and results are translated back to
+/// original ids once at the end — the loop runs on internal ids with
+/// zero per-hop overhead.
 ///
 /// # Panics
-/// Panics on invalid parameters (see [`SearchParams::validate`]), a
-/// query dimension mismatch, or an id map whose size differs from the
-/// graph.
-#[allow(clippy::too_many_arguments)]
-pub fn search_kernel<S: VectorStore + ?Sized>(
-    graph: &FixedDegreeGraph,
-    store: &S,
-    metric: Metric,
+/// Panics on invalid parameters (see [`SearchParams::validate`]) or a
+/// query dimension mismatch.
+pub(crate) fn search_query<S: VectorStore>(
+    index: &CagraIndex<S>,
     query: &[f32],
     k: usize,
     params: &SearchParams,
     mode: Mode,
-    id_map: Option<&IdMap>,
     scratch: &mut SearchScratch,
 ) {
     // ALLOW(panic): documented contract of the unchecked entry; the
     // `try_search*` path validates and returns typed errors instead.
     params.validate(k).unwrap_or_else(|e| panic!("{e}"));
-    if let Some(m) = id_map {
-        // ALLOW(panic): documented precondition (see `# Panics`).
-        assert_eq!(m.len(), graph.len(), "id map and graph sizes differ");
-    }
     // ALLOW(panic): documented precondition (see `# Panics`).
-    assert_eq!(query.len(), store.dim(), "query dimension mismatch");
-    // ALLOW(panic): documented precondition (see `# Panics`).
-    assert_eq!(graph.len(), store.len(), "graph and dataset sizes differ");
+    assert_eq!(query.len(), index.store().dim(), "query dimension mismatch");
+    let (rows, d) = (index.graph().len(), index.graph().degree());
+    let shape = Shape::new(mode, params, d);
+    scratch.begin(shape.workers, shape.m, shape.parents * d);
+
+    let Some(policy) = scratch.simulated else {
+        let mut dense = std::mem::take(&mut scratch.dense);
+        dense.restart(rows);
+        search_kernel(index, query, k, params, &shape, &mut dense, scratch);
+        scratch.dense = dense;
+        return;
+    };
+    let (bits, reset_interval) = match (mode, policy) {
+        (Mode::SingleCta, HashPolicy::Forgettable { bits, reset_interval }) => {
+            (bits, reset_interval as usize)
+        }
+        _ => (VisitedSet::standard_bits(shape.max_rounds, shape.workers * shape.parents * d), 0),
+    };
+    let mut set = scratch.hashed.take().unwrap_or_else(|| VisitedSet::new(bits));
+    set.reset_to(bits);
+    scratch.trace.hash_slots = set.capacity();
+    scratch.trace.hash_in_shared = reset_interval > 0;
+    let mut table = Hashed(&mut set, reset_interval);
+    let probes = search_kernel(index, query, k, params, &shape, &mut table, scratch);
+    let om = obs::metrics();
+    om.search_probe_len.record(probes);
+    om.search_hash_occupancy_permille.record((set.len() as u64 * 1000) / set.capacity() as u64);
+    scratch.hashed = Some(set);
+}
+
+/// The loop of Fig. 6 for one validated query on a freshly begun
+/// scratch; returns the probe steps `visited` took.
+fn search_kernel<S: VectorStore, V: Visited>(
+    index: &CagraIndex<S>,
+    query: &[f32],
+    k: usize,
+    params: &SearchParams,
+    shape: &Shape,
+    visited: &mut V,
+    scratch: &mut SearchScratch,
+) -> u64 {
+    let (graph, id_map) = (index.graph(), index.id_map());
     let n = graph.len();
     let d = graph.degree();
-    let shape = Shape::new(mode, params, d);
-    debug_assert!(shape.reset_interval == 0 || shape.workers == 1);
-
-    scratch.begin(shape.hash_bits, shape.workers, shape.m, shape.parents * d);
     let SearchScratch {
-        visited,
         buffers,
         active,
         parents,
@@ -156,27 +204,22 @@ pub fn search_kernel<S: VectorStore + ?Sized>(
         trace,
         record_trace,
         gang_ids,
-        gang_pos,
         gang_dists,
         ..
     } = scratch;
-    // ALLOW(panic): `begin` unconditionally installed the set above.
-    let hash = visited.as_mut().expect("begin installs the visited set");
     trace.itopk = params.itopk;
     trace.search_width = shape.parents;
     trace.degree = d;
     trace.num_workers = shape.workers;
-    trace.hash_slots = hash.capacity();
-    trace.hash_in_shared = shape.reset_interval > 0;
 
-    let oracle = DistanceOracle::new(store, metric);
+    let oracle = DistanceOracle::new(index.store(), index.metric());
     let prepared = oracle.prepare(query);
 
     // Initialization (Fig. 6, step 0): each worker draws `p * d`
-    // uniformly random nodes, deduplicated through the hash and scored
-    // in one gang call. Draws happen in the *original* numbering and
-    // map through the id map (a bijection, so the dedup pattern — and
-    // therefore the whole traversal — matches the unpermuted index).
+    // uniformly random nodes, deduplicated through the visited set and
+    // scored in one gang call. Draws happen in the *original* numbering
+    // and map through the id map (a bijection, so the dedup pattern —
+    // and therefore the whole traversal — matches the unpermuted index).
     let mut rng = StdRng::seed_from_u64(params.seed);
     for buf in buffers.iter_mut() {
         gang_ids.clear();
@@ -186,7 +229,7 @@ pub fn search_kernel<S: VectorStore + ?Sized>(
                 Some(m) => m.internal_of_original(drawn),
                 None => drawn,
             };
-            if hash.insert(id) {
+            if visited.insert(id) {
                 gang_ids.push(id);
             }
         }
@@ -220,16 +263,14 @@ pub fn search_kernel<S: VectorStore + ?Sized>(
             // Step 1: top-M update.
             buf.update_topm();
 
-            // Step 2: pick up to p entries that have not been parents.
-            // MAX-dist entries are hash-suppressed placeholders whose
-            // vector was never loaded; expanding one would make the
-            // traversal depend on id order rather than geometry.
+            // Step 2: pick up to p entries that have not been parents
+            // (dummies carry `INVALID`, which reads as parented).
             parents.clear();
             for entry in buf.topm_mut() {
                 if parents.len() == shape.parents {
                     break;
                 }
-                if entry.packed != INVALID && !is_parented(entry.packed) && entry.dist < f32::MAX {
+                if !is_parented(entry.packed) {
                     parents.push(node_id(entry.packed));
                     entry.packed = set_parented(entry.packed);
                 }
@@ -244,59 +285,33 @@ pub fn search_kernel<S: VectorStore + ?Sized>(
             if let Some(iter) = trace.accesses.as_mut().and_then(|l| l.iterations.last_mut()) {
                 iter.parents.extend_from_slice(parents);
             }
+            round.hash_reset |= visited.forget(rounds, buf);
 
-            // Forgettable management: periodic reset keeping only the
-            // current top-M (Sec. IV-B3). Only *live* entries (computed
-            // distance) are re-registered: hash-suppressed MAX-distance
-            // placeholders survive the top-M boundary id-dependently,
-            // and re-seeding them would make forgettable runs diverge
-            // under a locality relabel. Skipping them keeps the reset
-            // positional — the re-seeded set is exactly the id-mapped
-            // image of the unpermuted one, so relabel parity holds
-            // bit-for-bit (a forgotten placeholder is merely
-            // recomputed if re-encountered).
-            if shape.reset_interval > 0 && rounds > 0 && rounds.is_multiple_of(shape.reset_interval)
-            {
-                hash.reset(buf.topm_live_ids());
-                round.hash_reset = true;
-            }
-
-            // Step 3: expand the parents. Every neighbor enters the
-            // candidate segment in adjacency order (hash-suppressed
-            // ones stay at dist = MAX); the first-visit rows of each
-            // parent are then scored by one batched gang call and
-            // patched in. Probes are counted around the expansion
-            // only, not the reset's re-registrations.
-            let probes_before = hash.probes();
+            // Step 3: expand the parents. Each parent's first-visit
+            // neighbors, in adjacency order, are scored by one gang
+            // call and pushed. Probes are counted around the expansion
+            // only, not a reset's re-registrations.
+            let probes_before = visited.probes();
             for &p in parents.iter() {
                 gang_ids.clear();
-                gang_pos.clear();
-                for &nb in graph.neighbors(p as usize) {
-                    if hash.insert(nb) {
-                        gang_ids.push(nb);
-                        gang_pos.push(buf.candidates().len() as u32);
-                    }
-                    buf.push_candidate(BufEntry { dist: f32::MAX, packed: nb });
-                }
+                gang_ids
+                    .extend(graph.neighbors(p as usize).iter().filter(|&&nb| visited.insert(nb)));
                 gang_dists.clear();
                 gang_dists.resize(gang_ids.len(), 0.0);
                 oracle.to_rows(&prepared, gang_ids, gang_dists);
-                let cands = buf.candidates_mut();
-                for (&pos, &dist) in gang_pos.iter().zip(gang_dists.iter()) {
-                    // ALLOW(panic): every `pos` was recorded as
-                    // `candidates().len()` just before a push above.
-                    cands[pos as usize].dist = dist;
+                for (&id, &dist) in gang_ids.iter().zip(gang_dists.iter()) {
+                    buf.push_candidate(BufEntry::new(id, dist));
                 }
                 round.distances_computed += gang_ids.len() as u64;
                 if let Some(iter) = trace.accesses.as_mut().and_then(|l| l.iterations.last_mut()) {
                     iter.scored.extend_from_slice(gang_ids);
                 }
             }
-            round.hash_probes += hash.probes() - probes_before;
-            let segment = buf.candidates().len() as u64;
+            round.hash_probes += visited.probes() - probes_before;
+            // The GPU sorts every neighbor slot, visited or not: each
+            // worker's `p * d`-slot segment.
+            let segment = (parents.len() * d) as u64;
             round.candidates += segment;
-            // Each worker's own segment is what the GPU network would
-            // sort next round.
             round.sort_len = round.sort_len.max(segment);
         }
         if !any_active {
@@ -317,20 +332,15 @@ pub fn search_kernel<S: VectorStore + ?Sized>(
     let om = obs::metrics();
     om.search_iterations.record(rounds as u64);
     om.search_distances.record(total_computed);
-    om.search_probe_len.record(total_probes);
     om.search_sort_len.record(widest_sort);
-    if hash.capacity() > 0 {
-        om.search_hash_occupancy_permille
-            .record((hash.len() as u64 * 1000) / hash.capacity() as u64);
-    }
 
-    // Collect the workers' lists; the shared hash guarantees a node
-    // appears in at most one of them. A merge needs every live entry;
-    // a lone ordered list only its first k.
+    // Collect the workers' lists; the shared visited set guarantees a
+    // node appears in at most one of them. A merge needs every live
+    // entry; a lone ordered list only its first k.
     let per_list = if shape.merge { usize::MAX } else { k };
     for buf in buffers.iter_mut() {
         buf.update_topm(); // fold in the last round's candidates
-        let live = buf.topm().iter().filter(|e| e.packed != INVALID && e.dist < f32::MAX);
+        let live = buf.topm().iter().filter(|e| e.packed != INVALID);
         results.extend(live.take(per_list).map(|e| {
             let id = node_id(e.packed);
             let id = match id_map {
@@ -344,14 +354,15 @@ pub fn search_kernel<S: VectorStore + ?Sized>(
         results.sort_unstable_by(cmp_neighbor);
         results.truncate(k);
     }
+    total_probes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::trace::SearchTrace;
-    use crate::{CagraIndex, GraphConfig};
+    use crate::GraphConfig;
     use dataset::synth::{Family, SynthSpec};
+    use distance::Metric;
     use knn::brute::exact_search;
 
     const MODES: [Mode; 2] = [Mode::SingleCta, Mode::MultiCta];
@@ -363,13 +374,12 @@ mod tests {
         CagraIndex::build(spec.generate().0, Metric::SquaredL2, &GraphConfig::new(16)).0
     }
 
-    /// Recall@10 over 20 fresh Gaussian queries; `check` sees each trace.
+    /// Recall@10 over 20 fresh Gaussian queries.
     fn recall_of(
         ix: &CagraIndex<dataset::Dataset>,
         params: &SearchParams,
         mode: Mode,
         queries_seed: u64,
-        check: impl Fn(&SearchTrace),
     ) -> f64 {
         let spec =
             SynthSpec { dim: 8, n: 0, queries: 20, family: Family::Gaussian, seed: queries_seed };
@@ -377,8 +387,7 @@ mod tests {
         let mut hits = 0usize;
         for qi in 0..queries.len() {
             let q = queries.row(qi);
-            let (got, trace) = ix.search_mode(q, 10, params, mode);
-            check(&trace);
+            let (got, _) = ix.search_mode(q, 10, params, mode);
             let want = exact_search(ix.store(), Metric::SquaredL2, q, 10);
             let want_ids: std::collections::HashSet<u32> = want.iter().map(|n| n.id).collect();
             hits += got.iter().filter(|n| want_ids.contains(&n.id)).count();
@@ -390,7 +399,7 @@ mod tests {
     fn finds_high_recall_results() {
         let ix = setup(2000);
         for mode in MODES {
-            let recall = recall_of(&ix, &SearchParams::for_k(10), mode, 5, |_| ());
+            let recall = recall_of(&ix, &SearchParams::for_k(10), mode, 5);
             assert!(recall > 0.9, "{mode:?} recall@10 = {recall}");
         }
     }
@@ -442,13 +451,21 @@ mod tests {
         // Paper: periodic reset may recompute distances but must not
         // collapse recall.
         let ix = setup(2000);
-        let mut p = SearchParams::for_k(10);
-        p.hash = HashPolicy::Forgettable { bits: 8, reset_interval: 1 };
-        let saw_reset = |t: &SearchTrace| assert!(t.iterations.iter().any(|i| i.hash_reset));
-        let recall = recall_of(&ix, &p, Mode::SingleCta, 7, saw_reset);
+        let spec = SynthSpec { dim: 8, n: 0, queries: 20, family: Family::Gaussian, seed: 7 };
+        let (_, queries) = spec.generate();
+        let p = SearchParams::for_k(10);
+        let policy = HashPolicy::Forgettable { bits: 8, reset_interval: 1 };
+        let out = ix.search_batch_traced(&queries, 10, &p, Mode::SingleCta, policy);
+        let mut hits = 0usize;
+        for (qi, (got, trace)) in out.iter().enumerate() {
+            assert!(trace.hash_in_shared && trace.iterations.iter().any(|i| i.hash_reset));
+            let want = exact_search(ix.store(), Metric::SquaredL2, queries.row(qi), 10);
+            hits += got.iter().filter(|n| want.iter().any(|w| w.id == n.id)).count();
+        }
+        let recall = hits as f64 / (queries.len() * 10) as f64;
         assert!(recall > 0.8, "forgettable recall@10 = {recall}");
         // Multi-CTA's table lives in device memory and is never reset.
-        let (_, trace) = ix.search_mode(ix.store().row(0), 10, &p, Mode::MultiCta);
+        let (_, trace) = &ix.search_batch_traced(&queries, 10, &p, Mode::MultiCta, policy)[0];
         assert!(!trace.hash_in_shared && trace.iterations.iter().all(|i| !i.hash_reset));
     }
 
@@ -491,7 +508,7 @@ mod tests {
             let mut params = SearchParams::for_k(10);
             params.search_width = width;
             params.max_iterations = 24; // fixed iteration budget
-            recall_of(&ix, &params, Mode::SingleCta, 31, |_| ())
+            recall_of(&ix, &params, Mode::SingleCta, 31)
         };
         let r1 = recall_for(1);
         let r2 = recall_for(2);
@@ -520,7 +537,7 @@ mod tests {
             p.num_cta = num_cta;
             let multi = Shape::new(Mode::MultiCta, &p, 16);
             assert_eq!((multi.workers, multi.parents, multi.m), (num_cta, 1, m));
-            assert!(multi.merge && multi.reset_interval == 0 && multi.max_rounds >= m);
+            assert!(multi.merge && multi.max_rounds >= m);
         }
     }
 

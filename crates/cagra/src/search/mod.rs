@@ -4,15 +4,16 @@
 //! candidate list; each iteration (1) merges sorted candidates into
 //! the top-M list, (2) expands the neighbors of the best not-yet-
 //! parented entries (tracked by an MSB flag on the stored index), and
-//! (3) computes distances only for nodes passing the visited hash
-//! table. That loop lives once, in [`kernel`]; the paper's two
-//! hardware mappings are *shapes* of it — how many workers share a
-//! query and one visited table, how many parents and how long a list
-//! each worker gets, how the table is sized and whether it is reset —
-//! selected by [`planner::Mode`]. [`planner`] picks the mode per
-//! Fig. 7; [`index`] is the public entry.
+//! (3) computes distances only for nodes not yet visited. That loop
+//! lives once, in [`kernel`]; the paper's two hardware mappings are
+//! *shapes* of it — how many workers share a query and one visited
+//! set, how many parents and how long a list each worker gets —
+//! selected by [`planner::Mode`]. The visited set is [`dense`] on the
+//! host and the GPU's [`hash`] table in simulated searches. [`planner`]
+//! picks the mode per Fig. 7; [`index`] is the public entry.
 
 pub mod buffer;
+pub mod dense;
 pub mod hash;
 pub mod index;
 pub mod kernel;

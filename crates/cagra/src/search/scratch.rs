@@ -1,6 +1,6 @@
 //! Reusable per-worker search state.
 //!
-//! Every search needs the same working set: a visited hash table, one
+//! Every search needs the same working set: a visited set, one
 //! search buffer per worker (top-M list + candidate list), a parent
 //! list, a result list, and a trace. Allocating these per query is
 //! invisible for a single search but dominates small-query batch
@@ -13,27 +13,34 @@
 //!
 //! [`SearchScratch::begin`] re-shapes the scratch for the next search;
 //! when the shape matches the previous query (the common case inside a
-//! batch) no allocation occurs — the visited table forgets its
-//! contents in O(1) (see [`super::hash`]), vectors are `clear()`ed,
+//! batch) no allocation occurs — the visited set forgets its
+//! contents in O(1) (see [`super::dense`]), vectors are `clear()`ed,
 //! and capacity is retained.
+//! Searches run on [`DenseVisited`] unless [`SearchScratch::simulate`]
+//! switches the scratch to the GPU's hash table for `gpu-sim`.
 
 use super::buffer::SearchBuffer;
+use super::dense::DenseVisited;
 use super::hash::VisitedSet;
 use super::trace::SearchTrace;
+use crate::params::HashPolicy;
 use knn::topk::Neighbor;
 
 /// Reusable working state for one search worker thread.
 ///
 /// Create once (cheap — everything starts empty), then pass to
-/// [`crate::search::kernel::search_kernel`] or
 /// [`crate::CagraIndex::search_mode_with`] for as many queries as
 /// desired. After each call, [`SearchScratch::results`] and
 /// [`SearchScratch::trace`] hold that query's output until the next
 /// search overwrites them.
 #[derive(Clone, Debug, Default)]
 pub struct SearchScratch {
-    /// Visited hash table (lazily created on first use).
-    pub(crate) visited: Option<VisitedSet>,
+    /// The host's visited set: one stamp per graph row (4 B × n).
+    pub(crate) dense: DenseVisited,
+    /// The GPU's visited table, created by the first simulated search.
+    pub(crate) hashed: Option<VisitedSet>,
+    /// The hash policy searches are simulated under; `None` on the host.
+    pub(crate) simulated: Option<HashPolicy>,
     /// One buffer per worker (single-CTA uses exactly one).
     pub(crate) buffers: Vec<SearchBuffer>,
     /// Per-worker liveness flags.
@@ -45,9 +52,6 @@ pub struct SearchScratch {
     /// Fresh (first-visit) node ids gathered during one parent
     /// expansion, scored in a single `DistanceOracle::to_rows` call.
     pub(crate) gang_ids: Vec<u32>,
-    /// Candidate-segment positions matching `gang_ids`, where the
-    /// batched distances are patched in.
-    pub(crate) gang_pos: Vec<u32>,
     /// Output of the batched distance call (parallel to `gang_ids`).
     pub(crate) gang_dists: Vec<f32>,
     /// Results of the most recent search, ascending by distance.
@@ -92,6 +96,24 @@ impl SearchScratch {
         self.record_accesses = record;
     }
 
+    /// Run later searches on the GPU's hash table under `policy` (Sec.
+    /// IV-B3; multi-CTA always runs the standard table), with its
+    /// slots, probes and resets in the trace for `gpu-sim` to price.
+    ///
+    /// # Panics
+    /// Panics on a forgettable policy with `bits` outside `4..=24` or a
+    /// zero `reset_interval`.
+    pub fn simulate(&mut self, policy: HashPolicy) {
+        if let HashPolicy::Forgettable { bits, reset_interval } = policy {
+            // ALLOW(panic): documented precondition (see `# Panics`).
+            assert!(
+                (4..=24).contains(&bits) && reset_interval > 0,
+                "forgettable hash needs 4..=24 bits and a positive reset interval, got {policy:?}"
+            );
+        }
+        self.simulated = Some(policy);
+    }
+
     /// Results of the most recent search.
     pub fn results(&self) -> &[Neighbor] {
         &self.results
@@ -108,18 +130,13 @@ impl SearchScratch {
         self.searches > 1
     }
 
-    /// Re-shape for the next search: a `2^bits`-slot visited table and
-    /// `workers` buffers of top-M length `m` and candidate capacity
-    /// `width`. Reuses every allocation whose size already matches;
-    /// in a fixed-shape batch this is allocation-free after the first
-    /// query. Trace metadata fields are left for the search routine to
-    /// fill; `scratch_reused` reports whether this scratch has served
-    /// a previous search.
-    pub(crate) fn begin(&mut self, bits: u8, workers: usize, m: usize, width: usize) {
-        match &mut self.visited {
-            Some(v) => v.reset_to(bits),
-            None => self.visited = Some(VisitedSet::new(bits)),
-        }
+    /// Re-shape for the next search: `workers` buffers of top-M length
+    /// `m` and candidate capacity `width`. Reuses every allocation
+    /// whose size already matches; in a fixed-shape batch this is
+    /// allocation-free after the first query. Trace metadata fields are
+    /// left for the search routine to fill; `scratch_reused` reports
+    /// whether this scratch has served a previous search.
+    pub(crate) fn begin(&mut self, workers: usize, m: usize, width: usize) {
         for buf in self.buffers.iter_mut().take(workers) {
             buf.reset(m, width);
         }
@@ -131,7 +148,6 @@ impl SearchScratch {
         self.active.resize(workers, true);
         self.parents.clear();
         self.gang_ids.clear();
-        self.gang_pos.clear();
         self.gang_dists.clear();
         self.results.clear();
         // Reset the trace in place — never replace it wholesale, that
@@ -139,6 +155,8 @@ impl SearchScratch {
         self.trace.init_distances = 0;
         self.trace.iterations.clear();
         self.trace.serial_queue = false;
+        self.trace.hash_slots = 0;
+        self.trace.hash_in_shared = false;
         self.trace.scratch_reused = self.searches > 0;
         if self.record_accesses {
             // Reuse the log's allocations across queries.
@@ -164,16 +182,14 @@ mod tests {
     fn begin_shapes_and_tracks_reuse() {
         let mut s = SearchScratch::new();
         assert!(!s.reused());
-        s.begin(8, 4, 32, 16);
+        s.begin(4, 32, 16);
         assert_eq!(s.buffers.len(), 4);
         assert_eq!(s.active, vec![true; 4]);
-        assert_eq!(s.visited.as_ref().unwrap().capacity(), 256);
         assert!(!s.trace.scratch_reused, "first search is not a reuse");
         assert!(!s.reused());
-        // Second search: fewer workers, different table size.
-        s.begin(6, 1, 64, 8);
+        // Second search: fewer workers.
+        s.begin(1, 64, 8);
         assert_eq!(s.buffers.len(), 1);
-        assert_eq!(s.visited.as_ref().unwrap().capacity(), 64);
         assert!(s.trace.scratch_reused);
         assert!(s.reused());
     }
@@ -181,13 +197,30 @@ mod tests {
     #[test]
     fn begin_clears_previous_outputs() {
         let mut s = SearchScratch::new();
-        s.begin(8, 1, 16, 8);
+        s.begin(1, 16, 8);
         s.results.push(Neighbor::new(1, 0.5));
         s.trace.init_distances = 9;
+        s.trace.hash_slots = 256;
         s.trace.iterations.push(Default::default());
-        s.begin(8, 1, 16, 8);
+        s.begin(1, 16, 8);
         assert!(s.results.is_empty());
-        assert_eq!(s.trace.init_distances, 0);
+        assert_eq!((s.trace.init_distances, s.trace.hash_slots), (0, 0));
         assert_eq!(s.trace.iteration_count(), 0);
+    }
+
+    #[test]
+    fn simulate_rejects_degenerate_forgettable_tables() {
+        for policy in [
+            HashPolicy::Forgettable { bits: 2, reset_interval: 1 },
+            HashPolicy::Forgettable { bits: 25, reset_interval: 1 },
+            HashPolicy::Forgettable { bits: 11, reset_interval: 0 },
+        ] {
+            let refused = std::panic::catch_unwind(|| SearchScratch::new().simulate(policy));
+            assert!(refused.is_err(), "{policy:?} accepted");
+        }
+        let mut s = SearchScratch::new();
+        s.simulate(HashPolicy::Forgettable { bits: 4, reset_interval: 1 });
+        s.simulate(HashPolicy::Standard);
+        assert_eq!(s.simulated, Some(HashPolicy::Standard));
     }
 }

@@ -14,13 +14,14 @@ use serde::{Deserialize, Serialize};
 /// are portable and summation cannot overflow on 32-bit targets.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct IterationTrace {
-    /// Candidate slots filled by the traversal step (`<= p * d`).
+    /// Neighbor slots the round's expansions filled, visited or not
+    /// (`parents × d` summed over workers).
     pub candidates: u64,
-    /// Distances actually computed (candidates passing the hash).
+    /// Distances actually computed (first-visit neighbors).
     pub distances_computed: u64,
-    /// Hash probe steps performed this iteration.
+    /// Hash probe steps performed this iteration (0 on the host).
     pub hash_probes: u64,
-    /// Length of the candidate segment sorted in step 1.
+    /// Length of the widest worker's segment the GPU sorts in step 1.
     pub sort_len: u64,
     /// Whether the forgettable table was reset before this iteration.
     pub hash_reset: bool,
@@ -70,7 +71,8 @@ pub struct SearchTrace {
     pub degree: usize,
     /// Number of cooperating workers (1 for single-CTA).
     pub num_workers: usize,
-    /// Hash table slot count.
+    /// Hash table slot count; 0 for a host search, which runs no hash
+    /// table.
     pub hash_slots: usize,
     /// True when the hash policy was forgettable (shared-memory
     /// resident in the GPU mapping).

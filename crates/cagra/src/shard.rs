@@ -11,9 +11,10 @@
 
 use crate::build::{BuildReport, GraphConfig};
 use crate::mmap::MmapVectors;
-use crate::params::SearchParams;
-use crate::search::index::CagraIndex;
+use crate::params::{HashPolicy, SearchParams};
+use crate::search::index::{CagraIndex, OneQuery};
 use crate::search::planner::Mode;
+use crate::search::trace::SearchTrace;
 use dataset::pq::{PqCodebook, PqConfig, PqStore};
 use dataset::{Dataset, VectorStore};
 use distance::Metric;
@@ -201,28 +202,42 @@ impl<S: VectorStore> ShardedIndex<S> {
         params: &SearchParams,
         mode: Mode,
     ) -> Vec<Neighbor> {
-        self.search_traced(query, k, params, mode).0
+        self.merge_top_k(k, self.shards.iter().map(|s| s.search_mode(query, k, params, mode).0))
     }
 
-    /// Search all shards, returning per-shard traces for multi-device
-    /// timing simulation alongside the merged results.
+    /// [`ShardedIndex::search`] on the GPU's visited table under
+    /// `policy` (the simulated entry, see
+    /// [`CagraIndex::search_batch_traced`]), returning per-shard traces
+    /// for multi-device timing simulation alongside the merged results.
     pub fn search_traced(
         &self,
         query: &[f32],
         k: usize,
         params: &SearchParams,
         mode: Mode,
-    ) -> (Vec<Neighbor>, Vec<crate::search::trace::SearchTrace>) {
+        policy: HashPolicy,
+    ) -> (Vec<Neighbor>, Vec<SearchTrace>) {
+        let (results, traces): (Vec<_>, Vec<_>) = self
+            .shards
+            .iter()
+            .flat_map(|s| s.search_batch_traced(&OneQuery(query), k, params, mode, policy))
+            .unzip();
+        (self.merge_top_k(k, results.into_iter()), traces)
+    }
+
+    /// Translate each shard's results to global ids and keep the best k.
+    fn merge_top_k(
+        &self,
+        k: usize,
+        per_shard: impl Iterator<Item = Vec<Neighbor>>,
+    ) -> Vec<Neighbor> {
         let mut all: Vec<Neighbor> = Vec::with_capacity(k * self.shards.len());
-        let mut traces = Vec::with_capacity(self.shards.len());
-        for (shard, &offset) in self.shards.iter().zip(&self.offsets) {
-            let (results, trace) = shard.search_mode(query, k, params, mode);
+        for (results, &offset) in per_shard.zip(&self.offsets) {
             all.extend(results.into_iter().map(|n| Neighbor::new(n.id + offset, n.dist)));
-            traces.push(trace);
         }
         all.sort_unstable_by(cmp_neighbor);
         all.truncate(k);
-        (all, traces)
+        all
     }
 }
 
@@ -292,9 +307,12 @@ mod tests {
     fn traced_search_returns_one_trace_per_shard() {
         let (base, queries) = workload();
         let (sharded, _) = ShardedIndex::build(&base, Metric::SquaredL2, &GraphConfig::new(8), 3);
-        let (_, traces) =
-            sharded.search_traced(queries.row(0), 5, &SearchParams::for_k(5), Mode::SingleCta);
+        let p = SearchParams::for_k(5);
+        let (got, traces) =
+            sharded.search_traced(queries.row(0), 5, &p, Mode::SingleCta, HashPolicy::Standard);
         assert_eq!(traces.len(), 3);
+        assert!(traces.iter().all(|t| t.hash_slots > 0), "simulated traces carry their table");
+        assert_eq!(got, sharded.search(queries.row(0), 5, &p, Mode::SingleCta));
     }
 
     #[test]

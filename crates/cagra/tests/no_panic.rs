@@ -1,7 +1,7 @@
 //! No-panic guarantee of the fallible public API: for *any*
 //! combination of dataset shape, graph degree, query dimension, and
 //! knob settings — including degenerate ones (n = 0, n = 1,
-//! n < itopk, self-loop-only graphs, zero-bit hashes) — the `try_*`
+//! n < itopk, self-loop-only graphs, zero widths) — the `try_*`
 //! entry points return `Ok` or a typed [`SearchError`], never panic.
 //!
 //! The second property pins the error taxonomy: `try_search_batch`
@@ -9,7 +9,6 @@
 //! fallible API neither invents spurious failures nor lets invalid
 //! input through.
 
-use cagra::params::HashPolicy;
 use cagra::search::planner::Mode;
 use cagra::{CagraIndex, SearchError, SearchParams};
 use dataset::Dataset;
@@ -49,15 +48,8 @@ fn input_is_valid(p: &SearchParams, k: usize, n: usize, dim: usize, qdim: usize)
         && k <= n
         && p.itopk <= SearchParams::MAX_ITOPK
         && (1..=SearchParams::MAX_SEARCH_WIDTH).contains(&p.search_width)
-        && matches!(p.team_size, 2 | 4 | 8 | 16 | 32)
         && (1..=SearchParams::MAX_NUM_CTA).contains(&p.num_cta)
         && p.max_iterations <= SearchParams::MAX_ITERATION_BOUND
-        && match p.hash {
-            HashPolicy::Standard => true,
-            HashPolicy::Forgettable { bits, reset_interval } => {
-                (4..=24).contains(&bits) && reset_interval >= 1
-            }
-        }
 }
 
 proptest! {
@@ -72,11 +64,7 @@ proptest! {
         k in 0usize..24,
         itopk in 0usize..64,
         width in 0usize..4,
-        team in 0usize..40,
         num_cta in 0usize..4,
-        forgettable in any::<bool>(),
-        bits in 0u8..30,
-        reset in 0u8..4,
         single in any::<bool>(),
     ) {
         let index =
@@ -84,13 +72,7 @@ proptest! {
         let mut p = SearchParams::for_k(k.max(1));
         p.itopk = itopk;
         p.search_width = width;
-        p.team_size = team;
         p.num_cta = num_cta;
-        p.hash = if forgettable {
-            HashPolicy::Forgettable { bits, reset_interval: reset }
-        } else {
-            HashPolicy::Standard
-        };
         let q = Dataset::from_flat(vec![0.25f32; qdim], qdim);
         let mode = if single { Mode::SingleCta } else { Mode::MultiCta };
         // Reaching a match arm at all is the no-panic property.

@@ -1,6 +1,7 @@
 //! CAGRA search-machinery invariants over arbitrary inputs.
 
 use cagra::search::buffer::{BufEntry, SearchBuffer};
+use cagra::search::dense::DenseVisited;
 use cagra::search::hash::VisitedSet;
 use cagra::search::parent::{is_parented, node_id, set_parented, INVALID};
 use proptest::prelude::*;
@@ -81,10 +82,10 @@ proptest! {
     /// `update_topm` against its definition, round by round: stable
     /// sort of `topm ++ candidates` by `(dist, node_id)`, NaN
     /// candidates dropped, first M kept. The stream has everything the
-    /// kernel produces: `f32::MAX` hash-suppressed placeholders, ids
-    /// repeated within a round (two parents sharing a neighbor) and
-    /// across rounds (re-scored duplicates of list entries), underfull
-    /// lists, and entries parented between rounds.
+    /// kernel produces — ids repeated within a round (two parents
+    /// sharing a neighbor) and across rounds (duplicates re-scored
+    /// after a forgettable reset), underfull lists, entries parented
+    /// between rounds — plus `f32::MAX` entries that tie the dummies.
     #[test]
     fn update_topm_equals_sort_and_truncate_oracle(
         m in 1usize..24,
@@ -169,6 +170,36 @@ proptest! {
         }
         for id in 0..96 {
             prop_assert_eq!(ours.contains(id), model.contains(id), "final contains {}", id);
+        }
+    }
+
+    /// The host's dense table against a `VisitedSet` sized never to
+    /// fill (256 slots, at most 96 ids per query): the same random
+    /// `insert` streams over ids below `n`, with per-query restarts,
+    /// must get the same answer from both at every step. A fresh
+    /// `DenseVisited` also starts 1001 restarts short of its generation
+    /// wrap; 990–1010 burn-in restarts put the wrap before, inside, or
+    /// after the random sequence.
+    #[test]
+    fn dense_table_is_indistinguishable_from_a_table_that_never_fills(
+        burn_in in 990u32..1010,
+        n in 1u32..96,
+        ops in proptest::collection::vec((0u8..8, 0u32..96), 1..400),
+    ) {
+        let mut dense = DenseVisited::default();
+        let mut table = VisitedSet::new(8);
+        for _ in 0..burn_in {
+            dense.restart(n as usize);
+        }
+        for (step, &(op, id)) in ops.iter().enumerate() {
+            if op == 0 {
+                // A new query.
+                dense.restart(n as usize);
+                table.reset_to(8);
+            } else {
+                let id = id % n;
+                prop_assert_eq!(dense.insert(id), table.insert(id), "step {}: insert {}", step, id);
+            }
         }
     }
 

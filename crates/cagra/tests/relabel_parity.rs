@@ -1,15 +1,13 @@
 //! Relabeling must be invisible in results: a relabeled index returns
 //! bit-identical `Neighbor` lists (original ids *and* distance bits)
 //! to the unpermuted index, for every strategy, both kernel mappings,
-//! any thread count, and **both hash policies**. `Standard` is
-//! id-independent by sizing (the table never saturates);
-//! `Forgettable` became part of the contract once the reset re-seed
-//! was restricted to live top-M entries — the historical caveat was
-//! that hash-suppressed MAX-distance placeholders survive the top-M
-//! boundary id-dependently, so re-registering them made forgettable
-//! runs diverge under a permutation (see DESIGN.md, "Memory
-//! locality"). Env-mutating legs (`CAGRA_THREADS`) live in one
-//! `#[test]` because Rust runs `#[test]`s concurrently.
+//! any thread count, on the host's dense visited set and on the
+//! simulated **forgettable** hash table. The dense set is
+//! id-independent by construction; the forgettable reset re-seeds
+//! exactly the worker's top-M, whose entries are placed by geometry,
+//! so it is id-independent too (see DESIGN.md, "Memory locality").
+//! Env-mutating legs (`CAGRA_THREADS`) live in one `#[test]` because
+//! Rust runs `#[test]`s concurrently.
 
 use cagra::search::planner::Mode;
 use cagra::{CagraIndex, GraphConfig, HashPolicy, Permutation, RelabelStrategy, SearchParams};
@@ -64,7 +62,7 @@ fn relabeled_search_is_bit_identical_across_strategies_modes_threads() {
     let (base, queries) = spec.generate();
     let (index, _) = CagraIndex::build(base, Metric::SquaredL2, &GraphConfig::new(16));
     let k = 10;
-    let params = SearchParams { hash: HashPolicy::Standard, ..SearchParams::for_k(k) };
+    let params = SearchParams::for_k(k);
 
     for strategy in [RelabelStrategy::Degree, RelabelStrategy::Rcm, RelabelStrategy::Gorder] {
         let mut relabeled = clone_of(&index);
@@ -89,8 +87,8 @@ fn relabeled_search_is_bit_identical_across_strategies_modes_threads() {
     }
 }
 
-/// The Forgettable-hash leg of the parity contract (ISSUE 10 bugfix):
-/// periodic resets re-seed only live entries, so relabeled forgettable
+/// The Forgettable-hash leg of the parity contract, on the simulated
+/// entry: periodic resets re-seed the top-M, so relabeled forgettable
 /// search is bit-identical too — across strategies, both kernel
 /// mappings, several table sizes, and reset intervals (interval 1 is
 /// the adversarial case: a reset before every expansion).
@@ -107,17 +105,19 @@ fn forgettable_hash_relabeled_search_is_bit_identical() {
     let (index, _) = CagraIndex::build(base, Metric::SquaredL2, &GraphConfig::new(16));
     let k = 10;
 
+    let params = SearchParams::for_k(k);
+    let simulated = |index: &CagraIndex<Dataset>, mode, policy| -> Vec<Vec<Neighbor>> {
+        let out = index.search_batch_traced(&queries, k, &params, mode, policy);
+        out.into_iter().map(|(results, _)| results).collect()
+    };
     for (bits, reset_interval) in [(8u8, 1u8), (8, 2), (10, 1)] {
-        let params = SearchParams {
-            hash: HashPolicy::Forgettable { bits, reset_interval },
-            ..SearchParams::for_k(k)
-        };
+        let policy = HashPolicy::Forgettable { bits, reset_interval };
         for strategy in [RelabelStrategy::Degree, RelabelStrategy::Rcm, RelabelStrategy::Gorder] {
             let mut relabeled = clone_of(&index);
             relabeled.relabel(strategy);
             for mode in [Mode::SingleCta, Mode::MultiCta] {
-                let baseline = batch(&index, &queries, k, &params, mode);
-                let got = batch(&relabeled, &queries, k, &params, mode);
+                let baseline = simulated(&index, mode, policy);
+                let got = simulated(&relabeled, mode, policy);
                 assert_bit_identical(
                     &got,
                     &baseline,
@@ -136,7 +136,7 @@ fn composed_relabels_still_match_the_unpermuted_index() {
     let (base, queries) = spec.generate();
     let (index, _) = CagraIndex::build(base, Metric::SquaredL2, &GraphConfig::new(8));
     let k = 5;
-    let params = SearchParams { hash: HashPolicy::Standard, ..SearchParams::for_k(k) };
+    let params = SearchParams::for_k(k);
     let baseline = index.search_batch(&queries, k, &params);
 
     let mut twice = clone_of(&index);
@@ -194,7 +194,7 @@ proptest! {
         let (base, queries) = spec.generate();
         let (index, _) = CagraIndex::build(base, Metric::SquaredL2, &GraphConfig::new(8));
         let k = 5;
-        let params = SearchParams { hash: HashPolicy::Standard, ..SearchParams::for_k(k) };
+        let params = SearchParams::for_k(k);
         let baseline = index.search_batch(&queries, k, &params);
         let mut relabeled = clone_of(&index);
         relabeled.relabel(strategy);

@@ -20,7 +20,7 @@ use crate::recall::recall_at_k;
 use crate::report::Table;
 use cagra::search::planner::Mode;
 use cagra::search::trace::SearchTrace;
-use cagra::{CagraIndex, HashPolicy, RelabelStrategy, SearchParams, SearchScratch};
+use cagra::{CagraIndex, RelabelStrategy, SearchParams, SearchScratch};
 use dataset::presets::PresetName;
 use dataset::{Dataset, VectorStore};
 use gpu_sim::mem::DEFAULT_CACHE_LINES;
@@ -74,10 +74,9 @@ fn traced_with_accesses(
 /// copy) on one workload.
 pub fn measure(wl: &Workload, ctx: &ExpContext) -> Vec<StrategyRow> {
     let (base_index, _) = build_cagra(wl);
-    let mut params = SearchParams::for_k(ctx.k);
-    // Standard hash: id-independent visited set, so relabeled runs are
-    // bit-identical to identity (DESIGN.md, "Memory locality").
-    params.hash = HashPolicy::Standard;
+    // The host's dense visited set is id-independent, so relabeled
+    // runs are bit-identical to identity (DESIGN.md, "Memory locality").
+    let params = SearchParams::for_k(ctx.k);
     let gt = wl.ground_truth(ctx.k);
     let degree = base_index.graph().degree();
     let layout = MemLayout::new(base_index.graph().len(), degree, wl.base.dim() * 4);

@@ -108,8 +108,9 @@ pub fn measure(wl: &Workload, ctx: &ExpContext) -> Vec<(&'static str, Vec<CurveP
 
     // CAGRA's loop on the same clock as the NSSG rows: one thread, a
     // query at a time on one recycled scratch, per-query seeds as the
-    // batch entry draws them (so the single-CTA recall column repeats
-    // the simulated row's).
+    // batch entry draws them. These run the host's dense visited set,
+    // so their recall is the standard table's, not the simulated
+    // forgettable row's.
     for (label, mode) in
         [("CAGRA single-CTA (CPU)", Mode::SingleCta), ("CAGRA multi-CTA (CPU)", Mode::MultiCta)]
     {

@@ -15,7 +15,7 @@ use crate::report::{fmt_qps, Table};
 use cagra::build::GraphConfig;
 use cagra::search::planner::Mode;
 use cagra::search::trace::SearchTrace;
-use cagra::{SearchParams, ShardedIndex};
+use cagra::{HashPolicy, SearchParams, ShardedIndex};
 use dataset::presets::PresetName;
 use dataset::VectorStore;
 use gpu_sim::{simulate_sharded_batch, DeviceSpec, Mapping};
@@ -31,11 +31,12 @@ pub fn measure(wl: &Workload, ctx: &ExpContext, shard_counts: &[usize]) -> Vec<(
             let (index, _) =
                 ShardedIndex::build(&wl.base, wl.metric, &GraphConfig::new(wl.degree()), shards);
             let params = SearchParams::for_k(ctx.k);
+            let hash = HashPolicy::Forgettable { bits: 11, reset_interval: 1 };
             let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(wl.queries.len());
             let mut shard_traces: Vec<Vec<SearchTrace>> = vec![Vec::new(); shards];
             for qi in 0..wl.queries.len() {
-                let (res, traces) =
-                    index.search_traced(wl.queries.row(qi), ctx.k, &params, Mode::SingleCta);
+                let q = wl.queries.row(qi);
+                let (res, traces) = index.search_traced(q, ctx.k, &params, Mode::SingleCta, hash);
                 results.push(res);
                 for (s, t) in traces.into_iter().enumerate() {
                     shard_traces[s].push(t);

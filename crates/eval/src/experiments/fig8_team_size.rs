@@ -12,7 +12,7 @@ use crate::recall::recall_at_k;
 use crate::report::{fmt_qps, Table};
 use crate::sweep::sim_batch_qps;
 use cagra::search::planner::Mode;
-use cagra::SearchParams;
+use cagra::{HashPolicy, SearchParams};
 use dataset::presets::PresetName;
 use dataset::VectorStore;
 use gpu_sim::Mapping;
@@ -42,7 +42,8 @@ pub fn run(ctx: &ExpContext) {
 pub fn sweep(wl: &Workload, ctx: &ExpContext) -> Vec<(usize, f64, f64)> {
     let (index, _) = build_cagra(wl);
     let params = SearchParams::for_k(ctx.k);
-    let out = index.search_batch_traced(&wl.queries, ctx.k, &params, Mode::SingleCta);
+    let hash = HashPolicy::Forgettable { bits: 11, reset_interval: 1 };
+    let out = index.search_batch_traced(&wl.queries, ctx.k, &params, Mode::SingleCta, hash);
     let results: Vec<_> = out.iter().map(|(r, _)| r.clone()).collect();
     let traces: Vec<_> = out.into_iter().map(|(_, t)| t).collect();
     let recall = recall_at_k(&results, &wl.ground_truth(ctx.k), ctx.k);

@@ -104,12 +104,9 @@ pub fn cagra_curve<S: VectorStore>(
     itopks
         .iter()
         .map(|&itopk| {
-            let mut p = SearchParams::for_k(k);
-            p.itopk = itopk.max(k);
-            p.hash = hash;
-            p.team_size = team;
+            let p = SearchParams { itopk: itopk.max(k), ..SearchParams::for_k(k) };
             let t0 = Instant::now();
-            let out = index.search_batch_traced(&wl.queries, k, &p, mode);
+            let out = index.search_batch_traced(&wl.queries, k, &p, mode, hash);
             let wall = t0.elapsed().as_secs_f64();
             let results: Vec<Vec<Neighbor>> = out.iter().map(|(r, _)| r.clone()).collect();
             let traces: Vec<SearchTrace> = out.into_iter().map(|(_, t)| t).collect();

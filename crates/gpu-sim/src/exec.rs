@@ -65,9 +65,13 @@ fn per_worker(it: &IterationTrace, workers: usize) -> IterationTrace {
 ///
 /// All queries must share a kernel shape (same graph, parameters and
 /// precision); `team_size` is the warp-splitting factor under test.
+/// Traces must come from a simulated search, which ran the visited
+/// table being priced; a host search's trace has none.
 ///
 /// # Panics
-/// Panics on an empty batch.
+/// Panics on an empty batch, a `team_size` other than 2, 4, 8, 16 or
+/// 32 (a team must divide a 32-thread warp), or a trace without a
+/// visited table (`hash_slots == 0`).
 pub fn simulate_batch(
     device: &DeviceSpec,
     traces: &[SearchTrace],
@@ -77,6 +81,15 @@ pub fn simulate_batch(
     mapping: Mapping,
 ) -> BatchTiming {
     assert!(!traces.is_empty(), "cannot simulate an empty batch");
+    assert!(
+        matches!(team_size, 2 | 4 | 8 | 16 | 32),
+        "team_size {team_size} must divide a 32-thread warp"
+    );
+    assert!(
+        traces.iter().all(|t| t.hash_slots > 0),
+        "a host trace has no visited table to price; record traces with \
+         CagraIndex::search_batch_traced, ShardedIndex::search_traced or SearchScratch::simulate"
+    );
     let cfg = KernelConfig::from_trace(&traces[0], dim, bytes_per_elem, team_size);
     let occ = cta_occupancy(device, &cfg);
 
@@ -248,5 +261,20 @@ mod tests {
     #[should_panic(expected = "empty batch")]
     fn empty_batch_rejected() {
         simulate_batch(&DeviceSpec::a100(), &[], 96, 4, 8, Mapping::SingleCta);
+    }
+
+    #[test]
+    #[should_panic(expected = "must divide a 32-thread warp")]
+    fn team_size_that_splits_no_warp_rejected() {
+        let t = [mk_trace(4, 1, 32, 64, true)];
+        simulate_batch(&DeviceSpec::a100(), &t, 96, 4, 7, Mapping::SingleCta);
+    }
+
+    #[test]
+    #[should_panic(expected = "host trace has no visited table")]
+    fn host_trace_rejected() {
+        let host = SearchTrace { hash_slots: 0, ..mk_trace(4, 1, 32, 64, false) };
+        let t = [mk_trace(4, 1, 32, 64, false), host];
+        simulate_batch(&DeviceSpec::a100(), &t, 96, 4, 8, Mapping::SingleCta);
     }
 }

@@ -16,7 +16,7 @@
 //! fall), not absolute QPS.
 //!
 //! ```
-//! use cagra::{CagraIndex, GraphConfig, SearchParams};
+//! use cagra::{CagraIndex, GraphConfig, HashPolicy, SearchParams};
 //! use cagra::search::planner::Mode;
 //! use dataset::synth::{Family, SynthSpec};
 //! use distance::Metric;
@@ -25,7 +25,11 @@
 //! let (base, queries) =
 //!     SynthSpec { dim: 16, n: 400, queries: 4, family: Family::Gaussian, seed: 2 }.generate();
 //! let (index, _) = CagraIndex::build(base, Metric::SquaredL2, &GraphConfig::new(8));
-//! let out = index.search_batch_traced(&queries, 5, &SearchParams::for_k(5), Mode::SingleCta);
+//! // The simulated entry runs the GPU's visited table, here the paper's
+//! // shared-memory forgettable one, so the trace can price it.
+//! let policy = HashPolicy::Forgettable { bits: 11, reset_interval: 1 };
+//! let params = SearchParams::for_k(5);
+//! let out = index.search_batch_traced(&queries, 5, &params, Mode::SingleCta, policy);
 //! let traces: Vec<_> = out.into_iter().map(|(_, t)| t).collect();
 //! let timing = simulate_batch(&DeviceSpec::a100(), &traces, 16, 4, 8, Mapping::SingleCta);
 //! assert!(timing.qps > 0.0);

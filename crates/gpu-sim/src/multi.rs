@@ -29,7 +29,8 @@ const MERGE_SECONDS_PER_QUERY: f64 = 2.0e-8;
 /// device.
 ///
 /// # Panics
-/// Panics if shards disagree on the batch size or there are no shards.
+/// Panics if shards disagree on the batch size or there are no shards,
+/// and wherever [`simulate_batch`] panics.
 pub fn simulate_sharded_batch(
     device: &DeviceSpec,
     shard_traces: &[Vec<SearchTrace>],

@@ -50,12 +50,16 @@ pub struct Metrics {
     /// Distance computations per query.
     pub search_distances: Histogram,
     /// Hash probe steps per query (summed over its iterations).
+    /// Simulated searches only: the host's dense visited table has no
+    /// probes.
     pub search_probe_len: Histogram,
     /// Visited-table occupancy per query, in tenths of a percent
-    /// (0..=1000) so the log buckets resolve the low end.
+    /// (0..=1000) so the log buckets resolve the low end. Simulated
+    /// searches only: the dense table covers every row and never fills.
     pub search_hash_occupancy_permille: Histogram,
     /// Widest per-worker candidate segment of the query (the input
-    /// length of the GPU's top-M sort; the largest over its iterations).
+    /// length of the GPU's top-M sort, `parents × degree`; the largest
+    /// over its iterations).
     pub search_sort_len: Histogram,
     /// Queries that ran the two-phase exact rerank pass.
     pub search_rerank_queries: Counter,

@@ -342,9 +342,9 @@ fn pq_backed_service_serves_two_phase_exact_distances() {
 
 /// The case a recycled scratch could get wrong: one service, one pair
 /// of long-lived scratches, and traffic whose *shape* keeps changing —
-/// lone requests (multi-CTA, 16 workers, the large standard table),
-/// full batches past the Fig. 7 crossover (single-CTA, one worker, the
-/// small forgettable table), small batches in between (fewer CTAs),
+/// lone requests (multi-CTA, 16 workers sharing one visited set), full
+/// batches past the Fig. 7 crossover (single-CTA, one worker), small
+/// batches in between (fewer CTAs),
 /// `k = 10` beside `k = 1`, every request followed by the exact rerank
 /// pass. Each response must equal `search_mode_with` on a fresh scratch
 /// under the plan its `ResponseMeta` reports, bit for bit.

@@ -10,8 +10,13 @@
 //! cargo run --release --example online_serving
 //! ```
 
+use cagra_repro::cagra::SearchScratch;
 use cagra_repro::prelude::*;
 use gpu_sim::{simulate_batch, DeviceSpec, Mapping};
+
+/// Threads per distance computation in the GPU model (a `gpu-sim`
+/// input; results do not depend on it).
+const TEAM_SIZE: usize = 8;
 
 fn main() {
     let spec = SynthSpec { dim: 96, n: 50_000, queries: 200, family: Family::Gaussian, seed: 3 };
@@ -30,16 +35,23 @@ fn main() {
         choose(10_000, params.itopk)
     );
 
-    // Serve queries one at a time and collect latencies.
+    // Serve queries one at a time and collect latencies. The simulated
+    // latency prices a second run of each query on the GPU's visited
+    // table (multi-CTA: the standard one), which returns the same ids.
     let mut host_lat_us: Vec<f64> = Vec::with_capacity(queries.len());
     let mut sim_lat_us: Vec<f64> = Vec::with_capacity(queries.len());
     let device = DeviceSpec::a100();
+    let mut simulated = SearchScratch::new();
+    simulated.simulate(HashPolicy::Standard);
     for qi in 0..queries.len() {
         let t0 = std::time::Instant::now();
-        let (results, trace) = index.search_mode(queries.row(qi), 10, &params, Mode::MultiCta);
+        let (results, _) = index.search_mode(queries.row(qi), 10, &params, Mode::MultiCta);
         host_lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
         assert_eq!(results.len(), 10);
-        let sim = simulate_batch(&device, &[trace], 96, 4, params.team_size, Mapping::MultiCta);
+        index.search_mode_with(queries.row(qi), 10, &params, Mode::MultiCta, &mut simulated);
+        assert_eq!(simulated.results(), &results[..]);
+        let trace = simulated.trace().clone();
+        let sim = simulate_batch(&device, &[trace], 96, 4, TEAM_SIZE, Mapping::MultiCta);
         sim_lat_us.push(sim.seconds * 1e6);
     }
 

@@ -28,14 +28,17 @@ fn main() {
         reports.iter().map(|r| r.total()).collect::<Vec<_>>()
     );
 
-    // Search every query across all shards, collecting per-shard
+    // Search every query across all shards on the GPU's visited table
+    // (the paper's shared-memory forgettable one), collecting per-shard
     // traces for the device model.
     let params = SearchParams::for_k(10);
+    let hash = HashPolicy::Forgettable { bits: 11, reset_interval: 1 };
     let mut shard_traces: Vec<Vec<cagra::search::trace::SearchTrace>> =
         (0..shards).map(|_| Vec::with_capacity(queries.len())).collect();
     let mut hits = 0usize;
     for (qi, ids) in gt.iter().enumerate() {
-        let (results, traces) = index.search_traced(queries.row(qi), 10, &params, Mode::SingleCta);
+        let (results, traces) =
+            index.search_traced(queries.row(qi), 10, &params, Mode::SingleCta, hash);
         for (s, t) in traces.into_iter().enumerate() {
             shard_traces[s].push(t);
         }

@@ -49,8 +49,8 @@ fn cagra_pipeline_end_to_end() {
 
     let mut params = SearchParams::for_k(K);
     params.itopk = 128;
-    let out =
-        index.search_batch_traced(&queries, K, &params, cagra::search::planner::Mode::SingleCta);
+    let hash = HashPolicy::Forgettable { bits: 11, reset_interval: 1 };
+    let out = index.search_batch_traced(&queries, K, &params, Mode::SingleCta, hash);
     let results: Vec<_> = out.iter().map(|(r, _)| r.clone()).collect();
     let r = recall(&results, &gt);
     assert!(r > 0.9, "CAGRA recall@10 = {r}");
@@ -124,6 +124,31 @@ fn fp16_index_matches_fp32_results_closely() {
     let r32 = recall(&index.search_batch(&queries, K, &params), &gt);
     let r16 = recall(&index16.search_batch(&queries, K, &params), &gt);
     assert!((r32 - r16).abs() < 0.03, "fp32 {r32} vs fp16 {r16}");
+}
+
+/// The rerank pass counts each kept id the approximate traversal had
+/// ranked below k. No other test in this file reranks, so the
+/// counter's delta over the batch is exact.
+#[test]
+fn rerank_counts_exactly_the_ids_it_promotes() {
+    let (base, queries, _) = workload();
+    let codes = cagra_repro::dataset::pq::build(&base, &cagra_repro::dataset::pq::PqConfig::new(4));
+    let (graph, _) = cagra::build_graph(&base, Metric::SquaredL2, &GraphConfig::new(16));
+    let mut index = CagraIndex::from_parts(codes, graph, Metric::SquaredL2);
+    let approx = SearchParams { itopk: 128, ..SearchParams::for_k(K) };
+    let ranked = index.search_batch(&queries, K, &approx);
+    index.set_rerank_store(Box::new(clone_of(&base)));
+    let promoted = || obs::metrics().search_rerank_promoted.get();
+    let before = promoted();
+    let kept = index.search_batch(&queries, K, &SearchParams { rerank_depth: 64, ..approx });
+    let counted = promoted() - before;
+    let want: usize = ranked
+        .iter()
+        .zip(&kept)
+        .map(|(r, k)| k.iter().filter(|n| r.iter().all(|a| a.id != n.id)).count())
+        .sum();
+    assert!(want > 0, "4-byte PQ codes must rank some exact neighbors below k");
+    assert_eq!(counted, want as u64);
 }
 
 /// The registry is process-global and the tests in this file run in

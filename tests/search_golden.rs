@@ -1,23 +1,34 @@
 //! Golden parity for the search kernel: FNV-1a digests over result
 //! ids, distance bits, every `SearchTrace` field and the `AccessLog`,
-//! for a grid of metric x relabel x hash policy x `search_width` x
-//! `num_cta` x `max_iterations` x (k, itopk) x both modes, plus one
-//! PQ + `rerank_depth` leg.
-//!
-//! The constants were generated from the two-file kernel
-//! (`single_cta.rs` + `multi_cta.rs`) at commit `c107c51`, by running
-//! this file there (`cargo test --test search_golden`; it calls only
-//! `search_mode_with`, whose signature the merge did not touch) and
-//! copying the table a mismatch prints. Any change to what the loop
-//! computes, counts or logs — not just to what it returns — fails it.
+//! for a grid of metric x relabel x `search_width` x `num_cta` x
+//! `max_iterations` x (k, itopk) x both modes, plus one PQ +
+//! `rerank_depth` leg, in two tables. Any change to what the loop
+//! computes, counts or logs — not just to what it returns — fails one.
 //! Data comes from an integer LCG so the digests do not depend on the
 //! host's libm.
+//!
+//! * `SIMULATED` runs the GPU's hash table, adding a hash-policy axis
+//!   to the grid (set per cell with `SearchScratch::simulate`; the PQ
+//!   leg runs the forgettable 2^11-slot table). Its constants were
+//!   generated from the two-file kernel (`single_cta.rs` +
+//!   `multi_cta.rs`) at commit `c107c51`, by running this digest there
+//!   and copying the table a mismatch prints.
+//! * `HOST` runs the host's dense visited set, on the same grid without
+//!   the hash axis, and leaves out the four words only a hash table
+//!   has: `hash_probes`, `hash_reset`, `hash_slots` and
+//!   `hash_in_shared`. Its constants were generated at commit
+//!   `e90c9e0`, where every search ran a hash table, by running this
+//!   digest there with `HashPolicy::Standard` in every cell.
+//!
+//! The simulated run also checks every `Standard` cell against the
+//! host: the same ids, distance bits and non-table trace fields, from a
+//! table that never filled.
 
 use cagra_repro::cagra::{RelabelStrategy, SearchScratch};
 use cagra_repro::dataset::pq::{self, PqConfig};
 use cagra_repro::prelude::*;
 
-const GOLDEN: [(&str, u64); 13] = [
+const SIMULATED: [(&str, u64); 13] = [
     ("SquaredL2/plain/SingleCta", 0x871f4936e523b27c),
     ("SquaredL2/plain/MultiCta", 0xfcfb6e2573ca829f),
     ("SquaredL2/rcm/SingleCta", 0x1ce3056a35703e34),
@@ -33,9 +44,29 @@ const GOLDEN: [(&str, u64); 13] = [
     ("SquaredL2/pq-rerank/both", 0xdaeb217f568fc89c),
 ];
 
+const HOST: [(&str, u64); 13] = [
+    ("SquaredL2/plain/SingleCta", 0xb969d6fac533d96c),
+    ("SquaredL2/plain/MultiCta", 0x07fb42554d12f780),
+    ("SquaredL2/rcm/SingleCta", 0x0ef5832c34d1f2f4),
+    ("SquaredL2/rcm/MultiCta", 0x61cb10a0a0ce64a9),
+    ("Cosine/plain/SingleCta", 0xd6a107cf5414d618),
+    ("Cosine/plain/MultiCta", 0x54a2d2750960c53a),
+    ("Cosine/rcm/SingleCta", 0xb72ad44b45a215b0),
+    ("Cosine/rcm/MultiCta", 0x0de9a301d45d193b),
+    ("InnerProduct/plain/SingleCta", 0xb8a70842a037a0d8),
+    ("InnerProduct/plain/MultiCta", 0xa4ad983d94c1728e),
+    ("InnerProduct/rcm/SingleCta", 0x6ae33dd3ab650a5c),
+    ("InnerProduct/rcm/MultiCta", 0x6561e125cef0f705),
+    ("SquaredL2/pq-rerank/both", 0x9be4de0fcc5eda45),
+];
+
 const N: usize = 600;
 const DIM: usize = 16;
 const QUERIES: usize = 3;
+
+/// One grid cell: `k`, the parameters, and the hash policy the search
+/// is simulated under (`None`: the host's dense table).
+type Cell = (usize, SearchParams, Option<HashPolicy>);
 
 struct Fnv(u64);
 
@@ -55,8 +86,9 @@ impl Fnv {
         ids.iter().for_each(|&id| self.word(id as u64));
     }
 
-    /// Everything one search left in the scratch.
-    fn absorb(&mut self, scratch: &SearchScratch) {
+    /// Everything one search left in the scratch; `table` adds the
+    /// four words only a hash table has.
+    fn absorb(&mut self, scratch: &SearchScratch, table: bool) {
         self.word(scratch.results().len() as u64);
         for nb in scratch.results() {
             self.word(nb.id as u64);
@@ -67,15 +99,24 @@ impl Fnv {
             self.word(w);
         }
         for it in &t.iterations {
-            for w in [it.candidates, it.distances_computed, it.hash_probes, it.sort_len] {
-                self.word(w);
+            self.word(it.candidates);
+            self.word(it.distances_computed);
+            if table {
+                self.word(it.hash_probes);
             }
-            self.word(it.hash_reset as u64);
+            self.word(it.sort_len);
+            if table {
+                self.word(it.hash_reset as u64);
+            }
         }
-        for w in [t.itopk, t.search_width, t.degree, t.num_workers, t.hash_slots] {
+        for w in [t.itopk, t.search_width, t.degree, t.num_workers] {
             self.word(w as u64);
         }
-        for flag in [t.hash_in_shared, t.serial_queue, t.scratch_reused] {
+        if table {
+            self.word(t.hash_slots as u64);
+            self.word(t.hash_in_shared as u64);
+        }
+        for flag in [t.serial_queue, t.scratch_reused] {
             self.word(flag as u64);
         }
         let log = t.accesses.as_ref().expect("access recording is on");
@@ -86,6 +127,13 @@ impl Fnv {
             self.ids(&it.scored);
         }
     }
+}
+
+/// The non-table digest of one search.
+fn one(scratch: &SearchScratch) -> u64 {
+    let mut h = Fnv::new();
+    h.absorb(scratch, false);
+    h.0
 }
 
 /// `rows` clustered vectors in [-1, 1]^DIM (8 centres + uniform noise,
@@ -108,22 +156,17 @@ fn copy_of(d: &Dataset) -> Dataset {
     Dataset::from_flat(d.as_flat().to_vec(), d.dim())
 }
 
-/// `(k, params)` for every cell of the knob grid.
-fn grid() -> Vec<(usize, SearchParams)> {
-    let policies = [
-        HashPolicy::Standard,
-        HashPolicy::Forgettable { bits: 8, reset_interval: 1 },
-        HashPolicy::Forgettable { bits: 9, reset_interval: 2 },
-    ];
+/// Every cell of the knob grid, once per entry of `policies`.
+fn grid(policies: &[Option<HashPolicy>]) -> Vec<Cell> {
     let mut cells = Vec::new();
     for (k, itopk) in [(10, 64), (5, 200)] {
-        for hash in policies {
+        for &policy in policies {
             for search_width in [1, 2] {
                 for num_cta in [1, 16] {
                     for max_iterations in [0, 5] {
                         let base = SearchParams::for_k(k);
-                        let knobs = SearchParams { itopk, hash, search_width, num_cta, ..base };
-                        cells.push((k, SearchParams { max_iterations, ..knobs }));
+                        let knobs = SearchParams { itopk, search_width, num_cta, ..base };
+                        cells.push((k, SearchParams { max_iterations, ..knobs }, policy));
                     }
                 }
             }
@@ -133,34 +176,48 @@ fn grid() -> Vec<(usize, SearchParams)> {
 }
 
 /// Digest of `modes` x `cells` x `queries` on one index, all on one
-/// recycled scratch with batch-style per-query seeds.
+/// recycled scratch with batch-style per-query seeds. A `Standard`
+/// cell is also run on the host, on a second recycled scratch, and
+/// must match it.
 fn digest<S: VectorStore>(
     index: &CagraIndex<S>,
     queries: &Dataset,
     modes: &[Mode],
-    cells: &[(usize, SearchParams)],
+    cells: &[Cell],
 ) -> u64 {
     let mut h = Fnv::new();
     let mut scratch = SearchScratch::new();
     scratch.set_record_accesses(true);
+    let mut host = SearchScratch::new();
+    host.set_record_accesses(true);
     for &mode in modes {
-        for &(k, p) in cells {
+        for &(k, p, policy) in cells {
             for qi in 0..queries.len() {
                 let p = SearchParams { seed: p.seed_for_query(qi), ..p };
+                if let Some(policy) = policy {
+                    scratch.simulate(policy);
+                }
                 index.search_mode_with(queries.row(qi), k, &p, mode, &mut scratch);
-                h.absorb(&scratch);
+                h.absorb(&scratch, policy.is_some());
+                if policy == Some(HashPolicy::Standard) {
+                    index.search_mode_with(queries.row(qi), k, &p, mode, &mut host);
+                    let label = format!("{mode:?} k {k} query {qi} {p:?}");
+                    assert_eq!(one(&host), one(&scratch), "host differs from standard: {label}");
+                    let t = scratch.trace();
+                    assert!(t.total_distances() < t.hash_slots as u64, "table filled: {label}");
+                }
             }
         }
     }
     h.0
 }
 
-#[test]
-fn merged_kernel_reproduces_the_two_file_kernels_bit_for_bit() {
+/// Digests of the whole grid of `cells`, then of the PQ leg run under
+/// `pq_policy`, labelled as in the golden tables.
+fn digests(cells: &[Cell], pq_policy: Option<HashPolicy>) -> Vec<(String, u64)> {
     let base = lcg_rows(N, 17);
     let queries = lcg_rows(QUERIES, 99);
     let config = GraphConfig::new(16);
-    let cells = grid();
     let mut got: Vec<(String, u64)> = Vec::new();
     for metric in [Metric::SquaredL2, Metric::Cosine, Metric::InnerProduct] {
         let (plain, _) = CagraIndex::build(copy_of(&base), metric, &config);
@@ -170,7 +227,7 @@ fn merged_kernel_reproduces_the_two_file_kernels_bit_for_bit() {
         for (layout, index) in [("plain", &plain), ("rcm", &rcm)] {
             for mode in [Mode::SingleCta, Mode::MultiCta] {
                 let label = format!("{metric:?}/{layout}/{mode:?}");
-                got.push((label, digest(index, &queries, &[mode], &cells)));
+                got.push((label, digest(index, &queries, &[mode], cells)));
             }
         }
     }
@@ -183,12 +240,31 @@ fn merged_kernel_reproduces_the_two_file_kernels_bit_for_bit() {
         Metric::SquaredL2,
     );
     index.set_rerank_store(Box::new(copy_of(&base)));
-    let two_phase = [(10, SearchParams { rerank_depth: 32, ..SearchParams::for_k(10) })];
+    let two_phase = [(10, SearchParams { rerank_depth: 32, ..SearchParams::for_k(10) }, pq_policy)];
     let both = [Mode::SingleCta, Mode::MultiCta];
     got.push(("SquaredL2/pq-rerank/both".to_string(), digest(&index, &queries, &both, &two_phase)));
+    got
+}
 
-    let same = got.len() == GOLDEN.len()
-        && got.iter().zip(GOLDEN).all(|((gl, gd), (wl, wd))| gl == wl && *gd == wd);
-    let table: String = got.iter().map(|(l, d)| format!("    (\"{l}\", {d:#018x}),\n")).collect();
-    assert!(same, "search digests differ from the golden table; this run computed:\n{table}");
+fn assert_golden(got: &[(String, u64)], golden: &[(&str, u64)], table: &str) {
+    let same = got.len() == golden.len()
+        && got.iter().zip(golden).all(|((gl, gd), (wl, wd))| gl == wl && gd == wd);
+    let rows: String = got.iter().map(|(l, d)| format!("    (\"{l}\", {d:#018x}),\n")).collect();
+    assert!(same, "search digests differ from the {table} table; this run computed:\n{rows}");
+}
+
+#[test]
+fn merged_kernel_reproduces_the_two_file_kernels_bit_for_bit() {
+    let policies = [
+        Some(HashPolicy::Standard),
+        Some(HashPolicy::Forgettable { bits: 8, reset_interval: 1 }),
+        Some(HashPolicy::Forgettable { bits: 9, reset_interval: 2 }),
+    ];
+    let pq_policy = Some(HashPolicy::Forgettable { bits: 11, reset_interval: 1 });
+    assert_golden(&digests(&grid(&policies), pq_policy), &SIMULATED, "SIMULATED");
+}
+
+#[test]
+fn host_table_reproduces_the_standard_hash_table_bit_for_bit() {
+    assert_golden(&digests(&grid(&[None]), None), &HOST, "HOST");
 }
