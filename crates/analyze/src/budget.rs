@@ -40,7 +40,7 @@ pub const PINNED_ZERO: &[(&str, &str)] = &[
         "crates/serve",
         "# The serving layer must stay free of unsafe: it is the long-lived,\n\
          # network-facing surface, and every concurrency primitive it needs\n\
-         # (Mutex/Condvar handshake, mpsc responses, scoped worker fan-out)\n\
+         # (Mutex/Condvar handshake, mpsc responses, long-lived worker threads)\n\
          # exists in safe std.\n",
     ),
 ];

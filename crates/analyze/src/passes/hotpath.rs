@@ -1,6 +1,6 @@
 //! The hot-path allocation lint: a committed list of hot functions
 //! (`crates/analyze/hot_paths.toml` — search inner loops, ADC gang
-//! scoring, batcher dispatch) whose bodies must not allocate.
+//! scoring, the batcher claim) whose bodies must not allocate.
 //!
 //! The workspace's perf story is scratch reuse: every per-query
 //! allocation was hoisted into `SearchScratch`/arena types in earlier

@@ -8,8 +8,8 @@
 //!   threads can deadlock. Cycles are hard failures, never budgeted.
 //! * **no allocation or I/O under a lock** — the serving layer's
 //!   latency contract assumes critical sections are O(queue op);
-//!   an allocator stall or syscall under the dispatcher mutex blocks
-//!   every submitter. Sites carry `ALLOW(lock): <reason>` when the
+//!   an allocator stall or syscall under the batcher mutex blocks
+//!   every submitter and every serve worker. Sites carry `ALLOW(lock): <reason>` when the
 //!   path is provably cold.
 //!
 //! Lock identity is textual: the receiver identifier before `.lock()`

@@ -4,9 +4,9 @@
 //! pinned-zero buckets:
 //!
 //! * `crates/serve` — the long-lived network-facing surface; a panic
-//!   there kills the dispatcher thread and strands every queued
-//!   request, so the serving layer must be panic-free or carry an
-//!   explicit per-site justification;
+//!   there is caught per request, but it still fails that request and
+//!   throws away the worker's scratch, so the serving layer must be
+//!   panic-free or carry an explicit per-site justification;
 //! * `zone:cagra-try-search` — every function in `crates/cagra`
 //!   textually reachable from the `try_search*` entry points. The
 //!   typed-error API promises `Result`, not panics; sites on that
@@ -47,10 +47,10 @@ pub const SCHEMA: ledger::Schema = ledger::Schema {
         ),
         (
             "crates/serve",
-            "# A panic in the serving layer kills the dispatcher thread and strands\n\
-             # every queued request behind a dead Condvar; the service must degrade\n\
-             # via ServeError instead. Lock poisoning recovery is the one family of\n\
-             # ALLOW(panic)-documented exceptions.\n",
+            "# A panic in the serving layer fails its request: the serve worker\n\
+             # catches it, answers Disconnected and replaces its scratch. The service\n\
+             # must degrade via ServeError instead. Lock poisoning recovery is the one\n\
+             # family of ALLOW(panic)-documented exceptions.\n",
         ),
     ],
     grow_hint: "review the new panic path (or fix it)",

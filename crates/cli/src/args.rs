@@ -6,7 +6,9 @@ use std::collections::HashMap;
 /// Usage string shown on errors.
 pub const USAGE: &str = "usage: cagra-cli <synth|gt|build|bundle|search|serve|stats> \
      [--flag value]... (bundle accepts --relabel identity|degree|rcm|gorder and --pq M; \
-     search/serve accept --rerank D for two-phase search over PQ bundles)";
+     search/serve accept --rerank D for two-phase search over PQ bundles; \
+     serve --threads W runs W serve workers, each searching one request at a time, \
+     0 = CAGRA_THREADS or every core)";
 
 /// Parsed flags for one subcommand.
 #[derive(Clone, Debug, Default)]

@@ -320,6 +320,10 @@ pub fn search(args: &Args) -> Result<String, String> {
 /// concurrent TCP connections (queries sampled from the index's own
 /// base vectors), reports throughput/latency/batching, and exits —
 /// the smoke path the integration tests and quick-start use.
+///
+/// `--threads W` sets the serve workers (0, the default, means
+/// `CAGRA_THREADS` or every core): each searches one request at a time,
+/// so `W` bounds the requests searched at once across batches.
 pub fn serve(args: &Args) -> Result<String, String> {
     let k = args.usize_or("k", 10)?;
     let mut params = SearchParams::for_k(k);

@@ -144,54 +144,16 @@ where
 pub fn parallel_map_with<T, S, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
 where
     T: Send + Default + Clone,
-    S: Send,
-    I: Fn() -> S,
+    I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    let mut states: Vec<S> = chunk_ranges(n, threads).iter().map(|_| init()).collect();
-    parallel_map_lent(n, &mut states, f)
-}
-
-/// [`parallel_map_with`] on states the caller owns: worker `w` of the
-/// `min(n, states.len())` workers borrows `states[w]` for the call, so
-/// a long-lived caller (the serving dispatcher) shapes its scratch
-/// arenas once and lends them to batch after batch. One worker — a
-/// single item or a single state — runs on the calling thread.
-///
-/// # Panics
-/// Panics when `states` is empty.
-pub fn parallel_map_lent<T, S, F>(n: usize, states: &mut [S], f: F) -> Vec<T>
-where
-    T: Send + Default + Clone,
-    S: Send,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    // ALLOW(panic): documented precondition (see `# Panics`).
-    assert!(!states.is_empty(), "parallel_map_lent needs at least one state");
     let mut out = vec![T::default(); n];
-    let ranges = chunk_ranges(n, states.len());
-    // Every range but the last has the first one's length.
-    let chunk = ranges.first().map_or(1, |&(start, end)| (end - start).max(1));
-    let fill = |state: &mut S, start: usize, slots: &mut [T]| {
+    parallel_fill_chunks(&mut out, n, 1, threads, |start, _, slots| {
+        let mut state = init();
         for (offset, slot) in slots.iter_mut().enumerate() {
-            *slot = f(state, start + offset);
+            *slot = f(&mut state, start + offset);
         }
-    };
-    // Pre-splitting `out` at the chunk boundaries keeps this safe code:
-    // no worker can reach another's slots or state.
-    let mut work = ranges.iter().zip(states.iter_mut().zip(out.chunks_mut(chunk)));
-    if ranges.len() == 1 {
-        if let Some((&(start, _), (state, slots))) = work.next() {
-            fill(state, start, slots);
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for (&(start, _), (state, slots)) in work {
-                let fill = &fill;
-                scope.spawn(move || fill(state, start, slots));
-            }
-        });
-    }
+    });
     out
 }
 
@@ -344,25 +306,5 @@ mod tests {
             },
         );
         assert_eq!(out, (1..=10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_lent_keeps_the_callers_states_across_calls() {
-        // Three lent counters, two calls: 7 items use all three
-        // (chunks of 3, 3, 1), then 2 items use only the first two.
-        let mut served = [0usize; 3];
-        let out = parallel_map_lent(7, &mut served, |count, i| {
-            *count += 1;
-            i * 10
-        });
-        assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60]);
-        assert_eq!(served, [3, 3, 1]);
-        let out = parallel_map_lent(2, &mut served, |count, i| {
-            *count += 1;
-            i
-        });
-        assert_eq!(out, vec![0, 1]);
-        assert_eq!(served, [4, 4, 1], "min(n, states) workers, states carried over");
-        assert!(parallel_map_lent(0, &mut served, |_, i| i).is_empty());
     }
 }

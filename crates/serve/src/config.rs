@@ -7,23 +7,23 @@ use std::time::Duration;
 /// Batching + admission policy for a [`crate::Service`].
 ///
 /// The batching rule is *dispatch immediately when idle, batch when
-/// loaded*: the dispatcher drains whatever accumulated while it was
-/// busy (load builds batches by itself), and a request that arrives
-/// into an idle service is dispatched without artificial delay unless
-/// [`ServeConfig::max_wait`] opens a coalescing window. The window is
-/// deadline-aware — it is anchored at the *oldest* queued request's
-/// arrival time, so time a request already spent waiting behind a
-/// busy engine counts against its window.
+/// loaded*: a request that arrives while a serve worker is idle is
+/// claimed without artificial delay unless [`ServeConfig::max_wait`]
+/// opens a coalescing window, and requests that accumulate while every
+/// worker is busy are drained together as one batch (load builds
+/// batches by itself). The window is deadline-aware — it is anchored at
+/// the *oldest* queued request's arrival time, so time a request
+/// already spent waiting behind busy workers counts against its
+/// window.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Largest batch one dispatch may carry (>= 1).
+    /// Largest batch one drain may carry (>= 1).
     pub max_batch: usize,
     /// Coalescing window measured from the oldest queued request's
-    /// arrival. `Duration::ZERO` (the default) dispatches the moment
-    /// the dispatcher sees work — minimum idle latency; a positive
-    /// window trades added latency for larger batches at moderate
-    /// load. Dispatch always happens early once `max_batch` is
-    /// reached.
+    /// arrival. `Duration::ZERO` (the default) drains the moment an
+    /// idle worker sees work — minimum idle latency; a positive window
+    /// trades added latency for larger batches at moderate load. The
+    /// drain always happens early once `max_batch` is reached.
     pub max_wait: Duration,
     /// Admission-control shedding threshold: a submit that finds this
     /// many requests already queued is rejected with
@@ -35,9 +35,11 @@ pub struct ServeConfig {
     /// request, so a request's result does not depend on its position
     /// within whatever batch it happened to join.
     pub params: SearchParams,
-    /// Worker threads for intra-batch parallelism (0 = the workspace
-    /// default, `CAGRA_THREADS` / available parallelism). A batch of
-    /// `b` requests uses `min(b, worker_threads)` workers.
+    /// Serve workers (0 = the workspace default, `CAGRA_THREADS` /
+    /// available parallelism). Each worker searches one request at a
+    /// time, so this bounds the requests searched at once across
+    /// batches: a batch is shared by whichever workers are free, and a
+    /// new batch can start while the tail of the last one still runs.
     pub worker_threads: usize,
 }
 
@@ -54,7 +56,7 @@ impl ServeConfig {
         }
     }
 
-    /// Reject configurations the dispatcher cannot run.
+    /// Reject configurations the service cannot run.
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.max_batch == 0 {
             return Err(ServeError::BadConfig("max_batch must be >= 1"));

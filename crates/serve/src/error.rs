@@ -28,11 +28,12 @@ pub enum ServeError {
     Unsupported(&'static str),
     /// The service is shutting down and no longer admits requests.
     ShuttingDown,
-    /// The dispatcher went away before answering (shutdown race).
+    /// No worker answered: the request's search panicked, or the
+    /// service went away before answering (shutdown race).
     Disconnected,
     /// The service configuration itself is unusable.
     BadConfig(&'static str),
-    /// The OS refused to start the dispatcher thread.
+    /// The OS refused to start a serve worker thread.
     SpawnFailed,
 }
 
@@ -47,9 +48,9 @@ impl fmt::Display for ServeError {
                 write!(f, "operation '{op}' is not supported by this backend")
             }
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
-            ServeError::Disconnected => write!(f, "dispatcher disconnected before responding"),
+            ServeError::Disconnected => write!(f, "serve worker disconnected before responding"),
             ServeError::BadConfig(what) => write!(f, "bad serve config: {what}"),
-            ServeError::SpawnFailed => write!(f, "failed to spawn the dispatcher thread"),
+            ServeError::SpawnFailed => write!(f, "failed to spawn a serve worker thread"),
         }
     }
 }

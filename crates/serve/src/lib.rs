@@ -10,17 +10,21 @@
 //! Layering, bottom to top:
 //!
 //! * [`batcher`] — bounded admission queue + deadline-aware
-//!   micro-batch draining. Pure queueing; no search logic.
+//!   micro-batch draining, handed to workers one request at a time.
+//!   Pure queueing; no search logic.
 //! * [`backend`] — the [`SearchBackend`] trait the service is generic
 //!   over: a static [`cagra::CagraIndex`] (search only, constant
 //!   epoch) or a mutable [`cagra::DynamicIndex`] (insert/delete, an
 //!   epoch that bumps on every visible change and keys the shape
 //!   cache).
-//! * [`service`] — [`Service`] owns a backend and a dispatcher
-//!   thread: pops a batch, plans mode/CTA count from the *realized*
-//!   batch size ([`cagra::search::planner::plan`]), fans the batch
-//!   out over worker threads, answers every request with results plus
-//!   [`ResponseMeta`] (how the request was served).
+//! * [`service`] — [`Service`] owns a backend and a pool of serve
+//!   workers. Each worker claims one request at a time from the
+//!   batcher, plans mode/CTA count from the *realized* size of the
+//!   batch it was drained with ([`cagra::search::planner::plan`]),
+//!   searches it on the worker's own scratch and answers with results
+//!   plus [`ResponseMeta`] (how the request was served). Two lone
+//!   requests search on two cores at once, and a large batch is shared
+//!   by whichever workers are free.
 //! * [`tcp`] — a std::net front end speaking the length-prefixed
 //!   binary frames of [`proto`], for out-of-process clients
 //!   (`cli serve`). In-process callers (tests, benches, load

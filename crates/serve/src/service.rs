@@ -1,13 +1,14 @@
-//! The long-lived query service: admission → micro-batch → parallel
-//! search → per-request responses.
+//! The long-lived query service: admission → micro-batch → serve
+//! workers claiming one request at a time → per-request responses.
 
 use crate::backend::SearchBackend;
-use crate::batcher::{Batcher, Job, Response, ResponseMeta};
+use crate::batcher::{Batcher, Claimed, Job, Response, ResponseMeta};
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use cagra::search::planner;
-use cagra::SearchScratch;
-use knn::parallel::{default_threads, parallel_map_lent};
+use cagra::{SearchParams, SearchScratch};
+use knn::parallel::default_threads;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -19,7 +20,7 @@ pub struct ResponseHandle {
 }
 
 impl ResponseHandle {
-    /// Block until the dispatcher answers.
+    /// Block until a worker answers.
     pub fn wait(self) -> Result<Response, ServeError> {
         self.rx.recv().map_err(|_| ServeError::Disconnected)
     }
@@ -30,7 +31,7 @@ impl ResponseHandle {
 /// publication epoch. With per-service [`cagra::SearchParams`], a
 /// shape is fully determined by `(epoch, k)`, so repeat traffic skips
 /// parameter validation entirely — validation runs once per shape per
-/// epoch at admission, never per batch dispatch.
+/// epoch at admission, never per search.
 ///
 /// The epoch key is what keeps the cache honest against mutable
 /// backends: a [`cagra::DynamicIndex`] bumps its epoch on every
@@ -76,40 +77,46 @@ impl ShapeCache {
 
 /// A running serving instance over one search backend (a static
 /// [`cagra::CagraIndex`] or a mutable [`cagra::DynamicIndex`]).
-/// Submissions are thread-safe; one background dispatcher thread owns
-/// batching and search execution. Dropping the service shuts it down
-/// (drains the queue, answers what was admitted, joins the
-/// dispatcher).
+/// Submissions are thread-safe; [`ServeConfig::worker_threads`]
+/// long-lived serve workers claim and search them. Dropping the service
+/// shuts it down (drains the queue, answers what was admitted, joins
+/// the workers).
 pub struct Service<B: SearchBackend> {
     backend: Arc<B>,
     batcher: Arc<Batcher>,
     config: ServeConfig,
     shapes: ShapeCache,
-    dispatcher: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl<B: SearchBackend> Service<B> {
     /// Validate `config`, take ownership of `backend`, and start the
-    /// dispatcher thread.
+    /// serve workers. If the OS refuses one, those already started are
+    /// stopped and joined before [`ServeError::SpawnFailed`] returns.
     pub fn start(backend: B, config: ServeConfig) -> Result<Self, ServeError> {
         config.validate()?;
         let backend = Arc::new(backend);
         let batcher = Arc::new(Batcher::new(config.queue_capacity));
-        let dispatcher = {
-            let backend = Arc::clone(&backend);
-            let batcher = Arc::clone(&batcher);
-            std::thread::Builder::new()
-                .name("cagra-serve-dispatch".into())
-                .spawn(move || dispatch_loop(&*backend, &batcher, &config))
-                .map_err(|_| ServeError::SpawnFailed)?
-        };
-        Ok(Service {
+        let count =
+            if config.worker_threads == 0 { default_threads() } else { config.worker_threads };
+        let mut service = Service {
             backend,
             batcher,
             config,
             shapes: ShapeCache::new(),
-            dispatcher: Some(dispatcher),
-        })
+            workers: Vec::with_capacity(count),
+        };
+        for i in 0..count {
+            let backend = Arc::clone(&service.backend);
+            let batcher = Arc::clone(&service.batcher);
+            let worker = std::thread::Builder::new()
+                .name(format!("cagra-serve-{i}"))
+                .spawn(move || worker_loop(&*backend, &batcher, &config));
+            // On failure, dropping `service` closes the batcher and
+            // joins the workers started so far.
+            service.workers.push(worker.map_err(|_| ServeError::SpawnFailed)?);
+        }
+        Ok(service)
     }
 
     /// The backend being served.
@@ -174,12 +181,12 @@ impl<B: SearchBackend> Service<B> {
     }
 
     /// Stop admitting, drain the queue (every admitted request is
-    /// still answered), and join the dispatcher. Idempotent; also runs
-    /// on drop.
+    /// still answered), and join the workers. Idempotent; also runs on
+    /// drop.
     pub fn shutdown(&mut self) {
         self.batcher.close();
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -190,71 +197,57 @@ impl<B: SearchBackend> Drop for Service<B> {
     }
 }
 
-/// The dispatcher: pop a micro-batch, plan the search configuration
-/// from the realized batch size, fan the batch out over worker
-/// threads, answer every request. Runs until the batcher is closed
+/// A fresh scratch for the serve path, which records no trace.
+fn untraced_scratch() -> SearchScratch {
+    let mut scratch = SearchScratch::new();
+    scratch.set_record_trace(false);
+    scratch
+}
+
+/// One serve worker: claim a request, plan the search configuration
+/// from the realized size of the batch it was drained with, search it
+/// on this worker's scratch, answer. Runs until the batcher is closed
 /// and drained.
 ///
-/// The dispatcher owns one [`SearchScratch`] per worker slot for the
-/// life of the service and lends them to each batch, so the search
-/// working set (up to a 2 MiB visited table in the multi-CTA plan) is
-/// shaped once rather than allocated and page-faulted per request.
-fn dispatch_loop<B: SearchBackend>(backend: &B, batcher: &Batcher, config: &ServeConfig) {
-    let worker_cap =
-        if config.worker_threads == 0 { default_threads() } else { config.worker_threads };
-    let untraced = |_| {
-        let mut scratch = SearchScratch::new();
-        scratch.set_record_trace(false);
-        scratch
-    };
-    // ALLOW(alloc): one-time setup before the loop; each scratch is
-    // recycled by every batch its worker slot serves.
-    let mut scratches: Vec<SearchScratch> = (0..worker_cap).map(untraced).collect();
-    // ALLOW(alloc): one-time setup before the loop; both buffers are
-    // drained and reused across every batch, never reallocated.
-    let mut jobs: Vec<Job> = Vec::with_capacity(config.max_batch);
-    // ALLOW(alloc): same one-time reused buffer as `jobs` above.
-    let mut txs: Vec<mpsc::Sender<Response>> = Vec::with_capacity(config.max_batch);
-    while batcher.pop_batch(config.max_batch, config.max_wait, &mut jobs, &mut txs) {
-        let dispatched = Instant::now();
-        let plan = planner::plan(jobs.len(), config.params.itopk, config.params.num_cta);
-        let mut params = config.params;
-        params.num_cta = plan.num_cta;
-        let m = obs::metrics();
-        m.serve_batches.inc();
-        m.serve_batch_size.record(jobs.len() as u64);
-        for job in &jobs {
-            m.serve_queue_wait_ns.record(dispatched.duration_since(job.enqueued).as_nanos() as u64);
-        }
+/// The worker owns one [`SearchScratch`] for the life of the service,
+/// so the search working set (up to a 2 MiB visited table in the
+/// multi-CTA plan) is shaped once rather than allocated and
+/// page-faulted per request. A panicking search answers nothing — its
+/// caller sees [`ServeError::Disconnected`] — and the worker carries on
+/// with a fresh scratch in place of the one the panic left behind.
+fn worker_loop<B: SearchBackend>(backend: &B, batcher: &Batcher, config: &ServeConfig) {
+    let mut scratch = untraced_scratch();
+    while let Some(Claimed { job, tx, batch_size, dispatched }) =
+        batcher.claim(config.max_batch, config.max_wait)
+    {
+        let plan = planner::plan(batch_size, config.params.itopk, config.params.num_cta);
+        let params = SearchParams { num_cta: plan.num_cta, ..config.params };
         // No validation here: every job passed shape validation at
         // admission, so the hot path goes straight to the kernels.
         // (A mutable backend's search is clamped, so even a shape
         // staled by a concurrent delete degrades instead of failing.)
-        let jobs_ref = &jobs;
-        // `min(batch, worker_cap)` workers; a batch of one runs here.
-        let results = parallel_map_lent(jobs_ref.len(), &mut scratches, |scratch, i| {
-            // ALLOW(panic): `parallel_map_lent` hands out `i` in
-            // `0..jobs_ref.len()` by contract.
-            let job = &jobs_ref[i];
-            backend.search(&job.query, job.k, &params, plan.mode, scratch)
+        let searched = catch_unwind(AssertUnwindSafe(|| {
+            backend.search(&job.query, job.k, &params, plan.mode, &mut scratch)
+        }));
+        let Ok(neighbors) = searched else {
+            drop(tx);
+            scratch = untraced_scratch();
+            continue;
+        };
+        let queue_ns = dispatched.duration_since(job.enqueued).as_nanos() as u64;
+        let e2e_ns = job.enqueued.elapsed().as_nanos() as u64;
+        obs::metrics().serve_e2e_latency_ns.record(e2e_ns);
+        // A gone client (dropped handle / closed socket) is not an
+        // error for the service.
+        let _ = tx.send(Response {
+            neighbors,
+            meta: ResponseMeta {
+                batch_size: batch_size as u32,
+                mode: plan.mode,
+                num_cta: plan.num_cta as u32,
+                queue_ns,
+                e2e_ns,
+            },
         });
-        let batch_size = jobs.len() as u32;
-        for ((job, tx), neighbors) in jobs.drain(..).zip(txs.drain(..)).zip(results) {
-            let queue_ns = dispatched.duration_since(job.enqueued).as_nanos() as u64;
-            let e2e_ns = job.enqueued.elapsed().as_nanos() as u64;
-            m.serve_e2e_latency_ns.record(e2e_ns);
-            // A gone client (dropped handle / closed socket) is not an
-            // error for the service.
-            let _ = tx.send(Response {
-                neighbors,
-                meta: ResponseMeta {
-                    batch_size,
-                    mode: plan.mode,
-                    num_cta: plan.num_cta as u32,
-                    queue_ns,
-                    e2e_ns,
-                },
-            });
-        }
     }
 }

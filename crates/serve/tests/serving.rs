@@ -16,11 +16,12 @@
 //!   rejected with the underlying `SearchError` without poisoning the
 //!   batcher.
 //! * **TCP** — the same contract holds across the wire protocol.
-//! * **Scratch recycling** — the dispatcher's per-worker-slot
-//!   `SearchScratch`es outlive every batch; a scratch re-shaped from
-//!   one plan to another (and from `k` to `k`, with rerank) serves
-//!   the same bits as a fresh one, and a batch of `b` still runs on
-//!   `min(b, worker_threads)` workers.
+//! * **Worker pool** — each serve worker's `SearchScratch` outlives
+//!   every batch; a scratch re-shaped from one plan to another (and
+//!   from `k` to `k`, with rerank) serves the same bits as a fresh
+//!   one. Lone requests and the requests of one batch search on
+//!   different workers at once, and a panicking search answers its
+//!   own caller with `Disconnected` without stranding later requests.
 
 use cagra::search::planner::Mode;
 use cagra::{CagraIndex, GraphConfig, SearchError, SearchParams, SearchScratch};
@@ -29,8 +30,8 @@ use dataset::{Dataset, VectorStore};
 use distance::Metric;
 use knn::topk::Neighbor;
 use serve::{Client, Response, SearchBackend, ServeConfig, ServeError, Service, TcpServer};
-use std::collections::{BTreeSet, HashSet};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -393,11 +394,54 @@ fn a_recycled_scratch_serves_every_shape_bit_identically() {
     assert!(plans.len() >= 3, "the scratch was re-shaped across plans: {plans:?}");
 }
 
-/// A backend that notes, for every search, which thread ran it, which
-/// scratch it was lent, and whether that scratch had served before.
+/// How long a rendezvous search waits for company before giving up.
+const RENDEZVOUS: Duration = Duration::from_secs(5);
+
+#[derive(Default)]
+struct ProbeState {
+    /// Searches currently inside `search`.
+    in_flight: usize,
+    /// Most searches seen inside `search` at once since the last
+    /// `take`.
+    peak: usize,
+    /// Per finished search: the thread that ran it, the scratch it was
+    /// given, and whether that scratch had served before.
+    seen: Vec<(thread::ThreadId, usize, bool)>,
+}
+
+/// A backend whose searches meet: each one waits (up to
+/// [`RENDEZVOUS`]) until `meet` searches have been in flight at once,
+/// so a test can tell a pool that runs requests side by side from one
+/// that runs them in turn. It also panics on `k == panic_k` (0, the
+/// default, never reaches a search: admission refuses `k = 0`).
 struct Probe {
     index: CagraIndex<Dataset>,
-    seen: Mutex<Vec<(thread::ThreadId, usize, bool)>>,
+    meet: usize,
+    panic_k: usize,
+    state: Mutex<ProbeState>,
+    changed: Condvar,
+}
+
+impl Probe {
+    fn new(index: CagraIndex<Dataset>, meet: usize) -> Self {
+        Probe { index, meet, panic_k: 0, state: Mutex::default(), changed: Condvar::new() }
+    }
+
+    /// Block until `n` searches have entered (or the rendezvous time
+    /// runs out); returns how many had.
+    fn wait_entered(&self, n: usize) -> usize {
+        let state = self.state.lock().unwrap();
+        let (state, _) =
+            self.changed.wait_timeout_while(state, RENDEZVOUS, |s| s.in_flight < n).unwrap();
+        state.in_flight
+    }
+
+    /// The finished searches and the peak concurrency since the last
+    /// call.
+    fn take(&self) -> (Vec<(thread::ThreadId, usize, bool)>, usize) {
+        let mut state = self.state.lock().unwrap();
+        (std::mem::take(&mut state.seen), std::mem::take(&mut state.peak))
+    }
 }
 
 impl SearchBackend for Probe {
@@ -421,46 +465,104 @@ impl SearchBackend for Probe {
         mode: Mode,
         scratch: &mut SearchScratch,
     ) -> Vec<Neighbor> {
+        assert_ne!(k, self.panic_k, "probe: the flagged request panics its search");
+        {
+            let mut state = self.state.lock().unwrap();
+            state.in_flight += 1;
+            state.peak = state.peak.max(state.in_flight);
+            self.changed.notify_all();
+            let _ = self.changed.wait_timeout_while(state, RENDEZVOUS, |s| s.peak < self.meet);
+        }
         let neighbors = SearchBackend::search(&self.index, query, k, params, mode, scratch);
         let lent = scratch as *const SearchScratch as usize;
-        self.seen.lock().unwrap().push((thread::current().id(), lent, scratch.reused()));
+        let mut state = self.state.lock().unwrap();
+        state.in_flight -= 1;
+        state.seen.push((thread::current().id(), lent, scratch.reused()));
         neighbors
     }
 }
 
-#[test]
-fn batches_fan_out_over_min_b_worker_threads_recycled_scratches() {
-    // (worker_threads, batch): 2 workers for 4 jobs, 3 workers for 3.
-    for (worker_threads, batch) in [(2usize, 4usize), (8, 3)] {
-        let (index, queries) = build_index();
-        let mut config = ServeConfig::new(SearchParams::for_k(K));
-        config.worker_threads = worker_threads;
-        config.max_batch = batch;
-        config.max_wait = Duration::from_secs(2);
-        let probe = Probe { index, seen: Mutex::new(Vec::new()) };
-        let service = Service::start(probe, config).expect("start service");
-        let workers = batch.min(worker_threads);
+/// A service of `workers` serve workers over `probe`'s backend.
+fn probe_service(
+    probe: impl FnOnce(CagraIndex<Dataset>) -> Probe,
+    workers: usize,
+    max_batch: usize,
+    max_wait: Duration,
+) -> (Service<Probe>, Dataset) {
+    let (index, queries) = build_index();
+    let mut config = ServeConfig::new(SearchParams::for_k(K));
+    config.worker_threads = workers;
+    config.max_batch = max_batch;
+    config.max_wait = max_wait;
+    (Service::start(probe(index), config).expect("start service"), queries)
+}
 
-        let mut scratches = BTreeSet::new();
-        for wave in 0..3 {
-            let handles: Vec<_> = (0..batch)
-                .map(|qi| service.submit(queries.row(qi), K).expect("admitted"))
-                .collect();
-            for handle in handles {
-                assert_eq!(handle.wait().expect("served").meta.batch_size as usize, batch);
-            }
-            let seen = std::mem::take(&mut *service.backend().seen.lock().unwrap());
-            assert_eq!(seen.len(), batch);
-            let threads: HashSet<_> = seen.iter().map(|&(thread, _, _)| thread).collect();
-            assert_eq!(threads.len(), workers, "wave {wave}: one thread per worker");
-            let lent: BTreeSet<usize> = seen.iter().map(|&(_, scratch, _)| scratch).collect();
-            assert_eq!(lent.len(), workers, "wave {wave}: one scratch per worker");
-            if wave == 0 {
-                scratches = lent;
-            } else {
-                assert_eq!(lent, scratches, "wave {wave}: the same scratches, not fresh ones");
-                assert!(seen.iter().all(|&(_, _, reused)| reused), "wave {wave}: recycled state");
-            }
+#[test]
+fn a_lone_request_starts_while_another_is_still_searching() {
+    // A zero window: each request is drained alone, the moment it lands.
+    let (service, queries) = probe_service(|ix| Probe::new(ix, 2), 2, 64, Duration::ZERO);
+    let first = service.submit(queries.row(0), K).expect("admitted");
+    assert_eq!(service.backend().wait_entered(1), 1, "request 1 never reached its search");
+    let second = service.submit(queries.row(1), K).expect("admitted");
+    for (qi, handle) in [first, second].into_iter().enumerate() {
+        let resp = handle.wait().expect("served");
+        assert_eq!(resp.meta.batch_size, 1, "request {qi} rode alone");
+    }
+    let (seen, peak) = service.backend().take();
+    assert_eq!(seen.len(), 2);
+    assert_eq!(peak, 2, "request 2 must search while request 1 is still in its search");
+}
+
+#[test]
+fn a_batch_is_shared_by_the_free_workers_on_stable_recycled_scratches() {
+    const BATCH: usize = 4;
+    // A wide window: each wave of co-submitted requests is one batch.
+    let (service, queries) =
+        probe_service(|ix| Probe::new(ix, 2), 2, BATCH, Duration::from_secs(2));
+    // thread -> the one scratch it searches on, across every wave.
+    let mut owner: BTreeMap<usize, thread::ThreadId> = BTreeMap::new();
+    for wave in 0..3 {
+        let handles: Vec<_> =
+            (0..BATCH).map(|qi| service.submit(queries.row(qi), K).expect("admitted")).collect();
+        for handle in handles {
+            assert_eq!(handle.wait().expect("served").meta.batch_size as usize, BATCH);
+        }
+        let (seen, peak) = service.backend().take();
+        assert_eq!(seen.len(), BATCH);
+        assert_eq!(peak, 2, "wave {wave}: two searches of one batch in flight at once");
+        for &(thread, scratch, reused) in &seen {
+            assert_eq!(
+                *owner.entry(scratch).or_insert(thread),
+                thread,
+                "wave {wave}: shared scratch"
+            );
+            assert!(reused || wave == 0, "wave {wave}: a fresh scratch, not a recycled one");
         }
     }
+    let threads: HashSet<_> = owner.values().collect();
+    assert_eq!(owner.len(), 2, "one scratch per worker across waves: {owner:?}");
+    assert_eq!(threads.len(), 2, "one worker per scratch across waves: {owner:?}");
+}
+
+#[test]
+fn a_panicking_search_answers_disconnected_and_the_worker_keeps_serving() {
+    let (service, queries) =
+        probe_service(|ix| Probe { panic_k: 3, ..Probe::new(ix, 1) }, 1, 64, Duration::ZERO);
+    let service = Arc::new(service);
+
+    let (tx, rx) = mpsc::channel();
+    let helper = {
+        let service = Arc::clone(&service);
+        thread::spawn(move || {
+            let flagged = service.search_blocking(queries.row(0), 3).map(|_| ());
+            let _ = tx.send(flagged);
+            let next = service.search_blocking(queries.row(1), K).map(|r| r.neighbors.len());
+            let _ = tx.send(next.map(|_| ()));
+        })
+    };
+    let flagged = rx.recv_timeout(RENDEZVOUS).expect("the flagged request was never answered");
+    assert_eq!(flagged, Err(ServeError::Disconnected));
+    let next = rx.recv_timeout(RENDEZVOUS).expect("a request after the panic was stranded");
+    assert_eq!(next, Ok(()));
+    helper.join().expect("helper thread");
 }
