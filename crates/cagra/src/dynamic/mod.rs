@@ -230,6 +230,10 @@ pub struct DynamicIndex {
 }
 
 impl DynamicIndex {
+    /// The mapping the main segment's search runs: one CTA per query,
+    /// under [`DynamicParams::search`].
+    pub const MAIN_MODE: Mode = Mode::SingleCta;
+
     /// An empty index accepting `dim`-dimensional vectors.
     ///
     /// # Panics
@@ -466,7 +470,7 @@ impl DynamicIndex {
             params.itopk = params.itopk.max(k_main);
             // Shape is valid by construction (k_main <= n, <= itopk),
             // so the validation-free entry point is safe here.
-            main.index.search_mode_with(query, k_main, &params, Mode::SingleCta, scratch);
+            main.index.search_mode_with(query, k_main, &params, Self::MAIN_MODE, scratch);
             from_main = scratch
                 .results()
                 .iter()

@@ -9,17 +9,17 @@
 //!   [`optimize`].
 //! * **Search** (Sec. IV): an iterative traversal over a contiguous
 //!   buffer holding an internal top-M list and a `p x d` candidate
-//!   list, a *visited* set (one stamp per row on the host; the GPU's
-//!   standard or "forgettable" hash table in simulated searches) and
-//!   MSB-flag parent tracking — one loop,
-//!   [`search::kernel`], run in either of two hardware mappings:
-//!   single-CTA (one worker per query, large batches) or multi-CTA
-//!   (several workers cooperating on one query). [`search::planner`]
-//!   encodes the Fig. 7 dispatch rule.
+//!   list, a *visited* set (one stamp per graph row) and MSB-flag
+//!   parent tracking — one loop, [`search::kernel`], run in either of
+//!   two hardware mappings: single-CTA (one worker per query, large
+//!   batches) or multi-CTA (several workers cooperating on one query).
+//!   [`search::planner`] encodes the Fig. 7 dispatch rule.
 //!
-//! The GPU timing behaviour (team sizes, occupancy, memory
-//! transactions) lives in the separate `gpu-sim` crate, which consumes
-//! the [`search::trace::SearchTrace`] this crate records.
+//! The GPU model — its standard and "forgettable" visited hash tables,
+//! the memory-access log, team sizes, occupancy and transactions —
+//! lives in the separate `gpu-sim` crate, which runs the same loop
+//! through a hidden hook and prices the [`search::trace::SearchTrace`]
+//! it records.
 //!
 //! ```
 //! use cagra::{CagraIndex, GraphConfig, SearchParams};
@@ -56,7 +56,7 @@ pub use dynamic::{DynamicIndex, DynamicParams, DynamicStats};
 pub use error::SearchError;
 pub use graph::relabel::{IdMap, Permutation, RelabelStrategy};
 pub use mmap::MmapVectors;
-pub use params::{HashPolicy, ReorderStrategy, SearchParams};
+pub use params::{ReorderStrategy, SearchParams};
 pub use search::index::{CagraIndex, SearchOutput};
 pub use search::scratch::SearchScratch;
 pub use shard::ShardedIndex;

@@ -16,27 +16,6 @@ pub enum ReorderStrategy {
     DistanceBased,
 }
 
-/// The GPU's visited-table management (Sec. IV-B3), chosen per
-/// simulated search ([`crate::SearchScratch::simulate`]). Host searches
-/// run a dense table that admits exactly what `Standard` admits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HashPolicy {
-    /// One table sized for the whole search
-    /// (`>= 2 * I_max * p * d` entries), never reset. The paper places
-    /// this in device memory; multi-CTA always uses it.
-    Standard,
-    /// Small table (`2^bits` entries, paper: 2^8..2^13) reset every
-    /// `reset_interval` iterations, re-registering only the current
-    /// top-M entries afterwards. The paper places this in shared
-    /// memory for higher single-CTA occupancy.
-    Forgettable {
-        /// log2 of the table size.
-        bits: u8,
-        /// Iterations between resets (paper: typically 1–4).
-        reset_interval: u8,
-    },
-}
-
 /// Search-time parameters: the paper's `M`, `p` and `I_max`, the
 /// multi-CTA worker count, the rerank depth and the seed — what changes
 /// a host result.

@@ -1,12 +1,19 @@
 //! The host's visited set: one generation stamp per graph row.
 //!
-//! The GPU's hash tables ([`super::hash`]) are sized to its memory; the
-//! host can afford 4 bytes per graph row per scratch. A visit check is
-//! one load and one store, and the table never fills, so it admits
-//! exactly what a standard hash table admits. Starting a query is one
-//! generation increment, with [`super::hash::VisitedSet`]'s wrap rule.
+//! The GPU's hash tables (`gpu-sim`) are sized to its memory; the host
+//! can afford 4 bytes per graph row per scratch. A visit check is one
+//! load and one store, and the table never fills, so it admits exactly
+//! what a standard hash table admits. Starting a query is one
+//! generation increment.
 
-use super::hash::FIRST_GENERATION;
+use super::kernel::Hook;
+
+/// Generation a new table starts in. Slots are allocated zeroed and
+/// generation 0 is never current, so they read as empty. Starting a
+/// thousand resets short of the wrap (the kernel's `INITIAL_JIFFIES`
+/// trick) means every long-lived table crosses it early, not once in
+/// 2^32 resets where nobody would see it break.
+pub const FIRST_GENERATION: u32 = u32::MAX - 1000;
 
 /// Generation-stamped visited flags over graph rows.
 #[derive(Clone, Debug)]
@@ -45,11 +52,17 @@ impl DenseVisited {
             assert_ne!(self.generation, 0, "generation 0 marks never-written stamps");
         }
     }
+}
+
+impl Hook for DenseVisited {
+    fn begin(&mut self, rows: usize, _max_rounds: usize, _round_slots: usize) {
+        self.restart(rows);
+    }
 
     /// Mark `id` visited; returns `true` on its first visit since the
     /// last [`DenseVisited::restart`].
     #[inline]
-    pub fn insert(&mut self, id: u32) -> bool {
+    fn insert(&mut self, id: u32) -> bool {
         // ALLOW(panic): ids are graph rows — `FixedDegreeGraph` stores
         // only ids below its length, random starts are drawn below it
         // through a bijective id map — and the kernel restarts this

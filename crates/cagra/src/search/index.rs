@@ -5,17 +5,19 @@
 //! a batch of queries, the mapping either given or chosen per Fig. 7,
 //! traces on request; thread-parallel over queries, the CPU analogue
 //! of launching one CTA per query), one unchecked hot entry on caller
-//! scratch ([`CagraIndex::search_mode_with`]), three panicking
-//! one-line conveniences over the validated entry, and the simulated
-//! entry for `gpu-sim` ([`CagraIndex::search_batch_traced`]).
+//! scratch ([`CagraIndex::search_mode_with`]) and three panicking
+//! one-line conveniences over the validated entry. `gpu-sim` runs both
+//! entries on its own visited tables through their hidden `*_hooked`
+//! forms.
 
-use super::kernel::search_query;
+use super::dense::DenseVisited;
+use super::kernel::{search_query, Hook};
 use super::planner::{choose, Mode};
 use super::scratch::SearchScratch;
 use super::trace::SearchTrace;
 use crate::build::{build_graph, BuildReport, GraphConfig};
 use crate::error::{validate_request, SearchError};
-use crate::params::{HashPolicy, SearchParams};
+use crate::params::SearchParams;
 use dataset::{PermutableStore, VectorStore};
 use distance::Metric;
 use graph::relabel::{self, IdMap, RelabelStrategy};
@@ -49,7 +51,7 @@ pub struct SearchOutput {
 }
 
 /// A lone query viewed as a one-row batch.
-pub(crate) struct OneQuery<'a>(pub(crate) &'a [f32]);
+struct OneQuery<'a>(&'a [f32]);
 
 impl VectorStore for OneQuery<'_> {
     fn len(&self) -> usize {
@@ -196,54 +198,53 @@ impl<S: VectorStore> CagraIndex<S> {
         mode: Option<Mode>,
         traced: bool,
     ) -> Result<SearchOutput, SearchError> {
-        self.run_batch(queries, k, params, mode, traced, None)
+        self.try_search_batch_hooked(queries, k, params, mode, traced, DenseVisited::default)
     }
 
-    /// [`CagraIndex::try_search_batch`], on the GPU's visited table
-    /// under `simulated` when given.
-    fn run_batch<Q: VectorStore>(
+    /// [`CagraIndex::try_search_batch`] with each worker thread's
+    /// visited set made by `hook`.
+    #[doc(hidden)]
+    pub fn try_search_batch_hooked<Q: VectorStore, H: Hook>(
         &self,
         queries: &Q,
         k: usize,
         params: &SearchParams,
         mode: Option<Mode>,
         traced: bool,
-        simulated: Option<HashPolicy>,
+        hook: impl Fn() -> H + Sync,
     ) -> Result<SearchOutput, SearchError> {
         self.validate_shape(queries.dim(), k, params)?;
         let mode = mode.unwrap_or_else(|| choose(queries.len(), params.itopk));
-        let scratch = || {
+        let state = || {
             let mut scratch = SearchScratch::new();
             // Untraced: skip per-iteration records so the steady state
             // stays allocation-free.
             scratch.set_record_trace(traced);
-            if let Some(policy) = simulated {
-                scratch.simulate(policy);
-            }
-            scratch
+            (scratch, hook())
         };
-        let run = |scratch: &mut SearchScratch, qi: usize| {
+        let run = |(scratch, hook): &mut (SearchScratch, H), qi: usize| {
             // Stage the row in the scratch's recycled buffer, taken out
             // so the query and the scratch can be borrowed together.
             let mut q = std::mem::take(&mut scratch.query);
             q.resize(queries.dim(), 0.0);
             queries.get_into(qi, &mut q);
             let p = SearchParams { seed: params.seed_for_query(qi), ..*params };
-            self.search_mode_with(&q, k, &p, mode, scratch);
+            self.search_hooked(&q, k, &p, mode, scratch, hook);
             scratch.query = q;
             (scratch.results().to_vec(), traced.then(|| scratch.trace().clone()))
         };
         let rows = if queries.len() == 1 {
-            vec![run(&mut scratch(), 0)]
+            vec![run(&mut state(), 0)]
         } else {
             obs::metrics().search_batches.inc();
-            parallel_map_with(queries.len(), default_threads(), scratch, run)
+            parallel_map_with(queries.len(), default_threads(), state, run)
         };
         let (neighbors, traces): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
         Ok(SearchOutput { neighbors, traces: traces.into_iter().flatten().collect() })
     }
 
-    /// [`CagraIndex::run_batch`] for the panicking conveniences below.
+    /// [`CagraIndex::try_search_batch`] for the panicking conveniences
+    /// below.
     fn must_search<Q: VectorStore>(
         &self,
         queries: &Q,
@@ -251,9 +252,8 @@ impl<S: VectorStore> CagraIndex<S> {
         params: &SearchParams,
         mode: Option<Mode>,
         traced: bool,
-        simulated: Option<HashPolicy>,
     ) -> SearchOutput {
-        let out = self.run_batch(queries, k, params, mode, traced, simulated);
+        let out = self.try_search_batch(queries, k, params, mode, traced);
         // ALLOW(panic): documented contract of the panicking wrappers.
         out.unwrap_or_else(|e| panic!("{e}"))
     }
@@ -265,7 +265,7 @@ impl<S: VectorStore> CagraIndex<S> {
     /// Panics on invalid input, as do the conveniences below;
     /// [`CagraIndex::try_search_batch`] is the non-panicking form.
     pub fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Vec<Neighbor> {
-        let mut out = self.must_search(&OneQuery(query), k, params, None, false, None);
+        let mut out = self.must_search(&OneQuery(query), k, params, None, false);
         out.neighbors.pop().unwrap_or_default()
     }
 
@@ -278,7 +278,7 @@ impl<S: VectorStore> CagraIndex<S> {
         params: &SearchParams,
         mode: Mode,
     ) -> (Vec<Neighbor>, SearchTrace) {
-        let mut out = self.must_search(&OneQuery(query), k, params, Some(mode), true, None);
+        let mut out = self.must_search(&OneQuery(query), k, params, Some(mode), true);
         (out.neighbors.pop().unwrap_or_default(), out.traces.pop().unwrap_or_default())
     }
 
@@ -289,31 +289,16 @@ impl<S: VectorStore> CagraIndex<S> {
         k: usize,
         params: &SearchParams,
     ) -> Vec<Vec<Neighbor>> {
-        self.must_search(queries, k, params, None, false, None).neighbors
-    }
-
-    /// Batch search on the GPU's visited table under `policy` (see
-    /// [`SearchScratch::simulate`]), with the traces `gpu-sim` prices.
-    /// Panics like [`SearchScratch::simulate`] and the entries above.
-    pub fn search_batch_traced<Q: VectorStore>(
-        &self,
-        queries: &Q,
-        k: usize,
-        params: &SearchParams,
-        mode: Mode,
-        policy: HashPolicy,
-    ) -> Vec<(Vec<Neighbor>, SearchTrace)> {
-        let out = self.must_search(queries, k, params, Some(mode), true, Some(policy));
-        out.neighbors.into_iter().zip(out.traces).collect()
+        self.must_search(queries, k, params, None, false).neighbors
     }
 
     /// The unchecked hot entry: one query on caller-provided scratch.
     /// Results land in [`SearchScratch::results`], the trace in
     /// [`SearchScratch::trace`]. Reusing one scratch across queries
     /// performs zero heap allocations per query in steady state; the
-    /// validated entry holds one scratch per worker thread and calls
-    /// this for every query the thread serves, and the serving layer
-    /// calls it directly after validating the shape once at admission.
+    /// validated entry runs the same search on one scratch per worker
+    /// thread, and the serving layer calls it directly after
+    /// validating the shape once at admission.
     ///
     /// # Panics
     /// Panics on input [`CagraIndex::validate_shape`] would reject.
@@ -324,6 +309,23 @@ impl<S: VectorStore> CagraIndex<S> {
         params: &SearchParams,
         mode: Mode,
         scratch: &mut SearchScratch,
+    ) {
+        let mut dense = std::mem::take(&mut scratch.dense);
+        self.search_hooked(query, k, params, mode, scratch, &mut dense);
+        scratch.dense = dense;
+    }
+
+    /// [`CagraIndex::search_mode_with`] on `hook` in place of the
+    /// scratch's own visited set.
+    #[doc(hidden)]
+    pub fn search_hooked<H: Hook>(
+        &self,
+        query: &[f32],
+        k: usize,
+        params: &SearchParams,
+        mode: Mode,
+        scratch: &mut SearchScratch,
+        hook: &mut H,
     ) {
         let clock = obs::Stopwatch::start();
         // Two-phase: traverse for the top max(k, r) candidates under
@@ -336,7 +338,7 @@ impl<S: VectorStore> CagraIndex<S> {
             Some(_) => params.rerank_depth.max(k).min(params.itopk).min(self.store.len()),
             None => k,
         };
-        search_query(self, query, k_eff, params, mode, scratch);
+        search_query(self, query, k_eff, params, mode, scratch, hook);
         if let Some(src) = rerank {
             self.rerank_results(query, k, src, scratch);
         }

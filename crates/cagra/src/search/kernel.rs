@@ -18,23 +18,22 @@
 //!   `num_cta * d` nodes versus `p * d`, which keeps the GPU busy at
 //!   batch sizes as small as 1.
 //!
-//! The loop is generic over its visited set. A host search runs
-//! [`DenseVisited`] (one stamp per graph row, never full); a simulated
-//! one ([`SearchScratch::simulate`]) runs the GPU's [`VisitedSet`] and
-//! counts its probes. The standard table never fills either, so it
-//! admits what the dense one does and the results agree bit for bit.
-//! Only first-visit neighbors enter the candidate segment; the trace
-//! reports the `p * d` slots a warp would sort.
+//! The loop is generic over a [`Hook`]: its visited set plus whatever
+//! else a caller wants to see of the loop. A host search runs
+//! [`super::dense::DenseVisited`] (one stamp per graph row, never
+//! full), which implements only `begin` and `insert`, so the host loop
+//! carries no simulation branches; `gpu-sim` brings the GPU's hash
+//! tables and the access log. Only first-visit neighbors enter the
+//! candidate segment; the trace reports the `p * d` slots a warp
+//! would sort.
 
 use super::buffer::{BufEntry, SearchBuffer};
-use super::dense::DenseVisited;
-use super::hash::VisitedSet;
 use super::index::CagraIndex;
 use super::parent::{is_parented, node_id, set_parented, INVALID};
 use super::planner::Mode;
 use super::scratch::SearchScratch;
-use super::trace::{IterAccess, IterationTrace};
-use crate::params::{HashPolicy, SearchParams};
+use super::trace::{IterationTrace, SearchTrace};
+use crate::params::SearchParams;
 use dataset::VectorStore;
 use distance::DistanceOracle;
 use knn::topk::{cmp_neighbor, Neighbor};
@@ -84,8 +83,14 @@ impl Shape {
     }
 }
 
-/// What the loop asks of its visited set.
-trait Visited {
+/// What the loop asks of its visited set, and the points where a
+/// caller outside the host path (`gpu-sim`) observes it. Everything but
+/// [`Hook::insert`] defaults to doing nothing.
+#[doc(hidden)]
+pub trait Hook {
+    /// Before the search: the graph's row count, the round cap, and the
+    /// neighbor slots one round fills across all workers.
+    fn begin(&mut self, _rows: usize, _max_rounds: usize, _round_slots: usize) {}
     /// Mark `id` visited; `true` on its first visit.
     fn insert(&mut self, id: u32) -> bool;
     /// Hash probe steps so far.
@@ -97,36 +102,16 @@ trait Visited {
     fn forget(&mut self, _round: usize, _buf: &SearchBuffer) -> bool {
         false
     }
-}
-
-impl Visited for DenseVisited {
-    fn insert(&mut self, id: u32) -> bool {
-        DenseVisited::insert(self, id)
-    }
-}
-
-/// The GPU's table and its reset interval in rounds (0 = never).
-struct Hashed<'a>(&'a mut VisitedSet, usize);
-
-impl Visited for Hashed<'_> {
-    fn insert(&mut self, id: u32) -> bool {
-        self.0.insert(id)
-    }
-    fn probes(&self) -> u64 {
-        self.0.probes()
-    }
-    fn forget(&mut self, round: usize, buf: &SearchBuffer) -> bool {
-        let due = self.1 > 0 && round > 0 && round.is_multiple_of(self.1);
-        if due {
-            self.0.reset(buf.topm_ids());
-        }
-        due
-    }
+    /// Rows a worker gathered in `round` (`None`: the random
+    /// initialization): the parents it expands, the nodes it scores.
+    fn log(&mut self, _round: Option<usize>, _parents: &[u32], _scored: &[u32]) {}
+    /// After the search, with its trace.
+    fn finish(&mut self, _trace: &mut SearchTrace) {}
 }
 
 /// Search `index` for the `k` nearest neighbors of `query` with the
-/// mapping `mode`, entirely on caller-provided scratch and its visited
-/// set. Results land in [`SearchScratch::results`] (ascending
+/// mapping `mode` — the loop of Fig. 6 — entirely on caller-provided
+/// scratch and `visited`. Results land in [`SearchScratch::results`] (ascending
 /// distance) and the trace in [`SearchScratch::trace`], one entry per
 /// round; a scratch reused across queries of one shape allocates
 /// nothing per query in steady state.
@@ -140,62 +125,25 @@ impl Visited for Hashed<'_> {
 /// # Panics
 /// Panics on invalid parameters (see [`SearchParams::validate`]) or a
 /// query dimension mismatch.
-pub(crate) fn search_query<S: VectorStore>(
+pub(crate) fn search_query<S: VectorStore, H: Hook>(
     index: &CagraIndex<S>,
     query: &[f32],
     k: usize,
     params: &SearchParams,
     mode: Mode,
     scratch: &mut SearchScratch,
+    visited: &mut H,
 ) {
     // ALLOW(panic): documented contract of the unchecked entry; the
     // `try_search*` path validates and returns typed errors instead.
     params.validate(k).unwrap_or_else(|e| panic!("{e}"));
     // ALLOW(panic): documented precondition (see `# Panics`).
     assert_eq!(query.len(), index.store().dim(), "query dimension mismatch");
-    let (rows, d) = (index.graph().len(), index.graph().degree());
+    let (graph, id_map) = (index.graph(), index.id_map());
+    let (n, d) = (graph.len(), graph.degree());
     let shape = Shape::new(mode, params, d);
     scratch.begin(shape.workers, shape.m, shape.parents * d);
-
-    let Some(policy) = scratch.simulated else {
-        let mut dense = std::mem::take(&mut scratch.dense);
-        dense.restart(rows);
-        search_kernel(index, query, k, params, &shape, &mut dense, scratch);
-        scratch.dense = dense;
-        return;
-    };
-    let (bits, reset_interval) = match (mode, policy) {
-        (Mode::SingleCta, HashPolicy::Forgettable { bits, reset_interval }) => {
-            (bits, reset_interval as usize)
-        }
-        _ => (VisitedSet::standard_bits(shape.max_rounds, shape.workers * shape.parents * d), 0),
-    };
-    let mut set = scratch.hashed.take().unwrap_or_else(|| VisitedSet::new(bits));
-    set.reset_to(bits);
-    scratch.trace.hash_slots = set.capacity();
-    scratch.trace.hash_in_shared = reset_interval > 0;
-    let mut table = Hashed(&mut set, reset_interval);
-    let probes = search_kernel(index, query, k, params, &shape, &mut table, scratch);
-    let om = obs::metrics();
-    om.search_probe_len.record(probes);
-    om.search_hash_occupancy_permille.record((set.len() as u64 * 1000) / set.capacity() as u64);
-    scratch.hashed = Some(set);
-}
-
-/// The loop of Fig. 6 for one validated query on a freshly begun
-/// scratch; returns the probe steps `visited` took.
-fn search_kernel<S: VectorStore, V: Visited>(
-    index: &CagraIndex<S>,
-    query: &[f32],
-    k: usize,
-    params: &SearchParams,
-    shape: &Shape,
-    visited: &mut V,
-    scratch: &mut SearchScratch,
-) -> u64 {
-    let (graph, id_map) = (index.graph(), index.id_map());
-    let n = graph.len();
-    let d = graph.degree();
+    visited.begin(n, shape.max_rounds, shape.workers * shape.parents * d);
     let SearchScratch {
         buffers,
         active,
@@ -240,21 +188,16 @@ fn search_kernel<S: VectorStore, V: Visited>(
             buf.push_candidate(BufEntry::new(id, dist));
         }
         trace.init_distances += gang_ids.len() as u64;
-        if let Some(log) = trace.accesses.as_mut() {
-            log.init_scored.extend_from_slice(gang_ids);
-        }
+        visited.log(None, &[], gang_ids);
     }
 
     let mut rounds = 0usize;
     let mut total_computed = trace.init_distances;
-    // Whole-query obs inputs: one histogram write each after the loop,
-    // not one per round.
-    let (mut total_probes, mut widest_sort) = (0u64, 0u64);
+    // Whole-query obs input: one histogram write after the loop, not
+    // one per round.
+    let mut widest_sort = 0u64;
     while rounds < shape.max_rounds {
         let mut round = IterationTrace::default();
-        if let Some(log) = trace.accesses.as_mut() {
-            log.iterations.push(IterAccess::default());
-        }
         let mut any_active = false;
         for (buf, act) in buffers.iter_mut().zip(active.iter_mut()) {
             if !*act {
@@ -282,9 +225,7 @@ fn search_kernel<S: VectorStore, V: Visited>(
                 continue;
             }
             any_active = true;
-            if let Some(iter) = trace.accesses.as_mut().and_then(|l| l.iterations.last_mut()) {
-                iter.parents.extend_from_slice(parents);
-            }
+            visited.log(Some(rounds), parents, &[]);
             round.hash_reset |= visited.forget(rounds, buf);
 
             // Step 3: expand the parents. Each parent's first-visit
@@ -303,9 +244,7 @@ fn search_kernel<S: VectorStore, V: Visited>(
                     buf.push_candidate(BufEntry::new(id, dist));
                 }
                 round.distances_computed += gang_ids.len() as u64;
-                if let Some(iter) = trace.accesses.as_mut().and_then(|l| l.iterations.last_mut()) {
-                    iter.scored.extend_from_slice(gang_ids);
-                }
+                visited.log(Some(rounds), &[], gang_ids);
             }
             round.hash_probes += visited.probes() - probes_before;
             // The GPU sorts every neighbor slot, visited or not: each
@@ -315,12 +254,8 @@ fn search_kernel<S: VectorStore, V: Visited>(
             round.sort_len = round.sort_len.max(segment);
         }
         if !any_active {
-            if let Some(log) = trace.accesses.as_mut() {
-                log.iterations.pop(); // empty round: no gathers happened
-            }
             break;
         }
-        total_probes += round.hash_probes;
         widest_sort = widest_sort.max(round.sort_len);
         total_computed += round.distances_computed;
         if *record_trace {
@@ -354,7 +289,7 @@ fn search_kernel<S: VectorStore, V: Visited>(
         results.sort_unstable_by(cmp_neighbor);
         results.truncate(k);
     }
-    total_probes
+    visited.finish(trace);
 }
 
 #[cfg(test)]
@@ -444,29 +379,6 @@ mod tests {
                 assert!(it.candidates <= it.sort_len * trace.num_workers as u64);
             }
         }
-    }
-
-    #[test]
-    fn forgettable_hash_recall_not_catastrophic() {
-        // Paper: periodic reset may recompute distances but must not
-        // collapse recall.
-        let ix = setup(2000);
-        let spec = SynthSpec { dim: 8, n: 0, queries: 20, family: Family::Gaussian, seed: 7 };
-        let (_, queries) = spec.generate();
-        let p = SearchParams::for_k(10);
-        let policy = HashPolicy::Forgettable { bits: 8, reset_interval: 1 };
-        let out = ix.search_batch_traced(&queries, 10, &p, Mode::SingleCta, policy);
-        let mut hits = 0usize;
-        for (qi, (got, trace)) in out.iter().enumerate() {
-            assert!(trace.hash_in_shared && trace.iterations.iter().any(|i| i.hash_reset));
-            let want = exact_search(ix.store(), Metric::SquaredL2, queries.row(qi), 10);
-            hits += got.iter().filter(|n| want.iter().any(|w| w.id == n.id)).count();
-        }
-        let recall = hits as f64 / (queries.len() * 10) as f64;
-        assert!(recall > 0.8, "forgettable recall@10 = {recall}");
-        // Multi-CTA's table lives in device memory and is never reset.
-        let (_, trace) = &ix.search_batch_traced(&queries, 10, &p, Mode::MultiCta, policy)[0];
-        assert!(!trace.hash_in_shared && trace.iterations.iter().all(|i| !i.hash_reset));
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! lives once, in [`kernel`]; the paper's two hardware mappings are
 //! *shapes* of it — how many workers share a query and one visited
 //! set, how many parents and how long a list each worker gets —
-//! selected by [`planner::Mode`]. The visited set is [`dense`] on the
-//! host and the GPU's [`hash`] table in simulated searches. [`planner`]
-//! picks the mode per Fig. 7; [`index`] is the public entry.
+//! selected by [`planner::Mode`]. The visited set is [`dense`]; the
+//! GPU's hash tables live in `gpu-sim`, which runs the loop through
+//! [`kernel::Hook`]. [`planner`] picks the mode per Fig. 7; [`index`]
+//! is the public entry.
 
 pub mod buffer;
 pub mod dense;
-pub mod hash;
 pub mod index;
 pub mod kernel;
 pub mod parent;

@@ -16,14 +16,10 @@
 //! batch) no allocation occurs — the visited set forgets its
 //! contents in O(1) (see [`super::dense`]), vectors are `clear()`ed,
 //! and capacity is retained.
-//! Searches run on [`DenseVisited`] unless [`SearchScratch::simulate`]
-//! switches the scratch to the GPU's hash table for `gpu-sim`.
 
 use super::buffer::SearchBuffer;
 use super::dense::DenseVisited;
-use super::hash::VisitedSet;
 use super::trace::SearchTrace;
-use crate::params::HashPolicy;
 use knn::topk::Neighbor;
 
 /// Reusable working state for one search worker thread.
@@ -37,10 +33,6 @@ use knn::topk::Neighbor;
 pub struct SearchScratch {
     /// The host's visited set: one stamp per graph row (4 B × n).
     pub(crate) dense: DenseVisited,
-    /// The GPU's visited table, created by the first simulated search.
-    pub(crate) hashed: Option<VisitedSet>,
-    /// The hash policy searches are simulated under; `None` on the host.
-    pub(crate) simulated: Option<HashPolicy>,
     /// One buffer per worker (single-CTA uses exactly one).
     pub(crate) buffers: Vec<SearchBuffer>,
     /// Per-worker liveness flags.
@@ -69,10 +61,6 @@ pub struct SearchScratch {
     /// and skips bookkeeping the caller will drop anyway). Aggregate
     /// counters (`init_distances`) are maintained either way.
     pub(crate) record_trace: bool,
-    /// When true, searches additionally record the memory-access log
-    /// ([`SearchTrace::accesses`]) consumed by `gpu-sim`'s transaction
-    /// replay. Off by default: the log allocates per query.
-    pub(crate) record_accesses: bool,
     /// Number of searches served (drives the `scratch_reused` flag).
     searches: u64,
 }
@@ -87,31 +75,6 @@ impl SearchScratch {
     /// Enable or disable per-iteration trace recording (default on).
     pub fn set_record_trace(&mut self, record: bool) {
         self.record_trace = record;
-    }
-
-    /// Enable or disable memory-access logging (default off). When on,
-    /// each search fills [`SearchTrace::accesses`] with the internal
-    /// node ids it gathered, for `gpu-sim` transaction replay.
-    pub fn set_record_accesses(&mut self, record: bool) {
-        self.record_accesses = record;
-    }
-
-    /// Run later searches on the GPU's hash table under `policy` (Sec.
-    /// IV-B3; multi-CTA always runs the standard table), with its
-    /// slots, probes and resets in the trace for `gpu-sim` to price.
-    ///
-    /// # Panics
-    /// Panics on a forgettable policy with `bits` outside `4..=24` or a
-    /// zero `reset_interval`.
-    pub fn simulate(&mut self, policy: HashPolicy) {
-        if let HashPolicy::Forgettable { bits, reset_interval } = policy {
-            // ALLOW(panic): documented precondition (see `# Panics`).
-            assert!(
-                (4..=24).contains(&bits) && reset_interval > 0,
-                "forgettable hash needs 4..=24 bits and a positive reset interval, got {policy:?}"
-            );
-        }
-        self.simulated = Some(policy);
     }
 
     /// Results of the most recent search.
@@ -150,26 +113,11 @@ impl SearchScratch {
         self.gang_ids.clear();
         self.gang_dists.clear();
         self.results.clear();
-        // Reset the trace in place — never replace it wholesale, that
-        // would discard the iterations vector's capacity.
-        self.trace.init_distances = 0;
-        self.trace.iterations.clear();
-        self.trace.serial_queue = false;
-        self.trace.hash_slots = 0;
-        self.trace.hash_in_shared = false;
-        self.trace.scratch_reused = self.searches > 0;
-        if self.record_accesses {
-            // Reuse the log's allocations across queries.
-            match &mut self.trace.accesses {
-                Some(log) => {
-                    log.init_scored.clear();
-                    log.iterations.clear();
-                }
-                None => self.trace.accesses = Some(Default::default()),
-            }
-        } else {
-            self.trace.accesses = None;
-        }
+        // A fresh trace that keeps the iterations vector's capacity.
+        let mut iterations = std::mem::take(&mut self.trace.iterations);
+        iterations.clear();
+        let scratch_reused = self.searches > 0;
+        self.trace = SearchTrace { iterations, scratch_reused, ..Default::default() };
         self.searches += 1;
     }
 }
@@ -206,21 +154,5 @@ mod tests {
         assert!(s.results.is_empty());
         assert_eq!((s.trace.init_distances, s.trace.hash_slots), (0, 0));
         assert_eq!(s.trace.iteration_count(), 0);
-    }
-
-    #[test]
-    fn simulate_rejects_degenerate_forgettable_tables() {
-        for policy in [
-            HashPolicy::Forgettable { bits: 2, reset_interval: 1 },
-            HashPolicy::Forgettable { bits: 25, reset_interval: 1 },
-            HashPolicy::Forgettable { bits: 11, reset_interval: 0 },
-        ] {
-            let refused = std::panic::catch_unwind(|| SearchScratch::new().simulate(policy));
-            assert!(refused.is_err(), "{policy:?} accepted");
-        }
-        let mut s = SearchScratch::new();
-        s.simulate(HashPolicy::Forgettable { bits: 4, reset_interval: 1 });
-        s.simulate(HashPolicy::Standard);
-        assert_eq!(s.simulated, Some(HashPolicy::Standard));
     }
 }

@@ -41,9 +41,8 @@ pub struct IterAccess {
 /// Chronological memory-access log of one search, in *internal*
 /// (physical layout) node ids — the input to `gpu-sim`'s 128-bit
 /// transaction replay, which is how relabeling strategies are compared
-/// in simulated memory traffic. Off by default
-/// ([`crate::SearchScratch::set_record_accesses`]) because the log
-/// allocates per query.
+/// in simulated memory traffic. Recorded only by `gpu-sim`'s searches
+/// that ask for it, because the log allocates per query.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct AccessLog {
     /// Nodes scored during random initialization (vector-row gathers).
@@ -92,7 +91,7 @@ pub struct SearchTrace {
     #[serde(default)]
     pub scratch_reused: bool,
     /// Memory-access log (internal ids), present only when the search
-    /// ran with access recording on.
+    /// ran with access logging on.
     #[serde(default)]
     pub accesses: Option<AccessLog>,
 }

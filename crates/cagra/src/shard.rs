@@ -11,10 +11,9 @@
 
 use crate::build::{BuildReport, GraphConfig};
 use crate::mmap::MmapVectors;
-use crate::params::{HashPolicy, SearchParams};
-use crate::search::index::{CagraIndex, OneQuery};
+use crate::params::SearchParams;
+use crate::search::index::CagraIndex;
 use crate::search::planner::Mode;
-use crate::search::trace::SearchTrace;
 use dataset::pq::{PqCodebook, PqConfig, PqStore};
 use dataset::{Dataset, VectorStore};
 use distance::Metric;
@@ -202,42 +201,26 @@ impl<S: VectorStore> ShardedIndex<S> {
         params: &SearchParams,
         mode: Mode,
     ) -> Vec<Neighbor> {
-        self.merge_top_k(k, self.shards.iter().map(|s| s.search_mode(query, k, params, mode).0))
+        self.search_each(k, |s| (s.search_mode(query, k, params, mode).0, ())).0
     }
 
-    /// [`ShardedIndex::search`] on the GPU's visited table under
-    /// `policy` (the simulated entry, see
-    /// [`CagraIndex::search_batch_traced`]), returning per-shard traces
-    /// for multi-device timing simulation alongside the merged results.
-    pub fn search_traced(
-        &self,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        mode: Mode,
-        policy: HashPolicy,
-    ) -> (Vec<Neighbor>, Vec<SearchTrace>) {
-        let (results, traces): (Vec<_>, Vec<_>) = self
-            .shards
-            .iter()
-            .flat_map(|s| s.search_batch_traced(&OneQuery(query), k, params, mode, policy))
-            .unzip();
-        (self.merge_top_k(k, results.into_iter()), traces)
-    }
-
-    /// Translate each shard's results to global ids and keep the best k.
-    fn merge_top_k(
+    /// Run `search` on every shard, translate each shard's results to
+    /// global ids and keep the best `k`, beside what else each shard's
+    /// search returned.
+    #[doc(hidden)]
+    pub fn search_each<T>(
         &self,
         k: usize,
-        per_shard: impl Iterator<Item = Vec<Neighbor>>,
-    ) -> Vec<Neighbor> {
+        search: impl Fn(&CagraIndex<S>) -> (Vec<Neighbor>, T),
+    ) -> (Vec<Neighbor>, Vec<T>) {
+        let (per_shard, extras): (Vec<_>, Vec<_>) = self.shards.iter().map(search).unzip();
         let mut all: Vec<Neighbor> = Vec::with_capacity(k * self.shards.len());
-        for (results, &offset) in per_shard.zip(&self.offsets) {
+        for (results, &offset) in per_shard.into_iter().zip(&self.offsets) {
             all.extend(results.into_iter().map(|n| Neighbor::new(n.id + offset, n.dist)));
         }
         all.sort_unstable_by(cmp_neighbor);
         all.truncate(k);
-        all
+        (all, extras)
     }
 }
 
@@ -301,18 +284,6 @@ mod tests {
             let d = distance::Metric::SquaredL2.distance(queries.row(1), base.row(n.id as usize));
             assert!((d - n.dist).abs() < 1e-4, "id {} dist {} vs true {d}", n.id, n.dist);
         }
-    }
-
-    #[test]
-    fn traced_search_returns_one_trace_per_shard() {
-        let (base, queries) = workload();
-        let (sharded, _) = ShardedIndex::build(&base, Metric::SquaredL2, &GraphConfig::new(8), 3);
-        let p = SearchParams::for_k(5);
-        let (got, traces) =
-            sharded.search_traced(queries.row(0), 5, &p, Mode::SingleCta, HashPolicy::Standard);
-        assert_eq!(traces.len(), 3);
-        assert!(traces.iter().all(|t| t.hash_slots > 0), "simulated traces carry their table");
-        assert_eq!(got, sharded.search(queries.row(0), 5, &p, Mode::SingleCta));
     }
 
     #[test]

@@ -4,65 +4,53 @@
 //! The scratch-reuse refactor must be invisible in results: a batch
 //! searched on recycled per-thread scratch has to return bit-identical
 //! `Neighbor` lists (ids *and* distances) to searching each query on a
-//! brand-new scratch, across both kernel mappings, any thread count,
-//! the host's dense visited set and the simulated hash tables — and
-//! the simulated standard table must return what the host returns.
+//! brand-new scratch, across both kernel mappings and any thread count.
 //! The same goes for the SIMD distance backends: forcing the scalar
 //! fallback (the `CAGRA_FORCE_SCALAR` switch) must not move a bit
-//! either. Everything runs inside one `#[test]` function because
+//! either. (The simulated hash tables' legs live in `gpu-sim`'s
+//! `tests/scratch_parity.rs`.) Everything runs inside one `#[test]` function because
 //! the thread-count and backend legs mutate process-wide state
 //! (`CAGRA_THREADS`, the forced-scalar flag), and Rust runs
 //! `#[test]`s concurrently.
 
 use cagra::search::planner::Mode;
 use cagra::search::trace::SearchTrace;
-use cagra::{CagraIndex, GraphConfig, HashPolicy, SearchParams, SearchScratch};
+use cagra::{CagraIndex, GraphConfig, SearchParams, SearchScratch};
 use dataset::synth::{Family, SynthSpec};
 use dataset::VectorStore;
 use distance::Metric;
 use knn::topk::Neighbor;
 
-/// Each query on a brand-new scratch — a host one, or one simulating
-/// `policy` — with the seed the batch entry gives it.
+/// Each query on a brand-new scratch with the seed the batch entry
+/// gives it.
 fn fresh_per_query(
     index: &CagraIndex<dataset::Dataset>,
     queries: &dataset::Dataset,
     k: usize,
     params: &SearchParams,
     mode: Mode,
-    policy: Option<HashPolicy>,
 ) -> Vec<Vec<Neighbor>> {
     (0..queries.len())
         .map(|qi| {
             let p = SearchParams { seed: params.seed_for_query(qi), ..*params };
             let mut scratch = SearchScratch::new();
-            if let Some(policy) = policy {
-                scratch.simulate(policy);
-            }
             index.search_mode_with(queries.row(qi), k, &p, mode, &mut scratch);
             scratch.results().to_vec()
         })
         .collect()
 }
 
-/// The batch entry for `policy`: the validated host entry, or the
-/// simulated one.
+/// The validated batch entry, traced.
 fn batch(
     index: &CagraIndex<dataset::Dataset>,
     queries: &dataset::Dataset,
     k: usize,
     params: &SearchParams,
     mode: Mode,
-    policy: Option<HashPolicy>,
 ) -> Vec<(Vec<Neighbor>, SearchTrace)> {
-    match policy {
-        None => {
-            let out = index.try_search_batch(queries, k, params, Some(mode), true);
-            let out = out.expect("valid request");
-            out.neighbors.into_iter().zip(out.traces).collect()
-        }
-        Some(policy) => index.search_batch_traced(queries, k, params, mode, policy),
-    }
+    let out = index.try_search_batch(queries, k, params, Some(mode), true);
+    let out = out.expect("valid request");
+    out.neighbors.into_iter().zip(out.traces).collect()
 }
 
 fn assert_bit_identical(batch: &[Vec<Neighbor>], fresh: &[Vec<Neighbor>], label: &str) {
@@ -87,67 +75,46 @@ fn batch_scratch_reuse_is_bit_identical_to_fresh_state() {
     let (index, _) = CagraIndex::build(base, Metric::SquaredL2, &GraphConfig::new(16));
     let k = 10;
     let params = SearchParams::for_k(k);
-    let forgettable = HashPolicy::Forgettable { bits: 9, reset_interval: 2 };
-    let tables = [
-        (None, "host"),
-        (Some(forgettable), "forgettable"),
-        (Some(HashPolicy::Standard), "standard"),
-    ];
 
     for mode in [Mode::SingleCta, Mode::MultiCta] {
-        let host = fresh_per_query(&index, &queries, k, &params, mode, None);
-        for (policy, table) in tables {
-            let fresh = fresh_per_query(&index, &queries, k, &params, mode, policy);
-            if policy == Some(HashPolicy::Standard) {
-                // Sized never to fill, the standard table admits what
-                // the dense one does.
-                assert_bit_identical(&fresh, &host, &format!("{mode:?}/standard-vs-host"));
-            }
+        let fresh = fresh_per_query(&index, &queries, k, &params, mode);
 
-            // SIMD-vs-scalar axis: the kernel backends share one
-            // canonical summation order, so forcing the scalar
-            // fallback must not move a single result bit — across
-            // both CTA mappings and every visited table.
-            let forcing_before = distance::kernels::forcing_scalar();
-            distance::kernels::force_scalar(true);
-            let scalar_results = fresh_per_query(&index, &queries, k, &params, mode, policy);
-            distance::kernels::force_scalar(false);
-            let simd_results = fresh_per_query(&index, &queries, k, &params, mode, policy);
-            distance::kernels::force_scalar(forcing_before);
-            assert_bit_identical(
-                &scalar_results,
-                &simd_results,
-                &format!("{table}/{mode:?}/scalar-vs-simd"),
-            );
-            assert_bit_identical(&fresh, &simd_results, &format!("{table}/{mode:?}/env"));
+        // SIMD-vs-scalar axis: the kernel backends share one canonical
+        // summation order, so forcing the scalar fallback must not move
+        // a single result bit — across both CTA mappings.
+        let forcing_before = distance::kernels::forcing_scalar();
+        distance::kernels::force_scalar(true);
+        let scalar_results = fresh_per_query(&index, &queries, k, &params, mode);
+        distance::kernels::force_scalar(false);
+        let simd_results = fresh_per_query(&index, &queries, k, &params, mode);
+        distance::kernels::force_scalar(forcing_before);
+        assert_bit_identical(&scalar_results, &simd_results, &format!("{mode:?}/scalar-vs-simd"));
+        assert_bit_identical(&fresh, &simd_results, &format!("{mode:?}/env"));
 
-            // The batch path must match fresh state at every thread
-            // count: 1 (one scratch serves the whole batch — maximum
-            // reuse) and several (one scratch per worker). At one
-            // thread its traces must report reuse for every query
-            // after the first.
-            for threads in ["1", "4"] {
-                std::env::set_var("CAGRA_THREADS", threads);
-                let out = batch(&index, &queries, k, &params, mode, policy);
-                std::env::remove_var("CAGRA_THREADS");
-                let results: Vec<Vec<Neighbor>> = out.iter().map(|(r, _)| r.clone()).collect();
-                let label = format!("{table}/{mode:?}/threads={threads}");
-                assert_bit_identical(&results, &fresh, &label);
-                assert_eq!(out[0].1.hash_slots > 0, policy.is_some(), "{label}: table");
-                if threads == "1" {
-                    assert!(!out[0].1.scratch_reused, "{label}: first query is not a reuse");
-                    assert!(out[1..].iter().all(|(_, t)| t.scratch_reused), "{label}: reuse");
-                }
+        // The batch path must match fresh state at every thread count:
+        // 1 (one scratch serves the whole batch — maximum reuse) and
+        // several (one scratch per worker). At one thread its traces
+        // must report reuse for every query after the first.
+        for threads in ["1", "4"] {
+            std::env::set_var("CAGRA_THREADS", threads);
+            let out = batch(&index, &queries, k, &params, mode);
+            std::env::remove_var("CAGRA_THREADS");
+            let results: Vec<Vec<Neighbor>> = out.iter().map(|(r, _)| r.clone()).collect();
+            let label = format!("{mode:?}/threads={threads}");
+            assert_bit_identical(&results, &fresh, &label);
+            assert_eq!(out[0].1.hash_slots, 0, "{label}: a host search runs no hash table");
+            if threads == "1" {
+                assert!(!out[0].1.scratch_reused, "{label}: first query is not a reuse");
+                assert!(out[1..].iter().all(|(_, t)| t.scratch_reused), "{label}: reuse");
             }
         }
     }
 
-    // Explicitly driving one scratch through many queries (the
-    // `*_with` API a custom batch loop would use) also matches.
+    // Explicitly driving one scratch through many queries (the `*_with`
+    // API a custom batch loop would use) also matches.
     let mut scratch = SearchScratch::new();
-    scratch.simulate(forgettable);
     for mode in [Mode::SingleCta, Mode::MultiCta] {
-        let fresh = fresh_per_query(&index, &queries, k, &params, mode, Some(forgettable));
+        let fresh = fresh_per_query(&index, &queries, k, &params, mode);
         for (qi, fresh_qi) in fresh.iter().enumerate() {
             let p = SearchParams { seed: params.seed_for_query(qi), ..params };
             index.search_mode_with(queries.row(qi), k, &p, mode, &mut scratch);

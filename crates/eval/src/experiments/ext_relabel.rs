@@ -24,7 +24,7 @@ use cagra::{CagraIndex, RelabelStrategy, SearchParams, SearchScratch};
 use dataset::presets::PresetName;
 use dataset::{Dataset, VectorStore};
 use gpu_sim::mem::DEFAULT_CACHE_LINES;
-use gpu_sim::{replay_batch, MemLayout, TxCounts};
+use gpu_sim::{replay_batch, search_with, HashPolicy, MemLayout, SimTable, TxCounts};
 use knn::topk::Neighbor;
 use std::time::Instant;
 
@@ -48,8 +48,8 @@ pub struct StrategyRow {
     pub mean_edge_span: f64,
 }
 
-/// Serial traced pass with access logging enabled, seeded exactly like
-/// the batch path so results match it bit for bit.
+/// Serial pass logging accesses on the standard table, seeded exactly
+/// like the batch path so results match it bit for bit.
 fn traced_with_accesses(
     index: &CagraIndex<Dataset>,
     wl: &Workload,
@@ -57,13 +57,13 @@ fn traced_with_accesses(
     params: &SearchParams,
 ) -> (Vec<Vec<Neighbor>>, Vec<SearchTrace>) {
     let mut scratch = SearchScratch::new();
-    scratch.set_record_accesses(true);
+    let mut table = SimTable::new(HashPolicy::Standard, true);
     let mut results = Vec::with_capacity(wl.queries.len());
     let mut traces = Vec::with_capacity(wl.queries.len());
     for qi in 0..wl.queries.len() {
         let mut p = *params;
         p.seed = params.seed_for_query(qi);
-        index.search_mode_with(wl.queries.row(qi), k, &p, Mode::SingleCta, &mut scratch);
+        search_with(index, wl.queries.row(qi), k, &p, Mode::SingleCta, &mut table, &mut scratch);
         results.push(scratch.results().to_vec());
         traces.push(scratch.trace().clone());
     }
@@ -74,8 +74,8 @@ fn traced_with_accesses(
 /// copy) on one workload.
 pub fn measure(wl: &Workload, ctx: &ExpContext) -> Vec<StrategyRow> {
     let (base_index, _) = build_cagra(wl);
-    // The host's dense visited set is id-independent, so relabeled
-    // runs are bit-identical to identity (DESIGN.md, "Memory locality").
+    // Both visited tables here are id-independent, so relabeled runs
+    // are bit-identical to identity (DESIGN.md, "Memory locality").
     let params = SearchParams::for_k(ctx.k);
     let gt = wl.ground_truth(ctx.k);
     let degree = base_index.graph().degree();

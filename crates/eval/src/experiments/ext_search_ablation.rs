@@ -22,10 +22,10 @@ use crate::report::{fmt_qps, Table};
 use crate::sweep::{cagra_curve, sim_batch_qps, CurvePoint};
 use cagra::search::planner::Mode;
 use cagra::search::trace::SearchTrace;
-use cagra::{HashPolicy, SearchParams, SearchScratch};
+use cagra::{SearchParams, SearchScratch};
 use dataset::presets::PresetName;
 use dataset::VectorStore;
-use gpu_sim::Mapping;
+use gpu_sim::HashPolicy;
 use knn::topk::Neighbor;
 use song::{song_search, SongParams, StartPolicy};
 use std::time::Instant;
@@ -90,7 +90,7 @@ pub fn measure(wl: &Workload, ctx: &ExpContext) -> Vec<(&'static str, Vec<CurveP
                     wl.base.dim(),
                     4,
                     32,
-                    Mapping::SingleCta,
+                    Mode::SingleCta,
                     ctx.batch_target,
                 ),
                 scratch_reused: false,

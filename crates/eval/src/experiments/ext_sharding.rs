@@ -15,10 +15,10 @@ use crate::report::{fmt_qps, Table};
 use cagra::build::GraphConfig;
 use cagra::search::planner::Mode;
 use cagra::search::trace::SearchTrace;
-use cagra::{HashPolicy, SearchParams, ShardedIndex};
+use cagra::{SearchParams, ShardedIndex};
 use dataset::presets::PresetName;
 use dataset::VectorStore;
-use gpu_sim::{simulate_sharded_batch, DeviceSpec, Mapping};
+use gpu_sim::{search_sharded_traced, simulate_sharded_batch, DeviceSpec, HashPolicy};
 use knn::topk::Neighbor;
 
 /// (shards, recall, simulated QPS) rows for one workload.
@@ -36,7 +36,8 @@ pub fn measure(wl: &Workload, ctx: &ExpContext, shard_counts: &[usize]) -> Vec<(
             let mut shard_traces: Vec<Vec<SearchTrace>> = vec![Vec::new(); shards];
             for qi in 0..wl.queries.len() {
                 let q = wl.queries.row(qi);
-                let (res, traces) = index.search_traced(q, ctx.k, &params, Mode::SingleCta, hash);
+                let (res, traces) =
+                    search_sharded_traced(&index, q, ctx.k, &params, Mode::SingleCta, hash);
                 results.push(res);
                 for (s, t) in traces.into_iter().enumerate() {
                     shard_traces[s].push(t);
@@ -48,7 +49,7 @@ pub fn measure(wl: &Workload, ctx: &ExpContext, shard_counts: &[usize]) -> Vec<(
                 .map(|ts| (0..ctx.batch_target).map(|i| ts[i % ts.len()].clone()).collect())
                 .collect();
             let timing =
-                simulate_sharded_batch(&device, &tiled, wl.base.dim(), 4, 8, Mapping::SingleCta);
+                simulate_sharded_batch(&device, &tiled, wl.base.dim(), 4, 8, Mode::SingleCta);
             (shards, recall_at_k(&results, &gt, ctx.k), timing.qps)
         })
         .collect()

@@ -11,12 +11,13 @@ use crate::experiments::{build_cagra, itopk_sweep};
 use crate::report::{fmt_qps, Table};
 use crate::sweep::{cagra_curve, hnsw_curve, nssg_curve, traced_curve, CurvePoint};
 use cagra::search::planner::Mode;
-use cagra::{CagraIndex, HashPolicy, SearchParams};
+use cagra::{CagraIndex, SearchParams};
 use dataset::presets::PresetName;
 use dataset::Dataset;
 use dataset::VectorStore;
 use ganns::{Ganns, GannsParams};
 use ggnn::{Ggnn, GgnnParams};
+use gpu_sim::HashPolicy;
 use hnsw::{Hnsw, HnswParams};
 use nssg::{Nssg, NssgParams};
 

@@ -12,10 +12,11 @@ use crate::experiments::{build_cagra, itopk_sweep};
 use crate::report::{fmt_qps, Table};
 use crate::sweep::{cagra_curve, hnsw_curve, CurvePoint};
 use cagra::search::planner::Mode;
-use cagra::{CagraIndex, HashPolicy};
+use cagra::CagraIndex;
 use dataset::presets::PresetName;
 use dataset::Dataset;
 use dataset::VectorStore;
+use gpu_sim::HashPolicy;
 use hnsw::{Hnsw, HnswParams};
 
 /// Labeled single-query curves for one workload.

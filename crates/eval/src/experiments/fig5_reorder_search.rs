@@ -11,10 +11,11 @@ use crate::sweep::{cagra_curve, CurvePoint};
 use cagra::build::GraphConfig;
 use cagra::params::ReorderStrategy;
 use cagra::search::planner::Mode;
-use cagra::{CagraIndex, HashPolicy};
+use cagra::CagraIndex;
 use dataset::presets::PresetName;
 use dataset::Dataset;
 use dataset::VectorStore;
+use gpu_sim::HashPolicy;
 
 /// Compare the two strategies' recall↔QPS curves.
 pub fn run(ctx: &ExpContext) {

@@ -12,10 +12,10 @@ use crate::recall::recall_at_k;
 use crate::report::{fmt_qps, Table};
 use crate::sweep::sim_batch_qps;
 use cagra::search::planner::Mode;
-use cagra::{HashPolicy, SearchParams};
+use cagra::SearchParams;
 use dataset::presets::PresetName;
 use dataset::VectorStore;
-use gpu_sim::Mapping;
+use gpu_sim::{search_batch_traced, HashPolicy};
 
 /// Team sizes the paper sweeps.
 pub const TEAMS: [usize; 5] = [2, 4, 8, 16, 32];
@@ -43,21 +43,15 @@ pub fn sweep(wl: &Workload, ctx: &ExpContext) -> Vec<(usize, f64, f64)> {
     let (index, _) = build_cagra(wl);
     let params = SearchParams::for_k(ctx.k);
     let hash = HashPolicy::Forgettable { bits: 11, reset_interval: 1 };
-    let out = index.search_batch_traced(&wl.queries, ctx.k, &params, Mode::SingleCta, hash);
+    let out = search_batch_traced(&index, &wl.queries, ctx.k, &params, Mode::SingleCta, hash);
     let results: Vec<_> = out.iter().map(|(r, _)| r.clone()).collect();
     let traces: Vec<_> = out.into_iter().map(|(_, t)| t).collect();
     let recall = recall_at_k(&results, &wl.ground_truth(ctx.k), ctx.k);
     TEAMS
         .iter()
         .map(|&team| {
-            let qps = sim_batch_qps(
-                &traces,
-                wl.base.dim(),
-                4,
-                team,
-                Mapping::SingleCta,
-                ctx.batch_target,
-            );
+            let qps =
+                sim_batch_qps(&traces, wl.base.dim(), 4, team, Mode::SingleCta, ctx.batch_target);
             (team, recall, qps)
         })
         .collect()

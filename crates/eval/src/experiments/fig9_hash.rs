@@ -11,8 +11,8 @@ use crate::experiments::{build_cagra, itopk_sweep};
 use crate::report::{fmt_qps, Table};
 use crate::sweep::{cagra_curve, CurvePoint};
 use cagra::search::planner::Mode;
-use cagra::HashPolicy;
 use dataset::presets::PresetName;
+use gpu_sim::HashPolicy;
 
 /// Compare both policies on DEEP-like and GloVe-like data.
 pub fn run(ctx: &ExpContext) {

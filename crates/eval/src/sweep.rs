@@ -17,9 +17,9 @@ use crate::context::Workload;
 use crate::recall::recall_at_k;
 use cagra::search::planner::Mode;
 use cagra::search::trace::SearchTrace;
-use cagra::{CagraIndex, HashPolicy, SearchParams};
+use cagra::{CagraIndex, SearchParams};
 use dataset::VectorStore;
-use gpu_sim::{simulate_batch, DeviceSpec, Mapping};
+use gpu_sim::{search_batch_traced, simulate_batch, DeviceSpec, HashPolicy};
 use hnsw::Hnsw;
 use knn::topk::Neighbor;
 use nssg::Nssg;
@@ -54,7 +54,7 @@ pub fn sim_batch_qps(
     dim: usize,
     bytes_per_elem: usize,
     team: usize,
-    mapping: Mapping,
+    mapping: Mode,
     batch_target: usize,
 ) -> f64 {
     let device = DeviceSpec::a100();
@@ -69,7 +69,7 @@ pub fn sim_single_qps(
     dim: usize,
     bytes_per_elem: usize,
     team: usize,
-    mapping: Mapping,
+    mapping: Mode,
 ) -> f64 {
     let device = DeviceSpec::a100();
     let total: f64 = traces
@@ -97,24 +97,20 @@ pub fn cagra_curve<S: VectorStore>(
     single_query: bool,
 ) -> Vec<CurvePoint> {
     let gt = wl.ground_truth(k);
-    let mapping = match mode {
-        Mode::SingleCta => Mapping::SingleCta,
-        Mode::MultiCta => Mapping::MultiCta,
-    };
     itopks
         .iter()
         .map(|&itopk| {
             let p = SearchParams { itopk: itopk.max(k), ..SearchParams::for_k(k) };
             let t0 = Instant::now();
-            let out = index.search_batch_traced(&wl.queries, k, &p, mode, hash);
+            let out = search_batch_traced(index, &wl.queries, k, &p, mode, hash);
             let wall = t0.elapsed().as_secs_f64();
             let results: Vec<Vec<Neighbor>> = out.iter().map(|(r, _)| r.clone()).collect();
             let traces: Vec<SearchTrace> = out.into_iter().map(|(_, t)| t).collect();
             let dim = wl.base.dim();
             let qps_sim = if single_query {
-                sim_single_qps(&traces, dim, bytes_per_elem, team, mapping)
+                sim_single_qps(&traces, dim, bytes_per_elem, team, mode)
             } else {
-                sim_batch_qps(&traces, dim, bytes_per_elem, team, mapping, batch_target)
+                sim_batch_qps(&traces, dim, bytes_per_elem, team, mode, batch_target)
             };
             CurvePoint {
                 param: itopk,
@@ -214,7 +210,7 @@ pub fn traced_curve(
                     wl.base.dim(),
                     4,
                     32,
-                    Mapping::SingleCta,
+                    Mode::SingleCta,
                     batch_target,
                 ),
                 scratch_reused: traces.iter().any(|t| t.scratch_reused),

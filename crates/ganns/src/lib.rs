@@ -179,6 +179,7 @@ fn truncate_closest<S: VectorStore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cagra::search::planner::Mode;
     use dataset::synth::{Family, SynthSpec};
     use knn::brute::ground_truth;
 
@@ -227,8 +228,7 @@ mod tests {
         let results = g.search_batch(&queries, 10, 64);
         let traces: Vec<_> = results.into_iter().map(|(_, t)| t).collect();
         let device = gpu_sim::DeviceSpec::a100();
-        let timing =
-            gpu_sim::simulate_batch(&device, &traces, 8, 4, 32, gpu_sim::Mapping::SingleCta);
+        let timing = gpu_sim::simulate_batch(&device, &traces, 8, 4, 32, Mode::SingleCta);
         assert!(timing.qps > 0.0);
     }
 

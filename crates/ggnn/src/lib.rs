@@ -217,6 +217,7 @@ impl<S: VectorStore> Ggnn<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cagra::search::planner::Mode;
     use dataset::synth::{Family, SynthSpec};
     use knn::brute::ground_truth;
 
@@ -276,8 +277,7 @@ mod tests {
         let results = g.search_batch(&queries, 10, 64);
         let traces: Vec<_> = results.into_iter().map(|(_, t)| t).collect();
         let device = gpu_sim::DeviceSpec::a100();
-        let timing =
-            gpu_sim::simulate_batch(&device, &traces, 8, 4, 32, gpu_sim::Mapping::SingleCta);
+        let timing = gpu_sim::simulate_batch(&device, &traces, 8, 4, 32, Mode::SingleCta);
         assert!(timing.qps > 0.0);
         assert!(traces.iter().all(|t| !t.hash_in_shared));
     }

@@ -310,11 +310,6 @@ pub fn init_breakdown(cfg: &KernelConfig, occ: &Occupancy, init_distances: u64) 
     }
 }
 
-/// Cycles for the random-initialization phase.
-pub fn init_cycles(cfg: &KernelConfig, occ: &Occupancy, init_distances: u64) -> f64 {
-    init_breakdown(cfg, occ, init_distances).total()
-}
-
 /// Device-memory bytes one query moves (dataset vectors + neighbor
 /// lists + a device-resident hash).
 pub fn query_bytes(cfg: &KernelConfig, trace: &SearchTrace) -> f64 {

@@ -52,43 +52,6 @@ impl DeviceSpec {
         }
     }
 
-    /// NVIDIA V100-SXM2 32 GB — the GPU the GGNN paper evaluated on;
-    /// useful for sensitivity studies across device generations.
-    pub fn v100() -> Self {
-        DeviceSpec {
-            name: "V100-SXM2-32GB".to_string(),
-            sm_count: 80,
-            max_warps_per_sm: 64,
-            max_ctas_per_sm: 32,
-            registers_per_sm: 65_536,
-            max_registers_per_thread: 255,
-            shared_mem_per_sm: 96 * 1024,
-            clock_ghz: 1.53,
-            mem_bandwidth_gbps: 900.0,
-            device_latency_cycles: 400.0,
-            shared_latency_cycles: 28.0,
-            launch_overhead_us: 8.0,
-        }
-    }
-
-    /// NVIDIA H100-SXM5 80 GB — one generation past the paper's A100.
-    pub fn h100() -> Self {
-        DeviceSpec {
-            name: "H100-SXM5-80GB".to_string(),
-            sm_count: 132,
-            max_warps_per_sm: 64,
-            max_ctas_per_sm: 32,
-            registers_per_sm: 65_536,
-            max_registers_per_thread: 255,
-            shared_mem_per_sm: 228 * 1024,
-            clock_ghz: 1.83,
-            mem_bandwidth_gbps: 3350.0,
-            device_latency_cycles: 280.0,
-            shared_latency_cycles: 22.0,
-            launch_overhead_us: 6.0,
-        }
-    }
-
     /// Seconds represented by `cycles` core cycles.
     pub fn cycles_to_seconds(&self, cycles: f64) -> f64 {
         cycles / (self.clock_ghz * 1e9)
@@ -110,14 +73,6 @@ mod tests {
         assert_eq!(d.sm_count, 108);
         assert_eq!(d.registers_per_sm, 65_536);
         assert!((d.clock_ghz - 1.41).abs() < 1e-9);
-    }
-
-    #[test]
-    fn device_generations_order_sensibly() {
-        let (v, a, h) = (DeviceSpec::v100(), DeviceSpec::a100(), DeviceSpec::h100());
-        assert!(v.mem_bandwidth_gbps < a.mem_bandwidth_gbps);
-        assert!(a.mem_bandwidth_gbps < h.mem_bandwidth_gbps);
-        assert!(v.sm_count < a.sm_count && a.sm_count < h.sm_count);
     }
 
     #[test]

@@ -13,17 +13,9 @@ use crate::cost::{
     Occupancy,
 };
 use crate::device::DeviceSpec;
+use cagra::search::planner::Mode;
 use cagra::search::trace::{IterationTrace, SearchTrace};
-use serde::{Deserialize, Serialize};
-
-/// Hardware mapping of a launch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Mapping {
-    /// One CTA per query.
-    SingleCta,
-    /// `trace.num_workers` CTAs per query.
-    MultiCta,
-}
+use serde::Serialize;
 
 /// Result of simulating one batch launch.
 #[derive(Clone, Debug, Serialize)]
@@ -78,7 +70,7 @@ pub fn simulate_batch(
     dim: usize,
     bytes_per_elem: usize,
     team_size: usize,
-    mapping: Mapping,
+    mapping: Mode,
 ) -> BatchTiming {
     assert!(!traces.is_empty(), "cannot simulate an empty batch");
     assert!(
@@ -87,8 +79,8 @@ pub fn simulate_batch(
     );
     assert!(
         traces.iter().all(|t| t.hash_slots > 0),
-        "a host trace has no visited table to price; record traces with \
-         CagraIndex::search_batch_traced, ShardedIndex::search_traced or SearchScratch::simulate"
+        "a host trace has no visited table to price; record traces with gpu_sim::search_with \
+         on a SimTable, search_batch_traced or search_sharded_traced under a HashPolicy"
     );
     let cfg = KernelConfig::from_trace(&traces[0], dim, bytes_per_elem, team_size);
     let occ = cta_occupancy(device, &cfg);
@@ -101,8 +93,8 @@ pub fn simulate_batch(
 
     for trace in traces {
         let workers = match mapping {
-            Mapping::SingleCta => 1,
-            Mapping::MultiCta => trace.num_workers.max(1),
+            Mode::SingleCta => 1,
+            Mode::MultiCta => trace.num_workers.max(1),
         };
         total_ctas += workers;
         total_bytes += query_bytes(&cfg, trace);
@@ -200,8 +192,8 @@ mod tests {
         let d = DeviceSpec::a100();
         let single = vec![mk_trace(64, 1, 32, 64, true)];
         let multi = vec![mk_trace(16, 8, 32, 64, false)];
-        let ts = simulate_batch(&d, &single, 96, 4, 8, Mapping::SingleCta);
-        let tm = simulate_batch(&d, &multi, 96, 4, 8, Mapping::MultiCta);
+        let ts = simulate_batch(&d, &single, 96, 4, 8, Mode::SingleCta);
+        let tm = simulate_batch(&d, &multi, 96, 4, 8, Mode::MultiCta);
         assert!(tm.qps > ts.qps, "multi {} <= single {}", tm.qps, ts.qps);
     }
 
@@ -213,8 +205,8 @@ mod tests {
         let d = DeviceSpec::a100();
         let single: Vec<_> = (0..2000).map(|_| mk_trace(24, 1, 32, 64, true)).collect();
         let multi: Vec<_> = (0..2000).map(|_| mk_trace(12, 8, 32, 64, false)).collect();
-        let ts = simulate_batch(&d, &single, 96, 4, 8, Mapping::SingleCta);
-        let tm = simulate_batch(&d, &multi, 96, 4, 8, Mapping::MultiCta);
+        let ts = simulate_batch(&d, &single, 96, 4, 8, Mode::SingleCta);
+        let tm = simulate_batch(&d, &multi, 96, 4, 8, Mode::MultiCta);
         assert!(ts.qps > tm.qps, "single {} <= multi {}", ts.qps, tm.qps);
     }
 
@@ -224,8 +216,8 @@ mod tests {
         // dimensions by halving memory traffic.
         let d = DeviceSpec::a100();
         let traces: Vec<_> = (0..20_000).map(|_| mk_trace(24, 1, 48, 64, true)).collect();
-        let t32 = simulate_batch(&d, &traces, 960, 4, 32, Mapping::SingleCta);
-        let t16 = simulate_batch(&d, &traces, 960, 2, 32, Mapping::SingleCta);
+        let t32 = simulate_batch(&d, &traces, 960, 4, 32, Mode::SingleCta);
+        let t16 = simulate_batch(&d, &traces, 960, 2, 32, Mode::SingleCta);
         assert!(t16.qps > t32.qps, "fp16 {} <= fp32 {}", t16.qps, t32.qps);
     }
 
@@ -234,15 +226,15 @@ mod tests {
         let d = DeviceSpec::a100();
         let small: Vec<_> = (0..10).map(|_| mk_trace(24, 1, 32, 64, true)).collect();
         let large: Vec<_> = (0..5000).map(|_| mk_trace(24, 1, 32, 64, true)).collect();
-        let qs = simulate_batch(&d, &small, 96, 4, 8, Mapping::SingleCta);
-        let ql = simulate_batch(&d, &large, 96, 4, 8, Mapping::SingleCta);
+        let qs = simulate_batch(&d, &small, 96, 4, 8, Mode::SingleCta);
+        let ql = simulate_batch(&d, &large, 96, 4, 8, Mode::SingleCta);
         assert!(ql.qps > 10.0 * qs.qps, "large batch must amortize: {} vs {}", ql.qps, qs.qps);
     }
 
     #[test]
     fn launch_overhead_floors_tiny_batches() {
         let d = DeviceSpec::a100();
-        let t = simulate_batch(&d, &[mk_trace(4, 1, 32, 64, true)], 96, 4, 8, Mapping::SingleCta);
+        let t = simulate_batch(&d, &[mk_trace(4, 1, 32, 64, true)], 96, 4, 8, Mode::SingleCta);
         assert!(t.seconds >= d.launch_overhead_us * 1e-6);
         assert!(t.qps <= 1e6 / d.launch_overhead_us);
     }
@@ -250,24 +242,22 @@ mod tests {
     #[test]
     fn more_work_takes_longer() {
         let d = DeviceSpec::a100();
-        let short =
-            simulate_batch(&d, &[mk_trace(8, 1, 32, 64, true)], 96, 4, 8, Mapping::SingleCta);
-        let long =
-            simulate_batch(&d, &[mk_trace(80, 1, 32, 64, true)], 96, 4, 8, Mapping::SingleCta);
+        let short = simulate_batch(&d, &[mk_trace(8, 1, 32, 64, true)], 96, 4, 8, Mode::SingleCta);
+        let long = simulate_batch(&d, &[mk_trace(80, 1, 32, 64, true)], 96, 4, 8, Mode::SingleCta);
         assert!(long.seconds > short.seconds);
     }
 
     #[test]
     #[should_panic(expected = "empty batch")]
     fn empty_batch_rejected() {
-        simulate_batch(&DeviceSpec::a100(), &[], 96, 4, 8, Mapping::SingleCta);
+        simulate_batch(&DeviceSpec::a100(), &[], 96, 4, 8, Mode::SingleCta);
     }
 
     #[test]
     #[should_panic(expected = "must divide a 32-thread warp")]
     fn team_size_that_splits_no_warp_rejected() {
         let t = [mk_trace(4, 1, 32, 64, true)];
-        simulate_batch(&DeviceSpec::a100(), &t, 96, 4, 7, Mapping::SingleCta);
+        simulate_batch(&DeviceSpec::a100(), &t, 96, 4, 7, Mode::SingleCta);
     }
 
     #[test]
@@ -275,6 +265,6 @@ mod tests {
     fn host_trace_rejected() {
         let host = SearchTrace { hash_slots: 0, ..mk_trace(4, 1, 32, 64, false) };
         let t = [mk_trace(4, 1, 32, 64, false), host];
-        simulate_batch(&DeviceSpec::a100(), &t, 96, 4, 8, Mapping::SingleCta);
+        simulate_batch(&DeviceSpec::a100(), &t, 96, 4, 8, Mode::SingleCta);
     }
 }

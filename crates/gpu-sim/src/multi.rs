@@ -7,7 +7,8 @@
 //! paper recommends once a dataset no longer fits one device's memory.
 
 use crate::device::DeviceSpec;
-use crate::exec::{simulate_batch, BatchTiming, Mapping};
+use crate::exec::{simulate_batch, BatchTiming};
+use cagra::search::planner::Mode;
 use cagra::search::trace::SearchTrace;
 
 /// Result of simulating a sharded launch across identical devices.
@@ -37,7 +38,7 @@ pub fn simulate_sharded_batch(
     dim: usize,
     bytes_per_elem: usize,
     team_size: usize,
-    mapping: Mapping,
+    mapping: Mode,
 ) -> MultiGpuTiming {
     assert!(!shard_traces.is_empty(), "need at least one shard");
     let batch = shard_traces[0].len();
@@ -90,8 +91,8 @@ mod tests {
         let fast: Vec<_> = (0..100).map(|_| trace(8)).collect();
         let slow: Vec<_> = (0..100).map(|_| trace(64)).collect();
         let t =
-            simulate_sharded_batch(&d, &[fast.clone(), slow.clone()], 96, 4, 8, Mapping::SingleCta);
-        let slow_alone = simulate_batch(&d, &slow, 96, 4, 8, Mapping::SingleCta);
+            simulate_sharded_batch(&d, &[fast.clone(), slow.clone()], 96, 4, 8, Mode::SingleCta);
+        let slow_alone = simulate_batch(&d, &slow, 96, 4, 8, Mode::SingleCta);
         assert!(t.seconds >= slow_alone.seconds, "{} < {}", t.seconds, slow_alone.seconds);
         assert_eq!(t.per_device.len(), 2);
     }
@@ -104,9 +105,8 @@ mod tests {
         let d = DeviceSpec::a100();
         let full: Vec<_> = (0..2000).map(|_| trace(32)).collect();
         let half: Vec<_> = (0..2000).map(|_| trace(18)).collect();
-        let single = simulate_batch(&d, &full, 96, 4, 8, Mapping::SingleCta);
-        let sharded =
-            simulate_sharded_batch(&d, &[half.clone(), half], 96, 4, 8, Mapping::SingleCta);
+        let single = simulate_batch(&d, &full, 96, 4, 8, Mode::SingleCta);
+        let sharded = simulate_sharded_batch(&d, &[half.clone(), half], 96, 4, 8, Mode::SingleCta);
         assert!(sharded.qps > single.qps, "sharded {} vs single {}", sharded.qps, single.qps);
     }
 
@@ -116,6 +116,6 @@ mod tests {
         let d = DeviceSpec::a100();
         let a = vec![trace(4)];
         let b = vec![trace(4), trace(4)];
-        simulate_sharded_batch(&d, &[a, b], 96, 4, 8, Mapping::SingleCta);
+        simulate_sharded_batch(&d, &[a, b], 96, 4, 8, Mode::SingleCta);
     }
 }

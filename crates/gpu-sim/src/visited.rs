@@ -1,7 +1,7 @@
-//! Open-addressing visited-node hash table (Sec. IV-B3): the GPU's
-//! visited set, run only by simulated searches so that `gpu-sim` can
-//! price it. A host search uses [`super::dense::DenseVisited`], which
-//! admits exactly what a standard table does.
+//! The GPU's visited-node hash tables (Sec. IV-B3), which simulated
+//! searches run so that this crate can price them. A host search runs
+//! `cagra`'s one-stamp-per-row table, which admits exactly what a
+//! standard table does.
 //!
 //! In the manner of SONG, a power-of-two table of node ids probed
 //! linearly. Two management modes mirror the paper:
@@ -21,12 +21,27 @@
 //! sequence are those of the plain table, so which ids are admitted,
 //! [`VisitedSet::len`] and [`VisitedSet::probes`] are too.
 
-/// Generation a new table starts in. Slots are allocated zeroed and
-/// generation 0 is never current, so they read as empty. Starting a
-/// thousand resets short of the wrap (the kernel's `INITIAL_JIFFIES`
-/// trick) means every long-lived table crosses it early, not once in
-/// 2^32 resets where nobody would see it break.
-pub(super) const FIRST_GENERATION: u32 = u32::MAX - 1000;
+use cagra::search::dense::FIRST_GENERATION;
+
+/// The GPU's visited-table management, chosen per simulated table
+/// ([`crate::SimTable`]) or batch ([`crate::search_batch_traced`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HashPolicy {
+    /// One table sized for the whole search
+    /// (`>= 2 * I_max * p * d` entries), never reset. The paper places
+    /// this in device memory; multi-CTA always uses it.
+    Standard,
+    /// Small table (`2^bits` entries, paper: 2^8..2^13) reset every
+    /// `reset_interval` iterations, re-registering only the current
+    /// top-M entries afterwards. The paper places this in shared
+    /// memory for higher single-CTA occupancy.
+    Forgettable {
+        /// log2 of the table size.
+        bits: u8,
+        /// Iterations between resets (paper: typically 1–4).
+        reset_interval: u8,
+    },
+}
 
 /// Fixed-capacity open-addressing set of node ids.
 #[derive(Clone, Debug)]
@@ -54,17 +69,10 @@ impl VisitedSet {
     /// # Panics
     /// Panics unless `4 <= bits <= 30`.
     pub fn new(bits: u8) -> Self {
-        // ALLOW(panic): documented precondition (see `# Panics`).
-        assert!((4..=30).contains(&bits), "hash bits {bits} out of range");
-        let size = 1usize << bits;
-        let v = VisitedSet {
-            slots: vec![0; size],
-            mask: (size - 1) as u32,
-            generation: FIRST_GENERATION,
-            len: 0,
-            probes: 0,
-        };
-        v.check_shape();
+        // `reset_to` steps the generation to `FIRST_GENERATION`.
+        let (slots, generation) = (Vec::new(), FIRST_GENERATION - 1);
+        let mut v = VisitedSet { slots, mask: 0, generation, len: 0, probes: 0 };
+        v.reset_to(bits);
         v
     }
 

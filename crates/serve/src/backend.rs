@@ -43,13 +43,16 @@ pub trait SearchBackend: Send + Sync + 'static {
         params: &SearchParams,
     ) -> Result<(), SearchError>;
 
+    /// The mapping and CTAs per query that [`SearchBackend::search`]
+    /// runs under `params` (and each response reports), whatever the load.
+    fn mapping(&self, params: &SearchParams) -> (Mode, usize);
+
     /// Execute one already-validated search (dispatch hot path).
     fn search(
         &self,
         query: &[f32],
         k: usize,
         params: &SearchParams,
-        mode: Mode,
         scratch: &mut SearchScratch,
     ) -> Vec<Neighbor>;
 
@@ -82,15 +85,18 @@ impl<S: VectorStore + Send + 'static> SearchBackend for CagraIndex<S> {
         CagraIndex::validate_shape(self, query_dim, k, params)
     }
 
+    fn mapping(&self, params: &SearchParams) -> (Mode, usize) {
+        (Mode::MultiCta, params.num_cta)
+    }
+
     fn search(
         &self,
         query: &[f32],
         k: usize,
         params: &SearchParams,
-        mode: Mode,
         scratch: &mut SearchScratch,
     ) -> Vec<Neighbor> {
-        self.search_mode_with(query, k, params, mode, scratch);
+        self.search_mode_with(query, k, params, self.mapping(params).0, scratch);
         // ALLOW(alloc): the response buffer is handed to the client
         // channel; ownership must leave the scratch.
         scratch.results().to_vec()
@@ -118,12 +124,15 @@ impl SearchBackend for DynamicIndex {
         DynamicIndex::validate_shape(self, query_dim, k)
     }
 
+    fn mapping(&self, _params: &SearchParams) -> (Mode, usize) {
+        (DynamicIndex::MAIN_MODE, 1)
+    }
+
     fn search(
         &self,
         query: &[f32],
         k: usize,
         _params: &SearchParams,
-        _mode: Mode,
         scratch: &mut SearchScratch,
     ) -> Vec<Neighbor> {
         // Clamped: a delete racing between admission and dispatch can

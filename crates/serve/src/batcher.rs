@@ -47,10 +47,10 @@ pub struct Job {
 pub struct ResponseMeta {
     /// Realized size of the batch this request rode in.
     pub batch_size: u32,
-    /// Kernel mapping the batch ran with (chosen from the realized
-    /// batch size, Fig. 7).
+    /// Kernel mapping the request ran with, whatever the batch size:
+    /// its backend's [`crate::SearchBackend::mapping`].
     pub mode: Mode,
-    /// Per-query CTA count the plan selected.
+    /// Per-query CTA count, from the same plan.
     pub num_cta: u32,
     /// Time spent queued before its batch was drained, in nanoseconds.
     pub queue_ns: u64,

@@ -25,7 +25,7 @@ pub struct ServeConfig {
     /// trades added latency for larger batches at moderate load. The
     /// drain always happens early once `max_batch` is reached.
     pub max_wait: Duration,
-    /// Admission-control shedding threshold: a submit that finds this
+    /// Admission-control shedding threshold (>= 1): a submit that finds this
     /// many requests already queued is rejected with
     /// [`ServeError::Overloaded`] instead of growing the queue, so
     /// tail latency stays bounded under overload.
@@ -58,10 +58,12 @@ impl ServeConfig {
 
     /// Reject configurations the service cannot run.
     pub fn validate(&self) -> Result<(), ServeError> {
-        if self.max_batch == 0 {
-            return Err(ServeError::BadConfig("max_batch must be >= 1"));
+        match (self.max_batch, self.queue_capacity) {
+            (0, _) => Err(ServeError::BadConfig("max_batch must be >= 1")),
+            // A zero-deep queue would shed every request as `Overloaded`.
+            (_, 0) => Err(ServeError::BadConfig("queue_capacity must be >= 1")),
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -73,7 +75,12 @@ mod tests {
     fn defaults_validate_and_zero_batch_is_rejected() {
         let c = ServeConfig::new(SearchParams::for_k(10));
         assert!(c.validate().is_ok());
-        let c = ServeConfig { max_batch: 0, ..c };
-        assert_eq!(c.validate(), Err(ServeError::BadConfig("max_batch must be >= 1")));
+        let zero_batch = ServeConfig { max_batch: 0, ..c };
+        assert_eq!(zero_batch.validate(), Err(ServeError::BadConfig("max_batch must be >= 1")));
+        let zero_queue = ServeConfig { queue_capacity: 0, ..c };
+        assert_eq!(
+            zero_queue.validate(),
+            Err(ServeError::BadConfig("queue_capacity must be >= 1"))
+        );
     }
 }

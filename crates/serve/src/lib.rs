@@ -2,10 +2,9 @@
 //!
 //! A long-lived query service that accepts **single-query** requests
 //! from many concurrent clients and coalesces them into micro-batches
-//! so the batch-friendly search configurations (paper Sec. V: the
-//! single-CTA / multi-CTA crossover depends on batch size) actually
-//! get exercised by online traffic, not just by offline `cli search`
-//! runs over a query file.
+//! that workers share; the batch size is reported, not acted on — every
+//! request runs its backend's one plan ([`SearchBackend::mapping`]:
+//! multi-CTA on a static index).
 //!
 //! Layering, bottom to top:
 //!
@@ -19,12 +18,11 @@
 //!   cache).
 //! * [`service`] — [`Service`] owns a backend and a pool of serve
 //!   workers. Each worker claims one request at a time from the
-//!   batcher, plans mode/CTA count from the *realized* size of the
-//!   batch it was drained with ([`cagra::search::planner::plan`]),
-//!   searches it on the worker's own scratch and answers with results
-//!   plus [`ResponseMeta`] (how the request was served). Two lone
-//!   requests search on two cores at once, and a large batch is shared
-//!   by whichever workers are free.
+//!   batcher, searches it under the backend's plan on the worker's own
+//!   scratch and answers with results plus
+//!   [`ResponseMeta`] (how the request was served). Two lone requests
+//!   search on two cores at once, and a large batch is shared by
+//!   whichever workers are free.
 //! * [`tcp`] — a std::net front end speaking the length-prefixed
 //!   binary frames of [`proto`], for out-of-process clients
 //!   (`cli serve`). In-process callers (tests, benches, load
@@ -36,11 +34,11 @@
 //! — and therefore tail latency — bounded no matter the offered load.
 //!
 //! Determinism contract: a request's neighbors depend only on the
-//! query, `k`, the service's [`cagra::SearchParams`], and the
-//! mode/CTA plan recorded in its [`ResponseMeta`] — never on the
-//! *content* of the batch it rode in. The integration tests recompute
+//! query, `k` and the service's [`cagra::SearchParams`] — never on the
+//! size or content of the batch it rode in, so an answer does not
+//! depend on how busy the service is. The integration tests recompute
 //! every served result bit-identically via
-//! [`cagra::CagraIndex::search_mode`].
+//! [`cagra::CagraIndex::search_mode`] under `Mode::MultiCta`.
 
 pub mod backend;
 pub mod batcher;

@@ -5,8 +5,7 @@ use crate::backend::SearchBackend;
 use crate::batcher::{Batcher, Claimed, Job, Response, ResponseMeta};
 use crate::config::ServeConfig;
 use crate::error::ServeError;
-use cagra::search::planner;
-use cagra::{SearchParams, SearchScratch};
+use cagra::SearchScratch;
 use knn::parallel::default_threads;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -204,30 +203,30 @@ fn untraced_scratch() -> SearchScratch {
     scratch
 }
 
-/// One serve worker: claim a request, plan the search configuration
-/// from the realized size of the batch it was drained with, search it
-/// on this worker's scratch, answer. Runs until the batcher is closed
-/// and drained.
+/// One serve worker: claim a request, search it on this worker's
+/// scratch, answer. Runs until the batcher is closed and drained.
 ///
-/// The worker owns one [`SearchScratch`] for the life of the service,
-/// so the search working set (up to a 2 MiB visited table in the
-/// multi-CTA plan) is shaped once rather than allocated and
+/// Every request runs the backend's plan for the service's parameters
+/// ([`SearchBackend::mapping`]: multi-CTA with `num_cta` on a static
+/// index), so its answer depends on the request alone, never on how
+/// busy the service is. The worker owns one [`SearchScratch`] for the
+/// life of the service, so the search working set (the visited table:
+/// 4 bytes per indexed vector) is shaped once rather than allocated and
 /// page-faulted per request. A panicking search answers nothing — its
 /// caller sees [`ServeError::Disconnected`] — and the worker carries on
 /// with a fresh scratch in place of the one the panic left behind.
 fn worker_loop<B: SearchBackend>(backend: &B, batcher: &Batcher, config: &ServeConfig) {
     let mut scratch = untraced_scratch();
+    let (mode, num_cta) = backend.mapping(&config.params);
     while let Some(Claimed { job, tx, batch_size, dispatched }) =
         batcher.claim(config.max_batch, config.max_wait)
     {
-        let plan = planner::plan(batch_size, config.params.itopk, config.params.num_cta);
-        let params = SearchParams { num_cta: plan.num_cta, ..config.params };
         // No validation here: every job passed shape validation at
         // admission, so the hot path goes straight to the kernels.
         // (A mutable backend's search is clamped, so even a shape
         // staled by a concurrent delete degrades instead of failing.)
         let searched = catch_unwind(AssertUnwindSafe(|| {
-            backend.search(&job.query, job.k, &params, plan.mode, &mut scratch)
+            backend.search(&job.query, job.k, &config.params, &mut scratch)
         }));
         let Ok(neighbors) = searched else {
             drop(tx);
@@ -243,8 +242,8 @@ fn worker_loop<B: SearchBackend>(backend: &B, batcher: &Batcher, config: &ServeC
             neighbors,
             meta: ResponseMeta {
                 batch_size: batch_size as u32,
-                mode: plan.mode,
-                num_cta: plan.num_cta as u32,
+                mode,
+                num_cta: num_cta as u32,
                 queue_ns,
                 e2e_ns,
             },

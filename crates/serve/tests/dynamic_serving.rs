@@ -45,7 +45,11 @@ fn stale_shape_cache_is_invalidated_by_the_epoch_bump() {
 
     // k = 10 against 20 live rows: valid, and the shape caches — the
     // second request must not revalidate.
-    assert_eq!(service.search_blocking(&q, 10).expect("first search").neighbors.len(), 10);
+    let first = service.search_blocking(&q, 10).expect("first search");
+    assert_eq!(first.neighbors.len(), 10);
+    // The dynamic backend reports its own plan, not the service's
+    // `num_cta`.
+    assert_eq!((first.meta.mode, first.meta.num_cta), (DynamicIndex::MAIN_MODE, 1));
     let misses = service.shape_cache_misses();
     service.search_blocking(&q, 10).expect("cached-shape search");
     assert_eq!(service.shape_cache_misses(), misses, "same epoch + shape must not revalidate");

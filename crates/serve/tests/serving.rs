@@ -1,8 +1,9 @@
 //! End-to-end serving semantics (ISSUE 6):
 //!
 //! * **Parity** — results served through the micro-batching service
-//!   are bit-identical to direct `search_mode` calls with the plan
-//!   the response reports, no matter how requests were coalesced.
+//!   are bit-identical to direct multi-CTA `search_mode` calls under
+//!   the service's parameters, no matter how requests were coalesced:
+//!   a request drained with 47 others gets the bits it gets alone.
 //! * **Exactly-once** — N concurrent client threads each get exactly
 //!   one response per request.
 //! * **Batching** — co-arrivals inside a coalescing window ride one
@@ -17,9 +18,8 @@
 //!   batcher.
 //! * **TCP** — the same contract holds across the wire protocol.
 //! * **Worker pool** — each serve worker's `SearchScratch` outlives
-//!   every batch; a scratch re-shaped from one plan to another (and
-//!   from `k` to `k`, with rerank) serves the same bits as a fresh
-//!   one. Lone requests and the requests of one batch search on
+//!   every batch; a scratch recycled across batch sizes and from `k`
+//!   to `k`, with rerank, serves the same bits as a fresh one. Lone requests and the requests of one batch search on
 //!   different workers at once, and a panicking search answers its
 //!   own caller with `Disconnected` without stranding later requests.
 
@@ -45,18 +45,17 @@ fn build_index() -> (CagraIndex<Dataset>, Dataset) {
 }
 
 /// Recompute the reference result for one served response: same
-/// query, same params, and the mode/CTA plan the response says it ran
-/// with. The service guarantees results depend only on these — never
-/// on which other requests shared the batch.
+/// query, same params, multi-CTA — the one plan the service runs, which
+/// the response must report. The service guarantees results depend
+/// only on these — never on which other requests shared the batch.
 fn reference(
     index: &CagraIndex<Dataset>,
     params: &SearchParams,
     query: &[f32],
     resp: &Response,
 ) -> Vec<Neighbor> {
-    let mut p = *params;
-    p.num_cta = resp.meta.num_cta as usize;
-    index.search_mode(query, K, &p, resp.meta.mode).0
+    assert_eq!((resp.meta.mode, resp.meta.num_cta as usize), (Mode::MultiCta, params.num_cta));
+    index.search_mode(query, K, params, Mode::MultiCta).0
 }
 
 fn assert_bit_identical(served: &[Neighbor], fresh: &[Neighbor], label: &str) {
@@ -101,8 +100,8 @@ fn concurrent_clients_get_exactly_one_bit_identical_response_each() {
     seen.sort_unstable();
     assert_eq!(seen, (0..CLIENTS * per_client).collect::<Vec<_>>());
 
-    // Bit-identical to a direct search with the plan each response
-    // reports, regardless of realized batch composition.
+    // Bit-identical to a direct multi-CTA search, regardless of
+    // realized batch composition.
     for (qi, resp) in &responses {
         assert!(resp.meta.batch_size >= 1);
         assert!(resp.meta.queue_ns <= resp.meta.e2e_ns, "queue time exceeds end-to-end");
@@ -132,25 +131,84 @@ fn co_arrivals_inside_the_window_ride_one_batch_and_dispatch_early_when_full() {
     for resp in &responses {
         assert_eq!(resp.meta.batch_size, 4, "co-arrivals must coalesce into one batch");
     }
-    // All four report the same plan, chosen from the realized size.
-    assert!(responses
-        .windows(2)
-        .all(|w| w[0].meta.mode == w[1].meta.mode && w[0].meta.num_cta == w[1].meta.num_cta));
+    // All four report the one plan, whatever the realized size.
+    assert!(responses.iter().all(|r| (r.meta.mode, r.meta.num_cta) == (Mode::MultiCta, 16)));
+}
+
+/// An answer does not depend on how busy the service is: requests
+/// co-submitted inside one coalescing window ride one large drain, and
+/// each gets the bits the same query gets served alone — and gets from
+/// a direct multi-CTA search under the service's parameters.
+#[test]
+fn a_request_in_a_large_drain_gets_the_bits_it_gets_alone() {
+    const CLIENTS: usize = 48;
+    let (index, queries) = build_index();
+    let copy = CagraIndex::from_parts(
+        Dataset::from_flat(index.store().as_flat().to_vec(), index.store().dim()),
+        index.graph().clone(),
+        index.metric(),
+    );
+    let params = SearchParams::for_k(K);
+    let mut config = ServeConfig::new(params);
+    config.worker_threads = 2;
+    let alone = Service::start(copy, config).expect("start service");
+    // A wide window that closes early once the drain is full.
+    config.max_batch = CLIENTS;
+    config.max_wait = Duration::from_secs(5);
+    let busy = Service::start(index, config).expect("start service");
+
+    let handles: Vec<_> =
+        (0..CLIENTS).map(|qi| busy.submit(queries.row(qi), K).expect("admitted")).collect();
+    for (qi, handle) in handles.into_iter().enumerate() {
+        let crowded = handle.wait().expect("served");
+        assert_eq!(crowded.meta.batch_size as usize, CLIENTS, "query {qi}: one drain");
+        let lone = alone.search_blocking(queries.row(qi), K).expect("served");
+        assert_eq!(lone.meta.batch_size, 1);
+        for meta in [crowded.meta, lone.meta] {
+            assert_eq!((meta.mode, meta.num_cta as usize), (Mode::MultiCta, params.num_cta));
+        }
+        let label = format!("query {qi}: drained with {CLIENTS} vs alone");
+        assert_bit_identical(&crowded.neighbors, &lone.neighbors, &label);
+        let mut fresh = SearchScratch::new();
+        busy.backend().search_mode_with(queries.row(qi), K, &params, Mode::MultiCta, &mut fresh);
+        assert_bit_identical(&crowded.neighbors, fresh.results(), &format!("query {qi}"));
+    }
+}
+
+/// A service whose one worker is held inside a search (a rendezvous
+/// of two that only [`Probe::release`] fills) in front of a one-deep
+/// queue, with one request searching and one queued: the next submit
+/// meets a full queue.
+fn full_service() -> (Service<Probe>, Dataset, Vec<serve::ResponseHandle>) {
+    let (index, queries) = build_index();
+    let mut config = ServeConfig::new(SearchParams::for_k(K));
+    config.worker_threads = 1;
+    config.queue_capacity = 1;
+    let service = Service::start(Probe::new(index, 2), config).expect("start service");
+    let held = service.submit(queries.row(0), K).expect("admitted");
+    assert_eq!(service.backend().wait_entered(1), 1, "request 1 never reached its search");
+    let queued = service.submit(queries.row(1), K).expect("admitted into the free slot");
+    (service, queries, vec![held, queued])
 }
 
 #[test]
 fn overload_is_typed_and_the_service_reports_queue_depth() {
-    let (index, queries) = build_index();
-    let mut config = ServeConfig::new(SearchParams::for_k(K));
-    config.queue_capacity = 0; // every admission attempt meets the threshold
-    let service = Service::start(index, config).expect("start service");
-    match service.submit(queries.row(0), K) {
+    let (service, queries, admitted) = full_service();
+    assert_eq!(service.queue_depth(), 1);
+    match service.submit(queries.row(2), K) {
         Err(ServeError::Overloaded { depth, capacity }) => {
-            assert_eq!((depth, capacity), (0, 0));
+            assert_eq!((depth, capacity), (1, 1));
         }
         other => panic!("expected Overloaded, got {:?}", other.err()),
     }
-    assert_eq!(service.queue_depth(), 0, "a shed request must not occupy the queue");
+    assert_eq!(service.queue_depth(), 1, "a shed request must not occupy the queue");
+    // Recovery after drain: the admitted requests are answered and the
+    // freed slot admits again.
+    service.backend().release();
+    for handle in admitted {
+        assert_eq!(handle.wait().expect("served").neighbors.len(), K);
+    }
+    assert_eq!(service.search_blocking(queries.row(2), K).expect("served").neighbors.len(), K);
 }
 
 #[test]
@@ -291,14 +349,16 @@ fn sequential_tcp_round_trips_are_not_held_by_nagle() {
 
 #[test]
 fn tcp_overload_maps_to_the_overloaded_status() {
-    let (index, _queries) = build_index();
-    let mut config = ServeConfig::new(SearchParams::for_k(K));
-    config.queue_capacity = 0;
-    let service = Arc::new(Service::start(index, config).unwrap());
+    let (service, _queries, admitted) = full_service();
+    let service = Arc::new(service);
     let server = TcpServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let err = client.search(&[0.0; 12], K).expect_err("zero capacity sheds everything");
+    let err = client.search(&[0.0; 12], K).expect_err("a full queue sheds the request");
     assert!(err.is_overloaded(), "expected Overloaded over the wire, got {err:?}");
+    service.backend().release();
+    for handle in admitted {
+        handle.wait().expect("served");
+    }
 }
 
 #[test]
@@ -342,16 +402,16 @@ fn pq_backed_service_serves_two_phase_exact_distances() {
 }
 
 /// The case a recycled scratch could get wrong: one service, one pair
-/// of long-lived scratches, and traffic whose *shape* keeps changing —
-/// lone requests (multi-CTA, 16 workers sharing one visited set), full
-/// batches past the Fig. 7 crossover (single-CTA, one worker), small
-/// batches in between (fewer CTAs),
-/// `k = 10` beside `k = 1`, every request followed by the exact rerank
-/// pass. Each response must equal `search_mode_with` on a fresh scratch
-/// under the plan its `ResponseMeta` reports, bit for bit.
+/// of long-lived scratches, and traffic whose batch sizes keep changing
+/// — lone requests, full drains past the Fig. 7 crossover
+/// (`planner::BATCH_THRESHOLD`, where the paper's rule would switch to
+/// single-CTA), small drains in between — with `k = 10` beside `k = 1`
+/// and every request followed by the exact rerank pass. Each response
+/// must report the one multi-CTA plan and equal `search_mode_with` on a
+/// fresh scratch under it, bit for bit.
 #[test]
 fn a_recycled_scratch_serves_every_shape_bit_identically() {
-    const FULL: usize = 112; // >= planner::BATCH_THRESHOLD: single-CTA
+    const FULL: usize = 112;
     let spec = SynthSpec { dim: 12, n: 900, queries: FULL, family: Family::Gaussian, seed: 42 };
     let (base, queries) = spec.generate();
     let pq_store = dataset::pq::build(&base, &dataset::pq::PqConfig::new(4));
@@ -369,7 +429,7 @@ fn a_recycled_scratch_serves_every_shape_bit_identically() {
     config.worker_threads = 2;
     let service = Service::start(index, config).expect("start service");
 
-    let mut plans = BTreeSet::new();
+    let mut sizes = BTreeSet::new();
     for (wave, &size) in [1, FULL, 1, 7, FULL, 2].iter().enumerate() {
         let ks: Vec<usize> = (0..size).map(|i| if (wave + i) % 3 == 0 { 1 } else { K }).collect();
         let handles: Vec<_> = ks
@@ -379,19 +439,22 @@ fn a_recycled_scratch_serves_every_shape_bit_identically() {
             .collect();
         for (qi, (handle, &k)) in handles.into_iter().zip(&ks).enumerate() {
             let resp = handle.wait().expect("served");
-            let mode = resp.meta.mode;
-            plans.insert((mode == Mode::SingleCta, resp.meta.num_cta));
-            let p = SearchParams { num_cta: resp.meta.num_cta as usize, ..params };
+            sizes.insert(resp.meta.batch_size);
+            assert_eq!((resp.meta.mode, resp.meta.num_cta as usize), (Mode::MultiCta, 16));
             let mut fresh = SearchScratch::new();
-            service.backend().search_mode_with(queries.row(qi), k, &p, mode, &mut fresh);
+            service.backend().search_mode_with(
+                queries.row(qi),
+                k,
+                &params,
+                Mode::MultiCta,
+                &mut fresh,
+            );
             assert_eq!(resp.neighbors.len(), k);
-            let label = format!("wave {wave} query {qi} k {k} {mode:?} x{}", resp.meta.num_cta);
+            let label = format!("wave {wave} query {qi} k {k} batch {}", resp.meta.batch_size);
             assert_bit_identical(&resp.neighbors, fresh.results(), &label);
         }
     }
-    assert!(plans.contains(&(false, 16)), "a lone request runs the full multi-CTA plan");
-    assert!(plans.iter().any(|&(single, _)| single), "a full batch runs single-CTA: {plans:?}");
-    assert!(plans.len() >= 3, "the scratch was re-shaped across plans: {plans:?}");
+    assert!(sizes.contains(&1) && sizes.contains(&(FULL as u32)), "batch sizes: {sizes:?}");
 }
 
 /// How long a rendezvous search waits for company before giving up.
@@ -436,6 +499,12 @@ impl Probe {
         state.in_flight
     }
 
+    /// Let every waiting search go on, as if the rendezvous had filled.
+    fn release(&self) {
+        self.state.lock().unwrap().peak = self.meet;
+        self.changed.notify_all();
+    }
+
     /// The finished searches and the peak concurrency since the last
     /// call.
     fn take(&self) -> (Vec<(thread::ThreadId, usize, bool)>, usize) {
@@ -457,12 +526,15 @@ impl SearchBackend for Probe {
         self.index.validate_shape(dim, k, p)
     }
 
+    fn mapping(&self, params: &SearchParams) -> (Mode, usize) {
+        SearchBackend::mapping(&self.index, params)
+    }
+
     fn search(
         &self,
         query: &[f32],
         k: usize,
         params: &SearchParams,
-        mode: Mode,
         scratch: &mut SearchScratch,
     ) -> Vec<Neighbor> {
         assert_ne!(k, self.panic_k, "probe: the flagged request panics its search");
@@ -473,7 +545,7 @@ impl SearchBackend for Probe {
             self.changed.notify_all();
             let _ = self.changed.wait_timeout_while(state, RENDEZVOUS, |s| s.peak < self.meet);
         }
-        let neighbors = SearchBackend::search(&self.index, query, k, params, mode, scratch);
+        let neighbors = SearchBackend::search(&self.index, query, k, params, scratch);
         let lent = scratch as *const SearchScratch as usize;
         let mut state = self.state.lock().unwrap();
         state.in_flight -= 1;

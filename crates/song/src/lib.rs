@@ -12,7 +12,7 @@
 //!   "dynamic allocation reduction": everything lives in fixed-size
 //!   arrays, sized at launch);
 //! * an **open-addressing hash table** for the visited set — reused
-//!   from `cagra::search::hash`, which implements exactly that
+//!   from `gpu_sim::visited`, which implements exactly that
 //!   structure;
 //! * one vertex expansion per iteration with the neighbor distance
 //!   computations batched across the thread block.
@@ -21,10 +21,10 @@
 //! (device-memory hash, full-warp distances) so `gpu-sim` prices SONG
 //! with the same model as every other GPU method.
 
-use cagra::search::hash::VisitedSet;
 use cagra::search::trace::{IterationTrace, SearchTrace};
 use dataset::VectorStore;
 use distance::{DistanceOracle, Metric};
+use gpu_sim::VisitedSet;
 use knn::topk::{cmp_neighbor, Neighbor, TopK};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -12,7 +12,7 @@
 
 use cagra_repro::cagra::SearchScratch;
 use cagra_repro::prelude::*;
-use gpu_sim::{simulate_batch, DeviceSpec, Mapping};
+use gpu_sim::{search_with, simulate_batch, DeviceSpec, SimTable};
 
 /// Threads per distance computation in the GPU model (a `gpu-sim`
 /// input; results do not depend on it).
@@ -42,16 +42,17 @@ fn main() {
     let mut sim_lat_us: Vec<f64> = Vec::with_capacity(queries.len());
     let device = DeviceSpec::a100();
     let mut simulated = SearchScratch::new();
-    simulated.simulate(HashPolicy::Standard);
+    let mut table = SimTable::new(HashPolicy::Standard, false);
     for qi in 0..queries.len() {
         let t0 = std::time::Instant::now();
         let (results, _) = index.search_mode(queries.row(qi), 10, &params, Mode::MultiCta);
         host_lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
         assert_eq!(results.len(), 10);
-        index.search_mode_with(queries.row(qi), 10, &params, Mode::MultiCta, &mut simulated);
+        let q = queries.row(qi);
+        search_with(&index, q, 10, &params, Mode::MultiCta, &mut table, &mut simulated);
         assert_eq!(simulated.results(), &results[..]);
         let trace = simulated.trace().clone();
-        let sim = simulate_batch(&device, &[trace], 96, 4, TEAM_SIZE, Mapping::MultiCta);
+        let sim = simulate_batch(&device, &[trace], 96, 4, TEAM_SIZE, Mode::MultiCta);
         sim_lat_us.push(sim.seconds * 1e6);
     }
 

@@ -11,7 +11,7 @@
 
 use cagra::ShardedIndex;
 use cagra_repro::prelude::*;
-use gpu_sim::{simulate_sharded_batch, DeviceSpec, Mapping};
+use gpu_sim::{search_sharded_traced, simulate_sharded_batch, DeviceSpec};
 use knn::brute::ground_truth;
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
     let mut hits = 0usize;
     for (qi, ids) in gt.iter().enumerate() {
         let (results, traces) =
-            index.search_traced(queries.row(qi), 10, &params, Mode::SingleCta, hash);
+            search_sharded_traced(&index, queries.row(qi), 10, &params, Mode::SingleCta, hash);
         for (s, t) in traces.into_iter().enumerate() {
             shard_traces[s].push(t);
         }
@@ -49,7 +49,7 @@ fn main() {
 
     // Price the same batch on `shards` simulated A100s.
     let device = DeviceSpec::a100();
-    let timing = simulate_sharded_batch(&device, &shard_traces, 96, 4, 8, Mapping::SingleCta);
+    let timing = simulate_sharded_batch(&device, &shard_traces, 96, 4, 8, Mode::SingleCta);
     println!(
         "simulated {} x {}: batch of {} in {:.3} ms -> {:.0} QPS (slowest shard bound)",
         shards,

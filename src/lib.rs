@@ -50,9 +50,10 @@ pub use song;
 pub mod prelude {
     pub use cagra::build::GraphConfig;
     pub use cagra::search::planner::{choose, Mode};
-    pub use cagra::{CagraIndex, HashPolicy, SearchParams};
+    pub use cagra::{CagraIndex, SearchParams};
     pub use dataset::synth::{Family, SynthSpec};
     pub use dataset::{Dataset, DatasetF16, VectorStore};
     pub use distance::Metric;
+    pub use gpu_sim::HashPolicy;
     pub use knn::topk::Neighbor;
 }

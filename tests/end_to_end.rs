@@ -7,7 +7,7 @@
 use cagra_repro::prelude::*;
 use ganns::{Ganns, GannsParams};
 use ggnn::{Ggnn, GgnnParams};
-use gpu_sim::{simulate_batch, DeviceSpec, Mapping};
+use gpu_sim::{search_batch_traced, simulate_batch, DeviceSpec};
 use hnsw::{Hnsw, HnswParams};
 use knn::brute::ground_truth;
 use nssg::{Nssg, NssgParams};
@@ -50,14 +50,14 @@ fn cagra_pipeline_end_to_end() {
     let mut params = SearchParams::for_k(K);
     params.itopk = 128;
     let hash = HashPolicy::Forgettable { bits: 11, reset_interval: 1 };
-    let out = index.search_batch_traced(&queries, K, &params, Mode::SingleCta, hash);
+    let out = search_batch_traced(&index, &queries, K, &params, Mode::SingleCta, hash);
     let results: Vec<_> = out.iter().map(|(r, _)| r.clone()).collect();
     let r = recall(&results, &gt);
     assert!(r > 0.9, "CAGRA recall@10 = {r}");
 
     // Traces cost on the device model with sane magnitudes.
     let traces: Vec<_> = out.into_iter().map(|(_, t)| t).collect();
-    let timing = simulate_batch(&DeviceSpec::a100(), &traces, DIM, 4, 8, Mapping::SingleCta);
+    let timing = simulate_batch(&DeviceSpec::a100(), &traces, DIM, 4, 8, Mode::SingleCta);
     assert!(timing.qps > 1000.0, "simulated QPS {} too low to be plausible", timing.qps);
     assert!(timing.seconds < 1.0, "60 queries cannot take {}s on an A100", timing.seconds);
 }

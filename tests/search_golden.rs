@@ -8,24 +8,27 @@
 //! host's libm.
 //!
 //! * `SIMULATED` runs the GPU's hash table, adding a hash-policy axis
-//!   to the grid (set per cell with `SearchScratch::simulate`; the PQ
-//!   leg runs the forgettable 2^11-slot table). Its constants were
+//!   to the grid (one `gpu_sim::SimTable` per cell; the PQ leg runs the
+//!   forgettable 2^11-slot table). Its constants were
 //!   generated from the two-file kernel (`single_cta.rs` +
 //!   `multi_cta.rs`) at commit `c107c51`, by running this digest there
 //!   and copying the table a mismatch prints.
-//! * `HOST` runs the host's dense visited set, on the same grid without
-//!   the hash axis, and leaves out the four words only a hash table
-//!   has: `hash_probes`, `hash_reset`, `hash_slots` and
-//!   `hash_in_shared`. Its constants were generated at commit
+//! * `HOST` pins the host's search, on the same grid without the hash
+//!   axis. The host entry logs no accesses, so the digest is taken on
+//!   the standard table with the log on, and leaves out the four words
+//!   only a hash table has: `hash_probes`, `hash_reset`, `hash_slots`
+//!   and `hash_in_shared`. Its constants were generated at commit
 //!   `e90c9e0`, where every search ran a hash table, by running this
 //!   digest there with `HashPolicy::Standard` in every cell.
 //!
-//! The simulated run also checks every `Standard` cell against the
-//! host: the same ids, distance bits and non-table trace fields, from a
-//! table that never filled.
+//! Every `Standard` cell and every `HOST` cell is also checked against
+//! the host entry (`search_mode_with`, the dense visited set) on a
+//! recycled scratch: the same ids, distance bits and non-table trace
+//! fields, from a table that never filled.
 
 use cagra_repro::cagra::{RelabelStrategy, SearchScratch};
 use cagra_repro::dataset::pq::{self, PqConfig};
+use cagra_repro::gpu_sim::{search_with, SimTable};
 use cagra_repro::prelude::*;
 
 const SIMULATED: [(&str, u64); 13] = [
@@ -65,7 +68,7 @@ const DIM: usize = 16;
 const QUERIES: usize = 3;
 
 /// One grid cell: `k`, the parameters, and the hash policy the search
-/// is simulated under (`None`: the host's dense table).
+/// is simulated under (`None`: the host's search).
 type Cell = (usize, SearchParams, Option<HashPolicy>);
 
 struct Fnv(u64);
@@ -89,6 +92,18 @@ impl Fnv {
     /// Everything one search left in the scratch; `table` adds the
     /// four words only a hash table has.
     fn absorb(&mut self, scratch: &SearchScratch, table: bool) {
+        self.search(scratch, table);
+        let log = scratch.trace().accesses.as_ref().expect("access recording is on");
+        self.ids(&log.init_scored);
+        self.word(log.iterations.len() as u64);
+        for it in &log.iterations {
+            self.ids(&it.parents);
+            self.ids(&it.scored);
+        }
+    }
+
+    /// [`Fnv::absorb`] without the access log.
+    fn search(&mut self, scratch: &SearchScratch, table: bool) {
         self.word(scratch.results().len() as u64);
         for nb in scratch.results() {
             self.word(nb.id as u64);
@@ -119,20 +134,13 @@ impl Fnv {
         for flag in [t.serial_queue, t.scratch_reused] {
             self.word(flag as u64);
         }
-        let log = t.accesses.as_ref().expect("access recording is on");
-        self.ids(&log.init_scored);
-        self.word(log.iterations.len() as u64);
-        for it in &log.iterations {
-            self.ids(&it.parents);
-            self.ids(&it.scored);
-        }
     }
 }
 
-/// The non-table digest of one search.
+/// The non-table digest of one search, without its access log.
 fn one(scratch: &SearchScratch) -> u64 {
     let mut h = Fnv::new();
-    h.absorb(scratch, false);
+    h.search(scratch, false);
     h.0
 }
 
@@ -176,9 +184,9 @@ fn grid(policies: &[Option<HashPolicy>]) -> Vec<Cell> {
 }
 
 /// Digest of `modes` x `cells` x `queries` on one index, all on one
-/// recycled scratch with batch-style per-query seeds. A `Standard`
-/// cell is also run on the host, on a second recycled scratch, and
-/// must match it.
+/// recycled scratch with batch-style per-query seeds. A cell on the
+/// standard table is also run through the host entry, on a second
+/// recycled scratch, and must match it.
 fn digest<S: VectorStore>(
     index: &CagraIndex<S>,
     queries: &Dataset,
@@ -187,19 +195,16 @@ fn digest<S: VectorStore>(
 ) -> u64 {
     let mut h = Fnv::new();
     let mut scratch = SearchScratch::new();
-    scratch.set_record_accesses(true);
     let mut host = SearchScratch::new();
-    host.set_record_accesses(true);
     for &mode in modes {
         for &(k, p, policy) in cells {
+            let standard = policy.unwrap_or(HashPolicy::Standard) == HashPolicy::Standard;
+            let mut table = SimTable::new(policy.unwrap_or(HashPolicy::Standard), true);
             for qi in 0..queries.len() {
                 let p = SearchParams { seed: p.seed_for_query(qi), ..p };
-                if let Some(policy) = policy {
-                    scratch.simulate(policy);
-                }
-                index.search_mode_with(queries.row(qi), k, &p, mode, &mut scratch);
+                search_with(index, queries.row(qi), k, &p, mode, &mut table, &mut scratch);
                 h.absorb(&scratch, policy.is_some());
-                if policy == Some(HashPolicy::Standard) {
+                if standard {
                     index.search_mode_with(queries.row(qi), k, &p, mode, &mut host);
                     let label = format!("{mode:?} k {k} query {qi} {p:?}");
                     assert_eq!(one(&host), one(&scratch), "host differs from standard: {label}");

@@ -1,6 +1,6 @@
 //! Tier-1 smoke of `serve`: two serve workers search two lone requests
-//! side by side, and every served result equals `search_mode` under
-//! the plan its `ResponseMeta` reports, bit for bit. The full
+//! side by side, and every served result equals a multi-CTA
+//! `search_mode` under the service's parameters, bit for bit. The full
 //! acceptance suite is `serve/tests/serving.rs`; this is the slice of
 //! it that the root package's `cargo test -q` runs.
 
@@ -37,12 +37,15 @@ impl SearchBackend for Pair {
         self.index.validate_shape(dim, k, p)
     }
 
+    fn mapping(&self, params: &SearchParams) -> (Mode, usize) {
+        SearchBackend::mapping(&self.index, params)
+    }
+
     fn search(
         &self,
         query: &[f32],
         k: usize,
         params: &SearchParams,
-        mode: Mode,
         scratch: &mut SearchScratch,
     ) -> Vec<Neighbor> {
         {
@@ -52,17 +55,18 @@ impl SearchBackend for Pair {
             self.changed.notify_all();
             let _ = self.changed.wait_timeout_while(flight, MEET, |f| f.1 < 2);
         }
-        let neighbors = SearchBackend::search(&self.index, query, k, params, mode, scratch);
+        let neighbors = SearchBackend::search(&self.index, query, k, params, scratch);
         self.flight.lock().unwrap().0 -= 1;
         neighbors
     }
 }
 
-/// `search_mode` under the plan `resp` reports must give `resp`'s
-/// neighbours, bit for bit.
+/// `resp` must report the service's one plan — multi-CTA with its
+/// `num_cta` — and give that search's neighbours, bit for bit.
 fn assert_served_as_planned(index: &CagraIndex<Dataset>, query: &[f32], resp: &Response) {
-    let params = SearchParams { num_cta: resp.meta.num_cta as usize, ..SearchParams::for_k(K) };
-    let (fresh, _) = index.search_mode(query, K, &params, resp.meta.mode);
+    let params = SearchParams::for_k(K);
+    assert_eq!((resp.meta.mode, resp.meta.num_cta as usize), (Mode::MultiCta, params.num_cta));
+    let (fresh, _) = index.search_mode(query, K, &params, Mode::MultiCta);
     let bits = |r: &[Neighbor]| r.iter().map(|n| (n.id, n.dist.to_bits())).collect::<Vec<_>>();
     assert_eq!(bits(&resp.neighbors), bits(&fresh), "served {:?}", resp.meta);
 }
