@@ -9,21 +9,27 @@
 //!   short critical section on the active slot's mutex that clones an
 //!   `Arc`) and search it with no locks held — a snapshot is
 //!   immutable, so searches race nothing.
-//! * **Inserts** route into a small copy-on-write delta segment
-//!   ([`delta::DeltaSeg`]): a flat row block that every search
-//!   brute-force gang-scores, so its results are exact. Each mutation
-//!   publishes a fresh snapshot and bumps the epoch.
-//! * **Deletes** are tombstones: a `BTreeSet` of external ids masked
-//!   out when main and delta results merge at the top-k boundary
-//!   (searches over-fetch by the tombstone count so masking cannot
-//!   starve `k`).
+//! * **Inserts** route into a small delta segment ([`delta::DeltaSeg`]):
+//!   rows in fixed-size chunks that every search brute-force
+//!   gang-scores, so its results are exact. Full chunks are shared
+//!   between snapshots, so an insert copies only the newest, partly
+//!   filled chunk. Each mutation publishes a fresh snapshot and bumps
+//!   the epoch.
+//! * **Deletes** are tombstones: a sorted array of external ids behind
+//!   an `Arc`, masked out when main and delta results merge at the
+//!   top-k boundary (searches over-fetch by the tombstone count so
+//!   masking cannot starve `k`). A delete copies the array once with
+//!   the new id in place.
 //! * **Compaction** (a background thread, or [`DynamicIndex::compact_now`])
 //!   rebuilds delta + live main rows — minus tombstones — into a
 //!   fresh [`CagraIndex`] *off the writer lock*, then splices: rows
 //!   inserted during the rebuild are copied over as the new delta (the
 //!   delta is append-only, so the pre-rebuild prefix is exact),
 //!   tombstones added during the rebuild are retained, and the swap is
-//!   one epoch publish concurrent with readers.
+//!   one epoch publish concurrent with readers. A rebuild that panics
+//!   publishes nothing: readers keep the old snapshot, the background
+//!   compactor survives and retries on its next wake, and
+//!   [`DynamicIndex::compact_now`] hands the panic to its caller.
 //!
 //! External ids are `u32`, assigned once, never reused. Every mutation
 //! and compaction records into the `dyn.*` observability group (delta
@@ -47,8 +53,8 @@ use distance::Metric;
 pub use epoch::EpochPtr;
 use knn::parallel::{default_threads, parallel_map_with};
 use knn::topk::{cmp_neighbor, Neighbor};
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -124,16 +130,13 @@ impl MainSeg {
 pub struct Snapshot {
     main: Option<Arc<MainSeg>>,
     delta: Arc<DeltaSeg>,
-    deleted: Arc<BTreeSet<u32>>,
+    /// Tombstoned external ids, strictly ascending.
+    deleted: Arc<[u32]>,
 }
 
 impl Snapshot {
     fn empty(dim: usize) -> Self {
-        Snapshot {
-            main: None,
-            delta: Arc::new(DeltaSeg::empty(dim)),
-            deleted: Arc::new(BTreeSet::new()),
-        }
+        Snapshot { main: None, delta: Arc::new(DeltaSeg::empty(dim)), deleted: Arc::new([]) }
     }
 
     fn main_len(&self) -> usize {
@@ -153,7 +156,7 @@ impl Snapshot {
     }
 
     fn contains_live(&self, id: u32) -> bool {
-        !self.deleted.contains(&id)
+        self.deleted.binary_search(&id).is_err()
             && (self.delta.contains(id) || self.main.as_ref().is_some_and(|m| m.contains(id)))
     }
 
@@ -189,6 +192,8 @@ pub struct DynamicStats {
     pub live: usize,
     /// Compactions completed so far.
     pub compactions: u64,
+    /// Compactions that panicked and published nothing.
+    pub failed_compactions: u64,
 }
 
 /// State shared with the background compactor.
@@ -206,6 +211,7 @@ struct Shared {
     gate: Mutex<(bool, bool)>,
     cv: Condvar,
     compacting: AtomicBool,
+    failed_compactions: AtomicU64,
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -261,7 +267,7 @@ impl DynamicIndex {
         let snapshot = Snapshot {
             main: Some(Arc::new(MainSeg { index, ids })),
             delta: Arc::new(DeltaSeg::empty(dim)),
-            deleted: Arc::new(BTreeSet::new()),
+            deleted: Arc::new([]),
         };
         Self::spawn_compactor(snapshot, dim, metric, params, n)
     }
@@ -284,6 +290,7 @@ impl DynamicIndex {
             gate: Mutex::new((false, false)),
             cv: Condvar::new(),
             compacting: AtomicBool::new(false),
+            failed_compactions: AtomicU64::new(0),
         });
         let compactor = auto.then(|| {
             let shared = Arc::clone(&shared);
@@ -332,6 +339,7 @@ impl DynamicIndex {
             tombstones: snap.deleted.len(),
             live: snap.live(),
             compactions: *lock(&self.shared.compact_lock),
+            failed_compactions: self.shared.failed_compactions.load(Ordering::Relaxed),
         }
     }
 
@@ -384,14 +392,14 @@ impl DynamicIndex {
             if !snap.contains_live(id) {
                 return false;
             }
-            // ALLOW(alloc): copy-on-write tombstone set — readers of
-            // the published snapshot must not observe the new entry.
-            let mut deleted = (*snap.deleted).clone();
-            deleted.insert(id);
+            // Copy-on-write tombstones — readers of the published
+            // snapshot must not observe the new entry: one sized copy of
+            // the array with `id` in its sorted place.
+            let (lo, hi) = snap.deleted.split_at(snap.deleted.partition_point(|&d| d < id));
             let succ = Snapshot {
                 main: snap.main.clone(),
                 delta: snap.delta.clone(),
-                deleted: Arc::new(deleted),
+                deleted: lo.iter().chain([&id]).chain(hi).copied().collect(),
             };
             ratio = succ.tombstone_ratio();
             wake = needs_compaction(&succ, &shared.params);
@@ -476,7 +484,7 @@ impl DynamicIndex {
                 .iter()
                 .filter_map(|nb| {
                     let ext = *main.ids.get(nb.id as usize)?;
-                    (!masked.contains(&ext)).then_some(Neighbor::new(ext, nb.dist))
+                    masked.binary_search(&ext).is_err().then_some(Neighbor::new(ext, nb.dist))
                 })
                 .collect();
         }
@@ -509,6 +517,11 @@ impl DynamicIndex {
     /// fresh main segment (or a delta-only snapshot when too few
     /// remain), splice in concurrent mutations, swap. Blocks if the
     /// background compactor is mid-cycle.
+    ///
+    /// # Panics
+    /// Re-raises a panic of the rebuild (say, a [`GraphConfig`] the
+    /// build rejects). Nothing is published then: the index keeps
+    /// serving its current snapshot, and a later compaction retries.
     pub fn compact_now(&self) {
         compact_once(&self.shared);
     }
@@ -542,7 +555,23 @@ fn compactor_loop(shared: &Shared) {
             gate.0 = false;
         }
         if needs_compaction(&shared.ptr.load(), &shared.params) {
-            compact_once(shared);
+            // A rebuild that panics must not take the compactor with it:
+            // nothing was published, so the old snapshot keeps serving,
+            // and the next wake retries.
+            let _ = catch_unwind(AssertUnwindSafe(|| compact_once(shared)));
+        }
+    }
+}
+
+/// Ends a compaction cycle however it ends: clears `compacting`, and
+/// counts the cycle as failed when a panic unwinds through it.
+struct CycleGuard<'a>(&'a Shared);
+
+impl Drop for CycleGuard<'_> {
+    fn drop(&mut self) {
+        self.0.compacting.store(false, Ordering::Release);
+        if std::thread::panicking() {
+            self.0.failed_compactions.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -553,6 +582,7 @@ fn compactor_loop(shared: &Shared) {
 fn compact_once(shared: &Shared) {
     let mut cycles = lock(&shared.compact_lock);
     shared.compacting.store(true, Ordering::Release);
+    let _cycle = CycleGuard(shared);
     let t0 = Instant::now();
     let s0 = shared.ptr.load();
 
@@ -563,7 +593,7 @@ fn compact_once(shared: &Shared) {
     let mut ids: Vec<u32> = Vec::with_capacity(s0.live());
     let mut flat: Vec<f32> = Vec::with_capacity(s0.live() * shared.dim);
     let mut keep_live = |id: u32, row: &[f32]| {
-        if !s0.deleted.contains(&id) {
+        if s0.deleted.binary_search(&id).is_err() {
             ids.push(id);
             flat.extend_from_slice(row);
         }
@@ -574,8 +604,10 @@ fn compact_once(shared: &Shared) {
             keep_live(id, store.row(row));
         }
     }
-    for (row, &id) in s0.delta.ids().iter().enumerate() {
-        keep_live(id, s0.delta.row(row));
+    for (chunk_ids, chunk_rows) in s0.delta.rows_from(0) {
+        for (&id, row) in chunk_ids.iter().zip(chunk_rows.chunks_exact(shared.dim)) {
+            keep_live(id, row);
+        }
     }
 
     // Phase 2 (off-lock): rebuild. Below the viability floor the rows
@@ -595,21 +627,33 @@ fn compact_once(shared: &Shared) {
     {
         let _w = lock(&shared.writer);
         let s1 = shared.ptr.load();
-        let (tail_ids, tail_flat) = s1.delta.rows_from(s0.delta.len());
-        ids.extend_from_slice(tail_ids);
-        flat.extend_from_slice(tail_flat);
-        let deleted: BTreeSet<u32> = s1.deleted.difference(&s0.deleted).copied().collect();
+        for (tail_ids, tail_rows) in s1.delta.rows_from(s0.delta.len()) {
+            ids.extend_from_slice(tail_ids);
+            flat.extend_from_slice(tail_rows);
+        }
         shared.ptr.publish(Arc::new(Snapshot {
             main: new_main,
-            delta: Arc::new(DeltaSeg::from_rows(ids, flat, shared.dim)),
-            deleted: Arc::new(deleted),
+            delta: Arc::new(DeltaSeg::from_rows(&ids, &flat, shared.dim)),
+            deleted: added_since(&s1.deleted, &s0.deleted),
         }));
     }
     *cycles += 1;
-    shared.compacting.store(false, Ordering::Release);
     let m = obs::metrics();
     m.dyn_compactions.inc();
     m.dyn_compaction_ns.record(t0.elapsed().as_nanos() as u64);
+}
+
+/// The ids of `now` missing from `before`, both strictly ascending: one
+/// merge walk over the two arrays.
+fn added_since(now: &[u32], before: &[u32]) -> Arc<[u32]> {
+    let mut before = before.iter().peekable();
+    now.iter()
+        .copied()
+        .filter(|&id| {
+            while before.next_if(|&&old| old < id).is_some() {}
+            before.next_if_eq(&&id).is_none()
+        })
+        .collect()
 }
 
 /// Merge two `(dist, id)`-ascending result lists, keeping the `k`
@@ -708,8 +752,12 @@ mod tests {
     fn needs_compaction_is_delta_size_or_tombstone_ratio() {
         let snap = |rows: u32, dead: u32| Snapshot {
             main: None,
-            delta: Arc::new(DeltaSeg::from_rows((0..rows).collect(), vec![0.0; rows as usize], 1)),
-            deleted: Arc::new((0..dead).collect()),
+            delta: Arc::new(DeltaSeg::from_rows(
+                &(0..rows).collect::<Vec<_>>(),
+                &vec![0.0; rows as usize],
+                1,
+            )),
+            deleted: (0..dead).collect(),
         };
         let mut p = small_params();
         (p.max_delta, p.max_tombstone_ratio) = (64, 0.25);
@@ -770,6 +818,84 @@ mod tests {
         let hits = ix.search(queries.row(0), 3);
         assert_eq!(hits[0].id, 300, "the fresh exact duplicate must win");
         assert_eq!(hits[0].dist, 0.0);
+    }
+
+    /// A rebuild that always panics: `intermediate_degree` below
+    /// `degree` trips `build_graph`'s precondition once compaction has
+    /// enough rows for a main segment.
+    fn panicking_params() -> DynamicParams {
+        let mut p = small_params();
+        p.graph.intermediate_degree = p.graph.degree / 2;
+        p
+    }
+
+    #[test]
+    fn a_panicking_compact_now_leaves_the_index_serving() {
+        let ix = DynamicIndex::new(8, Metric::SquaredL2, panicking_params());
+        for i in 0..64u32 {
+            ix.insert(&vec_for(i, 8)).unwrap();
+        }
+        assert!(ix.delete(3));
+        let before = ix.search(&vec_for(10, 8), 5);
+        for attempt in 1..=2 {
+            assert!(catch_unwind(AssertUnwindSafe(|| ix.compact_now())).is_err());
+            assert!(!ix.is_compacting(), "attempt {attempt} left the compacting flag set");
+            let s = ix.stats();
+            assert_eq!((s.main, s.delta, s.tombstones), (0, 64, 1), "nothing was published");
+            assert_eq!((s.compactions, s.failed_compactions), (0, attempt));
+        }
+        assert_eq!(ix.search(&vec_for(10, 8), 5), before);
+        assert_eq!(ix.insert(&vec_for(64, 8)), Ok(64));
+        assert!(ix.delete(4));
+    }
+
+    #[test]
+    fn the_background_compactor_survives_a_panicking_rebuild_and_retries() {
+        let mut p = panicking_params();
+        p.auto_compact = true;
+        let ix = DynamicIndex::new(8, Metric::SquaredL2, p);
+        let wait_for_failures = |n: u64| {
+            let deadline = Instant::now() + std::time::Duration::from_secs(60);
+            while ix.stats().failed_compactions < n {
+                assert!(Instant::now() < deadline, "the compactor never reported failure {n}");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+        };
+        // The 64th insert reaches `max_delta` and wakes the compactor.
+        for i in 0..64u32 {
+            ix.insert(&vec_for(i, 8)).unwrap();
+        }
+        wait_for_failures(1);
+        assert!(!ix.is_compacting());
+        // The thread is still there: the next trigger wakes a retry.
+        ix.insert(&vec_for(64, 8)).unwrap();
+        wait_for_failures(2);
+        let s = ix.stats();
+        assert_eq!((s.main, s.delta, s.compactions), (0, 65, 0));
+        assert_eq!(ix.search(&vec_for(64, 8), 1)[0], Neighbor::new(64, 0.0));
+    }
+
+    #[test]
+    fn added_since_is_the_sorted_difference() {
+        let diff = |now: &[u32], before: &[u32]| added_since(now, before).to_vec();
+        assert_eq!(diff(&[1, 3, 5, 8, 9], &[3, 8]), [1, 5, 9]);
+        assert_eq!(diff(&[1, 3], &[1, 3]), [0u32; 0]);
+        assert_eq!(diff(&[2, 4], &[]), [2, 4]);
+        assert_eq!(diff(&[], &[]), [0u32; 0]);
+    }
+
+    #[test]
+    fn deletes_keep_the_tombstones_sorted() {
+        let ix = DynamicIndex::new(4, Metric::SquaredL2, small_params());
+        for i in 0..10u32 {
+            ix.insert(&vec_for(i, 4)).unwrap();
+        }
+        for id in [7, 2, 9, 0, 5] {
+            assert!(ix.delete(id));
+        }
+        assert_eq!(*ix.shared.ptr.load().deleted, [0, 2, 5, 7, 9]);
+        assert_eq!(ix.live(), 5);
+        assert!((0..10).all(|id| ix.contains(id) != [0, 2, 5, 7, 9].contains(&id)));
     }
 
     #[test]
