@@ -16,6 +16,7 @@
 
 #![cfg(target_arch = "x86_64")]
 
+use super::MULTI;
 use core::arch::x86_64::*;
 use dataset::F16;
 
@@ -213,6 +214,107 @@ pub unsafe fn dot_norm_f32(q: &[f32], r: &[f32]) -> (f32, f32) {
     let load8 = |base| unsafe { load8_f32(r, base) };
     // SAFETY: forwarded caller contract (target features + lengths).
     unsafe { dot_norm_body(q, load8, |j| r[j]) }
+}
+
+// --- multi-row f32 kernels ----------------------------------------------
+// One query against `MULTI` rows: the query chunk loads once, and each
+// row keeps its own accumulator running exactly the one-row kernel's
+// operations (same lanes, same `hsum8`, same sequential tail), so row
+// `i`'s result equals `l2_f32(q, rows[i])` bit for bit. The four
+// independent chains hide the add latency a single row's chain waits
+// on.
+
+/// # Safety
+/// Requires `avx2`; every row is `q.len()` long.
+#[target_feature(enable = "avx2")]
+pub unsafe fn l2_f32_x4(q: &[f32], rows: [&[f32]; MULTI]) -> [f32; MULTI] {
+    let chunks = q.len() / 8;
+    // SAFETY: caller contract — `avx2` available and every row is
+    // `q.len()` long, so each `base + 8 <= q.len()` load of the query
+    // and of every row stays in bounds.
+    unsafe {
+        let mut acc = [_mm256_setzero_ps(); MULTI];
+        for c in 0..chunks {
+            let base = c * 8;
+            let qv = _mm256_loadu_ps(q.as_ptr().add(base));
+            for (a, r) in acc.iter_mut().zip(rows) {
+                let d = _mm256_sub_ps(qv, load8_f32(r, base));
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(d, d));
+            }
+        }
+        let mut out = [0.0f32; MULTI];
+        for ((o, a), r) in out.iter_mut().zip(acc).zip(rows) {
+            let mut sum = hsum8(a);
+            for (j, &qj) in q.iter().enumerate().skip(chunks * 8) {
+                let d = qj - r[j];
+                sum += d * d;
+            }
+            *o = sum;
+        }
+        out
+    }
+}
+
+/// # Safety
+/// Requires `avx2`; every row is `q.len()` long.
+#[target_feature(enable = "avx2")]
+pub unsafe fn dot_f32_x4(q: &[f32], rows: [&[f32]; MULTI]) -> [f32; MULTI] {
+    let chunks = q.len() / 8;
+    // SAFETY: as in `l2_f32_x4` — `avx2` available and every row is
+    // `q.len()` long.
+    unsafe {
+        let mut acc = [_mm256_setzero_ps(); MULTI];
+        for c in 0..chunks {
+            let base = c * 8;
+            let qv = _mm256_loadu_ps(q.as_ptr().add(base));
+            for (a, r) in acc.iter_mut().zip(rows) {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, load8_f32(r, base)));
+            }
+        }
+        let mut out = [0.0f32; MULTI];
+        for ((o, a), r) in out.iter_mut().zip(acc).zip(rows) {
+            let mut sum = hsum8(a);
+            for (j, &qj) in q.iter().enumerate().skip(chunks * 8) {
+                sum += qj * r[j];
+            }
+            *o = sum;
+        }
+        out
+    }
+}
+
+/// # Safety
+/// Requires `avx2`; every row is `q.len()` long.
+#[target_feature(enable = "avx2")]
+pub unsafe fn dot_norm_f32_x4(q: &[f32], rows: [&[f32]; MULTI]) -> [(f32, f32); MULTI] {
+    let chunks = q.len() / 8;
+    // SAFETY: as in `l2_f32_x4` — `avx2` available and every row is
+    // `q.len()` long.
+    unsafe {
+        let mut ab = [_mm256_setzero_ps(); MULTI];
+        let mut bb = [_mm256_setzero_ps(); MULTI];
+        for c in 0..chunks {
+            let base = c * 8;
+            let qv = _mm256_loadu_ps(q.as_ptr().add(base));
+            for ((sab, sbb), r) in ab.iter_mut().zip(bb.iter_mut()).zip(rows) {
+                let w = load8_f32(r, base);
+                *sab = _mm256_add_ps(*sab, _mm256_mul_ps(qv, w));
+                *sbb = _mm256_add_ps(*sbb, _mm256_mul_ps(w, w));
+            }
+        }
+        let mut out = [(0.0f32, 0.0f32); MULTI];
+        for (((o, a), b), r) in out.iter_mut().zip(ab).zip(bb).zip(rows) {
+            let mut sab = hsum8(a);
+            let mut sbb = hsum8(b);
+            for (j, &qj) in q.iter().enumerate().skip(chunks * 8) {
+                let w = r[j];
+                sab += qj * w;
+                sbb += w * w;
+            }
+            *o = (sab, sbb);
+        }
+        out
+    }
 }
 
 /// # Safety

@@ -14,7 +14,21 @@
 //! neighbor ids *and* f32 distance bit patterns — are therefore
 //! identical whichever backend runs, which is what lets the CI matrix
 //! run the whole suite under `CAGRA_FORCE_SCALAR=1` and expect
-//! byte-for-byte the same output.
+//! byte-for-byte the same output. The multi-row entries
+//! (`l2_x4`, `dot_x4`, `dot_norm_x4`) give each of their [`MULTI`] rows
+//! its own accumulator running exactly the one-row operations, so
+//! their results equal [`MULTI`] one-row calls bit for bit.
+//!
+//! **Symmetry.** Every per-element operation is commutative in IEEE
+//! arithmetic (`(q - r)²` equals `(r - q)²`, `q·r` equals `r·q`) and
+//! both operands go through the same accumulation order, so for f32,
+//! binary16 and int8 rows a distance from row `a` (widened, as a
+//! query) to row `b` equals the distance from `b` to `a` bit for bit.
+//! Cosine keeps it too: the query norm `dot(q, q)` and the fused
+//! `r · r` half run the same accumulation. The exact k-NN scan scores
+//! each unordered pair once on the strength of this. PQ rows are the
+//! exception — an exact query against a quantized row is not
+//! symmetric — and [`crate::DistanceOracle::symmetric`] says so.
 //!
 //! **Forcing scalar.** Set the environment variable
 //! `CAGRA_FORCE_SCALAR=1` before the first distance computation (read
@@ -39,14 +53,25 @@ pub type KernNormF16 = fn(&[f32], &[F16]) -> (f32, f32);
 pub type KernI8 = fn(&[f32], &[i8], &[f32]) -> f32;
 /// `fn(query, i8 codes, per-component scales) -> (q · r, r · r)`.
 pub type KernNormI8 = fn(&[f32], &[i8], &[f32]) -> (f32, f32);
+/// `fn(query, MULTI f32 rows) -> MULTI distances`.
+pub type KernF32Multi = fn(&[f32], [&[f32]; MULTI]) -> [f32; MULTI];
+/// `fn(query, MULTI f32 rows) -> MULTI (q · r, r · r) pairs`.
+pub type KernNormF32Multi = fn(&[f32], [&[f32]; MULTI]) -> [(f32, f32); MULTI];
+
+/// Rows one multi-row kernel call scores against a query. Four
+/// independent accumulator chains hide the add latency that bounds a
+/// single row's dependent chain, and still fit the 16 AVX2 registers
+/// for `dot_norm` (eight accumulators).
+pub const MULTI: usize = 4;
 
 /// A complete distance-kernel backend: one entry per (operation,
 /// element type). `dot_norm` fuses `(q · r, r · r)` for cosine so the
 /// row streams through memory once.
 ///
-/// All entries require `q.len() == row length` (and `== scales.len()`
-/// for int8); they panic or return garbage otherwise, exactly like the
-/// free functions in the crate root.
+/// All entries require `q.len() == row length` (every row's, for the
+/// multi-row entries; and `== scales.len()` for int8); they panic or
+/// return garbage otherwise, exactly like the free functions in the
+/// crate root.
 #[derive(Clone, Copy)]
 pub struct Kernels {
     /// Backend name for logs/benches: `"scalar"`, `"avx2"`, `"neon"`.
@@ -54,6 +79,12 @@ pub struct Kernels {
     pub l2: KernF32,
     pub dot: KernF32,
     pub dot_norm: KernNormF32,
+    /// [`MULTI`] f32 rows at once; equal to `l2` per row, bit for bit.
+    pub l2_x4: KernF32Multi,
+    /// [`MULTI`] f32 rows at once; equal to `dot` per row, bit for bit.
+    pub dot_x4: KernF32Multi,
+    /// [`MULTI`] f32 rows at once; equal to `dot_norm` per row.
+    pub dot_norm_x4: KernNormF32Multi,
     pub l2_f16: KernF16,
     pub dot_f16: KernF16,
     pub dot_norm_f16: KernNormF16,
@@ -74,6 +105,9 @@ const SCALAR: Kernels = Kernels {
     l2: scalar::l2_f32,
     dot: scalar::dot_f32,
     dot_norm: scalar::dot_norm_f32,
+    l2_x4: scalar::l2_f32_x4,
+    dot_x4: scalar::dot_f32_x4,
+    dot_norm_x4: scalar::dot_norm_f32_x4,
     l2_f16: scalar::l2_f16,
     dot_f16: scalar::dot_f16,
     dot_norm_f16: scalar::dot_norm_f16,
@@ -92,9 +126,28 @@ pub fn scalar() -> &'static Kernels {
 // the table is the only way they escape this module.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::MULTI;
     use dataset::F16;
 
     macro_rules! shim {
+        ($name:ident, f32multi, $imp:path) => {
+            pub fn $name(q: &[f32], rows: [&[f32]; MULTI]) -> [f32; MULTI] {
+                // SAFETY: `detect()` installs this shim in the dispatch
+                // table only after the runtime feature probe succeeded,
+                // and rows as long as the query are the table's
+                // documented caller contract (upheld by `DistanceOracle`).
+                unsafe { $imp(q, rows) }
+            }
+        };
+        ($name:ident, f32multi2, $imp:path) => {
+            pub fn $name(q: &[f32], rows: [&[f32]; MULTI]) -> [(f32, f32); MULTI] {
+                // SAFETY: `detect()` installs this shim in the dispatch
+                // table only after the runtime feature probe succeeded,
+                // and rows as long as the query are the table's
+                // documented caller contract (upheld by `DistanceOracle`).
+                unsafe { $imp(q, rows) }
+            }
+        };
         ($name:ident, f32pair, $imp:path) => {
             pub fn $name(q: &[f32], r: &[f32]) -> f32 {
                 // SAFETY: `detect()` installs this shim in the dispatch
@@ -154,6 +207,9 @@ mod x86 {
     shim!(l2, f32pair, super::avx2::l2_f32);
     shim!(dot, f32pair, super::avx2::dot_f32);
     shim!(dot_norm, f32pair2, super::avx2::dot_norm_f32);
+    shim!(l2_x4, f32multi, super::avx2::l2_f32_x4);
+    shim!(dot_x4, f32multi, super::avx2::dot_f32_x4);
+    shim!(dot_norm_x4, f32multi2, super::avx2::dot_norm_f32_x4);
     shim!(l2_f16, f16pair, super::avx2::l2_f16);
     shim!(dot_f16, f16pair, super::avx2::dot_f16);
     shim!(dot_norm_f16, f16pair2, super::avx2::dot_norm_f16);
@@ -209,6 +265,18 @@ mod arm {
     shim!(l2_i8, i8triple, super::neon::l2_i8);
     shim!(dot_i8, i8triple, super::neon::dot_i8);
     shim!(dot_norm_i8, i8triple2, super::neon::dot_norm_i8);
+
+    // No NEON multi-row body yet: one NEON call per row, which is the
+    // contract's definition of the multi-row result.
+    pub fn l2_x4(q: &[f32], rows: [&[f32]; super::MULTI]) -> [f32; super::MULTI] {
+        rows.map(|r| l2(q, r))
+    }
+    pub fn dot_x4(q: &[f32], rows: [&[f32]; super::MULTI]) -> [f32; super::MULTI] {
+        rows.map(|r| dot(q, r))
+    }
+    pub fn dot_norm_x4(q: &[f32], rows: [&[f32]; super::MULTI]) -> [(f32, f32); super::MULTI] {
+        rows.map(|r| dot_norm(q, r))
+    }
 }
 
 fn detect() -> Kernels {
@@ -220,6 +288,9 @@ fn detect() -> Kernels {
                 l2: x86::l2,
                 dot: x86::dot,
                 dot_norm: x86::dot_norm,
+                l2_x4: x86::l2_x4,
+                dot_x4: x86::dot_x4,
+                dot_norm_x4: x86::dot_norm_x4,
                 l2_i8: x86::l2_i8,
                 dot_i8: x86::dot_i8,
                 dot_norm_i8: x86::dot_norm_i8,
@@ -245,6 +316,9 @@ fn detect() -> Kernels {
                 l2: arm::l2,
                 dot: arm::dot,
                 dot_norm: arm::dot_norm,
+                l2_x4: arm::l2_x4,
+                dot_x4: arm::dot_x4,
+                dot_norm_x4: arm::dot_norm_x4,
                 l2_i8: arm::l2_i8,
                 dot_i8: arm::dot_i8,
                 dot_norm_i8: arm::dot_norm_i8,

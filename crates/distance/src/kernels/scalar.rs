@@ -24,6 +24,7 @@
 //! is a single f32 rounding in every backend, so the typed kernels
 //! match "widen the whole row, then run the f32 kernel" bit for bit.
 
+use super::MULTI;
 use dataset::F16;
 
 /// Fold an 8-lane accumulator with the canonical reduction tree.
@@ -146,6 +147,17 @@ pub fn dot_f32(q: &[f32], r: &[f32]) -> f32 {
 }
 pub fn dot_norm_f32(q: &[f32], r: &[f32]) -> (f32, f32) {
     dot_norm_generic(q, &SrcF32(r))
+}
+
+// The multi-row entries are, by definition, one one-row call per row.
+pub fn l2_f32_x4(q: &[f32], rows: [&[f32]; MULTI]) -> [f32; MULTI] {
+    rows.map(|r| l2_f32(q, r))
+}
+pub fn dot_f32_x4(q: &[f32], rows: [&[f32]; MULTI]) -> [f32; MULTI] {
+    rows.map(|r| dot_f32(q, r))
+}
+pub fn dot_norm_f32_x4(q: &[f32], rows: [&[f32]; MULTI]) -> [(f32, f32); MULTI] {
+    rows.map(|r| dot_norm_f32(q, r))
 }
 
 pub fn l2_f16(q: &[f32], r: &[F16]) -> f32 {

@@ -152,8 +152,10 @@ enum Rows<'a> {
 /// scratch rows (so even row-to-row distances on widening stores
 /// allocate nothing per call), and counts every distance computed (the
 /// paper's pruning analyses count these; `gpu-sim` also uses it for
-/// cost). Construct one per worker thread (it is `!Sync` by design —
-/// the scratch is interior state).
+/// cost). The scratch rows are sized on first use, and only the
+/// widening paths use them, so constructing an oracle over an f32
+/// store allocates nothing. Construct one per worker thread (it is
+/// `!Sync` by design — the scratch is interior state).
 pub struct DistanceOracle<'a, S: VectorStore + ?Sized> {
     store: &'a S,
     metric: Metric,
@@ -192,8 +194,8 @@ impl<'a, S: VectorStore + ?Sized> DistanceOracle<'a, S> {
             rows,
             kern,
             dim: store.dim(),
-            scratch: std::cell::RefCell::new(vec![0.0; store.dim()]),
-            scratch2: std::cell::RefCell::new(vec![0.0; store.dim()]),
+            scratch: std::cell::RefCell::new(Vec::new()),
+            scratch2: std::cell::RefCell::new(Vec::new()),
             count: std::cell::Cell::new(0),
         }
     }
@@ -263,15 +265,33 @@ impl<'a, S: VectorStore + ?Sized> DistanceOracle<'a, S> {
         let q = pq.query;
         let dim = self.dim;
         match self.rows {
-            Rows::F32(flat) => self.gang_metric(
-                pq,
-                ids,
-                out,
-                |i| (k.l2)(q, &flat[i * dim..(i + 1) * dim]),
-                |i| (k.dot)(q, &flat[i * dim..(i + 1) * dim]),
-                |i| (k.dot_norm)(q, &flat[i * dim..(i + 1) * dim]),
-                |i| kernels::prefetch(flat[i * dim..].as_ptr()),
-            ),
+            Rows::F32(flat) => {
+                // `kernels::MULTI` rows per kernel call; the remainder
+                // goes one row at a time. Each row's bits are the
+                // one-row kernel's either way.
+                let row = |i: usize| &flat[i * dim..(i + 1) * dim];
+                let pf = |i: usize| kernels::prefetch(flat[i * dim..].as_ptr());
+                let qnorm = pq.norm;
+                match self.metric {
+                    Metric::SquaredL2 => {
+                        gang4(ids, out, |g| (k.l2_x4)(q, g.map(row)), |i| (k.l2)(q, row(i)), pf)
+                    }
+                    Metric::InnerProduct => gang4(
+                        ids,
+                        out,
+                        |g| (k.dot_x4)(q, g.map(row)).map(|d| -d),
+                        |i| -(k.dot)(q, row(i)),
+                        pf,
+                    ),
+                    Metric::Cosine => gang4(
+                        ids,
+                        out,
+                        |g| (k.dot_norm_x4)(q, g.map(row)).map(|p| cosine_from_parts(qnorm, p)),
+                        |i| cosine_from_parts(qnorm, (k.dot_norm)(q, row(i))),
+                        pf,
+                    ),
+                }
+            }
             Rows::F16(flat) => self.gang_metric(
                 pq,
                 ids,
@@ -311,7 +331,7 @@ impl<'a, S: VectorStore + ?Sized> DistanceOracle<'a, S> {
             }
             Rows::Opaque => {
                 for (o, &id) in out.iter_mut().zip(ids) {
-                    let mut s = self.scratch.borrow_mut();
+                    let mut s = self.scratch_row(&self.scratch);
                     self.store.get_into(id as usize, &mut s);
                     *o = self.f32_pair_distance(q, pq.norm, &s);
                 }
@@ -381,7 +401,7 @@ impl<'a, S: VectorStore + ?Sized> DistanceOracle<'a, S> {
                 t.score(&view.codes[i * m..(i + 1) * m], qnorm)
             }
             Rows::Opaque => {
-                let mut s = self.scratch.borrow_mut();
+                let mut s = self.scratch_row(&self.scratch);
                 self.store.get_into(i, &mut s);
                 self.f32_pair_distance(q, qnorm, &s)
             }
@@ -415,7 +435,7 @@ impl<'a, S: VectorStore + ?Sized> DistanceOracle<'a, S> {
                 self.row_distance(a, qnorm, None, j)
             }
             Rows::F16(..) | Rows::I8(..) => {
-                let mut a = self.scratch.borrow_mut();
+                let mut a = self.scratch_row(&self.scratch);
                 self.store.get_into(i, &mut a);
                 let qnorm = self.hoist_norm(&a);
                 self.row_distance(&a, qnorm, None, j)
@@ -424,14 +444,33 @@ impl<'a, S: VectorStore + ?Sized> DistanceOracle<'a, S> {
             // (graph build); per-row ADC tables would cost more than
             // they save when the "query" changes every call.
             Rows::Pq(..) | Rows::Opaque => {
-                let mut a = self.scratch.borrow_mut();
-                let mut b = self.scratch2.borrow_mut();
+                let mut a = self.scratch_row(&self.scratch);
+                let mut b = self.scratch_row(&self.scratch2);
                 self.store.get_into(i, &mut a);
                 self.store.get_into(j, &mut b);
                 let qnorm = self.hoist_norm(&a);
                 self.f32_pair_distance(&a, qnorm, &b)
             }
         }
+    }
+
+    /// Borrow one of the scratch rows, sized to `dim` on first use.
+    fn scratch_row<'s>(
+        &self,
+        cell: &'s std::cell::RefCell<Vec<f32>>,
+    ) -> std::cell::RefMut<'s, Vec<f32>> {
+        let mut row = cell.borrow_mut();
+        row.resize(self.dim, 0.0);
+        row
+    }
+
+    /// Whether a distance from row `a` (as a query) to row `b` equals
+    /// the distance from `b` to `a`, bit for bit — true for every row
+    /// layout but PQ, whose query side is exact while its row side is
+    /// quantized (see the [`kernels`] module docs). The exact k-NN scan
+    /// scores each unordered pair once when this holds.
+    pub fn symmetric(&self) -> bool {
+        !matches!(self.rows, Rows::Pq(..))
     }
 
     #[inline]
@@ -459,6 +498,29 @@ fn gang(ids: &[u32], out: &mut [f32], f: impl Fn(usize) -> f32, pf: impl Fn(usiz
         }
         *o = f(id as usize);
     }
+}
+
+/// [`gang`] for a multi-row kernel: `ids` go [`kernels::MULTI`] at a
+/// time through `f4`, the next group's rows prefetched while the
+/// current one computes, and the remainder through `f` one by one.
+#[inline(always)]
+fn gang4(
+    ids: &[u32],
+    out: &mut [f32],
+    f4: impl Fn([usize; kernels::MULTI]) -> [f32; kernels::MULTI],
+    f: impl Fn(usize) -> f32,
+    pf: impl Fn(usize),
+) {
+    const M: usize = kernels::MULTI;
+    let mut groups = ids.chunks_exact(M);
+    let mut outs = out.chunks_exact_mut(M);
+    for (j, (o, g)) in outs.by_ref().zip(groups.by_ref()).enumerate() {
+        for &ahead in ids.iter().skip((j + 1) * M).take(M) {
+            pf(ahead as usize);
+        }
+        o.copy_from_slice(&f4(std::array::from_fn(|t| g[t] as usize)));
+    }
+    gang(groups.remainder(), outs.into_remainder(), f, pf);
 }
 
 #[cfg(test)]

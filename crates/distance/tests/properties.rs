@@ -1,7 +1,47 @@
 //! Metric axioms over arbitrary vectors.
 
-use distance::{cosine_distance, dot, squared_l2, Metric};
+use dataset::{Dataset, VectorStore};
+use distance::kernels::{self, Kernels};
+use distance::{cosine_distance, dot, squared_l2, DistanceOracle, Metric};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+/// The scan-side symmetry contract on one store: for every pair of
+/// rows, the distance from row `a` (widened, as a query) to row `b`
+/// equals the distance from `b` to `a`, bit for bit.
+fn assert_rows_symmetric<S: VectorStore + ?Sized>(
+    store: &S,
+    metric: Metric,
+    table: &'static Kernels,
+) -> Result<(), TestCaseError> {
+    let o = DistanceOracle::with_kernels(store, metric, table);
+    prop_assert!(o.symmetric());
+    let dim = store.dim();
+    let (mut a, mut b) = (vec![0.0f32; dim], vec![0.0f32; dim]);
+    for i in 0..store.len() {
+        store.get_into(i, &mut a);
+        let pa = o.prepare(&a);
+        for j in 0..store.len() {
+            store.get_into(j, &mut b);
+            let pb = o.prepare(&b);
+            let (mut ab, mut ba) = ([0.0f32], [0.0f32]);
+            o.to_rows(&pa, &[j as u32], &mut ab);
+            o.to_rows(&pb, &[i as u32], &mut ba);
+            prop_assert_eq!(
+                ab[0].to_bits(),
+                ba[0].to_bits(),
+                "{:?} {} rows {} and {}: {} vs {}",
+                metric,
+                table.name,
+                i,
+                j,
+                ab[0],
+                ba[0]
+            );
+        }
+    }
+    Ok(())
+}
 
 fn vecs(dim: usize) -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
     let elem = -1000.0f32..1000.0f32;
@@ -60,5 +100,27 @@ proptest! {
         let bc = squared_l2(&b, &c).sqrt();
         let ac = squared_l2(&a, &c).sqrt();
         prop_assert!(ac <= ab + bc + 1e-2, "triangle violated: {ac} > {ab} + {bc}");
+    }
+
+    /// `to_rows(prepare(a), [b])` equals `to_rows(prepare(b), [a])` bit
+    /// for bit on f32, binary16 and int8 rows, for every metric and
+    /// both backends, at dims below 8 and off multiples of 8. One row
+    /// is all zeros, which cosine scores by its zero-norm convention.
+    #[test]
+    fn row_distances_are_bitwise_symmetric(
+        dim in 1usize..40,
+        flat in proptest::collection::vec(-100.0f32..100.0, 4 * 40),
+    ) {
+        let mut flat = flat[..4 * dim].to_vec();
+        flat[3 * dim..].fill(0.0);
+        let base = Dataset::from_flat(flat, dim);
+        let (half, quant) = (base.to_f16(), base.to_i8());
+        for metric in [Metric::SquaredL2, Metric::InnerProduct, Metric::Cosine] {
+            for table in [kernels::scalar(), kernels::detected()] {
+                assert_rows_symmetric(&base, metric, table)?;
+                assert_rows_symmetric(&half, metric, table)?;
+                assert_rows_symmetric(&quant, metric, table)?;
+            }
+        }
     }
 }

@@ -70,6 +70,61 @@ fn all_kernels_match_scalar_bitwise_for_all_remainder_lanes() {
     }
 }
 
+/// The multi-row entries equal `MULTI` one-row calls of the scalar
+/// reference bit for bit, on every backend, for every remainder shape.
+#[test]
+fn multi_row_kernels_equal_one_row_scalar_calls() {
+    let s = kernels::scalar();
+    for table in [kernels::scalar(), kernels::detected()] {
+        for dim in 1..=67usize {
+            let q = lcg_vec(dim as u64 + 11, dim);
+            let rows: Vec<Vec<f32>> =
+                (0..kernels::MULTI).map(|t| lcg_vec(dim as u64 * 31 + t as u64, dim)).collect();
+            let refs: [&[f32]; kernels::MULTI] = std::array::from_fn(|t| rows[t].as_slice());
+            let l2 = (table.l2_x4)(&q, refs);
+            let dot = (table.dot_x4)(&q, refs);
+            let dot_norm = (table.dot_norm_x4)(&q, refs);
+            for (t, r) in refs.iter().enumerate() {
+                let tag = format!("{} row {t}", table.name);
+                assert_pair_bits(&format!("{tag} l2_x4"), dim, l2[t], (s.l2)(&q, r));
+                assert_pair_bits(&format!("{tag} dot_x4"), dim, dot[t], (s.dot)(&q, r));
+                let (ab, bb) = (s.dot_norm)(&q, r);
+                assert_pair_bits(&format!("{tag} dot_norm_x4.ab"), dim, dot_norm[t].0, ab);
+                assert_pair_bits(&format!("{tag} dot_norm_x4.bb"), dim, dot_norm[t].1, bb);
+            }
+        }
+    }
+}
+
+/// `to_rows` on every gang length 0..=9 — no multi-row group, one or
+/// two groups, and every remainder — equals `to_row_prepared` per id.
+#[test]
+fn to_rows_equals_to_row_prepared_at_every_gang_length() {
+    let (n, dim) = (12usize, 21usize);
+    let base = Dataset::from_flat(lcg_vec(77, n * dim), dim);
+    let query = lcg_vec(78, dim);
+    for metric in [Metric::SquaredL2, Metric::InnerProduct, Metric::Cosine] {
+        for table in [kernels::scalar(), kernels::detected()] {
+            let o = DistanceOracle::with_kernels(&base, metric, table);
+            let pq = o.prepare(&query);
+            for len in 0..=9usize {
+                let ids: Vec<u32> = (0..len).map(|j| ((j * 5 + 3) % n) as u32).collect();
+                let mut out = vec![f32::NAN; len];
+                o.to_rows(&pq, &ids, &mut out);
+                for (j, (&id, &got)) in ids.iter().zip(&out).enumerate() {
+                    let one = o.to_row_prepared(&pq, id as usize);
+                    assert_eq!(
+                        got.to_bits(),
+                        one.to_bits(),
+                        "{metric:?} {} len {len} slot {j}",
+                        table.name
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The typed (in-loop widening) kernels must equal "widen the whole
 /// row first, then run the f32 kernel" — this is what makes dropping
 /// the `get_into` copies a pure optimization.

@@ -27,8 +27,9 @@
 use crate::flat::{counting_scatter, CsrRows, FlatArena, KnnLists, ScatterScratch};
 use crate::parallel::{
     chunk_ranges, default_threads, parallel_chunks, parallel_fill_chunks, parallel_fill_rows_with,
+    parallel_map,
 };
-use crate::topk::{cmp_neighbor, Neighbor, TopK};
+use crate::topk::{cmp_neighbor, Neighbor};
 use dataset::VectorStore;
 use distance::{DistanceOracle, Metric};
 use parking_lot::{Mutex, MutexGuard};
@@ -572,7 +573,10 @@ fn sample_prefix(row: &[u32], max_samples: usize) -> &[u32] {
 /// Work counters and timing split from one NN-Descent build.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NnDescentStats {
-    /// Total query/dataset distance computations performed.
+    /// Total query/dataset distance computations performed. On the
+    /// exact path this is the `n·(n − 1)` ordered pairs offered to the
+    /// lists (what Fig. 11's GPU estimate prices); the symmetric scan
+    /// computes half of them and offers each result to both rows.
     pub distance_computations: u64,
     /// Time spent in random initialization — or in the whole exact
     /// all-pairs scan when [`exact_is_cheaper`] picked it.
@@ -607,19 +611,33 @@ pub fn exact_is_cheaper(n: usize, k: usize, rho: f64, dim: usize) -> bool {
     2 * n as u128 * (dim as u128 + 80) <= 3 * (dim as u128 + 300) * round_pairs
 }
 
-/// Query rows per tile of [`exact_all_pairs`].
-const QUERY_TILE: usize = 64;
-/// Bytes of data rows per tile: half of a 48 KiB L1d, so the tile stays
-/// resident while `QUERY_TILE` queries stream over it.
-const DATA_TILE_BYTES: usize = 24 * 1024;
+/// Bytes of data rows per block of [`exact_all_pairs`]: half of a
+/// 48 KiB L1d, so a pair of blocks stays cache-resident while one
+/// block's rows stream over the other's.
+const BLOCK_BYTES: usize = 24 * 1024;
+/// Blocks per side of a tile of block pairs. The scan finishes one
+/// tile before the next, so the rows and partial lists it touches
+/// (about 2 MB at d = 96, k = 64) stay in L2 instead of sweeping the
+/// whole dataset and every list once per row block.
+const TILE_BLOCKS: usize = 16;
 
 /// Exact k-NN lists by all-pairs distance (the path [`exact_is_cheaper`]
-/// picks, and the test oracle). Each worker owns a block of output
-/// rows and walks it in tiles — [`QUERY_TILE`] queries against an
-/// L1-sized block of data rows — so the dataset streams from memory
-/// once per query *tile*, not once per query. Every query still meets
-/// the data rows in ascending id order, which the `d < threshold`
-/// prefilter needs to agree with the `(dist, id)` order on ties.
+/// picks, and the test oracle).
+///
+/// The rows are cut into L1-sized blocks, and the scan walks pairs of
+/// blocks, so the dataset streams from memory once per block, not once
+/// per row. When the oracle is [`symmetric`](DistanceOracle::symmetric)
+/// (every layout but PQ) it walks only the upper triangle of block
+/// pairs: each unordered pair of rows is scored once and the distance
+/// is offered to both rows' lists. A PQ store walks every ordered pair.
+///
+/// Admission does not depend on arrival order: a candidate passes a
+/// `d <= threshold` prefilter and [`cmp_neighbor`]'s `(dist, id)` order
+/// decides, so each list holds the `k` smallest rows by `(dist, id)`.
+/// Each worker scores a fixed, contiguous share of the block pairs into
+/// its own partial lists; every pair lands in exactly one share, so
+/// merging the partials row by row gives the same lists at any thread
+/// count.
 pub fn exact_all_pairs<S: VectorStore + ?Sized>(
     store: &S,
     metric: Metric,
@@ -632,51 +650,193 @@ pub fn exact_all_pairs<S: VectorStore + ?Sized>(
     if k == 0 {
         return KnnLists::from_flat(Vec::new(), n, 0);
     }
-    let dim = store.dim();
-    let data_tile = (DATA_TILE_BYTES / (4 * dim)).clamp(8, crate::brute::GANG);
+    let block = (BLOCK_BYTES / (4 * store.dim())).clamp(8, crate::brute::GANG);
+    let symmetric = DistanceOracle::new(store, metric).symmetric();
+    let pairs = block_pairs(n, block, symmetric);
+    let shares = split_by_cost(&pairs, threads);
+    let partials = parallel_map(shares.len(), shares.len(), |w| {
+        scan_block_pairs(store, metric, k, block, symmetric, &pairs[shares[w].clone()])
+    });
     let mut data = vec![Neighbor::default(); n * k];
-    parallel_fill_chunks(&mut data, n, k, threads, |start, end, out| {
-        let oracle = DistanceOracle::new(store, metric);
-        let mut queries = vec![0.0f32; QUERY_TILE * dim];
-        let mut ids: Vec<u32> = Vec::with_capacity(data_tile);
-        let mut dists = vec![0.0f32; data_tile];
-        for q0 in (start..end).step_by(QUERY_TILE) {
-            let q1 = (q0 + QUERY_TILE).min(end);
-            for (v, q) in (q0..q1).zip(queries.chunks_exact_mut(dim)) {
-                store.get_into(v, q);
-            }
-            let mut tile: Vec<_> = queries
-                .chunks_exact(dim)
-                .take(q1 - q0)
-                .map(|q| (oracle.prepare(q), TopK::new(k)))
-                .collect();
-            for u0 in (0..n).step_by(data_tile) {
-                ids.clear();
-                ids.extend((u0..(u0 + data_tile).min(n)).map(|u| u as u32));
-                for (v, (prepared, top)) in (q0..q1).zip(&mut tile) {
-                    // Skip `v` itself by scoring the tile's two sides of it.
-                    let (left, right) = match v.checked_sub(u0).filter(|&c| c < ids.len()) {
-                        Some(c) => (&ids[..c], &ids[c + 1..]),
-                        None => (&ids[..], &ids[..0]),
+    parallel_fill_rows_with(&mut data, n, k, threads, Vec::new, |all, v, row| {
+        all.clear();
+        all.extend(partials.iter().flat_map(|p| p.row(v)));
+        all.sort_unstable_by(cmp_neighbor);
+        row.copy_from_slice(&all[..k]);
+    });
+    KnnLists::from_flat(data, n, k)
+}
+
+/// One pair of row blocks of the exact scan: the first rows of blocks
+/// `i` and `j`, and the number of row pairs it scores.
+#[derive(Clone, Copy)]
+struct BlockPair {
+    i: usize,
+    j: usize,
+    cost: usize,
+}
+
+/// The block pairs the scan walks, tile by tile and row block by row
+/// block inside a tile: `j >= i` when each unordered pair is scored
+/// once, every `j` otherwise.
+fn block_pairs(n: usize, block: usize, symmetric: bool) -> Vec<BlockPair> {
+    let len = |b: usize| (b + block).min(n) - b;
+    let span = block * TILE_BLOCKS;
+    let mut pairs = Vec::new();
+    for is in (0..n).step_by(span) {
+        let first_js = if symmetric { is } else { 0 };
+        for js in (first_js..n).step_by(span) {
+            for i in (is..(is + span).min(n)).step_by(block) {
+                let first_j = if symmetric { i.max(js) } else { js };
+                for j in (first_j..(js + span).min(n)).step_by(block) {
+                    let cost = match (i == j, symmetric) {
+                        (false, _) => len(i) * len(j),
+                        (true, true) => len(i) * (len(i) - 1) / 2,
+                        (true, false) => len(i) * (len(i) - 1),
                     };
-                    for part in [left, right] {
-                        let dists = &mut dists[..part.len()];
-                        oracle.to_rows(prepared, part, dists);
-                        for (&u, &d) in part.iter().zip(dists.iter()) {
-                            if d < top.threshold() {
-                                top.push(Neighbor::new(u, d));
-                            }
-                        }
+                    pairs.push(BlockPair { i, j, cost });
+                }
+            }
+        }
+    }
+    pairs
+}
+
+/// Cut `pairs` into at most `threads` contiguous shares of about equal
+/// cost. A pure function of its arguments, and every pair falls in
+/// exactly one share.
+fn split_by_cost(pairs: &[BlockPair], threads: usize) -> Vec<std::ops::Range<usize>> {
+    let shares = threads.clamp(1, pairs.len().max(1));
+    let total: usize = pairs.iter().map(|p| p.cost).sum();
+    let mut out = Vec::with_capacity(shares);
+    let (mut start, mut acc) = (0usize, 0usize);
+    for (idx, p) in pairs.iter().enumerate() {
+        acc += p.cost;
+        // Close share `w` once the running cost reaches its fraction.
+        if out.len() + 1 < shares && acc * shares >= total * (out.len() + 1) {
+            out.push(start..idx + 1);
+            start = idx + 1;
+        }
+    }
+    out.push(start..pairs.len());
+    out
+}
+
+/// Score one worker's share of block pairs into partial lists for all
+/// `n` rows. Consecutive pairs that share row block `i` prepare its
+/// rows once.
+fn scan_block_pairs<S: VectorStore + ?Sized>(
+    store: &S,
+    metric: Metric,
+    k: usize,
+    block: usize,
+    symmetric: bool,
+    pairs: &[BlockPair],
+) -> PartialLists {
+    let (n, dim) = (store.len(), store.dim());
+    let oracle = DistanceOracle::new(store, metric);
+    let mut lists = PartialLists::new(n, k);
+    let mut rows = vec![0.0f32; block * dim];
+    let mut ids: Vec<u32> = Vec::with_capacity(block);
+    let mut dists = vec![0.0f32; block];
+    let mut hopeful = vec![false; block];
+    for run in pairs.chunk_by(|a, b| a.i == b.i) {
+        let (i0, i1) = (run[0].i, (run[0].i + block).min(n));
+        for (v, row) in (i0..i1).zip(rows.chunks_exact_mut(dim)) {
+            store.get_into(v, row);
+        }
+        let prepared: Vec<_> =
+            rows.chunks_exact(dim).take(i1 - i0).map(|q| oracle.prepare(q)).collect();
+        for pair in run {
+            let j1 = (pair.j + block).min(n);
+            for (v, q) in (i0..i1).zip(&prepared) {
+                // On the diagonal block a symmetric scan meets only the
+                // rows after `v`; the rows before it met `v` already.
+                let from = if pair.i == pair.j && symmetric { v + 1 } else { pair.j };
+                ids.clear();
+                ids.extend((from..j1).filter(|&u| u != v).map(|u| u as u32));
+                let dists = &mut dists[..ids.len()];
+                oracle.to_rows(q, &ids, dists);
+                if symmetric {
+                    // `ids` is `from..j1`. A branch-free pass marks the
+                    // few distances either list might admit (thresholds
+                    // only tighten, so `offer` rechecks), and only those
+                    // reach the lists.
+                    let wv = lists.worst[v];
+                    let hopeful = &mut hopeful[..ids.len()];
+                    for ((h, &d), &wu) in
+                        hopeful.iter_mut().zip(&*dists).zip(&lists.worst[from..j1])
+                    {
+                        *h = d <= wv.max(wu);
+                    }
+                    for ((&u, &d), _) in ids.iter().zip(&*dists).zip(&*hopeful).filter(|(_, &h)| h)
+                    {
+                        lists.offer(v, Neighbor::new(u, d));
+                        lists.offer(u as usize, Neighbor::new(v as u32, d));
+                    }
+                } else {
+                    for (&u, &d) in ids.iter().zip(dists.iter()) {
+                        lists.offer(v, Neighbor::new(u, d));
                     }
                 }
             }
-            for ((_, top), row) in tile.into_iter().zip(out[(q0 - start) * k..].chunks_exact_mut(k))
-            {
-                row.copy_from_slice(&top.into_sorted());
-            }
         }
-    });
-    KnnLists::from_flat(data, n, k)
+    }
+    lists
+}
+
+/// One worker's partial lists in the exact scan: each row's best `k`
+/// candidates so far, kept sorted by `(dist, id)` in one flat slab,
+/// plus each row's admission threshold in a dense array, so the common
+/// case (a hopeless candidate) costs one load and one compare.
+#[derive(Clone, Default)]
+struct PartialLists {
+    k: usize,
+    slab: Vec<Neighbor>,
+    len: Vec<u32>,
+    worst: Vec<f32>,
+}
+
+impl PartialLists {
+    fn new(n: usize, k: usize) -> Self {
+        PartialLists {
+            k,
+            slab: vec![Neighbor::default(); n * k],
+            len: vec![0; n],
+            worst: vec![f32::INFINITY; n],
+        }
+    }
+
+    /// Offer a candidate to row `v`: the `d <= threshold` prefilter
+    /// drops hopeless ones (and NaN), and `cmp_neighbor`'s `(dist, id)`
+    /// order places the rest, ties included. The row therefore holds
+    /// the `k` smallest candidates offered, in any arrival order.
+    #[inline]
+    fn offer(&mut self, v: usize, cand: Neighbor) {
+        let hopeful = cand.dist <= self.worst[v]; // false for NaN
+        if !hopeful {
+            return;
+        }
+        let k = self.k;
+        let len = self.len[v] as usize;
+        let row = &mut self.slab[v * k..(v + 1) * k];
+        let pos = row[..len].partition_point(|e| cmp_neighbor(e, &cand).is_lt());
+        if pos == k {
+            return;
+        }
+        let end = if len < k { len + 1 } else { k };
+        row.copy_within(pos..end - 1, pos + 1);
+        row[pos] = cand;
+        self.len[v] = end as u32;
+        if end == k {
+            self.worst[v] = row[k - 1].dist;
+        }
+    }
+
+    /// Row `v`'s candidates, sorted ascending by `(dist, id)`.
+    fn row(&self, v: usize) -> &[Neighbor] {
+        &self.slab[v * self.k..v * self.k + self.len[v] as usize]
+    }
 }
 
 #[cfg(test)]
@@ -815,34 +975,109 @@ mod tests {
         dataset::Dataset::from_flat(flat, dim)
     }
 
-    /// The tiled scan against a row-at-a-time one: every other row
-    /// scored one call at a time, fully sorted by `(dist, id)`.
+    /// The exact scan's lists for `store`, computed the slow way: every
+    /// other row scored one call at a time, fully sorted by `(dist, id)`.
+    fn row_at_a_time_lists<S: VectorStore + ?Sized>(
+        store: &S,
+        metric: Metric,
+        k: usize,
+    ) -> KnnLists {
+        let (n, dim) = (store.len(), store.dim());
+        let oracle = DistanceOracle::new(store, metric);
+        let mut want = Vec::with_capacity(n * k);
+        let mut row = vec![0.0f32; dim];
+        for v in 0..n {
+            store.get_into(v, &mut row);
+            let q = oracle.prepare(&row);
+            let mut all: Vec<Neighbor> = (0..n)
+                .filter(|&u| u != v)
+                .map(|u| Neighbor::new(u as u32, oracle.to_row_prepared(&q, u)))
+                .collect();
+            all.sort_unstable_by(cmp_neighbor);
+            want.extend_from_slice(&all[..k]);
+        }
+        KnnLists::from_flat(want, n, k)
+    }
+
+    /// The blocked, symmetric scan against a row-at-a-time one, on rows
+    /// with many exact ties, at 1–4 threads: the lists are equal bit for
+    /// bit whatever the block walk, the thread count or the arrival
+    /// order of a row's candidates.
     #[test]
     fn tiled_exact_matches_row_at_a_time_scan_bitwise_on_ties() {
-        // dim 7: one 256-row data tile per pass; dim 200: 30-row tiles.
-        for (n, dim, k) in [(700usize, 7usize, 9usize), (150, 200, 20)] {
+        // dim 7: one 256-row block, so n = 700 ends in a short block;
+        // dim 200: 30-row blocks, and n = 500 crosses a 480-row tile
+        // edge; n = 40 asks for k = n - 1, every other row.
+        for (n, dim, k) in [(700usize, 7usize, 9usize), (500, 200, 20), (40, 7, 39)] {
             let base = rows_with_duplicates(n, dim);
             for metric in [Metric::SquaredL2, Metric::InnerProduct, Metric::Cosine] {
-                let oracle = DistanceOracle::new(&base, metric);
-                let mut want = Vec::with_capacity(n * k);
-                for v in 0..n {
-                    let q = oracle.prepare(base.row(v));
-                    let mut all: Vec<Neighbor> = (0..n)
-                        .filter(|&u| u != v)
-                        .map(|u| Neighbor::new(u as u32, oracle.to_row_prepared(&q, u)))
-                        .collect();
-                    all.sort_unstable_by(cmp_neighbor);
-                    want.extend_from_slice(&all[..k]);
-                }
-                let want = KnnLists::from_flat(want, n, k);
+                let want = row_at_a_time_lists(&base, metric, k);
                 assert!(
                     want.rows().any(|r| r.windows(2).any(|w| w[0].dist == w[1].dist)),
                     "{metric:?}: the fixture produced no tied distances"
                 );
-                for threads in [1usize, 3] {
+                for threads in 1..=4usize {
                     let got = exact_all_pairs(&base, metric, k, threads);
-                    assert_eq!(got, want, "{metric:?} dim {dim} at {threads} threads");
+                    assert_eq!(got, want, "{metric:?} n {n} dim {dim} k {k} at {threads} threads");
                 }
+            }
+        }
+    }
+
+    /// A partial list keeps the `k` smallest candidates by `(dist, id)`
+    /// whatever order they arrive in, ties at the threshold included.
+    #[test]
+    fn partial_lists_keep_the_k_smallest_in_any_arrival_order() {
+        let cands: Vec<Neighbor> =
+            (0..60u32).map(|id| Neighbor::new(id, (id % 7) as f32)).collect();
+        let mut want = cands.clone();
+        want.sort_unstable_by(cmp_neighbor);
+        want.truncate(10);
+        let mut rng = StdRng::seed_from_u64(5);
+        for round in 0..20 {
+            let mut order = cands.clone();
+            order.shuffle(&mut rng);
+            let mut lists = PartialLists::new(2, 10);
+            for &c in &order {
+                lists.offer(1, c);
+            }
+            assert_eq!(lists.row(1), &want[..], "arrival order {round}");
+            assert!(lists.row(0).is_empty());
+        }
+    }
+
+    /// A PQ store's distance is not symmetric (exact query, quantized
+    /// row), so its scan walks every ordered pair; the lists still equal
+    /// the row-at-a-time scan's at any thread count.
+    #[test]
+    fn exact_scan_over_pq_rows_scores_every_ordered_pair() {
+        let base = rows_with_duplicates(300, 16);
+        let store = dataset::pq::build(&base, &dataset::PqConfig::new(4));
+        for metric in [Metric::SquaredL2, Metric::InnerProduct, Metric::Cosine] {
+            assert!(!DistanceOracle::new(&store, metric).symmetric());
+            let want = row_at_a_time_lists(&store, metric, 12);
+            for threads in [1usize, 3] {
+                let got = exact_all_pairs(&store, metric, 12, threads);
+                assert_eq!(got, want, "{metric:?} at {threads} threads");
+            }
+        }
+    }
+
+    /// The share split covers every block pair exactly once, in order,
+    /// at any thread count, including more threads than pairs.
+    #[test]
+    fn cost_shares_partition_the_block_pairs() {
+        for (n, block, symmetric) in [(700usize, 64usize, true), (700, 64, false), (5, 8, true)] {
+            let pairs = block_pairs(n, block, symmetric);
+            let total: usize = pairs.iter().map(|p| p.cost).sum();
+            let want = if symmetric { n * (n - 1) / 2 } else { n * (n - 1) };
+            assert_eq!(total, want, "n {n} symmetric {symmetric}");
+            for threads in [1usize, 2, 3, 4, 64] {
+                let shares = split_by_cost(&pairs, threads);
+                assert!(shares.len() <= threads);
+                assert_eq!(shares.first().map(|r| r.start), Some(0));
+                assert_eq!(shares.last().map(|r| r.end), Some(pairs.len()));
+                assert!(shares.windows(2).all(|w| w[0].end == w[1].start));
             }
         }
     }
