@@ -59,8 +59,8 @@ impl<T> EpochPtr<T> {
     }
 
     /// The published generation: bumped by every [`EpochPtr::publish`].
-    /// Consumers key caches on this (`serve`'s shape cache) so state
-    /// derived from one snapshot is revalidated after a swap.
+    /// A consumer can key state derived from one snapshot on it, to
+    /// know when a swap made that state stale.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }

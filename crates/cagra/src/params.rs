@@ -26,7 +26,9 @@ pub struct SearchParams {
     /// Number of parents expanded per iteration (`p`); the paper uses
     /// 1 for maximum single-CTA throughput.
     pub search_width: usize,
-    /// Hard iteration cap (`I_max`).
+    /// Hard iteration cap (`I_max`; 0 = auto). Multi-CTA floors the
+    /// cap at the per-worker list length, `max(⌈itopk / num_cta⌉, 32)`,
+    /// so a smaller value does nothing there.
     pub max_iterations: usize,
     /// Number of CTAs per query in multi-CTA mode.
     pub num_cta: usize,

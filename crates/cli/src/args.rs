@@ -4,11 +4,21 @@
 use std::collections::HashMap;
 
 /// Usage string shown on errors.
-pub const USAGE: &str = "usage: cagra-cli <synth|gt|build|bundle|search|serve|stats> \
-     [--flag value]... (bundle accepts --relabel identity|degree|rcm|gorder and --pq M; \
-     search/serve accept --rerank D for two-phase search over PQ bundles; \
-     serve --threads W runs W serve workers, each searching one request at a time, \
-     0 = CAGRA_THREADS or every core)";
+pub const USAGE: &str = "usage: cagra-cli <command> [--flag value]...
+  synth  --preset P --n N [--queries Q] [--seed S] --out-dir D
+  gt     --base F --queries F --k K [--metric l2|ip|cosine] --out F
+  build  --base F --degree D [--metric M] [--strategy rank|distance] [--d-init D] --out F
+         [--metrics-out F]
+  bundle --base F --degree D [--metric M] [--relabel identity|degree|rcm|gorder] [--pq M] --out F
+  search (--index F | --base F --graph F [--metric M]) --queries F --k K [--itopk I]
+         [--mode auto|single|multi] [--rerank D] [--gt F] [--metrics-out F]
+  serve  (--index F | --base F --graph F [--metric M]) [--k K] [--itopk I] [--rerank D]
+         [--queue-cap C] [--threads W] [--addr A] [--dynamic true|false]
+         [--self-test N] [--clients C] [--metrics-out F]
+  stats  --graph F [--two-hop-stride S]
+A flag its command does not list is an error. --rerank D runs two-phase search over a PQ \
+bundle. serve --threads W runs W serve workers, each searching one request at a time \
+(0 = CAGRA_THREADS or every core).";
 
 /// Parsed flags for one subcommand.
 #[derive(Clone, Debug, Default)]
@@ -34,6 +44,20 @@ pub fn parse(argv: &[String]) -> Result<(String, Args), String> {
 }
 
 impl Args {
+    /// Refuse any flag outside `accepted`, so a typo or a retired flag
+    /// fails loudly instead of being ignored.
+    pub fn accept_only(&self, accepted: &[&str]) -> Result<(), String> {
+        let mut unknown: Vec<&str> =
+            self.flags.keys().map(String::as_str).filter(|f| !accepted.contains(f)).collect();
+        unknown.sort_unstable();
+        match unknown.first() {
+            Some(flag) => {
+                Err(format!("unknown flag --{flag} (accepted: --{})", accepted.join(", --")))
+            }
+            None => Ok(()),
+        }
+    }
+
     /// Required string flag.
     pub fn req(&self, name: &str) -> Result<&str, String> {
         self.flags.get(name).map(String::as_str).ok_or_else(|| format!("missing --{name}"))
@@ -116,6 +140,13 @@ mod tests {
     #[test]
     fn empty_argv_is_an_error() {
         assert!(parse(&[]).is_err());
+    }
+
+    #[test]
+    fn a_flag_outside_the_accepted_list_is_named() {
+        let (_, args) = parse(&sv(&["build", "--base", "x", "--itpok", "64"])).unwrap();
+        assert!(args.accept_only(&["base", "itopk"]).unwrap_err().contains("--itpok"));
+        assert!(args.accept_only(&["base", "itpok"]).is_ok());
     }
 
     #[test]

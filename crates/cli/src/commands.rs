@@ -1,5 +1,6 @@
-//! The five subcommands. Each returns its human-readable report as a
-//! string so the integration tests can assert on it.
+//! The seven subcommands. Each refuses flags it does not accept and
+//! returns its human-readable report as a string so the integration
+//! tests can assert on it.
 
 use crate::args::Args;
 use cagra::build::GraphConfig;
@@ -83,6 +84,7 @@ fn create(path: &str) -> Result<BufWriter<File>, String> {
 
 /// `synth`: generate a preset-shaped dataset as fvecs files.
 pub fn synth(args: &Args) -> Result<String, String> {
+    args.accept_only(&["preset", "n", "queries", "seed", "out-dir"])?;
     let preset = PresetName::parse(args.req("preset")?)
         .ok_or_else(|| "unknown preset (sift|gist|glove|nytimes|deep)".to_string())?;
     let n = args.req_usize("n")?;
@@ -102,6 +104,7 @@ pub fn synth(args: &Args) -> Result<String, String> {
 
 /// `gt`: exact ground truth as ivecs.
 pub fn ground_truth(args: &Args) -> Result<String, String> {
+    args.accept_only(&["base", "queries", "k", "metric", "out"])?;
     let base = read_dataset(args.req("base")?)?;
     let queries = read_dataset(args.req("queries")?)?;
     let k = args.req_usize("k")?;
@@ -115,6 +118,7 @@ pub fn ground_truth(args: &Args) -> Result<String, String> {
 
 /// `build`: construct and persist a CAGRA graph.
 pub fn build(args: &Args) -> Result<String, String> {
+    args.accept_only(&["base", "degree", "metric", "strategy", "d-init", "out", "metrics-out"])?;
     let base = read_dataset(args.req("base")?)?;
     let degree = args.req_usize("degree")?;
     let metric = parse_metric(args)?;
@@ -159,6 +163,7 @@ pub fn build(args: &Args) -> Result<String, String> {
 /// plus the graph up front, the full-precision rows as a mmap-able
 /// tail that `search --rerank` re-scores against.
 pub fn bundle(args: &Args) -> Result<String, String> {
+    args.accept_only(&["base", "degree", "metric", "relabel", "pq", "out"])?;
     let base = read_dataset(args.req("base")?)?;
     let degree = args.req_usize("degree")?;
     let metric = parse_metric(args)?;
@@ -249,6 +254,19 @@ fn load_index(args: &Args) -> Result<Bundle, String> {
 /// exact re-score of the top R candidates against the mmap'd
 /// full-precision rows.
 pub fn search(args: &Args) -> Result<String, String> {
+    args.accept_only(&[
+        "index",
+        "base",
+        "graph",
+        "metric",
+        "queries",
+        "k",
+        "itopk",
+        "mode",
+        "rerank",
+        "gt",
+        "metrics-out",
+    ])?;
     let queries = read_dataset(args.req("queries")?)?;
     let k = args.req_usize("k")?;
     let mut params = SearchParams::for_k(k);
@@ -311,27 +329,40 @@ pub fn search(args: &Args) -> Result<String, String> {
     Ok(report)
 }
 
-/// `serve`: run the online micro-batching query service over a
-/// persisted index (ISSUE 6).
+/// `serve`: run the online query service over a persisted index.
 ///
 /// Binds a TCP listener speaking the v1 length-prefixed protocol and
 /// serves until killed. With `--self-test N` it instead drives `N`
 /// requests through the freshly bound server from `--clients`
 /// concurrent TCP connections (queries sampled from the index's own
-/// base vectors), reports throughput/latency/batching, and exits —
-/// the smoke path the integration tests and quick-start use.
+/// base vectors), reports throughput and latency, and exits — the
+/// smoke path the integration tests and quick-start use.
 ///
 /// `--threads W` sets the serve workers (0, the default, means
 /// `CAGRA_THREADS` or every core): each searches one request at a time,
-/// so `W` bounds the requests searched at once across batches.
+/// so `W` bounds the requests searched at once.
 pub fn serve(args: &Args) -> Result<String, String> {
+    args.accept_only(&[
+        "index",
+        "base",
+        "graph",
+        "metric",
+        "k",
+        "itopk",
+        "rerank",
+        "queue-cap",
+        "threads",
+        "addr",
+        "dynamic",
+        "self-test",
+        "clients",
+        "metrics-out",
+    ])?;
     let k = args.usize_or("k", 10)?;
     let mut params = SearchParams::for_k(k);
     params.itopk = args.usize_or("itopk", params.itopk)?.max(k);
     params.rerank_depth = parse_rerank(args, k)?;
     let mut config = serve::ServeConfig::new(params);
-    config.max_batch = args.usize_or("max-batch", config.max_batch)?;
-    config.max_wait = std::time::Duration::from_micros(args.u64_or("max-wait-us", 0)?);
     config.queue_capacity = args.usize_or("queue-cap", config.queue_capacity)?;
     config.worker_threads = args.usize_or("threads", 0)?;
     let addr = args.opt("addr").unwrap_or("127.0.0.1:0");
@@ -411,9 +442,8 @@ fn serve_index<B: serve::SearchBackend>(
 
     let Some(total) = self_test else {
         println!(
-            "serving {n} vectors on {bound} (k<=itopk {}, max-batch {}, max-wait {:?}, \
-             queue-cap {}); press Ctrl-C to stop",
-            params.itopk, config.max_batch, config.max_wait, config.queue_capacity
+            "serving {n} vectors on {bound} (k<=itopk {}, queue-cap {}); press Ctrl-C to stop",
+            params.itopk, config.queue_capacity
         );
         loop {
             std::thread::park();
@@ -423,26 +453,25 @@ fn serve_index<B: serve::SearchBackend>(
     let clients = args.usize_or("clients", 4)?.max(1);
     let per_client = total.div_ceil(clients);
     let t0 = Instant::now();
-    let outcomes: Vec<(u64, u64, u64, u32)> = std::thread::scope(|s| {
+    let outcomes: Vec<(u64, u64, u64)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let sample = &sample;
                 s.spawn(move || {
                     let mut client =
                         serve::Client::connect(bound).expect("self-test client connect");
-                    let (mut ok, mut err, mut e2e_sum, mut max_batch) = (0u64, 0u64, 0u64, 0u32);
+                    let (mut ok, mut err, mut e2e_sum) = (0u64, 0u64, 0u64);
                     for i in 0..per_client {
                         let q = &sample[(c * per_client + i) % sample.len()];
                         match client.search(q, k) {
                             Ok(resp) => {
                                 ok += 1;
                                 e2e_sum += resp.meta.e2e_ns;
-                                max_batch = max_batch.max(resp.meta.batch_size);
                             }
                             Err(_) => err += 1,
                         }
                     }
-                    (ok, err, e2e_sum, max_batch)
+                    (ok, err, e2e_sum)
                 })
             })
             .collect();
@@ -454,10 +483,9 @@ fn serve_index<B: serve::SearchBackend>(
     let ok: u64 = outcomes.iter().map(|o| o.0).sum();
     let err: u64 = outcomes.iter().map(|o| o.1).sum();
     let e2e_sum: u64 = outcomes.iter().map(|o| o.2).sum();
-    let max_batch: u32 = outcomes.iter().map(|o| o.3).max().unwrap_or(0);
     let mut report = format!(
         "self-test on {bound}: {ok} served / {err} failed over {clients} connections in {wall:.2?} \
-         ({:.0} QPS); mean e2e {:.3} ms, largest batch {max_batch}",
+         ({:.0} QPS); mean e2e {:.3} ms",
         ok as f64 / wall.as_secs_f64().max(1e-9),
         e2e_sum as f64 / ok.max(1) as f64 / 1e6,
     );
@@ -468,6 +496,7 @@ fn serve_index<B: serve::SearchBackend>(
 /// `stats`: reachability metrics of a persisted graph (the Fig. 3
 /// quantities).
 pub fn stats(args: &Args) -> Result<String, String> {
+    args.accept_only(&["graph", "two-hop-stride"])?;
     let graph_file = File::open(args.req("graph")?).map_err(|e| e.to_string())?;
     let g = graph::io::read_fixed(BufReader::new(graph_file)).map_err(|e| e.to_string())?;
     let stride = args.usize_or("two-hop-stride", (g.len() / 2000).max(1))?;
@@ -733,7 +762,6 @@ mod tests {
             ("clients", "2"),
             ("k", "5"),
             ("rerank", "32"),
-            ("max-wait-us", "100"),
         ]))
         .unwrap();
         assert!(out.contains("32 served / 0 failed"), "unexpected report: {out}");
@@ -808,7 +836,6 @@ mod tests {
             ("self-test", "64"),
             ("clients", "4"),
             ("k", "5"),
-            ("max-wait-us", "100"),
         ]))
         .unwrap();
         assert!(out.contains("64 served / 0 failed"), "unexpected report: {out}");
@@ -825,6 +852,16 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("32 served / 0 failed"), "dynamic serve report: {out}");
+
+        // The coalescing flags are gone: passing one is an error that
+        // names it, not a silently ignored setting.
+        let err = serve(&Args::from_pairs(&[
+            ("index", &bundle_path),
+            ("self-test", "8"),
+            ("max-wait-us", "100"),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("max-wait-us"), "error: {err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -17,14 +17,16 @@
 //! with the full-precision rows appended as a memory-mapped rerank
 //! tail (format v3); `search`/`serve` then accept `--rerank D` to
 //! traverse over LUT-based approximate distances and re-score the top
-//! `D` candidates exactly (ISSUE 8).
+//! `D` candidates exactly.
 //!
-//! `serve` runs the online micro-batching query service (ISSUE 6):
-//! single-query TCP requests are coalesced into micro-batches under a
-//! `--max-batch`/`--max-wait-us` policy with bounded-queue admission
-//! control (`--queue-cap`). `--self-test N --clients C` drives N
-//! requests through the bound server and exits — a one-command
-//! serving smoke.
+//! `serve` runs the online query service: single-query TCP requests
+//! wait in one bounded FIFO (`--queue-cap`; a full queue sheds with a
+//! typed `Overloaded`) until one of `--threads` serve workers claims
+//! them. `--self-test N --clients C` drives N requests through the
+//! bound server and exits — a one-command serving smoke.
+//!
+//! Each command accepts only the flags [`args::USAGE`] lists for it; any
+//! other flag is an error that names it.
 
 pub mod args;
 pub mod commands;

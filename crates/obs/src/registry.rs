@@ -72,20 +72,17 @@ pub struct Metrics {
     /// Wall time of the rerank pass per query (ns).
     pub search_rerank_latency_ns: Histogram,
 
-    // --- serve: online query service (micro-batching front door) ---
+    // --- serve: online query service (bounded FIFO front door) ---
     /// Requests admitted to the serving queue.
     pub serve_requests: Counter,
     /// Requests shed by admission control (typed `Overloaded`).
     pub serve_rejected: Counter,
     /// Requests rejected at admission for a malformed shape.
     pub serve_invalid: Counter,
-    /// Micro-batches dispatched.
-    pub serve_batches: Counter,
-    /// Realized batch size per dispatch.
-    pub serve_batch_size: Histogram,
     /// Queue depth observed at each admission.
     pub serve_queue_depth: Histogram,
-    /// Time-in-queue per request (ns), admission to dispatch.
+    /// Time-in-queue per request (ns), admission until a serve worker
+    /// claims it.
     pub serve_queue_wait_ns: Histogram,
     /// End-to-end latency per request (ns), admission to response send.
     pub serve_e2e_latency_ns: Histogram,
@@ -147,8 +144,6 @@ impl Metrics {
             serve_requests: Counter::new(),
             serve_rejected: Counter::new(),
             serve_invalid: Counter::new(),
-            serve_batches: Counter::new(),
-            serve_batch_size: Histogram::new(),
             serve_queue_depth: Histogram::new(),
             serve_queue_wait_ns: Histogram::new(),
             serve_e2e_latency_ns: Histogram::new(),
@@ -182,7 +177,7 @@ impl Metrics {
     }
 
     /// Every counter with its snapshot name, in export order.
-    fn counters(&self) -> [(&'static str, &Counter); 24] {
+    fn counters(&self) -> [(&'static str, &Counter); 23] {
         [
             ("build.graphs", &self.build_graphs),
             ("build.nn_iterations", &self.build_nn_iterations),
@@ -195,7 +190,6 @@ impl Metrics {
             ("serve.requests", &self.serve_requests),
             ("serve.rejected", &self.serve_rejected),
             ("serve.invalid", &self.serve_invalid),
-            ("serve.batches", &self.serve_batches),
             ("dyn.inserts", &self.dyn_inserts),
             ("dyn.deletes", &self.dyn_deletes),
             ("dyn.epoch_swaps", &self.dyn_epoch_swaps),
@@ -227,7 +221,7 @@ impl Metrics {
     }
 
     /// Every histogram with its snapshot name, in export order.
-    fn histograms(&self) -> [(&'static str, &Histogram); 15] {
+    fn histograms(&self) -> [(&'static str, &Histogram); 14] {
         [
             ("search.latency_ns", &self.search_latency_ns),
             ("search.iterations", &self.search_iterations),
@@ -237,7 +231,6 @@ impl Metrics {
             ("search.sort_len", &self.search_sort_len),
             ("search.rerank_depth", &self.search_rerank_depth),
             ("search.rerank_latency_ns", &self.search_rerank_latency_ns),
-            ("serve.batch_size", &self.serve_batch_size),
             ("serve.queue_depth", &self.serve_queue_depth),
             ("serve.queue_wait_ns", &self.serve_queue_wait_ns),
             ("serve.e2e_latency_ns", &self.serve_e2e_latency_ns),
@@ -329,11 +322,10 @@ mod tests {
         m.build_nn_join.record_ns(999);
         m.sim_cycles_hash.add(7);
         m.sim_tx_expand.add(3);
-        m.serve_batch_size.record(4);
         let snap = m.snapshot();
-        assert_eq!(snap.counters.len(), 25);
+        assert_eq!(snap.counters.len(), 24);
         assert_eq!(snap.spans.len(), 7);
-        assert_eq!(snap.histograms.len(), 15);
+        assert_eq!(snap.histograms.len(), 14);
         let get = |n: &str| snap.counters.iter().find(|c| c.name == n).unwrap().value;
         assert_eq!(get("build.graphs"), 1);
         assert_eq!(get("sim.cycles_hash"), 7);
@@ -343,8 +335,6 @@ mod tests {
         assert_eq!(lat.max, 1234);
         let join = snap.spans.iter().find(|s| s.name == "build.nn_join").unwrap();
         assert_eq!(join.total_ns, 999);
-        let bs = snap.histograms.iter().find(|h| h.name == "serve.batch_size").unwrap();
-        assert_eq!((bs.count, bs.max), (1, 4));
         reset();
         let snap = m.snapshot();
         assert!(snap.counters.iter().all(|c| c.value == 0));

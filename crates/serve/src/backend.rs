@@ -1,23 +1,20 @@
 //! Pluggable search backends for [`crate::Service`].
 //!
-//! The service core (admission, shape cache, batching, dispatch) is
-//! generic over *what* answers a query. Two backends exist:
+//! The service core (admission, queue, serve workers) is generic over
+//! *what* answers a query. Two backends exist:
 //!
-//! * [`cagra::CagraIndex`] — the static index. Its epoch is constant
-//!   (`0`), so shape validation caches forever; `insert`/`delete` are
+//! * [`cagra::CagraIndex`] — the static index; `insert`/`delete` are
 //!   refused with [`ServeError::Unsupported`].
 //! * [`cagra::DynamicIndex`] — the epoch-swapped mutable wrapper.
-//!   Every visible mutation (insert, delete, compaction swap) bumps
-//!   [`SearchBackend::epoch`], which invalidates the service's shape
-//!   cache so `k`-vs-live validation re-runs against the new snapshot.
+//!   Admission validates `k` against the live snapshot of the moment.
 //!
 //! The hot-path contract differs deliberately: the static backend runs
 //! the unchecked `search_mode_with` kernel (its validation cannot go
 //! stale), while the dynamic backend routes through
 //! [`cagra::DynamicIndex::search_clamped`] — between admission and
-//! dispatch a delete can shrink the live set below a validated `k`,
+//! the search a delete can shrink the live set below a validated `k`,
 //! and a clamped search degrades to fewer results instead of
-//! panicking mid-batch.
+//! panicking.
 
 use crate::error::ServeError;
 use cagra::search::planner::Mode;
@@ -30,12 +27,7 @@ pub trait SearchBackend: Send + Sync + 'static {
     /// Vector dimensionality every request must match.
     fn dim(&self) -> usize;
 
-    /// Publication epoch of the searched structure. Static backends
-    /// return a constant; mutable backends bump it on every visible
-    /// change. The service keys its shape cache on this value.
-    fn epoch(&self) -> u64;
-
-    /// Full request validation (admission path; cached per epoch).
+    /// Full request validation (admission path, once per request).
     fn validate_shape(
         &self,
         query_dim: usize,
@@ -72,10 +64,6 @@ impl<S: VectorStore + Send + 'static> SearchBackend for CagraIndex<S> {
         self.store().dim()
     }
 
-    fn epoch(&self) -> u64 {
-        0
-    }
-
     fn validate_shape(
         &self,
         query_dim: usize,
@@ -108,10 +96,6 @@ impl SearchBackend for DynamicIndex {
         DynamicIndex::dim(self)
     }
 
-    fn epoch(&self) -> u64 {
-        DynamicIndex::epoch(self)
-    }
-
     fn validate_shape(
         &self,
         query_dim: usize,
@@ -119,8 +103,8 @@ impl SearchBackend for DynamicIndex {
         _params: &SearchParams,
     ) -> Result<(), SearchError> {
         // The dynamic index owns its search parameters
-        // (`DynamicParams::search`); the service's params only steer
-        // batching, so shape validation ignores them.
+        // (`DynamicParams::search`), so shape validation ignores the
+        // service's.
         DynamicIndex::validate_shape(self, query_dim, k)
     }
 
@@ -135,7 +119,7 @@ impl SearchBackend for DynamicIndex {
         _params: &SearchParams,
         scratch: &mut SearchScratch,
     ) -> Vec<Neighbor> {
-        // Clamped: a delete racing between admission and dispatch can
+        // Clamped: a delete racing between admission and the search can
         // shrink the live set below the validated `k`.
         self.search_clamped(query, k, scratch)
     }

@@ -2,68 +2,46 @@
 
 use crate::error::ServeError;
 use cagra::SearchParams;
-use std::time::Duration;
 
-/// Batching + admission policy for a [`crate::Service`].
+/// Admission policy and search parameters for a [`crate::Service`].
 ///
-/// The batching rule is *dispatch immediately when idle, batch when
-/// loaded*: a request that arrives while a serve worker is idle is
-/// claimed without artificial delay unless [`ServeConfig::max_wait`]
-/// opens a coalescing window, and requests that accumulate while every
-/// worker is busy are drained together as one batch (load builds
-/// batches by itself). The window is deadline-aware — it is anchored at
-/// the *oldest* queued request's arrival time, so time a request
-/// already spent waiting behind busy workers counts against its
-/// window.
+/// Requests wait in one bounded FIFO; each idle serve worker claims the
+/// oldest, with no coalescing window and no batches.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Largest batch one drain may carry (>= 1).
+    /// No effect: nothing in `serve` reads it. Kept only because the
+    /// benchmark suite reads it; ROADMAP 7(9) removes it.
     pub max_batch: usize,
-    /// Coalescing window measured from the oldest queued request's
-    /// arrival. `Duration::ZERO` (the default) drains the moment an
-    /// idle worker sees work — minimum idle latency; a positive window
-    /// trades added latency for larger batches at moderate load. The
-    /// drain always happens early once `max_batch` is reached.
-    pub max_wait: Duration,
-    /// Admission-control shedding threshold (>= 1): a submit that finds this
-    /// many requests already queued is rejected with
-    /// [`ServeError::Overloaded`] instead of growing the queue, so
-    /// tail latency stays bounded under overload.
+    /// Admission-control shedding threshold (>= 1): a submit that finds
+    /// this many admitted requests not yet claimed by a worker is
+    /// rejected with [`ServeError::Overloaded`] instead of growing the
+    /// queue, so tail latency stays bounded under overload.
     pub queue_capacity: usize,
     /// Search parameters shared by every request this service answers
     /// (`k` stays per-request). The seed is used as-is for every
-    /// request, so a request's result does not depend on its position
-    /// within whatever batch it happened to join.
+    /// request, so a request's result does not depend on what else is
+    /// queued.
     pub params: SearchParams,
     /// Serve workers (0 = the workspace default, `CAGRA_THREADS` /
     /// available parallelism). Each worker searches one request at a
-    /// time, so this bounds the requests searched at once across
-    /// batches: a batch is shared by whichever workers are free, and a
-    /// new batch can start while the tail of the last one still runs.
+    /// time, so this bounds the requests searched at once.
     pub worker_threads: usize,
 }
 
 impl ServeConfig {
-    /// Defaults around [`SearchParams`]: batches up to 64, immediate
-    /// dispatch when idle, a 1024-deep admission queue.
+    /// Defaults around [`SearchParams`]: a 1024-deep admission queue
+    /// and the workspace default worker count.
     pub fn new(params: SearchParams) -> Self {
-        ServeConfig {
-            max_batch: 64,
-            max_wait: Duration::ZERO,
-            queue_capacity: 1024,
-            params,
-            worker_threads: 0,
-        }
+        ServeConfig { max_batch: 64, queue_capacity: 1024, params, worker_threads: 0 }
     }
 
     /// Reject configurations the service cannot run.
     pub fn validate(&self) -> Result<(), ServeError> {
-        match (self.max_batch, self.queue_capacity) {
-            (0, _) => Err(ServeError::BadConfig("max_batch must be >= 1")),
-            // A zero-deep queue would shed every request as `Overloaded`.
-            (_, 0) => Err(ServeError::BadConfig("queue_capacity must be >= 1")),
-            _ => Ok(()),
+        // A zero-deep queue would shed every request as `Overloaded`.
+        if self.queue_capacity == 0 {
+            return Err(ServeError::BadConfig("queue_capacity must be >= 1"));
         }
+        Ok(())
     }
 }
 
@@ -72,11 +50,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_validate_and_zero_batch_is_rejected() {
+    fn defaults_validate_and_a_zero_queue_is_rejected() {
         let c = ServeConfig::new(SearchParams::for_k(10));
         assert!(c.validate().is_ok());
-        let zero_batch = ServeConfig { max_batch: 0, ..c };
-        assert_eq!(zero_batch.validate(), Err(ServeError::BadConfig("max_batch must be >= 1")));
         let zero_queue = ServeConfig { queue_capacity: 0, ..c };
         assert_eq!(
             zero_queue.validate(),

@@ -1,19 +1,19 @@
-//! `cfg(loom)` concurrency model of the batcher's submit/claim
+//! `cfg(loom)` concurrency model of the admission FIFO's submit/claim
 //! handshake.
 //!
-//! The protocol under test: many producers call [`Batcher::submit`]
+//! The protocol under test: producers call [`Batcher::submit`]
 //! (bounded admission, Condvar notify) while two serve workers loop
-//! [`Batcher::claim`] until close-and-drained. The properties that
-//! must hold under *every* interleaving:
+//! [`Batcher::claim`] until close-and-empty. The properties that must
+//! hold under *every* interleaving:
 //!
 //! 1. **Exactly-once delivery** — every admitted request is claimed by
 //!    exactly one worker exactly once (no loss, no duplication), even
 //!    when close races with in-flight submits.
-//! 2. **Honest batch sizes** — every claim's `batch_size` is at most
-//!    `max_batch` and equals the number of requests drained with it.
-//! 3. **Bounded depth** — the queue never holds more than `capacity`
-//!    entries, so admission control is airtight, not best-effort.
-//! 4. **Clean termination** — a worker's `claim` returns `None` only
+//! 2. **FIFO per producer** — the requests one worker claims from one
+//!    producer come in that producer's submit order.
+//! 3. **Bounded admission** — the unclaimed count never exceeds
+//!    `capacity` at any submit, and a shed reports exactly `capacity`.
+//! 4. **Clean exit on close** — a worker's `claim` returns `None` only
 //!    after `close()` and once nothing is left to claim, and every
 //!    submit observes either admission or `ShuttingDown` /
 //!    `Overloaded` — never a hang.
@@ -30,28 +30,29 @@ use crate::error::ServeError;
 use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::Arc;
 use loom::thread;
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+const CAPACITY: usize = 4;
+const PER_PRODUCER: u32 = 8;
 
 fn job(tag: u32) -> Job {
     Job { query: vec![tag as f32], k: 1, enqueued: Instant::now() }
 }
 
-/// Submit every tag in `tags`, retrying sheds; returns the admitted
-/// tags.
-fn produce(b: &Batcher, tags: std::ops::Range<u32>) -> Vec<u32> {
+/// Submit every tag of producer `p` in order, retrying sheds; returns
+/// the admitted tags.
+fn produce(b: &Batcher, p: u32) -> Vec<u32> {
     let mut admitted = Vec::new();
-    for tag in tags {
-        // Under overload a submit may be rejected; the admission
-        // decision itself must be typed and depth-bounded.
+    for tag in p * PER_PRODUCER..(p + 1) * PER_PRODUCER {
         loop {
             match b.submit(job(tag)) {
                 Ok(_rx) => {
+                    assert!(b.depth() <= CAPACITY, "unclaimed requests exceed the capacity");
                     admitted.push(tag);
                     break;
                 }
                 Err(ServeError::Overloaded { depth, capacity }) => {
-                    assert!(depth >= capacity, "shed below threshold");
+                    assert_eq!((depth, capacity), (CAPACITY, CAPACITY), "shed off the threshold");
                     thread::yield_now();
                 }
                 Err(e) => panic!("unexpected admission error: {e}"),
@@ -61,29 +62,22 @@ fn produce(b: &Batcher, tags: std::ops::Range<u32>) -> Vec<u32> {
     admitted
 }
 
-/// Exactly-once delivery, honest batch sizes and bounded depth with
-/// three producers racing two workers.
+/// Exactly-once delivery, per-producer order and bounded admission
+/// with three producers racing two workers.
 #[test]
-fn submit_claim_handshake_delivers_exactly_once() {
+fn submit_claim_handshake_delivers_exactly_once_in_order() {
     loom::model(|| {
-        const PRODUCERS: usize = 3;
-        const WORKERS: usize = 2;
-        const PER_PRODUCER: u32 = 8;
-        const CAPACITY: usize = 4;
-        const MAX_BATCH: usize = 3;
         let b = Arc::new(Batcher::new(CAPACITY));
         let closing = Arc::new(AtomicBool::new(false));
 
-        let workers: Vec<_> = (0..WORKERS)
+        let workers: Vec<_> = (0..2)
             .map(|_| {
                 let b = Arc::clone(&b);
                 let closing = Arc::clone(&closing);
                 thread::spawn(move || {
-                    // (tag, batch_size, drain instant) per claim.
                     let mut claimed = Vec::new();
-                    while let Some(c) = b.claim(MAX_BATCH, Duration::ZERO) {
-                        assert!(c.batch_size <= MAX_BATCH, "batch exceeded max_batch");
-                        claimed.push((c.job.query[0] as u32, c.batch_size, c.dispatched));
+                    while let Some(p) = b.claim() {
+                        claimed.push(p.job.query[0] as u32);
                     }
                     assert!(closing.load(Ordering::SeqCst), "claim returned None before close");
                     claimed
@@ -93,37 +87,31 @@ fn submit_claim_handshake_delivers_exactly_once() {
 
         // Two spawned producers plus this thread as the third: with the
         // two workers that keeps the model at loom's five threads.
-        let producers: Vec<_> = (1..PRODUCERS as u32)
+        let producers: Vec<_> = (1..3)
             .map(|p| {
                 let b = Arc::clone(&b);
-                thread::spawn(move || produce(&b, p * PER_PRODUCER..(p + 1) * PER_PRODUCER))
+                thread::spawn(move || produce(&b, p))
             })
             .collect();
-        let mut admitted = produce(&b, 0..PER_PRODUCER);
+        let mut admitted = produce(&b, 0);
         for p in producers {
             admitted.extend(p.join().unwrap());
         }
         closing.store(true, Ordering::SeqCst);
         b.close();
-        let claims: Vec<_> = workers.into_iter().flat_map(|w| w.join().unwrap()).collect();
+        let claims: Vec<Vec<u32>> = workers.into_iter().map(|w| w.join().unwrap()).collect();
 
-        let mut seen: Vec<u32> = claims.iter().map(|&(tag, _, _)| tag).collect();
+        for claimed in &claims {
+            for pair in claimed.windows(2) {
+                let same_producer = pair[0] / PER_PRODUCER == pair[1] / PER_PRODUCER;
+                assert!(!same_producer || pair[0] < pair[1], "out of order: {pair:?}");
+            }
+        }
+        let mut seen: Vec<u32> = claims.concat();
         admitted.sort_unstable();
         seen.sort_unstable();
         assert_eq!(seen, admitted, "every admitted request must be claimed exactly once");
         assert_eq!(b.depth(), 0, "close-and-drain must leave the queue empty");
-
-        // Drains are serialised by the batcher lock, so each one has
-        // its own instant: group the claims by it.
-        let mut drains: BTreeMap<Instant, (usize, usize)> = BTreeMap::new();
-        for &(_, batch_size, dispatched) in &claims {
-            let (size, count) = drains.entry(dispatched).or_insert((batch_size, 0));
-            assert_eq!(*size, batch_size, "one drain reported two batch sizes");
-            *count += 1;
-        }
-        for (size, count) in drains.values() {
-            assert_eq!(size, count, "batch_size must equal the requests drained with it");
-        }
     });
 }
 
@@ -139,7 +127,7 @@ fn close_submit_race_never_loses_an_admitted_request() {
                 let b = Arc::clone(&b);
                 thread::spawn(move || {
                     let mut claimed = 0usize;
-                    while b.claim(8, Duration::ZERO).is_some() {
+                    while b.claim().is_some() {
                         claimed += 1;
                     }
                     claimed

@@ -1,15 +1,14 @@
-//! The long-lived query service: admission → micro-batch → serve
+//! The long-lived query service: admission → bounded FIFO → serve
 //! workers claiming one request at a time → per-request responses.
 
 use crate::backend::SearchBackend;
-use crate::batcher::{Batcher, Claimed, Job, Response, ResponseMeta};
+use crate::batcher::{Batcher, Job, Pending, Response, ResponseMeta};
 use crate::config::ServeConfig;
 use crate::error::ServeError;
-use cagra::SearchScratch;
+use cagra::{SearchParams, SearchScratch};
 use knn::parallel::default_threads;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -25,55 +24,6 @@ impl ResponseHandle {
     }
 }
 
-/// Cache of request shapes that already passed
-/// [`SearchBackend::validate_shape`], keyed on the backend's
-/// publication epoch. With per-service [`cagra::SearchParams`], a
-/// shape is fully determined by `(epoch, k)`, so repeat traffic skips
-/// parameter validation entirely — validation runs once per shape per
-/// epoch at admission, never per search.
-///
-/// The epoch key is what keeps the cache honest against mutable
-/// backends: a [`cagra::DynamicIndex`] bumps its epoch on every
-/// insert, delete, and compaction swap, and `k <= live` can go stale
-/// across any of those. A validated shape from epoch `e` is worthless
-/// at epoch `e+1`, so the first request after a swap clears the cache
-/// and revalidates. Static backends report a constant epoch and cache
-/// forever, exactly as before.
-struct ShapeCache {
-    /// `(epoch the cached shapes were validated against, valid ks)`.
-    ks: Mutex<(u64, Vec<usize>)>,
-    misses: AtomicU64,
-}
-
-impl ShapeCache {
-    fn new() -> Self {
-        ShapeCache { ks: Mutex::new((0, Vec::new())), misses: AtomicU64::new(0) }
-    }
-
-    fn contains(&self, epoch: u64, k: usize) -> bool {
-        let mut g = self.ks.lock().unwrap_or_else(|p| p.into_inner());
-        if g.0 != epoch {
-            g.0 = epoch;
-            g.1.clear();
-            return false;
-        }
-        g.1.contains(&k)
-    }
-
-    fn insert(&self, epoch: u64, k: usize) {
-        let mut g = self.ks.lock().unwrap_or_else(|p| p.into_inner());
-        if g.0 != epoch {
-            // A mutation landed between validation and this insert;
-            // drop the stale generation rather than poison the new one.
-            g.0 = epoch;
-            g.1.clear();
-        }
-        if !g.1.contains(&k) {
-            g.1.push(k);
-        }
-    }
-}
-
 /// A running serving instance over one search backend (a static
 /// [`cagra::CagraIndex`] or a mutable [`cagra::DynamicIndex`]).
 /// Submissions are thread-safe; [`ServeConfig::worker_threads`]
@@ -84,7 +34,6 @@ pub struct Service<B: SearchBackend> {
     backend: Arc<B>,
     batcher: Arc<Batcher>,
     config: ServeConfig,
-    shapes: ShapeCache,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -98,19 +47,13 @@ impl<B: SearchBackend> Service<B> {
         let batcher = Arc::new(Batcher::new(config.queue_capacity));
         let count =
             if config.worker_threads == 0 { default_threads() } else { config.worker_threads };
-        let mut service = Service {
-            backend,
-            batcher,
-            config,
-            shapes: ShapeCache::new(),
-            workers: Vec::with_capacity(count),
-        };
+        let mut service = Service { backend, batcher, config, workers: Vec::with_capacity(count) };
         for i in 0..count {
             let backend = Arc::clone(&service.backend);
             let batcher = Arc::clone(&service.batcher);
             let worker = std::thread::Builder::new()
                 .name(format!("cagra-serve-{i}"))
-                .spawn(move || worker_loop(&*backend, &batcher, &config));
+                .spawn(move || worker_loop(&*backend, &batcher, &config.params));
             // On failure, dropping `service` closes the batcher and
             // joins the workers started so far.
             service.workers.push(worker.map_err(|_| ServeError::SpawnFailed)?);
@@ -128,31 +71,22 @@ impl<B: SearchBackend> Service<B> {
         &self.config
     }
 
-    /// Current admission-queue depth.
+    /// Admitted requests that no worker has claimed yet.
     pub fn queue_depth(&self) -> usize {
         self.batcher.depth()
     }
 
-    /// How many times admission had to run full shape validation
-    /// (cache misses). Repeat traffic of one shape against one epoch
-    /// costs exactly one.
-    pub fn shape_cache_misses(&self) -> u64 {
-        self.shapes.misses.load(Ordering::Relaxed)
-    }
-
-    /// Validate-or-reuse the request shape, then admit. Returns the
-    /// handle the response arrives on, or a typed rejection
-    /// ([`ServeError::Invalid`] for malformed shapes,
-    /// [`ServeError::Overloaded`] when shed).
+    /// Validate the request shape, then admit. Returns the handle the
+    /// response arrives on, or a typed rejection ([`ServeError::Invalid`]
+    /// for malformed shapes, [`ServeError::Overloaded`] when shed).
+    ///
+    /// Validation runs on every submit, against the backend as it is
+    /// now; it is O(1) on both backends (a few compares on a static
+    /// index, one snapshot load on a dynamic one).
     pub fn submit(&self, query: &[f32], k: usize) -> Result<ResponseHandle, ServeError> {
-        let epoch = self.backend.epoch();
-        if !(self.shapes.contains(epoch, k) && query.len() == self.backend.dim()) {
-            self.shapes.misses.fetch_add(1, Ordering::Relaxed);
-            if let Err(e) = self.backend.validate_shape(query.len(), k, &self.config.params) {
-                obs::metrics().serve_invalid.inc();
-                return Err(ServeError::Invalid(e));
-            }
-            self.shapes.insert(epoch, k);
+        if let Err(e) = self.backend.validate_shape(query.len(), k, &self.config.params) {
+            obs::metrics().serve_invalid.inc();
+            return Err(ServeError::Invalid(e));
         }
         // ALLOW(alloc): admission copies the query exactly once — the
         // queued job must own its vector to outlive the caller.
@@ -166,9 +100,8 @@ impl<B: SearchBackend> Service<B> {
     }
 
     /// Add a vector through the backend (mutable backends only).
-    /// Mutations bypass the batcher: the backend serializes writers
-    /// itself, and the resulting epoch bump invalidates the shape
-    /// cache on the next submit.
+    /// Mutations bypass the queue: the backend serializes writers
+    /// itself.
     pub fn insert(&self, vector: &[f32]) -> Result<u32, ServeError> {
         self.backend.insert(vector)
     }
@@ -204,7 +137,7 @@ fn untraced_scratch() -> SearchScratch {
 }
 
 /// One serve worker: claim a request, search it on this worker's
-/// scratch, answer. Runs until the batcher is closed and drained.
+/// scratch, answer. Runs until the queue is closed and drained.
 ///
 /// Every request runs the backend's plan for the service's parameters
 /// ([`SearchBackend::mapping`]: multi-CTA with `num_cta` on a static
@@ -215,38 +148,29 @@ fn untraced_scratch() -> SearchScratch {
 /// page-faulted per request. A panicking search answers nothing — its
 /// caller sees [`ServeError::Disconnected`] — and the worker carries on
 /// with a fresh scratch in place of the one the panic left behind.
-fn worker_loop<B: SearchBackend>(backend: &B, batcher: &Batcher, config: &ServeConfig) {
+fn worker_loop<B: SearchBackend>(backend: &B, batcher: &Batcher, params: &SearchParams) {
     let mut scratch = untraced_scratch();
-    let (mode, num_cta) = backend.mapping(&config.params);
-    while let Some(Claimed { job, tx, batch_size, dispatched }) =
-        batcher.claim(config.max_batch, config.max_wait)
-    {
+    let (mode, num_cta) = backend.mapping(params);
+    while let Some(Pending { job, tx }) = batcher.claim() {
+        let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
+        obs::metrics().serve_queue_wait_ns.record(queue_ns);
         // No validation here: every job passed shape validation at
         // admission, so the hot path goes straight to the kernels.
         // (A mutable backend's search is clamped, so even a shape
         // staled by a concurrent delete degrades instead of failing.)
         let searched = catch_unwind(AssertUnwindSafe(|| {
-            backend.search(&job.query, job.k, &config.params, &mut scratch)
+            backend.search(&job.query, job.k, params, &mut scratch)
         }));
         let Ok(neighbors) = searched else {
             drop(tx);
             scratch = untraced_scratch();
             continue;
         };
-        let queue_ns = dispatched.duration_since(job.enqueued).as_nanos() as u64;
         let e2e_ns = job.enqueued.elapsed().as_nanos() as u64;
         obs::metrics().serve_e2e_latency_ns.record(e2e_ns);
+        let meta = ResponseMeta { batch_size: 1, mode, num_cta: num_cta as u32, queue_ns, e2e_ns };
         // A gone client (dropped handle / closed socket) is not an
         // error for the service.
-        let _ = tx.send(Response {
-            neighbors,
-            meta: ResponseMeta {
-                batch_size: batch_size as u32,
-                mode,
-                num_cta: num_cta as u32,
-                queue_ns,
-                e2e_ns,
-            },
-        });
+        let _ = tx.send(Response { neighbors, meta });
     }
 }

@@ -1,11 +1,10 @@
-//! Serving a mutable backend (ISSUE 10):
+//! Serving a mutable backend:
 //!
-//! * **Shape-cache staleness** — the regression this PR fixes: a `k`
-//!   validated against one epoch must be revalidated after any
-//!   mutation, because a delete can shrink the live set below it. The
-//!   cache is keyed on the backend epoch, so the first submit after a
-//!   swap takes a miss and the stale shape is refused with the typed
-//!   `SearchError` instead of silently served.
+//! * **Validation against the live set** — a `k` that was valid must
+//!   be refused once deletes shrink the live set below it: admission
+//!   validates every request against the snapshot of the moment, so
+//!   the shape is refused with the typed `SearchError` instead of
+//!   silently served.
 //! * **Mutations over TCP** — `OP_INSERT`/`OP_DELETE` round-trip
 //!   through the wire protocol: inserts surface in subsequent
 //!   searches, deletes disappear immediately, acks carry the id /
@@ -37,40 +36,33 @@ fn dynamic_index(n: usize) -> DynamicIndex {
 }
 
 #[test]
-fn stale_shape_cache_is_invalidated_by_the_epoch_bump() {
+fn a_k_made_invalid_by_deletes_is_refused_at_admission() {
     let ix = dynamic_index(20);
     let service =
         Service::start(ix, ServeConfig::new(SearchParams::for_k(10))).expect("start service");
     let q = [0.25f32; DIM];
 
-    // k = 10 against 20 live rows: valid, and the shape caches — the
-    // second request must not revalidate.
+    // k = 10 against 20 live rows: valid.
     let first = service.search_blocking(&q, 10).expect("first search");
     assert_eq!(first.neighbors.len(), 10);
     // The dynamic backend reports its own plan, not the service's
     // `num_cta`.
     assert_eq!((first.meta.mode, first.meta.num_cta), (DynamicIndex::MAIN_MODE, 1));
-    let misses = service.shape_cache_misses();
-    service.search_blocking(&q, 10).expect("cached-shape search");
-    assert_eq!(service.shape_cache_misses(), misses, "same epoch + shape must not revalidate");
 
-    // Delete 16 of the 20 rows: live drops to 4 < k and the epoch
-    // advances past the cached generation.
+    // Delete 16 of the 20 rows: live drops to 4 < k.
     for id in 0..16u32 {
         assert_eq!(service.delete(id), Ok(true), "delete({id})");
     }
-    // The cached k = 10 is now a lie. An epoch-blind cache would admit
-    // it straight to the hot path; the epoch key forces revalidation,
-    // which refuses it with the exact underlying error.
+    // The k = 10 that served above is now refused with the exact
+    // underlying error.
     assert_eq!(
         service.search_blocking(&q, 10).unwrap_err(),
         ServeError::Invalid(SearchError::KExceedsDataset { k: 10, n: 4 }),
-        "stale shape must be re-refused after the swap"
+        "a k above the live count must be refused"
     );
-    assert!(service.shape_cache_misses() > misses, "the stale shape must cost a miss");
 
     // A shape that fits the shrunken live set validates and serves.
-    assert_eq!(service.search_blocking(&q, 4).expect("post-swap search").neighbors.len(), 4);
+    assert_eq!(service.search_blocking(&q, 4).expect("post-delete search").neighbors.len(), 4);
 }
 
 #[test]

@@ -1,27 +1,25 @@
-//! End-to-end serving semantics (ISSUE 6):
+//! End-to-end serving semantics:
 //!
-//! * **Parity** — results served through the micro-batching service
-//!   are bit-identical to direct multi-CTA `search_mode` calls under
-//!   the service's parameters, no matter how requests were coalesced:
-//!   a request drained with 47 others gets the bits it gets alone.
+//! * **Parity** — results served through the service are
+//!   bit-identical to direct multi-CTA `search_mode` calls under the
+//!   service's parameters, no matter how much was queued: each of 48
+//!   requests queued behind a held worker gets the bits it gets alone.
 //! * **Exactly-once** — N concurrent client threads each get exactly
 //!   one response per request.
-//! * **Batching** — co-arrivals inside a coalescing window ride one
-//!   batch, and the batch dispatches early once `max_batch` is
-//!   reached.
 //! * **Admission control** — typed `Overloaded` rejection, accurate
-//!   queue-depth reporting, recovery after drain (the queue-level legs
-//!   live in `batcher.rs`; here the service-level surface).
-//! * **Validation caching** — shape validation runs once per request
-//!   shape, not per batch dispatch, and a malformed request is
-//!   rejected with the underlying `SearchError` without poisoning the
-//!   batcher.
+//!   queue-depth reporting, recovery after a claim (the queue-level
+//!   legs live in `batcher.rs`; here the service-level surface).
+//! * **Queue wait** — `queue_ns` runs until a worker claims the
+//!   request, so it covers the wait for a free worker.
+//! * **Validation** — a malformed request is rejected with the
+//!   underlying `SearchError` without poisoning the queue.
 //! * **TCP** — the same contract holds across the wire protocol.
 //! * **Worker pool** — each serve worker's `SearchScratch` outlives
-//!   every batch; a scratch recycled across batch sizes and from `k`
-//!   to `k`, with rerank, serves the same bits as a fresh one. Lone requests and the requests of one batch search on
-//!   different workers at once, and a panicking search answers its
-//!   own caller with `Disconnected` without stranding later requests.
+//!   every request; a scratch recycled across bursts of every size and
+//!   from `k` to `k`, with rerank, serves the same bits as a fresh one.
+//!   Lone requests and queued ones search on different workers at
+//!   once, and a panicking search answers its own caller with
+//!   `Disconnected` without stranding later requests.
 
 use cagra::search::planner::Mode;
 use cagra::{CagraIndex, GraphConfig, SearchError, SearchParams, SearchScratch};
@@ -30,7 +28,7 @@ use dataset::{Dataset, VectorStore};
 use distance::Metric;
 use knn::topk::Neighbor;
 use serve::{Client, Response, SearchBackend, ServeConfig, ServeError, Service, TcpServer};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -47,7 +45,7 @@ fn build_index() -> (CagraIndex<Dataset>, Dataset) {
 /// Recompute the reference result for one served response: same
 /// query, same params, multi-CTA — the one plan the service runs, which
 /// the response must report. The service guarantees results depend
-/// only on these — never on which other requests shared the batch.
+/// only on these — never on what else was queued.
 fn reference(
     index: &CagraIndex<Dataset>,
     params: &SearchParams,
@@ -100,48 +98,23 @@ fn concurrent_clients_get_exactly_one_bit_identical_response_each() {
     seen.sort_unstable();
     assert_eq!(seen, (0..CLIENTS * per_client).collect::<Vec<_>>());
 
-    // Bit-identical to a direct multi-CTA search, regardless of
-    // realized batch composition.
+    // Bit-identical to a direct multi-CTA search, whatever else was
+    // queued.
     for (qi, resp) in &responses {
-        assert!(resp.meta.batch_size >= 1);
+        assert_eq!(resp.meta.batch_size, 1);
         assert!(resp.meta.queue_ns <= resp.meta.e2e_ns, "queue time exceeds end-to-end");
         let fresh = reference(service.backend(), &params, queries.row(*qi), resp);
         assert_bit_identical(&resp.neighbors, &fresh, &format!("query {qi}"));
     }
 }
 
+/// An answer does not depend on how busy the service is: 48 requests
+/// queued behind a held worker each get the bits the same query gets
+/// served alone — and gets from a direct multi-CTA search under the
+/// service's parameters.
 #[test]
-fn co_arrivals_inside_the_window_ride_one_batch_and_dispatch_early_when_full() {
-    let (index, queries) = build_index();
-    let mut config = ServeConfig::new(SearchParams::for_k(K));
-    // A wide window, but max_batch = 4: the batch must dispatch the
-    // moment the 4th request lands, not after the window.
-    config.max_wait = Duration::from_secs(2);
-    config.max_batch = 4;
-    let service = Service::start(index, config).expect("start service");
-
-    let handles: Vec<_> =
-        (0..4).map(|qi| service.submit(queries.row(qi), K).expect("admitted")).collect();
-    let t0 = std::time::Instant::now();
-    let responses: Vec<Response> = handles.into_iter().map(|h| h.wait().expect("served")).collect();
-    assert!(
-        t0.elapsed() < Duration::from_secs(2),
-        "a full batch must not sit out the coalescing window"
-    );
-    for resp in &responses {
-        assert_eq!(resp.meta.batch_size, 4, "co-arrivals must coalesce into one batch");
-    }
-    // All four report the one plan, whatever the realized size.
-    assert!(responses.iter().all(|r| (r.meta.mode, r.meta.num_cta) == (Mode::MultiCta, 16)));
-}
-
-/// An answer does not depend on how busy the service is: requests
-/// co-submitted inside one coalescing window ride one large drain, and
-/// each gets the bits the same query gets served alone — and gets from
-/// a direct multi-CTA search under the service's parameters.
-#[test]
-fn a_request_in_a_large_drain_gets_the_bits_it_gets_alone() {
-    const CLIENTS: usize = 48;
+fn requests_queued_behind_a_held_worker_get_the_bits_they_get_alone() {
+    const QUEUED: usize = 48;
     let (index, queries) = build_index();
     let copy = CagraIndex::from_parts(
         Dataset::from_flat(index.store().as_flat().to_vec(), index.store().dim()),
@@ -150,29 +123,53 @@ fn a_request_in_a_large_drain_gets_the_bits_it_gets_alone() {
     );
     let params = SearchParams::for_k(K);
     let mut config = ServeConfig::new(params);
-    config.worker_threads = 2;
+    config.worker_threads = 1;
     let alone = Service::start(copy, config).expect("start service");
-    // A wide window that closes early once the drain is full.
-    config.max_batch = CLIENTS;
-    config.max_wait = Duration::from_secs(5);
-    let busy = Service::start(index, config).expect("start service");
+    let busy = Service::start(Probe::new(index, 2), config).expect("start service");
 
+    let held = busy.submit(queries.row(QUEUED), K).expect("admitted");
+    assert_eq!(busy.backend().wait_entered(1), 1, "the held request never reached its search");
     let handles: Vec<_> =
-        (0..CLIENTS).map(|qi| busy.submit(queries.row(qi), K).expect("admitted")).collect();
+        (0..QUEUED).map(|qi| busy.submit(queries.row(qi), K).expect("admitted")).collect();
+    assert_eq!(busy.queue_depth(), QUEUED);
+    busy.backend().release();
+    held.wait().expect("served");
     for (qi, handle) in handles.into_iter().enumerate() {
-        let crowded = handle.wait().expect("served");
-        assert_eq!(crowded.meta.batch_size as usize, CLIENTS, "query {qi}: one drain");
+        let queued = handle.wait().expect("served");
         let lone = alone.search_blocking(queries.row(qi), K).expect("served");
-        assert_eq!(lone.meta.batch_size, 1);
-        for meta in [crowded.meta, lone.meta] {
+        for meta in [queued.meta, lone.meta] {
+            assert_eq!(meta.batch_size, 1);
             assert_eq!((meta.mode, meta.num_cta as usize), (Mode::MultiCta, params.num_cta));
         }
-        let label = format!("query {qi}: drained with {CLIENTS} vs alone");
-        assert_bit_identical(&crowded.neighbors, &lone.neighbors, &label);
+        let label = format!("query {qi}: queued behind {qi} others vs alone");
+        assert_bit_identical(&queued.neighbors, &lone.neighbors, &label);
         let mut fresh = SearchScratch::new();
-        busy.backend().search_mode_with(queries.row(qi), K, &params, Mode::MultiCta, &mut fresh);
-        assert_bit_identical(&crowded.neighbors, fresh.results(), &format!("query {qi}"));
+        let ix = &busy.backend().index;
+        ix.search_mode_with(queries.row(qi), K, &params, Mode::MultiCta, &mut fresh);
+        assert_bit_identical(&queued.neighbors, fresh.results(), &format!("query {qi}"));
     }
+}
+
+/// Queue wait ends when a worker claims the request, not earlier: with
+/// one worker, B queued behind A waits out all of A's search.
+#[test]
+fn queue_wait_runs_until_a_worker_claims_the_request() {
+    let (service, queries) = probe_service(|ix| Probe { slow_k: SLOW_K, ..Probe::new(ix, 2) }, 1);
+    let held = service.submit(queries.row(0), K).expect("admitted");
+    assert_eq!(service.backend().wait_entered(1), 1, "the held request never reached its search");
+    let a = service.submit(queries.row(1), SLOW_K).expect("admitted");
+    let b = service.submit(queries.row(2), K).expect("admitted");
+    service.backend().release();
+    held.wait().expect("served");
+    let (a, b) = (a.wait().expect("served"), b.wait().expect("served"));
+    // A's search: from its claim to its answer.
+    let a_search = a.meta.e2e_ns - a.meta.queue_ns;
+    assert!(a_search >= SLOW.as_nanos() as u64, "A's search took {a_search} ns");
+    assert!(
+        b.meta.queue_ns > a_search,
+        "B waited {} ns in the queue, less than A's {a_search} ns search",
+        b.meta.queue_ns
+    );
 }
 
 /// A service whose one worker is held inside a search (a rendezvous
@@ -202,7 +199,7 @@ fn overload_is_typed_and_the_service_reports_queue_depth() {
         other => panic!("expected Overloaded, got {:?}", other.err()),
     }
     assert_eq!(service.queue_depth(), 1, "a shed request must not occupy the queue");
-    // Recovery after drain: the admitted requests are answered and the
+    // Recovery: the admitted requests are answered and the
     // freed slot admits again.
     service.backend().release();
     for handle in admitted {
@@ -234,32 +231,11 @@ fn malformed_requests_are_rejected_without_poisoning_the_batcher() {
     ));
     assert_eq!(service.queue_depth(), 0, "rejected requests must never enter the queue");
 
-    // The batcher is not poisoned: valid traffic is still served
+    // The queue is not poisoned: valid traffic is still served
     // correctly after the rejections.
     let resp = service.search_blocking(queries.row(0), K).expect("service still healthy");
     let fresh = reference(service.backend(), &params, queries.row(0), &resp);
     assert_bit_identical(&resp.neighbors, &fresh, "post-rejection request");
-}
-
-#[test]
-fn shape_validation_runs_once_per_shape_not_per_dispatch() {
-    let (index, queries) = build_index();
-    let service = Service::start(index, ServeConfig::new(SearchParams::for_k(K))).unwrap();
-    assert_eq!(service.shape_cache_misses(), 0);
-    // Many requests, two shapes: exactly two validation runs.
-    for qi in 0..20 {
-        service.search_blocking(queries.row(qi), K).expect("served");
-    }
-    assert_eq!(service.shape_cache_misses(), 1, "one shape must validate exactly once");
-    for qi in 0..10 {
-        service.search_blocking(queries.row(qi), K - 1).expect("served");
-    }
-    assert_eq!(service.shape_cache_misses(), 2, "second shape adds exactly one validation");
-    // Invalid shapes never enter the cache, so they are re-validated
-    // (and re-rejected) each time — correctness beats caching there.
-    let _ = service.submit(queries.row(0), 0);
-    let _ = service.submit(queries.row(0), 0);
-    assert_eq!(service.shape_cache_misses(), 4);
 }
 
 #[test]
@@ -402,10 +378,10 @@ fn pq_backed_service_serves_two_phase_exact_distances() {
 }
 
 /// The case a recycled scratch could get wrong: one service, one pair
-/// of long-lived scratches, and traffic whose batch sizes keep changing
-/// — lone requests, full drains past the Fig. 7 crossover
+/// of long-lived scratches, and traffic in bursts whose sizes keep
+/// changing — lone requests, bursts past the Fig. 7 crossover
 /// (`planner::BATCH_THRESHOLD`, where the paper's rule would switch to
-/// single-CTA), small drains in between — with `k = 10` beside `k = 1`
+/// single-CTA), small bursts in between — with `k = 10` beside `k = 1`
 /// and every request followed by the exact rerank pass. Each response
 /// must report the one multi-CTA plan and equal `search_mode_with` on a
 /// fresh scratch under it, bit for bit.
@@ -423,13 +399,9 @@ fn a_recycled_scratch_serves_every_shape_bit_identically() {
     params.itopk = 128;
     params.rerank_depth = 64;
     let mut config = ServeConfig::new(params);
-    config.max_batch = FULL;
-    // Co-submitted waves coalesce; a full wave dispatches at once.
-    config.max_wait = Duration::from_millis(500);
     config.worker_threads = 2;
     let service = Service::start(index, config).expect("start service");
 
-    let mut sizes = BTreeSet::new();
     for (wave, &size) in [1, FULL, 1, 7, FULL, 2].iter().enumerate() {
         let ks: Vec<usize> = (0..size).map(|i| if (wave + i) % 3 == 0 { 1 } else { K }).collect();
         let handles: Vec<_> = ks
@@ -439,7 +411,6 @@ fn a_recycled_scratch_serves_every_shape_bit_identically() {
             .collect();
         for (qi, (handle, &k)) in handles.into_iter().zip(&ks).enumerate() {
             let resp = handle.wait().expect("served");
-            sizes.insert(resp.meta.batch_size);
             assert_eq!((resp.meta.mode, resp.meta.num_cta as usize), (Mode::MultiCta, 16));
             let mut fresh = SearchScratch::new();
             service.backend().search_mode_with(
@@ -450,15 +421,19 @@ fn a_recycled_scratch_serves_every_shape_bit_identically() {
                 &mut fresh,
             );
             assert_eq!(resp.neighbors.len(), k);
-            let label = format!("wave {wave} query {qi} k {k} batch {}", resp.meta.batch_size);
+            let label = format!("wave {wave} query {qi} k {k}");
             assert_bit_identical(&resp.neighbors, fresh.results(), &label);
         }
     }
-    assert!(sizes.contains(&1) && sizes.contains(&(FULL as u32)), "batch sizes: {sizes:?}");
 }
 
 /// How long a rendezvous search waits for company before giving up.
 const RENDEZVOUS: Duration = Duration::from_secs(5);
+
+/// The `k` whose searches a [`Probe`] built with `slow_k: SLOW_K`
+/// stretches by [`SLOW`].
+const SLOW_K: usize = K - 1;
+const SLOW: Duration = Duration::from_millis(100);
 
 #[derive(Default)]
 struct ProbeState {
@@ -475,19 +450,28 @@ struct ProbeState {
 /// A backend whose searches meet: each one waits (up to
 /// [`RENDEZVOUS`]) until `meet` searches have been in flight at once,
 /// so a test can tell a pool that runs requests side by side from one
-/// that runs them in turn. It also panics on `k == panic_k` (0, the
-/// default, never reaches a search: admission refuses `k = 0`).
+/// that runs them in turn. It also panics on `k == panic_k` and sleeps
+/// [`SLOW`] on `k == slow_k` (0, the default, never reaches a search:
+/// admission refuses `k = 0`).
 struct Probe {
     index: CagraIndex<Dataset>,
     meet: usize,
     panic_k: usize,
+    slow_k: usize,
     state: Mutex<ProbeState>,
     changed: Condvar,
 }
 
 impl Probe {
     fn new(index: CagraIndex<Dataset>, meet: usize) -> Self {
-        Probe { index, meet, panic_k: 0, state: Mutex::default(), changed: Condvar::new() }
+        Probe {
+            index,
+            meet,
+            panic_k: 0,
+            slow_k: 0,
+            state: Mutex::default(),
+            changed: Condvar::new(),
+        }
     }
 
     /// Block until `n` searches have entered (or the rendezvous time
@@ -518,10 +502,6 @@ impl SearchBackend for Probe {
         SearchBackend::dim(&self.index)
     }
 
-    fn epoch(&self) -> u64 {
-        0
-    }
-
     fn validate_shape(&self, dim: usize, k: usize, p: &SearchParams) -> Result<(), SearchError> {
         self.index.validate_shape(dim, k, p)
     }
@@ -545,6 +525,9 @@ impl SearchBackend for Probe {
             self.changed.notify_all();
             let _ = self.changed.wait_timeout_while(state, RENDEZVOUS, |s| s.peak < self.meet);
         }
+        if k == self.slow_k {
+            thread::sleep(SLOW);
+        }
         let neighbors = SearchBackend::search(&self.index, query, k, params, scratch);
         let lent = scratch as *const SearchScratch as usize;
         let mut state = self.state.lock().unwrap();
@@ -558,27 +541,22 @@ impl SearchBackend for Probe {
 fn probe_service(
     probe: impl FnOnce(CagraIndex<Dataset>) -> Probe,
     workers: usize,
-    max_batch: usize,
-    max_wait: Duration,
 ) -> (Service<Probe>, Dataset) {
     let (index, queries) = build_index();
     let mut config = ServeConfig::new(SearchParams::for_k(K));
     config.worker_threads = workers;
-    config.max_batch = max_batch;
-    config.max_wait = max_wait;
     (Service::start(probe(index), config).expect("start service"), queries)
 }
 
 #[test]
 fn a_lone_request_starts_while_another_is_still_searching() {
-    // A zero window: each request is drained alone, the moment it lands.
-    let (service, queries) = probe_service(|ix| Probe::new(ix, 2), 2, 64, Duration::ZERO);
+    let (service, queries) = probe_service(|ix| Probe::new(ix, 2), 2);
     let first = service.submit(queries.row(0), K).expect("admitted");
     assert_eq!(service.backend().wait_entered(1), 1, "request 1 never reached its search");
     let second = service.submit(queries.row(1), K).expect("admitted");
     for (qi, handle) in [first, second].into_iter().enumerate() {
         let resp = handle.wait().expect("served");
-        assert_eq!(resp.meta.batch_size, 1, "request {qi} rode alone");
+        assert_eq!(resp.meta.batch_size, 1, "request {qi} searched alone");
     }
     let (seen, peak) = service.backend().take();
     assert_eq!(seen.len(), 2);
@@ -586,22 +564,20 @@ fn a_lone_request_starts_while_another_is_still_searching() {
 }
 
 #[test]
-fn a_batch_is_shared_by_the_free_workers_on_stable_recycled_scratches() {
-    const BATCH: usize = 4;
-    // A wide window: each wave of co-submitted requests is one batch.
-    let (service, queries) =
-        probe_service(|ix| Probe::new(ix, 2), 2, BATCH, Duration::from_secs(2));
+fn queued_requests_are_shared_by_the_free_workers_on_stable_recycled_scratches() {
+    const WAVE: usize = 4;
+    let (service, queries) = probe_service(|ix| Probe::new(ix, 2), 2);
     // thread -> the one scratch it searches on, across every wave.
     let mut owner: BTreeMap<usize, thread::ThreadId> = BTreeMap::new();
     for wave in 0..3 {
         let handles: Vec<_> =
-            (0..BATCH).map(|qi| service.submit(queries.row(qi), K).expect("admitted")).collect();
+            (0..WAVE).map(|qi| service.submit(queries.row(qi), K).expect("admitted")).collect();
         for handle in handles {
-            assert_eq!(handle.wait().expect("served").meta.batch_size as usize, BATCH);
+            assert_eq!(handle.wait().expect("served").meta.batch_size, 1);
         }
         let (seen, peak) = service.backend().take();
-        assert_eq!(seen.len(), BATCH);
-        assert_eq!(peak, 2, "wave {wave}: two searches of one batch in flight at once");
+        assert_eq!(seen.len(), WAVE);
+        assert_eq!(peak, 2, "wave {wave}: two searches of one wave in flight at once");
         for &(thread, scratch, reused) in &seen {
             assert_eq!(
                 *owner.entry(scratch).or_insert(thread),
@@ -618,8 +594,7 @@ fn a_batch_is_shared_by_the_free_workers_on_stable_recycled_scratches() {
 
 #[test]
 fn a_panicking_search_answers_disconnected_and_the_worker_keeps_serving() {
-    let (service, queries) =
-        probe_service(|ix| Probe { panic_k: 3, ..Probe::new(ix, 1) }, 1, 64, Duration::ZERO);
+    let (service, queries) = probe_service(|ix| Probe { panic_k: 3, ..Probe::new(ix, 1) }, 1);
     let service = Arc::new(service);
 
     let (tx, rx) = mpsc::channel();

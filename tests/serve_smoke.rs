@@ -29,10 +29,6 @@ impl SearchBackend for Pair {
         SearchBackend::dim(&self.index)
     }
 
-    fn epoch(&self) -> u64 {
-        0
-    }
-
     fn validate_shape(&self, dim: usize, k: usize, p: &SearchParams) -> Result<(), SearchError> {
         self.index.validate_shape(dim, k, p)
     }
