@@ -452,7 +452,7 @@ impl DynamicIndex {
     /// Search with `k` clamped to the live count instead of erroring —
     /// the serving hot path uses this after admission-time validation,
     /// because concurrent deletes can shrink `live` below a `k` that
-    /// validated moments ago, and a dispatched batch must not panic.
+    /// validated moments ago, and a serve worker must not panic.
     /// Returns fewer than `k` results exactly when `k > live`. The main
     /// segment's traversal runs on the caller's `scratch`, so a worker
     /// that keeps one across requests searches without allocating it.

@@ -18,8 +18,9 @@
 //! The GPU model — its standard and "forgettable" visited hash tables,
 //! the memory-access log, team sizes, occupancy and transactions —
 //! lives in the separate `gpu-sim` crate, which runs the same loop
-//! through a hidden hook and prices the [`search::trace::SearchTrace`]
-//! it records.
+//! through a hidden hook on its own visited tables and prices the
+//! [`search::trace::SearchTrace`] it records together with what those
+//! tables record.
 //!
 //! ```
 //! use cagra::{CagraIndex, GraphConfig, SearchParams};

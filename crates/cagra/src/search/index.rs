@@ -6,11 +6,10 @@
 //! traces on request; thread-parallel over queries, the CPU analogue
 //! of launching one CTA per query), one unchecked hot entry on caller
 //! scratch ([`CagraIndex::search_mode_with`]) and three panicking
-//! one-line conveniences over the validated entry. `gpu-sim` runs both
-//! entries on its own visited tables through their hidden `*_hooked`
-//! forms.
+//! one-line conveniences over the validated entry. `gpu-sim` runs the
+//! hot entry on its own visited tables through its hidden
+//! [`CagraIndex::search_hooked`] form.
 
-use super::dense::DenseVisited;
 use super::kernel::{search_query, Hook};
 use super::planner::{choose, Mode};
 use super::scratch::SearchScratch;
@@ -160,10 +159,9 @@ impl<S: VectorStore> CagraIndex<S> {
 
     /// Validate a request *shape* — `(k, query_dim, params)` against
     /// this index — without running a search. The serving layer calls
-    /// this once per distinct shape at admission time and then uses
-    /// the validation-free [`CagraIndex::search_mode_with`] on the hot
-    /// dispatch path, so a malformed request is rejected before it can
-    /// enter a batch (and validation is not re-run per dispatch).
+    /// this once per request at admission time and then runs the
+    /// validation-free [`CagraIndex::search_mode_with`] on a serve
+    /// worker, so a malformed request is rejected before it is queued.
     pub fn validate_shape(
         &self,
         query_dim: usize,
@@ -198,21 +196,6 @@ impl<S: VectorStore> CagraIndex<S> {
         mode: Option<Mode>,
         traced: bool,
     ) -> Result<SearchOutput, SearchError> {
-        self.try_search_batch_hooked(queries, k, params, mode, traced, DenseVisited::default)
-    }
-
-    /// [`CagraIndex::try_search_batch`] with each worker thread's
-    /// visited set made by `hook`.
-    #[doc(hidden)]
-    pub fn try_search_batch_hooked<Q: VectorStore, H: Hook>(
-        &self,
-        queries: &Q,
-        k: usize,
-        params: &SearchParams,
-        mode: Option<Mode>,
-        traced: bool,
-        hook: impl Fn() -> H + Sync,
-    ) -> Result<SearchOutput, SearchError> {
         self.validate_shape(queries.dim(), k, params)?;
         let mode = mode.unwrap_or_else(|| choose(queries.len(), params.itopk));
         let state = || {
@@ -220,16 +203,16 @@ impl<S: VectorStore> CagraIndex<S> {
             // Untraced: skip per-iteration records so the steady state
             // stays allocation-free.
             scratch.set_record_trace(traced);
-            (scratch, hook())
+            scratch
         };
-        let run = |(scratch, hook): &mut (SearchScratch, H), qi: usize| {
+        let run = |scratch: &mut SearchScratch, qi: usize| {
             // Stage the row in the scratch's recycled buffer, taken out
             // so the query and the scratch can be borrowed together.
             let mut q = std::mem::take(&mut scratch.query);
             q.resize(queries.dim(), 0.0);
             queries.get_into(qi, &mut q);
             let p = SearchParams { seed: params.seed_for_query(qi), ..*params };
-            self.search_hooked(&q, k, &p, mode, scratch, hook);
+            self.search_mode_with(&q, k, &p, mode, scratch);
             scratch.query = q;
             (scratch.results().to_vec(), traced.then(|| scratch.trace().clone()))
         };

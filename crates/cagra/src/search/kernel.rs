@@ -18,21 +18,22 @@
 //!   `num_cta * d` nodes versus `p * d`, which keeps the GPU busy at
 //!   batch sizes as small as 1.
 //!
-//! The loop is generic over a [`Hook`]: its visited set plus whatever
-//! else a caller wants to see of the loop. A host search runs
-//! [`super::dense::DenseVisited`] (one stamp per graph row, never
+//! The loop is generic over a [`Hook`], its visited set. A host search
+//! runs [`super::dense::DenseVisited`] (one stamp per graph row, never
 //! full), which implements only `begin` and `insert`, so the host loop
-//! carries no simulation branches; `gpu-sim` brings the GPU's hash
-//! tables and the access log. Only first-visit neighbors enter the
-//! candidate segment; the trace reports the `p * d` slots a warp
-//! would sort.
+//! carries no simulation branches. `gpu-sim` brings the GPU's hash
+//! tables, which also see each expansion's parents through
+//! [`Hook::expand`] and derive their probe counts, resets and access
+//! log from what the loop asks of them. Only first-visit neighbors
+//! enter the candidate segment; the trace reports the `p * d` slots a
+//! warp would sort.
 
 use super::buffer::{BufEntry, SearchBuffer};
 use super::index::CagraIndex;
 use super::parent::{is_parented, node_id, set_parented, INVALID};
 use super::planner::Mode;
 use super::scratch::SearchScratch;
-use super::trace::{IterationTrace, SearchTrace};
+use super::trace::IterationTrace;
 use crate::params::SearchParams;
 use dataset::VectorStore;
 use distance::DistanceOracle;
@@ -83,9 +84,9 @@ impl Shape {
     }
 }
 
-/// What the loop asks of its visited set, and the points where a
-/// caller outside the host path (`gpu-sim`) observes it. Everything but
-/// [`Hook::insert`] defaults to doing nothing.
+/// What the loop asks of its visited set. A caller outside the host
+/// path (`gpu-sim`) also sees each expansion through [`Hook::expand`],
+/// which defaults to doing nothing, as does [`Hook::begin`].
 #[doc(hidden)]
 pub trait Hook {
     /// Before the search: the graph's row count, the round cap, and the
@@ -93,20 +94,10 @@ pub trait Hook {
     fn begin(&mut self, _rows: usize, _max_rounds: usize, _round_slots: usize) {}
     /// Mark `id` visited; `true` on its first visit.
     fn insert(&mut self, id: u32) -> bool;
-    /// Hash probe steps so far.
-    fn probes(&self) -> u64 {
-        0
-    }
-    /// Before a worker expands in `round`: forget all but its top-M if
-    /// a reset is due (Sec. IV-B3). `true` if one happened.
-    fn forget(&mut self, _round: usize, _buf: &SearchBuffer) -> bool {
-        false
-    }
-    /// Rows a worker gathered in `round` (`None`: the random
-    /// initialization): the parents it expands, the nodes it scores.
-    fn log(&mut self, _round: Option<usize>, _parents: &[u32], _scored: &[u32]) {}
-    /// After the search, with its trace.
-    fn finish(&mut self, _trace: &mut SearchTrace) {}
+    /// Before a worker expands `parents` in `round`, with its buffer
+    /// (whose top-M a forgettable table keeps across a reset,
+    /// Sec. IV-B3). The inserts that follow are that expansion's.
+    fn expand(&mut self, _round: usize, _parents: &[u32], _buf: &SearchBuffer) {}
 }
 
 /// Search `index` for the `k` nearest neighbors of `query` with the
@@ -188,7 +179,6 @@ pub(crate) fn search_query<S: VectorStore, H: Hook>(
             buf.push_candidate(BufEntry::new(id, dist));
         }
         trace.init_distances += gang_ids.len() as u64;
-        visited.log(None, &[], gang_ids);
     }
 
     let mut rounds = 0usize;
@@ -225,14 +215,11 @@ pub(crate) fn search_query<S: VectorStore, H: Hook>(
                 continue;
             }
             any_active = true;
-            visited.log(Some(rounds), parents, &[]);
-            round.hash_reset |= visited.forget(rounds, buf);
+            visited.expand(rounds, parents, buf);
 
             // Step 3: expand the parents. Each parent's first-visit
             // neighbors, in adjacency order, are scored by one gang
-            // call and pushed. Probes are counted around the expansion
-            // only, not a reset's re-registrations.
-            let probes_before = visited.probes();
+            // call and pushed.
             for &p in parents.iter() {
                 gang_ids.clear();
                 gang_ids
@@ -244,9 +231,7 @@ pub(crate) fn search_query<S: VectorStore, H: Hook>(
                     buf.push_candidate(BufEntry::new(id, dist));
                 }
                 round.distances_computed += gang_ids.len() as u64;
-                visited.log(Some(rounds), &[], gang_ids);
             }
-            round.hash_probes += visited.probes() - probes_before;
             // The GPU sorts every neighbor slot, visited or not: each
             // worker's `p * d`-slot segment.
             let segment = (parents.len() * d) as u64;
@@ -289,7 +274,6 @@ pub(crate) fn search_query<S: VectorStore, H: Hook>(
         results.sort_unstable_by(cmp_neighbor);
         results.truncate(k);
     }
-    visited.finish(trace);
 }
 
 #[cfg(test)]

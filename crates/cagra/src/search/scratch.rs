@@ -148,11 +148,10 @@ mod tests {
         s.begin(1, 16, 8);
         s.results.push(Neighbor::new(1, 0.5));
         s.trace.init_distances = 9;
-        s.trace.hash_slots = 256;
         s.trace.iterations.push(Default::default());
         s.begin(1, 16, 8);
         assert!(s.results.is_empty());
-        assert_eq!((s.trace.init_distances, s.trace.hash_slots), (0, 0));
+        assert_eq!(s.trace.init_distances, 0);
         assert_eq!(s.trace.iteration_count(), 0);
     }
 }

@@ -1,10 +1,12 @@
-//! Execution traces: the per-iteration operation counts that the
-//! `gpu-sim` crate converts into simulated GPU time.
+//! Execution traces: the per-round operation counts of a search.
 //!
 //! The search algorithm is functional — recall comes from the real
-//! traversal — while timing is derived afterward from these counts, so
-//! one search implementation serves both the CPU benchmarks (wall
-//! clock) and the GPU model (simulated cycles).
+//! traversal — and these counts say what it did: distances scored,
+//! neighbor slots filled, the segment a GPU warp would sort. The
+//! `gpu-sim` crate prices them as simulated GPU time together with
+//! what its own visited tables record (probes, resets, the access
+//! log), so one search implementation serves both the CPU benchmarks
+//! (wall clock) and the GPU model (simulated cycles).
 
 use serde::{Deserialize, Serialize};
 
@@ -19,36 +21,8 @@ pub struct IterationTrace {
     pub candidates: u64,
     /// Distances actually computed (first-visit neighbors).
     pub distances_computed: u64,
-    /// Hash probe steps performed this iteration (0 on the host).
-    pub hash_probes: u64,
     /// Length of the widest worker's segment the GPU sorts in step 1.
     pub sort_len: u64,
-    /// Whether the forgettable table was reset before this iteration.
-    pub hash_reset: bool,
-}
-
-/// Internal-layout node ids touched during one iteration (or round,
-/// for multi-CTA), recorded only when access logging is enabled.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct IterAccess {
-    /// Parents expanded: each costs one adjacency-row gather.
-    pub parents: Vec<u32>,
-    /// Nodes whose distances were computed: each costs one vector-row
-    /// gather (hash-suppressed neighbors never load their vector).
-    pub scored: Vec<u32>,
-}
-
-/// Chronological memory-access log of one search, in *internal*
-/// (physical layout) node ids — the input to `gpu-sim`'s 128-bit
-/// transaction replay, which is how relabeling strategies are compared
-/// in simulated memory traffic. Recorded only by `gpu-sim`'s searches
-/// that ask for it, because the log allocates per query.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct AccessLog {
-    /// Nodes scored during random initialization (vector-row gathers).
-    pub init_scored: Vec<u32>,
-    /// Per-iteration adjacency/vector gathers, in traversal order.
-    pub iterations: Vec<IterAccess>,
 }
 
 /// Counts for one whole query search.
@@ -70,19 +44,6 @@ pub struct SearchTrace {
     pub degree: usize,
     /// Number of cooperating workers (1 for single-CTA).
     pub num_workers: usize,
-    /// Hash table slot count; 0 for a host search, which runs no hash
-    /// table.
-    pub hash_slots: usize,
-    /// True when the hash policy was forgettable (shared-memory
-    /// resident in the GPU mapping).
-    pub hash_in_shared: bool,
-    /// True when the recording search maintains its candidate queue
-    /// with serialized insertions (SONG-style bounded priority queue)
-    /// rather than CAGRA's warp-wide bitonic sort+merge. The cost
-    /// model prices the two differently — removing this serialization
-    /// is one of CAGRA's kernel contributions (Sec. IV-B2).
-    #[serde(default)]
-    pub serial_queue: bool,
     /// True when the recording search ran on recycled per-thread
     /// scratch (zero steady-state allocations) rather than freshly
     /// allocated working state. Purely informational — results are
@@ -90,10 +51,6 @@ pub struct SearchTrace {
     /// which execution path produced them.
     #[serde(default)]
     pub scratch_reused: bool,
-    /// Memory-access log (internal ids), present only when the search
-    /// ran with access logging on.
-    #[serde(default)]
-    pub accesses: Option<AccessLog>,
 }
 
 impl SearchTrace {
@@ -106,11 +63,6 @@ impl SearchTrace {
     pub fn iteration_count(&self) -> usize {
         self.iterations.len()
     }
-
-    /// Total hash probes.
-    pub fn total_hash_probes(&self) -> u64 {
-        self.iterations.iter().map(|i| i.hash_probes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -122,25 +74,12 @@ mod tests {
         let t = SearchTrace {
             init_distances: 10,
             iterations: vec![
-                IterationTrace {
-                    candidates: 32,
-                    distances_computed: 20,
-                    hash_probes: 40,
-                    sort_len: 32,
-                    hash_reset: false,
-                },
-                IterationTrace {
-                    candidates: 32,
-                    distances_computed: 5,
-                    hash_probes: 35,
-                    sort_len: 32,
-                    hash_reset: true,
-                },
+                IterationTrace { candidates: 32, distances_computed: 20, sort_len: 32 },
+                IterationTrace { candidates: 32, distances_computed: 5, sort_len: 32 },
             ],
             ..Default::default()
         };
         assert_eq!(t.total_distances(), 35);
         assert_eq!(t.iteration_count(), 2);
-        assert_eq!(t.total_hash_probes(), 75);
     }
 }

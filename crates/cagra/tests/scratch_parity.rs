@@ -102,7 +102,6 @@ fn batch_scratch_reuse_is_bit_identical_to_fresh_state() {
             let results: Vec<Vec<Neighbor>> = out.iter().map(|(r, _)| r.clone()).collect();
             let label = format!("{mode:?}/threads={threads}");
             assert_bit_identical(&results, &fresh, &label);
-            assert_eq!(out[0].1.hash_slots, 0, "{label}: a host search runs no hash table");
             if threads == "1" {
                 assert!(!out[0].1.scratch_reused, "{label}: first query is not a reuse");
                 assert!(out[1..].iter().all(|(_, t)| t.scratch_reused), "{label}: reuse");

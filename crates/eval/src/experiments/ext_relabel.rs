@@ -6,7 +6,7 @@
 //! time (the median of [`PASSES`] passes, interleaved across the
 //! strategies, beside a second identity copy that shows what this host
 //! does to two identical indexes), and once with access logging on so
-//! `gpu_sim::replay_batch` can count the 128-bit memory transactions
+//! `gpu_sim::replay_log` can count the 128-bit memory transactions
 //! the gathers would issue on the modeled device. The two are
 //! different instruments and get separate columns. The hash policy is
 //! pinned to `Standard` (id-independent), which makes every relabeled
@@ -19,12 +19,11 @@ use crate::experiments::build_cagra;
 use crate::recall::recall_at_k;
 use crate::report::Table;
 use cagra::search::planner::Mode;
-use cagra::search::trace::SearchTrace;
 use cagra::{CagraIndex, RelabelStrategy, SearchParams, SearchScratch};
 use dataset::presets::PresetName;
 use dataset::{Dataset, VectorStore};
 use gpu_sim::mem::DEFAULT_CACHE_LINES;
-use gpu_sim::{replay_batch, search_with, HashPolicy, MemLayout, SimTable, TxCounts};
+use gpu_sim::{replay_log, search_with, CacheModel, HashPolicy, MemLayout, SimTable, TxCounts};
 use knn::topk::Neighbor;
 use std::time::Instant;
 
@@ -49,25 +48,28 @@ pub struct StrategyRow {
 }
 
 /// Serial pass logging accesses on the standard table, seeded exactly
-/// like the batch path so results match it bit for bit.
-fn traced_with_accesses(
+/// like the batch path so it walks what that path walks, each query's
+/// log replayed on its own cold cache (one CTA per query: queries do
+/// not share an SM's L1) as soon as the search ends.
+fn replayed_transactions(
     index: &CagraIndex<Dataset>,
+    layout: &MemLayout,
     wl: &Workload,
     k: usize,
     params: &SearchParams,
-) -> (Vec<Vec<Neighbor>>, Vec<SearchTrace>) {
+) -> TxCounts {
     let mut scratch = SearchScratch::new();
     let mut table = SimTable::new(HashPolicy::Standard, true);
-    let mut results = Vec::with_capacity(wl.queries.len());
-    let mut traces = Vec::with_capacity(wl.queries.len());
+    let mut tx = TxCounts::default();
     for qi in 0..wl.queries.len() {
-        let mut p = *params;
-        p.seed = params.seed_for_query(qi);
+        let p = SearchParams { seed: params.seed_for_query(qi), ..*params };
         search_with(index, wl.queries.row(qi), k, &p, Mode::SingleCta, &mut table, &mut scratch);
-        results.push(scratch.results().to_vec());
-        traces.push(scratch.trace().clone());
+        if let Some(log) = &table.record().accesses {
+            tx.accumulate(&replay_log(layout, &mut CacheModel::new(DEFAULT_CACHE_LINES), log));
+        }
     }
-    (results, traces)
+    tx.record();
+    tx
 }
 
 /// Measure every strategy (identity first, then its noise-control
@@ -119,8 +121,7 @@ pub fn measure(wl: &Workload, ctx: &ExpContext) -> Vec<StrategyRow> {
         .zip(passes)
         .map(|((&(label, _), index), (mut walls, results))| {
             let median_wall = *walls.select_nth_unstable_by(PASSES / 2, f64::total_cmp).1;
-            let (_, traces) = traced_with_accesses(index, wl, ctx.k, &params);
-            let tx = replay_batch(&layout, &traces, DEFAULT_CACHE_LINES);
+            let tx = replayed_transactions(index, &layout, wl, ctx.k, &params);
             let span = graph::stats::locality_stats(index.graph(), wl.base.dim() * 4);
             StrategyRow {
                 label,

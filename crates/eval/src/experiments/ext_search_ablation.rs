@@ -21,11 +21,10 @@ use crate::recall::recall_at_k;
 use crate::report::{fmt_qps, Table};
 use crate::sweep::{cagra_curve, sim_batch_qps, CurvePoint};
 use cagra::search::planner::Mode;
-use cagra::search::trace::SearchTrace;
 use cagra::{SearchParams, SearchScratch};
 use dataset::presets::PresetName;
 use dataset::VectorStore;
-use gpu_sim::HashPolicy;
+use gpu_sim::{HashPolicy, SimTrace};
 use knn::topk::Neighbor;
 use song::{song_search, SongParams, StartPolicy};
 use std::time::Instant;
@@ -67,7 +66,7 @@ pub fn measure(wl: &Workload, ctx: &ExpContext) -> Vec<(&'static str, Vec<CurveP
             };
             let t0 = Instant::now();
             let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(wl.queries.len());
-            let mut traces: Vec<SearchTrace> = Vec::with_capacity(wl.queries.len());
+            let mut traces: Vec<SimTrace> = Vec::with_capacity(wl.queries.len());
             for qi in 0..wl.queries.len() {
                 let (res, trace) = song_search(
                     &adjacency,

@@ -14,11 +14,10 @@ use crate::recall::recall_at_k;
 use crate::report::{fmt_qps, Table};
 use cagra::build::GraphConfig;
 use cagra::search::planner::Mode;
-use cagra::search::trace::SearchTrace;
 use cagra::{SearchParams, ShardedIndex};
 use dataset::presets::PresetName;
 use dataset::VectorStore;
-use gpu_sim::{search_sharded_traced, simulate_sharded_batch, DeviceSpec, HashPolicy};
+use gpu_sim::{search_sharded_traced, simulate_sharded_batch, DeviceSpec, HashPolicy, SimTrace};
 use knn::topk::Neighbor;
 
 /// (shards, recall, simulated QPS) rows for one workload.
@@ -33,7 +32,7 @@ pub fn measure(wl: &Workload, ctx: &ExpContext, shard_counts: &[usize]) -> Vec<(
             let params = SearchParams::for_k(ctx.k);
             let hash = HashPolicy::Forgettable { bits: 11, reset_interval: 1 };
             let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(wl.queries.len());
-            let mut shard_traces: Vec<Vec<SearchTrace>> = vec![Vec::new(); shards];
+            let mut shard_traces: Vec<Vec<SimTrace>> = vec![Vec::new(); shards];
             for qi in 0..wl.queries.len() {
                 let q = wl.queries.row(qi);
                 let (res, traces) =
@@ -44,7 +43,7 @@ pub fn measure(wl: &Workload, ctx: &ExpContext, shard_counts: &[usize]) -> Vec<(
                 }
             }
             // Tile each shard's traces up to the batch target.
-            let tiled: Vec<Vec<SearchTrace>> = shard_traces
+            let tiled: Vec<Vec<SimTrace>> = shard_traces
                 .iter()
                 .map(|ts| (0..ctx.batch_target).map(|i| ts[i % ts.len()].clone()).collect())
                 .collect();

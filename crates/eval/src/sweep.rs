@@ -16,10 +16,9 @@
 use crate::context::Workload;
 use crate::recall::recall_at_k;
 use cagra::search::planner::Mode;
-use cagra::search::trace::SearchTrace;
 use cagra::{CagraIndex, SearchParams};
 use dataset::VectorStore;
-use gpu_sim::{search_batch_traced, simulate_batch, DeviceSpec, HashPolicy};
+use gpu_sim::{search_batch_traced, simulate_batch, DeviceSpec, HashPolicy, SimTrace};
 use hnsw::Hnsw;
 use knn::topk::Neighbor;
 use nssg::Nssg;
@@ -43,14 +42,14 @@ pub struct CurvePoint {
 }
 
 /// Tile measured traces cyclically up to `target` queries.
-fn tile(traces: &[SearchTrace], target: usize) -> Vec<SearchTrace> {
+fn tile(traces: &[SimTrace], target: usize) -> Vec<SimTrace> {
     assert!(!traces.is_empty());
     (0..target.max(traces.len())).map(|i| traces[i % traces.len()].clone()).collect()
 }
 
 /// Simulated QPS for a large batch (tiled to `batch_target`).
 pub fn sim_batch_qps(
-    traces: &[SearchTrace],
+    traces: &[SimTrace],
     dim: usize,
     bytes_per_elem: usize,
     team: usize,
@@ -65,7 +64,7 @@ pub fn sim_batch_qps(
 /// Simulated QPS for online (batch = 1) serving: mean latency over the
 /// measured queries.
 pub fn sim_single_qps(
-    traces: &[SearchTrace],
+    traces: &[SimTrace],
     dim: usize,
     bytes_per_elem: usize,
     team: usize,
@@ -105,7 +104,7 @@ pub fn cagra_curve<S: VectorStore>(
             let out = search_batch_traced(index, &wl.queries, k, &p, mode, hash);
             let wall = t0.elapsed().as_secs_f64();
             let results: Vec<Vec<Neighbor>> = out.iter().map(|(r, _)| r.clone()).collect();
-            let traces: Vec<SearchTrace> = out.into_iter().map(|(_, t)| t).collect();
+            let traces: Vec<SimTrace> = out.into_iter().map(|(_, t)| t).collect();
             let dim = wl.base.dim();
             let qps_sim = if single_query {
                 sim_single_qps(&traces, dim, bytes_per_elem, team, mode)
@@ -117,7 +116,7 @@ pub fn cagra_curve<S: VectorStore>(
                 recall: recall_at_k(&results, &gt, k),
                 qps_cpu: wl.queries.len() as f64 / wall,
                 qps_sim,
-                scratch_reused: traces.iter().any(|t| t.scratch_reused),
+                scratch_reused: traces.iter().any(|t| t.host.scratch_reused),
             }
         })
         .collect()
@@ -190,7 +189,7 @@ pub fn traced_curve(
     k: usize,
     beams: &[usize],
     batch_target: usize,
-    mut run: impl FnMut(usize) -> Vec<(Vec<Neighbor>, SearchTrace)>,
+    mut run: impl FnMut(usize) -> Vec<(Vec<Neighbor>, SimTrace)>,
 ) -> Vec<CurvePoint> {
     let gt = wl.ground_truth(k);
     beams
@@ -200,7 +199,7 @@ pub fn traced_curve(
             let out = run(beam);
             let wall = t0.elapsed().as_secs_f64();
             let results: Vec<Vec<Neighbor>> = out.iter().map(|(r, _)| r.clone()).collect();
-            let traces: Vec<SearchTrace> = out.into_iter().map(|(_, t)| t).collect();
+            let traces: Vec<SimTrace> = out.into_iter().map(|(_, t)| t).collect();
             CurvePoint {
                 param: beam,
                 recall: recall_at_k(&results, &gt, k),
@@ -213,7 +212,7 @@ pub fn traced_curve(
                     Mode::SingleCta,
                     batch_target,
                 ),
-                scratch_reused: traces.iter().any(|t| t.scratch_reused),
+                scratch_reused: traces.iter().any(|t| t.host.scratch_reused),
             }
         })
         .collect()
@@ -299,9 +298,10 @@ mod tests {
 
     #[test]
     fn tile_cycles_traces() {
-        let t = SearchTrace { itopk: 8, ..Default::default() };
+        let mut t = SimTrace::default();
+        t.host.itopk = 8;
         let tiled = tile(std::slice::from_ref(&t), 5);
         assert_eq!(tiled.len(), 5);
-        assert!(tiled.iter().all(|x| x.itopk == 8));
+        assert!(tiled.iter().all(|x| x.host.itopk == 8));
     }
 }

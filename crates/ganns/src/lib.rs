@@ -10,10 +10,9 @@
 //! searches run through the SONG-style kernel in `gpu_sim::kernels`
 //! so the same device model prices GANNS and CAGRA (Figs. 11, 13).
 
-use cagra::search::trace::SearchTrace;
 use dataset::VectorStore;
 use distance::{DistanceOracle, Metric};
-use gpu_sim::{traced_beam_search, BeamParams};
+use gpu_sim::{traced_beam_search, BeamParams, SimTrace};
 use knn::parallel::{default_threads, parallel_map};
 use knn::topk::{cmp_neighbor, Neighbor};
 use std::time::{Duration, Instant};
@@ -109,7 +108,7 @@ impl<S: VectorStore> Ganns<S> {
         k: usize,
         beam: usize,
         seed: u64,
-    ) -> (Vec<Neighbor>, SearchTrace) {
+    ) -> (Vec<Neighbor>, SimTrace) {
         let p =
             BeamParams { beam: beam.max(k), n_starts: 8, max_iterations: beam.max(k) * 4, seed };
         traced_beam_search(&self.adjacency, &self.store, self.metric, query, k, &p)
@@ -121,7 +120,7 @@ impl<S: VectorStore> Ganns<S> {
         queries: &Q,
         k: usize,
         beam: usize,
-    ) -> Vec<(Vec<Neighbor>, SearchTrace)> {
+    ) -> Vec<(Vec<Neighbor>, SimTrace)> {
         let dim = queries.dim();
         assert_eq!(dim, self.store.dim(), "query dimension mismatch");
         parallel_map(queries.len(), default_threads(), |qi| {

@@ -10,10 +10,9 @@
 //! kernel in `gpu_sim::kernels` so the GPU cost model prices GGNN the
 //! same way it prices CAGRA (Figs. 11 and 13).
 
-use cagra::search::trace::SearchTrace;
 use dataset::VectorStore;
 use distance::{DistanceOracle, Metric};
-use gpu_sim::{traced_beam_search, BeamParams};
+use gpu_sim::{traced_beam_search, BeamParams, SimTrace};
 use knn::parallel::{default_threads, parallel_chunks};
 use knn::topk::{cmp_neighbor, Neighbor, TopK};
 use std::time::{Duration, Instant};
@@ -167,7 +166,7 @@ impl<S: VectorStore> Ggnn<S> {
         k: usize,
         beam: usize,
         seed: u64,
-    ) -> (Vec<Neighbor>, SearchTrace) {
+    ) -> (Vec<Neighbor>, SimTrace) {
         let p =
             BeamParams { beam: beam.max(k), n_starts: 8, max_iterations: beam.max(k) * 4, seed };
         traced_beam_search(&self.adjacency, &self.store, self.metric, query, k, &p)
@@ -180,7 +179,7 @@ impl<S: VectorStore> Ggnn<S> {
         queries: &Q,
         k: usize,
         beam: usize,
-    ) -> Vec<(Vec<Neighbor>, SearchTrace)> {
+    ) -> Vec<(Vec<Neighbor>, SimTrace)> {
         let dim = queries.dim();
         assert_eq!(dim, self.store.dim(), "query dimension mismatch");
         knn::parallel::parallel_map(queries.len(), default_threads(), |qi| {
@@ -279,7 +278,7 @@ mod tests {
         let device = gpu_sim::DeviceSpec::a100();
         let timing = gpu_sim::simulate_batch(&device, &traces, 8, 4, 32, Mode::SingleCta);
         assert!(timing.qps > 0.0);
-        assert!(traces.iter().all(|t| !t.hash_in_shared));
+        assert!(traces.iter().all(|t| !t.sim.hash_in_shared));
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   table.
 
 use crate::device::DeviceSpec;
-use cagra::search::trace::{IterationTrace, SearchTrace};
+use crate::trace::{SimRound, SimTrace};
+use cagra::search::trace::IterationTrace;
 use serde::{Deserialize, Serialize};
 
 /// Static kernel shape for one search configuration.
@@ -50,25 +51,26 @@ impl KernelConfig {
     /// Derive the kernel shape from a recorded trace plus dataset
     /// storage properties.
     pub fn from_trace(
-        trace: &SearchTrace,
+        trace: &SimTrace,
         dim: usize,
         bytes_per_elem: usize,
         team_size: usize,
     ) -> Self {
+        let (host, sim) = (&trace.host, &trace.sim);
         KernelConfig {
             team_size,
             dim,
             bytes_per_elem,
-            itopk: if trace.num_workers > 1 {
-                (trace.itopk.div_ceil(trace.num_workers)).max(32)
+            itopk: if host.num_workers > 1 {
+                (host.itopk.div_ceil(host.num_workers)).max(32)
             } else {
-                trace.itopk
+                host.itopk
             },
-            hash_slots: trace.hash_slots,
-            hash_in_shared: trace.hash_in_shared,
-            degree: trace.degree,
+            hash_slots: sim.hash_slots,
+            hash_in_shared: sim.hash_in_shared,
+            degree: host.degree,
             cta_threads: 256,
-            serial_queue: trace.serial_queue,
+            serial_queue: sim.serial_queue,
         }
     }
 
@@ -204,7 +206,7 @@ fn topm_cycles(cfg: &KernelConfig, sort_len: u64) -> f64 {
 }
 
 /// Cycles spent in the hash table for one iteration.
-fn hash_cycles(device: &DeviceSpec, cfg: &KernelConfig, it: &IterationTrace) -> f64 {
+fn hash_cycles(device: &DeviceSpec, cfg: &KernelConfig, round: &SimRound) -> f64 {
     // Probes within an iteration are independent, so they pipeline:
     // one exposed latency per iteration plus a per-probe issue cost
     // (device probes are full DRAM transactions; shared probes are
@@ -215,12 +217,12 @@ fn hash_cycles(device: &DeviceSpec, cfg: &KernelConfig, it: &IterationTrace) -> 
         (device.device_latency_cycles, 8.0)
     };
     let warps = (cfg.cta_threads / 32) as f64;
-    let probe_cost = if it.hash_probes == 0 {
+    let probe_cost = if round.probes == 0 {
         0.0
     } else {
-        (latency + it.hash_probes as f64 * per_probe) / warps.max(1.0)
+        (latency + round.probes as f64 * per_probe) / warps.max(1.0)
     };
-    let reset_cost = if it.hash_reset {
+    let reset_cost = if round.reset {
         // fill() sweep at 16 bytes/cycle/warp + top-M re-registration.
         cfg.hash_slots as f64 * 4.0 / (16.0 * warps) + cfg.itopk as f64 * 2.0
     } else {
@@ -275,30 +277,22 @@ impl CycleBreakdown {
     }
 }
 
-/// Phase-attributed cycles one CTA spends on one search iteration.
+/// Phase-attributed cycles one CTA spends on one search iteration,
+/// `it` with the table's work in it, `round`.
 pub fn iteration_breakdown(
     device: &DeviceSpec,
     cfg: &KernelConfig,
     occ: &Occupancy,
     it: &IterationTrace,
+    round: &SimRound,
 ) -> CycleBreakdown {
     CycleBreakdown {
         sort: topm_cycles(cfg, it.sort_len),
         parent_select: 120.0, // fixed per-iteration control overhead
         expand: (cfg.degree as f64 * 4.0 / 128.0).ceil() * 40.0, // neighbor-list loads
         distance: distance_cycles(cfg, occ, it.distances_computed),
-        hash: hash_cycles(device, cfg, it),
+        hash: hash_cycles(device, cfg, round),
     }
-}
-
-/// Cycles one CTA spends on one search iteration (all phases).
-pub fn iteration_cycles(
-    device: &DeviceSpec,
-    cfg: &KernelConfig,
-    occ: &Occupancy,
-    it: &IterationTrace,
-) -> f64 {
-    iteration_breakdown(device, cfg, occ, it).total()
 }
 
 /// Phase-attributed cycles for the random-initialization phase.
@@ -312,17 +306,18 @@ pub fn init_breakdown(cfg: &KernelConfig, occ: &Occupancy, init_distances: u64) 
 
 /// Device-memory bytes one query moves (dataset vectors + neighbor
 /// lists + a device-resident hash).
-pub fn query_bytes(cfg: &KernelConfig, trace: &SearchTrace) -> f64 {
+pub fn query_bytes(cfg: &KernelConfig, trace: &SimTrace) -> f64 {
     // Lane waste loads real bytes: a 96-dim FP32 vector on a full-warp
     // team moves 512 of its 384 useful bytes (Sec. IV-B1).
-    let vector_bytes = trace.total_distances() as f64 * (cfg.dim * cfg.bytes_per_elem) as f64
+    let host = &trace.host;
+    let vector_bytes = host.total_distances() as f64 * (cfg.dim * cfg.bytes_per_elem) as f64
         / cfg.lane_efficiency();
-    let graph_bytes: f64 = trace.iterations.iter().map(|i| (i.candidates * 4) as f64).sum();
+    let graph_bytes: f64 = host.iterations.iter().map(|i| (i.candidates * 4) as f64).sum();
     let hash_bytes = if cfg.hash_in_shared {
         0.0
     } else {
         // Each device-memory probe is its own DRAM transaction.
-        trace.total_hash_probes() as f64 * 32.0
+        trace.sim.total_hash_probes() as f64 * 32.0
     };
     vector_bytes + graph_bytes + hash_bytes
 }
@@ -330,6 +325,8 @@ pub fn query_bytes(cfg: &KernelConfig, trace: &SearchTrace) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::SimRecord;
+    use cagra::search::trace::SearchTrace;
 
     fn cfg(team: usize, dim: usize) -> KernelConfig {
         KernelConfig {
@@ -390,18 +387,13 @@ mod tests {
     fn team_size_sweet_spot_for_small_dim() {
         // Fig. 8 (DEEP-1M, dim 96): team 4/8 beat 2 and 32.
         let d = DeviceSpec::a100();
-        let it = IterationTrace {
-            candidates: 32,
-            distances_computed: 28,
-            hash_probes: 40,
-            sort_len: 32,
-            hash_reset: false,
-        };
+        let it = IterationTrace { candidates: 32, distances_computed: 28, sort_len: 32 };
+        let round = SimRound { probes: 40, reset: false };
         let score = |team| {
             let c = cfg(team, 96);
             let occ = cta_occupancy(&d, &c);
             // Throughput ~ parallel CTAs / per-iteration time.
-            occ.ctas_per_sm as f64 / iteration_cycles(&d, &c, &occ, &it)
+            occ.ctas_per_sm as f64 / iteration_breakdown(&d, &c, &occ, &it, &round).total()
         };
         let (s2, s8, s32) = (score(2), score(8), score(32));
         assert!(s8 > s2, "team8 {s8} must beat team2 {s2}");
@@ -412,17 +404,12 @@ mod tests {
     fn team_32_wins_for_large_dim() {
         // Fig. 8 (GIST, dim 960): full-warp teams win.
         let d = DeviceSpec::a100();
-        let it = IterationTrace {
-            candidates: 48,
-            distances_computed: 40,
-            hash_probes: 60,
-            sort_len: 48,
-            hash_reset: false,
-        };
+        let it = IterationTrace { candidates: 48, distances_computed: 40, sort_len: 48 };
+        let round = SimRound { probes: 60, reset: false };
         let score = |team| {
             let c = cfg(team, 960);
             let occ = cta_occupancy(&d, &c);
-            occ.ctas_per_sm as f64 / iteration_cycles(&d, &c, &occ, &it)
+            occ.ctas_per_sm as f64 / iteration_breakdown(&d, &c, &occ, &it, &round).total()
         };
         assert!(score(32) > score(4), "32: {} vs 4: {}", score(32), score(4));
         assert!(score(32) > score(2), "32: {} vs 2: {}", score(32), score(2));
@@ -431,62 +418,56 @@ mod tests {
     #[test]
     fn shared_hash_is_cheaper_per_probe() {
         let d = DeviceSpec::a100();
-        let it = IterationTrace {
-            candidates: 32,
-            distances_computed: 10,
-            hash_probes: 50,
-            sort_len: 32,
-            hash_reset: false,
-        };
+        let it = IterationTrace { candidates: 32, distances_computed: 10, sort_len: 32 };
+        let round = SimRound { probes: 50, reset: false };
         let shared = cfg(8, 96);
         let mut device_hash = cfg(8, 96);
         device_hash.hash_in_shared = false;
         let occ = cta_occupancy(&d, &shared);
         assert!(
-            iteration_cycles(&d, &shared, &occ, &it)
-                < iteration_cycles(&d, &device_hash, &occ, &it)
+            iteration_breakdown(&d, &shared, &occ, &it, &round).total()
+                < iteration_breakdown(&d, &device_hash, &occ, &it, &round).total()
         );
     }
 
     #[test]
     fn huge_itopk_pays_radix_penalty() {
         let d = DeviceSpec::a100();
-        let it = IterationTrace {
-            candidates: 32,
-            distances_computed: 10,
-            hash_probes: 30,
-            sort_len: 32,
-            hash_reset: false,
-        };
+        let it = IterationTrace { candidates: 32, distances_computed: 10, sort_len: 32 };
+        let round = SimRound { probes: 30, reset: false };
         let small = cfg(8, 96);
         let mut big = cfg(8, 96);
         big.itopk = 1024;
         let occ = cta_occupancy(&d, &small);
         assert!(
-            iteration_cycles(&d, &big, &occ, &it) > 2.0 * iteration_cycles(&d, &small, &occ, &it)
+            iteration_breakdown(&d, &big, &occ, &it, &round).total()
+                > 2.0 * iteration_breakdown(&d, &small, &occ, &it, &round).total()
         );
     }
 
     #[test]
     fn query_bytes_scale_with_precision() {
-        let trace = SearchTrace {
-            init_distances: 32,
-            iterations: vec![IterationTrace {
-                candidates: 32,
-                distances_computed: 20,
-                hash_probes: 40,
-                sort_len: 32,
-                hash_reset: false,
-            }],
-            itopk: 64,
-            search_width: 1,
-            degree: 32,
-            num_workers: 1,
-            hash_slots: 2048,
-            hash_in_shared: true,
-            serial_queue: false,
-            scratch_reused: false,
-            accesses: None,
+        let trace = SimTrace {
+            host: SearchTrace {
+                init_distances: 32,
+                iterations: vec![IterationTrace {
+                    candidates: 32,
+                    distances_computed: 20,
+                    sort_len: 32,
+                }],
+                itopk: 64,
+                search_width: 1,
+                degree: 32,
+                num_workers: 1,
+                scratch_reused: false,
+            },
+            sim: SimRecord {
+                rounds: vec![SimRound { probes: 40, reset: false }],
+                hash_slots: 2048,
+                hash_in_shared: true,
+                serial_queue: false,
+                accesses: None,
+            },
         };
         let fp32 = query_bytes(&cfg(8, 96), &trace);
         let mut half = cfg(8, 96);

@@ -13,8 +13,9 @@ use crate::cost::{
     Occupancy,
 };
 use crate::device::DeviceSpec;
+use crate::trace::{SimRound, SimTrace};
 use cagra::search::planner::Mode;
-use cagra::search::trace::{IterationTrace, SearchTrace};
+use cagra::search::trace::IterationTrace;
 use serde::Serialize;
 
 /// Result of simulating one batch launch.
@@ -41,32 +42,28 @@ pub struct BatchTiming {
     pub cycles: CycleBreakdown,
 }
 
-/// Scale a round-aggregated multi-CTA iteration down to one worker.
-fn per_worker(it: &IterationTrace, workers: usize) -> IterationTrace {
-    let w = workers.max(1) as u64;
-    IterationTrace {
-        candidates: it.candidates.div_ceil(w),
-        distances_computed: it.distances_computed.div_ceil(w),
-        hash_probes: it.hash_probes.div_ceil(w),
+/// Scale a round-aggregated multi-CTA iteration down to one worker
+/// (one worker: unchanged).
+fn per_worker(it: &IterationTrace, round: &SimRound, workers: u64) -> (IterationTrace, SimRound) {
+    let it = IterationTrace {
+        candidates: it.candidates.div_ceil(workers),
+        distances_computed: it.distances_computed.div_ceil(workers),
         sort_len: it.sort_len,
-        hash_reset: it.hash_reset,
-    }
+    };
+    (it, SimRound { probes: round.probes.div_ceil(workers), reset: round.reset })
 }
 
 /// Simulate one launch of `traces.len()` queries.
 ///
 /// All queries must share a kernel shape (same graph, parameters and
 /// precision); `team_size` is the warp-splitting factor under test.
-/// Traces must come from a simulated search, which ran the visited
-/// table being priced; a host search's trace has none.
 ///
 /// # Panics
-/// Panics on an empty batch, a `team_size` other than 2, 4, 8, 16 or
-/// 32 (a team must divide a 32-thread warp), or a trace without a
-/// visited table (`hash_slots == 0`).
+/// Panics on an empty batch or a `team_size` other than 2, 4, 8, 16 or
+/// 32 (a team must divide a 32-thread warp).
 pub fn simulate_batch(
     device: &DeviceSpec,
-    traces: &[SearchTrace],
+    traces: &[SimTrace],
     dim: usize,
     bytes_per_elem: usize,
     team_size: usize,
@@ -76,11 +73,6 @@ pub fn simulate_batch(
     assert!(
         matches!(team_size, 2 | 4 | 8 | 16 | 32),
         "team_size {team_size} must divide a 32-thread warp"
-    );
-    assert!(
-        traces.iter().all(|t| t.hash_slots > 0),
-        "a host trace has no visited table to price; record traces with gpu_sim::search_with \
-         on a SimTable, search_batch_traced or search_sharded_traced under a HashPolicy"
     );
     let cfg = KernelConfig::from_trace(&traces[0], dim, bytes_per_elem, team_size);
     let occ = cta_occupancy(device, &cfg);
@@ -94,17 +86,17 @@ pub fn simulate_batch(
     for trace in traces {
         let workers = match mapping {
             Mode::SingleCta => 1,
-            Mode::MultiCta => trace.num_workers.max(1),
+            Mode::MultiCta => trace.host.num_workers.max(1),
         };
         total_ctas += workers;
         total_bytes += query_bytes(&cfg, trace);
 
         // Per-CTA critical path: init + every round this CTA runs.
         let mut cta_cycles =
-            init_breakdown(&cfg, &occ, trace.init_distances.div_ceil(workers as u64));
-        for it in &trace.iterations {
-            let it_one = if workers > 1 { per_worker(it, workers) } else { *it };
-            cta_cycles.accumulate(&iteration_breakdown(device, &cfg, &occ, &it_one));
+            init_breakdown(&cfg, &occ, trace.host.init_distances.div_ceil(workers as u64));
+        for (it, round) in trace.host.iterations.iter().zip(&trace.sim.rounds) {
+            let (it, round) = per_worker(it, round, workers as u64);
+            cta_cycles.accumulate(&iteration_breakdown(device, &cfg, &occ, &it, &round));
         }
         critical_cycles = critical_cycles.max(cta_cycles.total());
         total_cta_cycles += cta_cycles.total() * workers as f64;
@@ -150,6 +142,8 @@ pub fn simulate_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::SimRecord;
+    use cagra::search::trace::SearchTrace;
 
     /// Synthesize a plausible trace: `iters` iterations, `workers`
     /// CTAs, `new_frac` of candidates passing the hash.
@@ -159,28 +153,30 @@ mod tests {
         degree: usize,
         itopk: usize,
         shared: bool,
-    ) -> SearchTrace {
+    ) -> SimTrace {
         let per_round = (workers * degree) as u64;
-        SearchTrace {
-            init_distances: per_round,
-            iterations: (0..iters)
-                .map(|_| IterationTrace {
-                    candidates: per_round,
-                    distances_computed: (per_round * 7) / 10,
-                    hash_probes: per_round * 3 / 2,
-                    sort_len: degree as u64,
-                    hash_reset: false,
-                })
-                .collect(),
-            itopk,
-            search_width: 1,
-            degree,
-            num_workers: workers,
-            hash_slots: if shared { 2048 } else { 1 << 14 },
-            hash_in_shared: shared,
-            serial_queue: false,
-            scratch_reused: false,
-            accesses: None,
+        let it = IterationTrace {
+            candidates: per_round,
+            distances_computed: (per_round * 7) / 10,
+            sort_len: degree as u64,
+        };
+        SimTrace {
+            host: SearchTrace {
+                init_distances: per_round,
+                iterations: vec![it; iters],
+                itopk,
+                search_width: 1,
+                degree,
+                num_workers: workers,
+                scratch_reused: false,
+            },
+            sim: SimRecord {
+                rounds: vec![SimRound { probes: per_round * 3 / 2, reset: false }; iters],
+                hash_slots: if shared { 2048 } else { 1 << 14 },
+                hash_in_shared: shared,
+                serial_queue: false,
+                accesses: None,
+            },
         }
     }
 
@@ -258,13 +254,5 @@ mod tests {
     fn team_size_that_splits_no_warp_rejected() {
         let t = [mk_trace(4, 1, 32, 64, true)];
         simulate_batch(&DeviceSpec::a100(), &t, 96, 4, 7, Mode::SingleCta);
-    }
-
-    #[test]
-    #[should_panic(expected = "host trace has no visited table")]
-    fn host_trace_rejected() {
-        let host = SearchTrace { hash_slots: 0, ..mk_trace(4, 1, 32, 64, false) };
-        let t = [mk_trace(4, 1, 32, 64, false), host];
-        simulate_batch(&DeviceSpec::a100(), &t, 96, 4, 8, Mode::SingleCta);
     }
 }

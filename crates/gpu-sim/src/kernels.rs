@@ -5,15 +5,16 @@
 //! open-addressing visited table, expanding one node per iteration and
 //! computing the distances of its not-yet-visited neighbors (Zhao et
 //! al.'s SONG formulation, which GGNN and GANNS inherit). This module
-//! implements that loop once and records a
-//! [`cagra::search::trace::SearchTrace`] so [`crate::simulate_batch`]
+//! implements that loop once and records a [`SimTrace`] so
+//! [`crate::simulate_batch`]
 //! can cost the baselines with the *same* device model as CAGRA —
 //! keeping the GPU-vs-GPU comparisons of Figs. 11 and 13 apples-to-
 //! apples. The baselines map one distance to a full warp (`team = 32`)
 //! and keep their visited tables in device memory, as their papers
 //! describe.
 
-use cagra::search::trace::{IterationTrace, SearchTrace};
+use crate::trace::{SimRound, SimTrace};
+use cagra::search::trace::IterationTrace;
 use dataset::VectorStore;
 use distance::{DistanceOracle, Metric};
 use knn::topk::{cmp_neighbor, Neighbor};
@@ -44,7 +45,7 @@ pub fn traced_beam_search<S: VectorStore + ?Sized>(
     query: &[f32],
     k: usize,
     params: &BeamParams,
-) -> (Vec<Neighbor>, SearchTrace) {
+) -> (Vec<Neighbor>, SimTrace) {
     // A graph over a prefix of the store is allowed: incremental
     // builders (GANNS batch insertion) search the part built so far.
     assert!(adjacency.len() <= store.len(), "graph larger than dataset");
@@ -53,17 +54,9 @@ pub fn traced_beam_search<S: VectorStore + ?Sized>(
     let beam = params.beam.max(k).max(1);
     let avg_degree =
         if n == 0 { 0 } else { adjacency.iter().map(Vec::len).sum::<usize>() / n.max(1) };
-    let mut trace = SearchTrace {
-        itopk: beam,
-        search_width: 1,
-        degree: avg_degree.max(1),
-        num_workers: 1,
-        // SONG-style: hash sized for the whole search, device memory.
-        hash_slots: (2 * params.max_iterations.max(1) * avg_degree.max(1)).next_power_of_two(),
-        hash_in_shared: false,
-        serial_queue: true, // SONG-style bounded pq, serialized inserts
-        ..Default::default()
-    };
+    // SONG-style: hash sized for the whole search.
+    let hash_slots = (2 * params.max_iterations.max(1) * avg_degree.max(1)).next_power_of_two();
+    let mut trace = SimTrace::serial(beam, avg_degree.max(1), hash_slots);
     if n == 0 || k == 0 {
         return (Vec::new(), trace);
     }
@@ -79,7 +72,7 @@ pub fn traced_beam_search<S: VectorStore + ?Sized>(
         let id = rng.gen_range(0..n) as u32;
         if visited.insert(id) {
             pool.push((Neighbor::new(id, oracle.to_row(query, id as usize)), false));
-            trace.init_distances += 1;
+            trace.host.init_distances += 1;
         }
     }
     pool.sort_unstable_by(|a, b| cmp_neighbor(&a.0, &b.0));
@@ -107,15 +100,15 @@ pub fn traced_beam_search<S: VectorStore + ?Sized>(
                 pool.truncate(beam);
             }
         }
-        trace.iterations.push(IterationTrace {
+        trace.host.iterations.push(IterationTrace {
             candidates: neighbors.len() as u64,
-            // Open-addressing probe estimate: one probe per lookup plus
-            // collisions for the repeats.
-            hash_probes: (neighbors.len() as u64 * 3) / 2,
             distances_computed: computed as u64,
             sort_len: neighbors.len() as u64,
-            hash_reset: false,
         });
+        // Open-addressing probe estimate: one probe per lookup plus
+        // collisions for the repeats.
+        let probes = (neighbors.len() as u64 * 3) / 2;
+        trace.sim.rounds.push(SimRound { probes, reset: false });
     }
 
     let out = pool.into_iter().take(k).map(|(p, _)| p).collect();
@@ -149,8 +142,8 @@ mod tests {
         let p = BeamParams { beam: 16, n_starts: 8, max_iterations: 200, seed: 1 };
         let (got, trace) = traced_beam_search(&adj, &d, Metric::SquaredL2, &[37.2], 3, &p);
         assert_eq!(got[0].id, 37);
-        assert!(trace.iteration_count() > 0);
-        assert!(!trace.hash_in_shared, "baselines keep the hash in device memory");
+        assert!(trace.host.iteration_count() > 0);
+        assert!(!trace.sim.hash_in_shared, "baselines keep the hash in device memory");
     }
 
     #[test]
@@ -158,10 +151,10 @@ mod tests {
         let (d, adj) = line_graph(50);
         let p = BeamParams { beam: 8, n_starts: 4, max_iterations: 100, seed: 2 };
         let (_, trace) = traced_beam_search(&adj, &d, Metric::SquaredL2, &[10.0], 3, &p);
-        for it in &trace.iterations {
+        for it in &trace.host.iterations {
             assert!(it.distances_computed <= it.candidates);
         }
-        assert!(trace.total_distances() >= trace.init_distances);
+        assert!(trace.host.total_distances() >= trace.host.init_distances);
     }
 
     #[test]
@@ -169,7 +162,7 @@ mod tests {
         let (d, adj) = line_graph(500);
         let p = BeamParams { beam: 64, n_starts: 4, max_iterations: 5, seed: 3 };
         let (_, trace) = traced_beam_search(&adj, &d, Metric::SquaredL2, &[250.0], 3, &p);
-        assert!(trace.iteration_count() <= 5);
+        assert!(trace.host.iteration_count() <= 5);
     }
 
     #[test]

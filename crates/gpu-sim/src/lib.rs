@@ -8,8 +8,10 @@
 //! timing model layered on top of the *real* search execution:
 //! `cagra`'s loop, run on the GPU's visited tables ([`search`]), records
 //! a [`cagra::search::trace::SearchTrace`] of the operations a kernel
-//! would perform, and this crate converts those counts into simulated
-//! seconds on a parameterized device.
+//! would perform; the tables add what only they see — probes, resets
+//! and, on request, every gathered row — to make a [`SimTrace`], and
+//! this crate converts those counts into simulated seconds on a
+//! parameterized device.
 //!
 //! Recall numbers are therefore exact (the traversal really ran);
 //! throughput numbers are model outputs calibrated to an A100-like
@@ -44,14 +46,16 @@ pub mod kernels;
 pub mod mem;
 pub mod multi;
 pub mod search;
+pub mod trace;
 pub mod visited;
 
 pub use construction::{estimate_construction, ConstructionEstimate};
-pub use cost::{cta_occupancy, iteration_cycles, KernelConfig, Occupancy};
+pub use cost::{cta_occupancy, KernelConfig, Occupancy};
 pub use device::DeviceSpec;
 pub use exec::{simulate_batch, BatchTiming};
 pub use kernels::{traced_beam_search, BeamParams};
-pub use mem::{replay_batch, replay_trace, CacheModel, MemLayout, TxCounts};
+pub use mem::{replay_log, CacheModel, MemLayout, TxCounts};
 pub use multi::{simulate_sharded_batch, MultiGpuTiming};
 pub use search::{search_batch_traced, search_sharded_traced, search_with, SimTable};
+pub use trace::{AccessLog, IterAccess, SimRecord, SimRound, SimTrace};
 pub use visited::{HashPolicy, VisitedSet};

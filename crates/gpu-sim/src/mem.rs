@@ -7,7 +7,7 @@
 //! is *where* that work lands in memory: gathers of nearby ids share
 //! 128-byte lines and stay resident in cache, gathers of scattered ids
 //! each pay a full line fill. This module replays the memory-access
-//! log a search recorded ([`cagra::search::trace::AccessLog`]) against
+//! log a simulated search recorded ([`crate::AccessLog`]) against
 //! a flat address-space layout and a small direct-mapped cache, and
 //! counts the 128-bit (16-byte) transactions the misses would issue —
 //! the quantity Sec. IV-B1 of the paper optimizes.
@@ -16,7 +16,7 @@
 //! same layout, same counts. Comparing counts across relabel
 //! strategies on the *same* trace isolates the layout effect.
 
-use cagra::search::trace::SearchTrace;
+use crate::trace::AccessLog;
 use serde::Serialize;
 
 /// Bytes per cache line / memory segment.
@@ -131,16 +131,22 @@ impl TxCounts {
         self.expand += other.expand;
         self.distance += other.distance;
     }
+
+    /// Add these counts to the `sim.tx_*` observability counters.
+    pub fn record(&self) {
+        let m = obs::metrics();
+        m.sim_tx_init.add(self.init);
+        m.sim_tx_expand.add(self.expand);
+        m.sim_tx_distance.add(self.distance);
+    }
 }
 
 /// Replay one search's access log against `layout` on `cache`,
-/// returning per-phase transaction counts. A trace recorded without
-/// access logging contributes zero.
-pub fn replay_trace(layout: &MemLayout, cache: &mut CacheModel, trace: &SearchTrace) -> TxCounts {
+/// returning per-phase transaction counts. A batch replays each query
+/// on its own cold cache (one CTA per query: queries do not share an
+/// SM's L1).
+pub fn replay_log(layout: &MemLayout, cache: &mut CacheModel, log: &AccessLog) -> TxCounts {
     let mut tx = TxCounts::default();
-    let Some(log) = &trace.accesses else {
-        return tx;
-    };
     for &id in &log.init_scored {
         let (s, e) = layout.vec_range(id);
         tx.init += cache.touch(s, e);
@@ -158,32 +164,13 @@ pub fn replay_trace(layout: &MemLayout, cache: &mut CacheModel, trace: &SearchTr
     tx
 }
 
-/// Replay a whole batch, each query on its own cold cache (one CTA per
-/// query: queries do not share an SM's L1). Records the totals into
-/// the `sim.tx_*` observability counters.
-pub fn replay_batch(layout: &MemLayout, traces: &[SearchTrace], cache_lines: usize) -> TxCounts {
-    let mut total = TxCounts::default();
-    for trace in traces {
-        let mut cache = CacheModel::new(cache_lines);
-        total.accumulate(&replay_trace(layout, &mut cache, trace));
-    }
-    let m = obs::metrics();
-    m.sim_tx_init.add(total.init);
-    m.sim_tx_expand.add(total.expand);
-    m.sim_tx_distance.add(total.distance);
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cagra::search::trace::{AccessLog, IterAccess};
+    use crate::trace::IterAccess;
 
-    fn trace_with(init: Vec<u32>, iters: Vec<IterAccess>) -> SearchTrace {
-        SearchTrace {
-            accesses: Some(AccessLog { init_scored: init, iterations: iters }),
-            ..Default::default()
-        }
+    fn log_with(init: Vec<u32>, iters: Vec<IterAccess>) -> AccessLog {
+        AccessLog { init_scored: init, iterations: iters }
     }
 
     #[test]
@@ -191,14 +178,14 @@ mod tests {
         // 32-byte vector rows: four consecutive ids fit in one line.
         let layout = MemLayout::new(64, 8, 32);
         let mut cache = CacheModel::new(DEFAULT_CACHE_LINES);
-        let t = trace_with(vec![0, 1, 2, 3], vec![]);
-        let tx = replay_trace(&layout, &mut cache, &t);
+        let t = log_with(vec![0, 1, 2, 3], vec![]);
+        let tx = replay_log(&layout, &mut cache, &t);
         assert_eq!(tx.init, TX_PER_LINE, "four rows in one line = one fill");
 
         // The same four rows scattered: four separate fills.
         let mut cold = CacheModel::new(DEFAULT_CACHE_LINES);
-        let t = trace_with(vec![0, 16, 32, 48], vec![]);
-        let tx = replay_trace(&layout, &mut cold, &t);
+        let t = log_with(vec![0, 16, 32, 48], vec![]);
+        let tx = replay_log(&layout, &mut cold, &t);
         assert_eq!(tx.init, 4 * TX_PER_LINE);
     }
 
@@ -206,15 +193,15 @@ mod tests {
     fn cache_hits_are_free_and_conflicts_cost() {
         let layout = MemLayout::new(1024, 8, 128);
         let mut cache = CacheModel::new(4); // tiny: 4 lines
-        let t = trace_with(vec![], vec![IterAccess { parents: vec![], scored: vec![7, 7, 7] }]);
-        let tx = replay_trace(&layout, &mut cache, &t);
+        let t = log_with(vec![], vec![IterAccess { parents: vec![], scored: vec![7, 7, 7] }]);
+        let tx = replay_log(&layout, &mut cache, &t);
         assert_eq!(tx.distance, TX_PER_LINE, "re-touching a resident line is free");
 
         // ids 0 and 4 map to the same set in a 4-line cache
         // (128-byte rows = one line per id): alternating evicts.
         let mut cache = CacheModel::new(4);
-        let t = trace_with(vec![], vec![IterAccess { parents: vec![], scored: vec![0, 4, 0, 4] }]);
-        let tx = replay_trace(&layout, &mut cache, &t);
+        let t = log_with(vec![], vec![IterAccess { parents: vec![], scored: vec![0, 4, 0, 4] }]);
+        let tx = replay_log(&layout, &mut cache, &t);
         assert_eq!(tx.distance, 4 * TX_PER_LINE, "conflict misses every touch");
     }
 
@@ -222,8 +209,8 @@ mod tests {
     fn phases_attribute_to_their_own_counter() {
         let layout = MemLayout::new(256, 16, 64);
         let mut cache = CacheModel::new(DEFAULT_CACHE_LINES);
-        let t = trace_with(vec![3], vec![IterAccess { parents: vec![9], scored: vec![200] }]);
-        let tx = replay_trace(&layout, &mut cache, &t);
+        let t = log_with(vec![3], vec![IterAccess { parents: vec![9], scored: vec![200] }]);
+        let tx = replay_log(&layout, &mut cache, &t);
         assert!(tx.init > 0);
         assert!(tx.expand > 0);
         assert!(tx.distance > 0);
@@ -231,20 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn missing_access_log_contributes_zero() {
+    fn empty_access_log_contributes_zero() {
         let layout = MemLayout::new(16, 4, 16);
         let mut cache = CacheModel::new(8);
-        assert_eq!(replay_trace(&layout, &mut cache, &SearchTrace::default()), TxCounts::default());
-    }
-
-    #[test]
-    fn batch_replay_sums_and_isolates_queries() {
-        let layout = MemLayout::new(64, 8, 128);
-        let one = trace_with(vec![5], vec![]);
-        let solo = replay_batch(&layout, std::slice::from_ref(&one), 16);
-        // Two identical queries: cold caches each, so exactly double.
-        let duo = replay_batch(&layout, &[one.clone(), one], 16);
-        assert_eq!(duo.total(), 2 * solo.total());
+        assert_eq!(replay_log(&layout, &mut cache, &AccessLog::default()), TxCounts::default());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use crate::device::DeviceSpec;
 use crate::exec::{simulate_batch, BatchTiming};
+use crate::trace::SimTrace;
 use cagra::search::planner::Mode;
-use cagra::search::trace::SearchTrace;
 
 /// Result of simulating a sharded launch across identical devices.
 #[derive(Clone, Debug)]
@@ -34,7 +34,7 @@ const MERGE_SECONDS_PER_QUERY: f64 = 2.0e-8;
 /// and wherever [`simulate_batch`] panics.
 pub fn simulate_sharded_batch(
     device: &DeviceSpec,
-    shard_traces: &[Vec<SearchTrace>],
+    shard_traces: &[Vec<SimTrace>],
     dim: usize,
     bytes_per_elem: usize,
     team_size: usize,
@@ -59,29 +59,28 @@ pub fn simulate_sharded_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cagra::search::trace::IterationTrace;
+    use crate::trace::{SimRecord, SimRound};
+    use cagra::search::trace::{IterationTrace, SearchTrace};
 
-    fn trace(iters: usize) -> SearchTrace {
-        SearchTrace {
-            init_distances: 32,
-            iterations: (0..iters)
-                .map(|_| IterationTrace {
-                    candidates: 32,
-                    distances_computed: 20,
-                    hash_probes: 48,
-                    sort_len: 32,
-                    hash_reset: false,
-                })
-                .collect(),
-            itopk: 64,
-            search_width: 1,
-            degree: 32,
-            num_workers: 1,
-            hash_slots: 2048,
-            hash_in_shared: true,
-            serial_queue: false,
-            scratch_reused: false,
-            accesses: None,
+    fn trace(iters: usize) -> SimTrace {
+        let it = IterationTrace { candidates: 32, distances_computed: 20, sort_len: 32 };
+        SimTrace {
+            host: SearchTrace {
+                init_distances: 32,
+                iterations: vec![it; iters],
+                itopk: 64,
+                search_width: 1,
+                degree: 32,
+                num_workers: 1,
+                scratch_reused: false,
+            },
+            sim: SimRecord {
+                rounds: vec![SimRound { probes: 48, reset: false }; iters],
+                hash_slots: 2048,
+                hash_in_shared: true,
+                serial_queue: false,
+                accesses: None,
+            },
         }
     }
 

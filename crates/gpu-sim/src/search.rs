@@ -1,20 +1,23 @@
 //! Simulated searches: `cagra`'s loop, reached through its hidden
-//! [`Hook`], run on the GPU's visited tables and, on request, logging
-//! every row it gathers — what this crate prices. Host searches do
-//! neither.
+//! [`Hook`], run on the GPU's visited tables, which derive everything
+//! this crate prices beyond the host trace — per-round probes and
+//! resets and, on request, every row the search gathers — from what
+//! the loop asks of them. Host searches do none of this.
 
+use crate::trace::{AccessLog, IterAccess, SimRecord, SimRound, SimTrace};
 use crate::visited::{HashPolicy, VisitedSet};
 use cagra::search::buffer::SearchBuffer;
 use cagra::search::kernel::Hook;
 use cagra::search::planner::Mode;
-use cagra::search::trace::{AccessLog, IterAccess, SearchTrace};
 use cagra::{CagraIndex, SearchParams, SearchScratch, ShardedIndex};
 use dataset::{Dataset, VectorStore};
+use knn::parallel::{default_threads, parallel_map_with};
 use knn::topk::Neighbor;
 
 /// One worker's GPU hash table under one [`HashPolicy`], recycled across
-/// the searches it runs ([`search_with`]) without reallocating, and its
-/// optional access log, which each search hands to its trace.
+/// the searches it runs ([`search_with`]) without reallocating, with
+/// the record of the last search ([`SimTable::record`]), access log
+/// included when the table logs.
 #[derive(Clone, Debug)]
 pub struct SimTable {
     policy: HashPolicy,
@@ -22,16 +25,15 @@ pub struct SimTable {
     /// resets)`. `None` runs the standard table, sized per search.
     forgettable: Option<(u8, usize)>,
     set: VisitedSet,
-    log: Option<AccessLog>,
-    /// Probe steps that were not part of an expansion: the random
-    /// initialization's, up to the first [`Hook::forget`], and each
-    /// reset's re-registrations. `None` until that first call.
-    uncounted: Option<u64>,
+    record: SimRecord,
+    /// Cleared per-round log entries kept for the next search, so a
+    /// logging table allocates nothing in steady state.
+    spare: Vec<IterAccess>,
 }
 
 impl SimTable {
-    /// A table under `policy`, logging every gathered row into the
-    /// trace's [`SearchTrace::accesses`] when `log_accesses`.
+    /// A table under `policy`, logging every gathered row into its
+    /// record's [`SimRecord::accesses`] when `log_accesses`.
     ///
     /// # Panics
     /// Panics on a forgettable policy with `bits` outside `4..=24` or a
@@ -45,8 +47,14 @@ impl SimTable {
             );
         }
         // The table is a placeholder until the first search sizes it.
-        let (set, log) = (VisitedSet::new(4), log_accesses.then(AccessLog::default));
-        SimTable { policy, forgettable: None, set, log, uncounted: None }
+        let record =
+            SimRecord { accesses: log_accesses.then(AccessLog::default), ..SimRecord::default() };
+        SimTable { policy, forgettable: None, set: VisitedSet::new(4), record, spare: Vec::new() }
+    }
+
+    /// What the table recorded of the last search.
+    pub fn record(&self) -> &SimRecord {
+        &self.record
     }
 
     /// Pick the table `mode` runs: multi-CTA's lives in device memory
@@ -59,11 +67,6 @@ impl SimTable {
             _ => None,
         };
     }
-
-    /// The last search's expansion probes, as its trace's rounds count them.
-    fn expansion_probes(&self) -> u64 {
-        self.uncounted.map_or(0, |skip| self.set.probes() - skip)
-    }
 }
 
 impl Hook for SimTable {
@@ -73,62 +76,68 @@ impl Hook for SimTable {
             None => VisitedSet::standard_bits(max_rounds, round_slots),
         };
         self.set.reset_to(bits);
-        self.uncounted = None;
+        let record = &mut self.record;
+        record.rounds.clear();
+        record.hash_slots = self.set.capacity();
+        record.hash_in_shared = self.forgettable.is_some();
+        if let Some(log) = &mut record.accesses {
+            log.init_scored.clear();
+            // Reversed, so round `r` reuses last search's entry `r`.
+            self.spare.extend(log.iterations.drain(..).rev().map(|mut entry| {
+                entry.parents.clear();
+                entry.scored.clear();
+                entry
+            }));
+        }
     }
 
+    /// Probes taken here after a round's first [`Hook::expand`] are that
+    /// round's (the initialization's are not counted, nor a reset's,
+    /// which never comes through here); first visits go to the log.
     #[inline]
     fn insert(&mut self, id: u32) -> bool {
-        self.set.insert(id)
+        let before = self.set.probes();
+        let fresh = self.set.insert(id);
+        if let Some(round) = self.record.rounds.last_mut() {
+            round.probes += self.set.probes() - before;
+        }
+        if let (true, Some(log)) = (fresh, &mut self.record.accesses) {
+            match log.iterations.last_mut() {
+                Some(round) => round.scored.push(id),
+                None => log.init_scored.push(id),
+            }
+        }
+        fresh
     }
 
-    fn probes(&self) -> u64 {
-        self.set.probes()
-    }
-
-    fn forget(&mut self, round: usize, buf: &SearchBuffer) -> bool {
-        let set = &mut self.set;
-        // The kernel calls this right before each expansion, so every
-        // probe before the first call was the initialization's.
-        let mut uncounted = *self.uncounted.get_or_insert(set.probes());
+    fn expand(&mut self, round: usize, parents: &[u32], buf: &SearchBuffer) {
+        let record = &mut self.record;
+        if record.rounds.len() <= round {
+            record.rounds.push(SimRound::default());
+            if let Some(log) = &mut record.accesses {
+                log.iterations.push(self.spare.pop().unwrap_or_default());
+            }
+        }
         let due = self
             .forgettable
             .is_some_and(|(_, interval)| round > 0 && round.is_multiple_of(interval));
         if due {
-            let before = set.probes();
-            set.reset(buf.topm_ids());
-            uncounted += set.probes() - before;
+            self.set.reset(buf.topm_ids());
         }
-        self.uncounted = Some(uncounted);
-        due
-    }
-
-    fn log(&mut self, round: Option<usize>, parents: &[u32], scored: &[u32]) {
-        let Some(log) = &mut self.log else { return };
-        let Some(round) = round else { return log.init_scored.extend_from_slice(scored) };
-        if log.iterations.len() <= round {
-            log.iterations.resize_with(round + 1, IterAccess::default);
+        if let Some(current) = record.rounds.last_mut() {
+            current.reset |= due;
         }
-        if let Some(entry) = log.iterations.get_mut(round) {
+        if let Some(entry) = record.accesses.as_mut().and_then(|log| log.iterations.last_mut()) {
             entry.parents.extend_from_slice(parents);
-            entry.scored.extend_from_slice(scored);
         }
-    }
-
-    fn finish(&mut self, trace: &mut SearchTrace) {
-        trace.accesses = self.log.as_mut().map(std::mem::take);
-        let set = &self.set;
-        trace.hash_slots = set.capacity();
-        trace.hash_in_shared = self.forgettable.is_some();
-        let om = obs::metrics();
-        om.search_probe_len.record(self.expansion_probes());
-        om.search_hash_occupancy_permille.record((set.len() as u64 * 1000) / set.capacity() as u64);
     }
 }
 
 /// [`CagraIndex::search_mode_with`] on `table` (multi-CTA always runs
-/// the standard one): the trace carries the table and, if `table` logs
-/// them, [`SearchTrace::accesses`]. Recycling one `table` and one
-/// scratch across queries reuses the hash table's slots. Panics like
+/// the standard one): the results and the host trace land in
+/// `scratch`, the table's record in [`SimTable::record`]. Recycling one
+/// `table` and one scratch across queries reuses the hash table's
+/// slots and, when it logs, the access log. Panics like
 /// `search_mode_with`.
 pub fn search_with<S: VectorStore>(
     index: &CagraIndex<S>,
@@ -141,12 +150,18 @@ pub fn search_with<S: VectorStore>(
 ) {
     table.arm(mode);
     index.search_hooked(query, k, params, mode, scratch, table);
+    let set = &table.set;
+    let om = obs::metrics();
+    om.search_probe_len.record(table.record.total_hash_probes());
+    om.search_hash_occupancy_permille.record((set.len() as u64 * 1000) / set.capacity() as u64);
 }
 
 /// [`CagraIndex::try_search_batch`] on the GPU's visited table under
-/// `policy`, with the traces [`crate::simulate_batch`] prices. Panics
-/// on the inputs that entry rejects and the policies [`SimTable::new`]
-/// refuses.
+/// `policy`, with the traces [`crate::simulate_batch`] prices: query
+/// `qi` runs [`search_with`] with seed
+/// [`SearchParams::seed_for_query`]`(qi)` on one recycled table and
+/// scratch per thread. Panics on the inputs that entry rejects and the
+/// policies [`SimTable::new`] refuses.
 pub fn search_batch_traced<S: VectorStore, Q: VectorStore>(
     index: &CagraIndex<S>,
     queries: &Q,
@@ -154,13 +169,22 @@ pub fn search_batch_traced<S: VectorStore, Q: VectorStore>(
     params: &SearchParams,
     mode: Mode,
     policy: HashPolicy,
-) -> Vec<(Vec<Neighbor>, SearchTrace)> {
-    let mut table = SimTable::new(policy, false);
-    table.arm(mode);
-    let out = index.try_search_batch_hooked(queries, k, params, Some(mode), true, || table.clone());
+) -> Vec<(Vec<Neighbor>, SimTrace)> {
+    let valid = index.validate_shape(queries.dim(), k, params);
     // ALLOW(panic): documented contract of this panicking entry.
-    let out = out.unwrap_or_else(|e| panic!("{e}"));
-    out.neighbors.into_iter().zip(out.traces).collect()
+    valid.unwrap_or_else(|e| panic!("{e}"));
+    let state = || (SearchScratch::new(), SimTable::new(policy, false), vec![0.0; queries.dim()]);
+    let run = |(scratch, table, query): &mut (SearchScratch, SimTable, Vec<f32>), qi: usize| {
+        queries.get_into(qi, query);
+        let p = SearchParams { seed: params.seed_for_query(qi), ..*params };
+        search_with(index, query, k, &p, mode, table, scratch);
+        let trace = SimTrace { host: scratch.trace().clone(), sim: table.record().clone() };
+        (scratch.results().to_vec(), trace)
+    };
+    if queries.len() > 1 {
+        obs::metrics().search_batches.inc();
+    }
+    parallel_map_with(queries.len(), default_threads(), state, run)
 }
 
 /// [`ShardedIndex::search`] on the GPU's visited table under `policy`,
@@ -173,7 +197,7 @@ pub fn search_sharded_traced<S: VectorStore>(
     params: &SearchParams,
     mode: Mode,
     policy: HashPolicy,
-) -> (Vec<Neighbor>, Vec<SearchTrace>) {
+) -> (Vec<Neighbor>, Vec<SimTrace>) {
     let one = Dataset::from_flat(query.to_vec(), query.len());
     index.search_each(k, |shard| {
         search_batch_traced(shard, &one, k, params, mode, policy).pop().unwrap_or_default()
@@ -197,21 +221,37 @@ mod tests {
         let mut scratch = SearchScratch::new();
         let mut untraced = SearchScratch::new();
         untraced.set_record_trace(false);
-        for (policy, mode) in
-            [(forgettable, Mode::SingleCta), (HashPolicy::Standard, Mode::MultiCta)]
-        {
-            let mut table = SimTable::new(policy, false);
-            for qi in 0..queries.len() {
-                search_with(&index, queries.row(qi), 10, &p, mode, &mut table, &mut scratch);
-                let trace = scratch.trace();
-                assert!(trace.total_hash_probes() > 0, "{policy:?}: query {qi} probed nothing");
-                let probes = trace.total_hash_probes();
-                assert_eq!(table.expansion_probes(), probes, "{policy:?}");
-                // The table counts them itself, so the caller's trace
-                // flag stays off.
-                search_with(&index, queries.row(qi), 10, &p, mode, &mut table, &mut untraced);
-                assert!(untraced.trace().iterations.is_empty(), "trace recording turned on");
-                assert_eq!(table.expansion_probes(), probes, "{policy:?} untraced");
+        for policy in [forgettable, HashPolicy::Standard] {
+            for mode in [Mode::SingleCta, Mode::MultiCta] {
+                let label = format!("{policy:?}/{mode:?}");
+                // Multi-CTA runs the standard table whatever the policy.
+                let resets = policy != HashPolicy::Standard && mode == Mode::SingleCta;
+                let mut table = SimTable::new(policy, true);
+                for qi in 0..queries.len() {
+                    search_with(&index, queries.row(qi), 10, &p, mode, &mut table, &mut scratch);
+                    let (trace, record) = (scratch.trace(), table.record().clone());
+                    assert_eq!(record.rounds.len(), trace.iteration_count(), "{label}");
+                    for (r, (it, round)) in trace.iterations.iter().zip(&record.rounds).enumerate()
+                    {
+                        // Every filled slot is one insert of at least one probe.
+                        assert!(round.probes >= it.candidates, "{label}: round {r} probes");
+                        assert_eq!(round.reset, resets && r > 0, "{label}: round {r} reset");
+                    }
+                    let log = record.accesses.as_ref().expect("the table logs");
+                    assert_eq!(log.init_scored.len() as u64, trace.init_distances, "{label}");
+                    assert_eq!(log.iterations.len(), trace.iteration_count(), "{label}");
+                    let widest = trace.num_workers * trace.search_width;
+                    for (it, access) in trace.iterations.iter().zip(&log.iterations) {
+                        assert_eq!(access.scored.len() as u64, it.distances_computed, "{label}");
+                        assert!(access.parents.len() <= widest, "{label}: parents");
+                    }
+                    // The table counts them itself, so the caller's
+                    // trace flag stays off.
+                    search_with(&index, queries.row(qi), 10, &p, mode, &mut table, &mut untraced);
+                    assert!(untraced.trace().iterations.is_empty(), "trace recording turned on");
+                    assert_eq!(table.record().rounds, record.rounds, "{label} untraced");
+                    assert_eq!(table.record().accesses, record.accesses, "{label} untraced");
+                }
             }
         }
     }

@@ -3,8 +3,9 @@
 //! `cagra`'s `tests/scratch_parity.rs`.
 //!
 //! A batch searched on recycled per-thread scratch and hash tables has
-//! to return bit-identical `Neighbor` lists (ids *and* distances) to
-//! searching each query on a brand-new scratch, across both kernel
+//! to return bit-identical `Neighbor` lists (ids *and* distances), and
+//! record the same walk and table work, as searching each query on a
+//! brand-new scratch and table, across both kernel
 //! mappings, any thread count and both hash policies — and the
 //! standard table must return what the host entry
 //! (`search_mode_with`, the dense visited set) returns on a fresh or a
@@ -22,8 +23,12 @@ use cagra::{CagraIndex, GraphConfig, SearchParams, SearchScratch};
 use dataset::synth::{Family, SynthSpec};
 use dataset::VectorStore;
 use distance::Metric;
-use gpu_sim::{search_batch_traced, search_with, HashPolicy, SimTable};
+use gpu_sim::{search_batch_traced, search_with, HashPolicy, SimRound, SimTable, SimTrace};
 use knn::topk::Neighbor;
+
+/// One query's results, host trace and table rounds (none for a host
+/// search).
+type Run = (Vec<Neighbor>, SearchTrace, Vec<SimRound>);
 
 /// Each query on a brand-new scratch with the seed the batch entry
 /// gives it: through the host entry (`search_mode_with`, the dense
@@ -35,19 +40,23 @@ fn fresh_per_query(
     params: &SearchParams,
     mode: Mode,
     policy: Option<HashPolicy>,
-) -> Vec<(Vec<Neighbor>, SearchTrace)> {
+) -> Vec<Run> {
     (0..queries.len())
         .map(|qi| {
             let p = SearchParams { seed: params.seed_for_query(qi), ..*params };
             let mut scratch = SearchScratch::new();
-            match policy {
-                None => index.search_mode_with(queries.row(qi), k, &p, mode, &mut scratch),
+            let rounds = match policy {
+                None => {
+                    index.search_mode_with(queries.row(qi), k, &p, mode, &mut scratch);
+                    Vec::new()
+                }
                 Some(policy) => {
                     let mut table = SimTable::new(policy, false);
                     search_with(index, queries.row(qi), k, &p, mode, &mut table, &mut scratch);
+                    table.record().rounds.clone()
                 }
-            }
-            (scratch.results().to_vec(), scratch.trace().clone())
+            };
+            (scratch.results().to_vec(), scratch.trace().clone(), rounds)
         })
         .collect()
 }
@@ -61,21 +70,16 @@ fn walk(t: &SearchTrace) -> Walk {
     (t.init_distances, rounds.collect(), [t.itopk, t.search_width, t.degree, t.num_workers])
 }
 
-fn neighbors_of(runs: &[(Vec<Neighbor>, SearchTrace)]) -> Vec<Vec<Neighbor>> {
-    runs.iter().map(|(r, _)| r.clone()).collect()
+fn neighbors_of(runs: &[Run]) -> Vec<Vec<Neighbor>> {
+    runs.iter().map(|(r, _, _)| r.clone()).collect()
 }
 
 /// `simulated` returns what `host` does, bit for bit, and walks the
 /// graph the same way.
-fn assert_same_search(
-    simulated: &[(Vec<Neighbor>, SearchTrace)],
-    host: &[(Vec<Neighbor>, SearchTrace)],
-    label: &str,
-) {
+fn assert_same_search(simulated: &[Run], host: &[Run], label: &str) {
     assert_bit_identical(&neighbors_of(simulated), &neighbors_of(host), label);
-    for (qi, ((_, s), (_, h))) in simulated.iter().zip(host).enumerate() {
+    for (qi, ((_, s, _), (_, h, _))) in simulated.iter().zip(host).enumerate() {
         assert_eq!(walk(s), walk(h), "{label}: query {qi} trace");
-        assert!(s.hash_slots > 0 && h.hash_slots == 0, "{label}: query {qi} visited tables");
     }
 }
 
@@ -87,7 +91,7 @@ fn batch(
     params: &SearchParams,
     mode: Mode,
     policy: HashPolicy,
-) -> Vec<(Vec<Neighbor>, SearchTrace)> {
+) -> Vec<(Vec<Neighbor>, SimTrace)> {
     search_batch_traced(index, queries, k, params, mode, policy)
 }
 
@@ -125,7 +129,7 @@ fn batch_scratch_reuse_is_bit_identical_to_fresh_state() {
             .map(|qi| {
                 let p = SearchParams { seed: params.seed_for_query(qi), ..params };
                 index.search_mode_with(queries.row(qi), k, &p, mode, &mut scratch);
-                (scratch.results().to_vec(), scratch.trace().clone())
+                (scratch.results().to_vec(), scratch.trace().clone(), Vec::new())
             })
             .collect();
         for (policy, table) in tables {
@@ -160,9 +164,9 @@ fn batch_scratch_reuse_is_bit_identical_to_fresh_state() {
 
             // The batch path must match fresh state at every thread
             // count: 1 (one scratch serves the whole batch — maximum
-            // reuse) and several (one scratch per worker). At one
-            // thread its traces must report reuse for every query
-            // after the first.
+            // reuse) and several (one scratch per worker), walking and
+            // probing as fresh state does. At one thread its traces
+            // must report reuse for every query after the first.
             for threads in ["1", "4"] {
                 std::env::set_var("CAGRA_THREADS", threads);
                 let out = batch(&index, &queries, k, &params, mode, policy);
@@ -170,10 +174,15 @@ fn batch_scratch_reuse_is_bit_identical_to_fresh_state() {
                 let results: Vec<Vec<Neighbor>> = out.iter().map(|(r, _)| r.clone()).collect();
                 let label = format!("{table}/{mode:?}/threads={threads}");
                 assert_bit_identical(&results, &fresh, &label);
-                assert!(out[0].1.hash_slots > 0, "{label}: table");
+                for (qi, ((_, t), (_, h, rounds))) in out.iter().zip(&fresh_runs).enumerate() {
+                    assert_eq!(walk(&t.host), walk(h), "{label}: query {qi} trace");
+                    assert_eq!(&t.sim.rounds, rounds, "{label}: query {qi} table rounds");
+                }
+                assert!(out[0].1.sim.hash_slots > 0, "{label}: table");
                 if threads == "1" {
-                    assert!(!out[0].1.scratch_reused, "{label}: first query is not a reuse");
-                    assert!(out[1..].iter().all(|(_, t)| t.scratch_reused), "{label}: reuse");
+                    assert!(!out[0].1.host.scratch_reused, "{label}: first query is not a reuse");
+                    let reused = out[1..].iter().all(|(_, t)| t.host.scratch_reused);
+                    assert!(reused, "{label}: reuse");
                 }
             }
         }
@@ -186,7 +195,7 @@ fn batch_scratch_reuse_is_bit_identical_to_fresh_state() {
     for mode in [Mode::SingleCta, Mode::MultiCta] {
         let fresh = fresh_per_query(&index, &queries, k, &params, mode, Some(forgettable));
         let mut table = SimTable::new(forgettable, false);
-        for (qi, (fresh_qi, _)) in fresh.iter().enumerate() {
+        for (qi, (fresh_qi, _, _)) in fresh.iter().enumerate() {
             let p = SearchParams { seed: params.seed_for_query(qi), ..params };
             search_with(&index, queries.row(qi), k, &p, mode, &mut table, &mut scratch);
             assert_bit_identical(

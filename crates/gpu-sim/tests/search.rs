@@ -28,7 +28,7 @@ fn forgettable_hash_recall_not_catastrophic() {
     let out = search_batch_traced(&ix, &queries, 10, &p, Mode::SingleCta, policy);
     let mut hits = 0usize;
     for (qi, (got, trace)) in out.iter().enumerate() {
-        assert!(trace.hash_in_shared && trace.iterations.iter().any(|i| i.hash_reset));
+        assert!(trace.sim.hash_in_shared && trace.sim.rounds.iter().any(|r| r.reset));
         let want = exact_search(ix.store(), Metric::SquaredL2, queries.row(qi), 10);
         hits += got.iter().filter(|n| want.iter().any(|w| w.id == n.id)).count();
     }
@@ -36,7 +36,7 @@ fn forgettable_hash_recall_not_catastrophic() {
     assert!(recall > 0.8, "forgettable recall@10 = {recall}");
     // Multi-CTA's table lives in device memory and is never reset.
     let (_, trace) = &search_batch_traced(&ix, &queries, 10, &p, Mode::MultiCta, policy)[0];
-    assert!(!trace.hash_in_shared && trace.iterations.iter().all(|i| !i.hash_reset));
+    assert!(!trace.sim.hash_in_shared && trace.sim.rounds.iter().all(|r| !r.reset));
 }
 
 #[test]
@@ -47,7 +47,7 @@ fn simulate_rejects_degenerate_forgettable_tables() {
         let mut scratch = SearchScratch::new();
         let mut table = SimTable::new(policy, false);
         search_with(&ix, &q, 5, &p, Mode::SingleCta, &mut table, &mut scratch);
-        scratch.trace().clone()
+        table.record().clone()
     };
     for policy in [
         HashPolicy::Forgettable { bits: 2, reset_interval: 1 },
@@ -78,6 +78,6 @@ fn traced_search_returns_one_trace_per_shard() {
         HashPolicy::Standard,
     );
     assert_eq!(traces.len(), 3);
-    assert!(traces.iter().all(|t| t.hash_slots > 0), "simulated traces carry their table");
+    assert!(traces.iter().all(|t| t.sim.hash_slots > 0), "simulated traces carry their table");
     assert_eq!(got, sharded.search(queries.row(0), 5, &p, Mode::SingleCta));
 }

@@ -239,11 +239,11 @@ fn malformed_requests_are_rejected_without_poisoning_the_batcher() {
 }
 
 #[test]
-fn dropped_response_handles_do_not_wedge_the_dispatcher() {
+fn dropped_response_handles_do_not_wedge_the_workers() {
     let (index, queries) = build_index();
     let service = Service::start(index, ServeConfig::new(SearchParams::for_k(K))).unwrap();
     drop(service.submit(queries.row(0), K).expect("admitted"));
-    // The dispatcher must shrug off the gone client and keep serving.
+    // The workers must shrug off the gone client and keep serving.
     let resp = service.search_blocking(queries.row(1), K).expect("served");
     assert_eq!(resp.neighbors.len(), K);
 }

@@ -17,14 +17,14 @@
 //! * one vertex expansion per iteration with the neighbor distance
 //!   computations batched across the thread block.
 //!
-//! Searches record a [`cagra::search::trace::SearchTrace`]
-//! (device-memory hash, full-warp distances) so `gpu-sim` prices SONG
-//! with the same model as every other GPU method.
+//! Searches record a [`gpu_sim::SimTrace`] (device-memory hash,
+//! full-warp distances) so `gpu-sim` prices SONG with the same model as
+//! every other GPU method.
 
-use cagra::search::trace::{IterationTrace, SearchTrace};
+use cagra::search::trace::IterationTrace;
 use dataset::VectorStore;
 use distance::{DistanceOracle, Metric};
-use gpu_sim::VisitedSet;
+use gpu_sim::{SimRound, SimTrace, VisitedSet};
 use knn::topk::{cmp_neighbor, Neighbor, TopK};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -123,7 +123,7 @@ pub fn song_search<S: VectorStore + ?Sized>(
     query: &[f32],
     k: usize,
     params: &SongParams,
-) -> (Vec<Neighbor>, SearchTrace) {
+) -> (Vec<Neighbor>, SimTrace) {
     assert!(adjacency.len() <= store.len(), "graph larger than dataset");
     assert_eq!(query.len(), store.dim(), "query dimension mismatch");
     let n = adjacency.len();
@@ -133,16 +133,7 @@ pub fn song_search<S: VectorStore + ?Sized>(
         if n == 0 { 1 } else { (adjacency.iter().map(Vec::len).sum::<usize>() / n.max(1)).max(1) };
 
     let mut hash = VisitedSet::new(VisitedSet::standard_bits(max_iters, avg_degree));
-    let mut trace = SearchTrace {
-        itopk: pq_size,
-        search_width: 1,
-        degree: avg_degree,
-        num_workers: 1,
-        hash_slots: hash.capacity(),
-        hash_in_shared: false, // SONG keeps the table in device memory
-        serial_queue: true,    // bounded pq with serialized inserts
-        ..Default::default()
-    };
+    let mut trace = SimTrace::serial(pq_size, avg_degree, hash.capacity());
     if n == 0 || k == 0 {
         return (Vec::new(), trace);
     }
@@ -159,7 +150,7 @@ pub fn song_search<S: VectorStore + ?Sized>(
             let id = id.min(n as u32 - 1);
             hash.insert(id);
             let d = oracle.to_row(query, id as usize);
-            trace.init_distances += 1;
+            trace.host.init_distances += 1;
             pq.push(Neighbor::new(id, d));
             results.push(Neighbor::new(id, d));
         }
@@ -169,7 +160,7 @@ pub fn song_search<S: VectorStore + ?Sized>(
                 let id = rng.gen_range(0..n) as u32;
                 if hash.insert(id) {
                     let d = oracle.to_row(query, id as usize);
-                    trace.init_distances += 1;
+                    trace.host.init_distances += 1;
                     pq.push(Neighbor::new(id, d));
                     results.push(Neighbor::new(id, d));
                 }
@@ -198,13 +189,12 @@ pub fn song_search<S: VectorStore + ?Sized>(
                 results.push(Neighbor::new(nb, d));
             }
         }
-        trace.iterations.push(IterationTrace {
+        trace.host.iterations.push(IterationTrace {
             candidates: neighbors.len() as u64,
             distances_computed: computed as u64,
-            hash_probes: hash.probes() - probes_before,
             sort_len: neighbors.len() as u64,
-            hash_reset: false,
         });
+        trace.sim.rounds.push(SimRound { probes: hash.probes() - probes_before, reset: false });
     }
 
     let mut out = results.into_sorted();
@@ -295,8 +285,8 @@ mod tests {
         let params = SongParams { starts: StartPolicy::Fixed(0), ..SongParams::new(64) };
         let (res, trace) = song_search(&adj, &base, Metric::SquaredL2, queries.row(0), 5, &params);
         assert_eq!(res.len(), 5);
-        assert_eq!(trace.init_distances, 1);
-        assert!(!trace.hash_in_shared);
+        assert_eq!(trace.host.init_distances, 1);
+        assert!(!trace.sim.hash_in_shared);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use cagra_repro::cagra::SearchScratch;
 use cagra_repro::prelude::*;
-use gpu_sim::{search_with, simulate_batch, DeviceSpec, SimTable};
+use gpu_sim::{search_with, simulate_batch, DeviceSpec, SimTable, SimTrace};
 
 /// Threads per distance computation in the GPU model (a `gpu-sim`
 /// input; results do not depend on it).
@@ -51,7 +51,7 @@ fn main() {
         let q = queries.row(qi);
         search_with(&index, q, 10, &params, Mode::MultiCta, &mut table, &mut simulated);
         assert_eq!(simulated.results(), &results[..]);
-        let trace = simulated.trace().clone();
+        let trace = SimTrace { host: simulated.trace().clone(), sim: table.record().clone() };
         let sim = simulate_batch(&device, &[trace], 96, 4, TEAM_SIZE, Mode::MultiCta);
         sim_lat_us.push(sim.seconds * 1e6);
     }

@@ -33,7 +33,7 @@ fn main() {
     // traces for the device model.
     let params = SearchParams::for_k(10);
     let hash = HashPolicy::Forgettable { bits: 11, reset_interval: 1 };
-    let mut shard_traces: Vec<Vec<cagra::search::trace::SearchTrace>> =
+    let mut shard_traces: Vec<Vec<gpu_sim::SimTrace>> =
         (0..shards).map(|_| Vec::with_capacity(queries.len())).collect();
     let mut hits = 0usize;
     for (qi, ids) in gt.iter().enumerate() {

@@ -1,5 +1,7 @@
 //! Golden parity for the search kernel: FNV-1a digests over result
-//! ids, distance bits, every `SearchTrace` field and the `AccessLog`,
+//! ids, distance bits, every `SearchTrace` field, the simulated table's
+//! record (`gpu_sim::SimRecord`) and its `AccessLog`, interleaved in
+//! one word stream,
 //! for a grid of metric x relabel x `search_width` x `num_cta` x
 //! `max_iterations` x (k, itopk) x both modes, plus one PQ +
 //! `rerank_depth` leg, in two tables. Any change to what the loop
@@ -16,8 +18,9 @@
 //! * `HOST` pins the host's search, on the same grid without the hash
 //!   axis. The host entry logs no accesses, so the digest is taken on
 //!   the standard table with the log on, and leaves out the four words
-//!   only a hash table has: `hash_probes`, `hash_reset`, `hash_slots`
-//!   and `hash_in_shared`. Its constants were generated at commit
+//!   only a hash table has: each round's probes and reset flag, the
+//!   slot count and the shared-memory placement. Its constants were
+//!   generated at commit
 //!   `e90c9e0`, where every search ran a hash table, by running this
 //!   digest there with `HashPolicy::Standard` in every cell.
 //!
@@ -28,7 +31,7 @@
 
 use cagra_repro::cagra::{RelabelStrategy, SearchScratch};
 use cagra_repro::dataset::pq::{self, PqConfig};
-use cagra_repro::gpu_sim::{search_with, SimTable};
+use cagra_repro::gpu_sim::{search_with, SimRecord, SimTable};
 use cagra_repro::prelude::*;
 
 const SIMULATED: [(&str, u64); 13] = [
@@ -89,11 +92,11 @@ impl Fnv {
         ids.iter().for_each(|&id| self.word(id as u64));
     }
 
-    /// Everything one search left in the scratch; `table` adds the
-    /// four words only a hash table has.
-    fn absorb(&mut self, scratch: &SearchScratch, table: bool) {
-        self.search(scratch, table);
-        let log = scratch.trace().accesses.as_ref().expect("access recording is on");
+    /// Everything one search left in the scratch and in `record`;
+    /// `table` adds the four words only a hash table has.
+    fn absorb(&mut self, scratch: &SearchScratch, record: &SimRecord, table: bool) {
+        self.search(scratch, Some((record, table)));
+        let log = record.accesses.as_ref().expect("access recording is on");
         self.ids(&log.init_scored);
         self.word(log.iterations.len() as u64);
         for it in &log.iterations {
@@ -102,8 +105,10 @@ impl Fnv {
         }
     }
 
-    /// [`Fnv::absorb`] without the access log.
-    fn search(&mut self, scratch: &SearchScratch, table: bool) {
+    /// [`Fnv::absorb`] without the access log; without a record, the
+    /// host trace's words alone.
+    fn search(&mut self, scratch: &SearchScratch, record: Option<(&SimRecord, bool)>) {
+        let table = record.filter(|&(_, table)| table).map(|(r, _)| r);
         self.word(scratch.results().len() as u64);
         for nb in scratch.results() {
             self.word(nb.id as u64);
@@ -113,34 +118,36 @@ impl Fnv {
         for w in [t.init_distances, t.iterations.len() as u64] {
             self.word(w);
         }
-        for it in &t.iterations {
+        for (i, it) in t.iterations.iter().enumerate() {
+            let round = table.map(|r| r.rounds[i]);
             self.word(it.candidates);
             self.word(it.distances_computed);
-            if table {
-                self.word(it.hash_probes);
+            if let Some(round) = round {
+                self.word(round.probes);
             }
             self.word(it.sort_len);
-            if table {
-                self.word(it.hash_reset as u64);
+            if let Some(round) = round {
+                self.word(round.reset as u64);
             }
         }
         for w in [t.itopk, t.search_width, t.degree, t.num_workers] {
             self.word(w as u64);
         }
-        if table {
-            self.word(t.hash_slots as u64);
-            self.word(t.hash_in_shared as u64);
+        if let Some(r) = table {
+            self.word(r.hash_slots as u64);
+            self.word(r.hash_in_shared as u64);
         }
-        for flag in [t.serial_queue, t.scratch_reused] {
-            self.word(flag as u64);
+        if let Some((r, _)) = record {
+            self.word(r.serial_queue as u64);
         }
+        self.word(t.scratch_reused as u64);
     }
 }
 
-/// The non-table digest of one search, without its access log.
+/// The host-trace digest of one search, without the table's record.
 fn one(scratch: &SearchScratch) -> u64 {
     let mut h = Fnv::new();
-    h.search(scratch, false);
+    h.search(scratch, None);
     h.0
 }
 
@@ -203,13 +210,14 @@ fn digest<S: VectorStore>(
             for qi in 0..queries.len() {
                 let p = SearchParams { seed: p.seed_for_query(qi), ..p };
                 search_with(index, queries.row(qi), k, &p, mode, &mut table, &mut scratch);
-                h.absorb(&scratch, policy.is_some());
+                h.absorb(&scratch, table.record(), policy.is_some());
                 if standard {
                     index.search_mode_with(queries.row(qi), k, &p, mode, &mut host);
                     let label = format!("{mode:?} k {k} query {qi} {p:?}");
                     assert_eq!(one(&host), one(&scratch), "host differs from standard: {label}");
+                    let slots = table.record().hash_slots as u64;
                     let t = scratch.trace();
-                    assert!(t.total_distances() < t.hash_slots as u64, "table filled: {label}");
+                    assert!(t.total_distances() < slots, "table filled: {label}");
                 }
             }
         }
