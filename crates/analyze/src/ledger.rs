@@ -130,6 +130,19 @@ pub fn diff(schema: &Schema, actual: &Tallies, budget: &Tallies) -> Vec<String> 
     problems
 }
 
+/// The keys of a pinned-zero bucket's `counts` that break its
+/// commitment: every nonzero count except the one under a key named
+/// `allowed` (sites carrying a reviewed `ALLOW` annotation).
+pub fn pinned_zero_violations(schema: &Schema, counts: &[usize]) -> Vec<&'static str> {
+    schema
+        .keys
+        .iter()
+        .zip(counts)
+        .filter(|(key, &count)| **key != "allowed" && count > 0)
+        .map(|(key, _)| *key)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,6 +195,17 @@ mod tests {
         assert!(problems[1].contains("betas shrank to 0"));
         assert_eq!(diff(&S, &actual, &Tallies::new()).len(), 1, "unbudgeted bucket fails");
         assert_eq!(diff(&S, &Tallies::new(), &actual).len(), 1, "vanished bucket fails");
+    }
+
+    #[test]
+    fn pinned_zero_exempts_only_the_allowed_key() {
+        // Without an `allowed` key every count is pinned, the last too.
+        let four = Schema { keys: &["blocks", "fns", "impls", "traits"], ..S };
+        assert_eq!(pinned_zero_violations(&four, &[0, 0, 0, 1]), ["traits"]);
+        assert!(pinned_zero_violations(&four, &[0, 0, 0, 0]).is_empty());
+        let allowing = Schema { keys: &["allocs", "allowed"], ..S };
+        assert!(pinned_zero_violations(&allowing, &[0, 3]).is_empty());
+        assert_eq!(pinned_zero_violations(&allowing, &[2, 3]), ["allocs"]);
     }
 
     #[test]

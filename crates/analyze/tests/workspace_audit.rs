@@ -75,11 +75,10 @@ fn pinned_zero_buckets_hold_in_committed_budgets() {
             let counts = tallies.get(*bucket).unwrap_or_else(|| {
                 panic!("{}: pinned bucket {bucket} missing from committed file", schema.file)
             });
-            // Every key except the trailing `allowed` must be zero.
-            let sites = &counts[..counts.len().saturating_sub(1)];
+            let broken = analyze::ledger::pinned_zero_violations(schema, counts);
             assert!(
-                sites.iter().all(|&c| c == 0),
-                "{}: pinned-zero bucket {bucket} has un-ALLOWed sites: {counts:?}",
+                broken.is_empty(),
+                "{}: pinned-zero bucket {bucket} has un-ALLOWed {broken:?}: {counts:?}",
                 schema.file
             );
         }

@@ -13,7 +13,9 @@
 //!   parent tracking — one loop, [`search::kernel`], run in either of
 //!   two hardware mappings: single-CTA (one worker per query, large
 //!   batches) or multi-CTA (several workers cooperating on one query).
-//!   [`search::planner`] encodes the Fig. 7 dispatch rule.
+//!   Every search names its [`search::planner::Mode`]; the paper's
+//!   Fig. 7 rule for choosing one is a GPU occupancy rule and lives in
+//!   `gpu-sim` (`DeviceSpec::mapping`).
 //!
 //! The GPU model — its standard and "forgettable" visited hash tables,
 //! the memory-access log, team sizes, occupancy and transactions —

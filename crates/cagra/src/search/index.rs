@@ -2,16 +2,17 @@
 //!
 //! [`CagraIndex`] owns the dataset and graph and exposes the public
 //! search API: one validated entry ([`CagraIndex::try_search_batch`]:
-//! a batch of queries, the mapping either given or chosen per Fig. 7,
-//! traces on request; thread-parallel over queries, the CPU analogue
-//! of launching one CTA per query), one unchecked hot entry on caller
-//! scratch ([`CagraIndex::search_mode_with`]) and three panicking
-//! one-line conveniences over the validated entry. `gpu-sim` runs the
-//! hot entry on its own visited tables through its hidden
+//! a batch of queries under a stated mapping, traces on request;
+//! thread-parallel over queries, the CPU analogue of launching one CTA
+//! per query), one unchecked hot entry on caller scratch
+//! ([`CagraIndex::search_mode_with`]) and three panicking
+//! conveniences, each with its mapping stated: a batch runs
+//! single-CTA, a lone query multi-CTA on one scratch. `gpu-sim` runs
+//! the hot entry on its own visited tables through its hidden
 //! [`CagraIndex::search_hooked`] form.
 
 use super::kernel::{search_query, Hook};
-use super::planner::{choose, Mode};
+use super::planner::Mode;
 use super::scratch::SearchScratch;
 use super::trace::SearchTrace;
 use crate::build::{build_graph, BuildReport, GraphConfig};
@@ -49,22 +50,10 @@ pub struct SearchOutput {
     pub traces: Vec<SearchTrace>,
 }
 
-/// A lone query viewed as a one-row batch.
-struct OneQuery<'a>(&'a [f32]);
-
-impl VectorStore for OneQuery<'_> {
-    fn len(&self) -> usize {
-        1
-    }
-    fn dim(&self) -> usize {
-        self.0.len()
-    }
-    fn get_into(&self, _i: usize, out: &mut [f32]) {
-        out.copy_from_slice(self.0);
-    }
-    fn bytes_per_vector(&self) -> usize {
-        std::mem::size_of_val(self.0)
-    }
+/// The panicking conveniences' side of a validated result.
+fn must<T>(result: Result<T, SearchError>) -> T {
+    // ALLOW(panic): documented contract of the panicking conveniences.
+    result.unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl<S: VectorStore> CagraIndex<S> {
@@ -176,8 +165,7 @@ impl<S: VectorStore> CagraIndex<S> {
     }
 
     /// The one validated search entry: every query of `queries`,
-    /// parallel over queries, with mapping `mode` — `None` picks it per
-    /// Fig. 7 from the batch size and `itopk`. Every invalid input
+    /// parallel over queries, with mapping `mode`. Every invalid input
     /// (dimension mismatch, `k == 0`, `k > itopk`, `k > n`, bad knob
     /// values, rerank without a source) comes back as a typed
     /// [`SearchError`]. Per-query traces are recorded and returned
@@ -187,17 +175,16 @@ impl<S: VectorStore> CagraIndex<S> {
     /// on a per-thread recycled [`SearchScratch`], so results are
     /// deterministic regardless of thread count and the steady state
     /// performs zero heap allocations per query beyond the returned
-    /// vectors. A one-row batch runs inline on the calling thread.
+    /// vectors.
     pub fn try_search_batch<Q: VectorStore>(
         &self,
         queries: &Q,
         k: usize,
         params: &SearchParams,
-        mode: Option<Mode>,
+        mode: Mode,
         traced: bool,
     ) -> Result<SearchOutput, SearchError> {
         self.validate_shape(queries.dim(), k, params)?;
-        let mode = mode.unwrap_or_else(|| choose(queries.len(), params.itopk));
         let state = || {
             let mut scratch = SearchScratch::new();
             // Untraced: skip per-iteration records so the steady state
@@ -216,40 +203,37 @@ impl<S: VectorStore> CagraIndex<S> {
             scratch.query = q;
             (scratch.results().to_vec(), traced.then(|| scratch.trace().clone()))
         };
-        let rows = if queries.len() == 1 {
-            vec![run(&mut state(), 0)]
-        } else {
-            obs::metrics().search_batches.inc();
-            parallel_map_with(queries.len(), default_threads(), state, run)
-        };
+        obs::metrics().search_batches.inc();
+        let rows = parallel_map_with(queries.len(), default_threads(), state, run);
         let (neighbors, traces): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
         Ok(SearchOutput { neighbors, traces: traces.into_iter().flatten().collect() })
     }
 
-    /// [`CagraIndex::try_search_batch`] for the panicking conveniences
-    /// below.
-    fn must_search<Q: VectorStore>(
+    /// Validate one query, then run it with `mode` on a fresh scratch,
+    /// which holds the results and, when `traced`, the trace.
+    pub(crate) fn search_one(
         &self,
-        queries: &Q,
+        query: &[f32],
         k: usize,
         params: &SearchParams,
-        mode: Option<Mode>,
+        mode: Mode,
         traced: bool,
-    ) -> SearchOutput {
-        let out = self.try_search_batch(queries, k, params, mode, traced);
-        // ALLOW(panic): documented contract of the panicking wrappers.
-        out.unwrap_or_else(|e| panic!("{e}"))
+    ) -> SearchScratch {
+        must(self.validate_shape(query.len(), k, params));
+        let mut scratch = SearchScratch::new();
+        scratch.set_record_trace(traced);
+        self.search_mode_with(query, k, params, mode, &mut scratch);
+        scratch
     }
 
-    /// Single-query search with automatic mapping choice (a lone query
-    /// always dispatches to multi-CTA, as in the paper).
+    /// Single-query search, multi-CTA: the mapping that spreads one
+    /// query over several workers.
     ///
     /// # Panics
     /// Panics on invalid input, as do the conveniences below;
     /// [`CagraIndex::try_search_batch`] is the non-panicking form.
     pub fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Vec<Neighbor> {
-        let mut out = self.must_search(&OneQuery(query), k, params, None, false);
-        out.neighbors.pop().unwrap_or_default()
+        self.search_one(query, k, params, Mode::MultiCta, false).results
     }
 
     /// Single-query search with an explicit mapping; returns the trace
@@ -261,18 +245,18 @@ impl<S: VectorStore> CagraIndex<S> {
         params: &SearchParams,
         mode: Mode,
     ) -> (Vec<Neighbor>, SearchTrace) {
-        let mut out = self.must_search(&OneQuery(query), k, params, Some(mode), true);
-        (out.neighbors.pop().unwrap_or_default(), out.traces.pop().unwrap_or_default())
+        let scratch = self.search_one(query, k, params, mode, true);
+        (scratch.results, scratch.trace)
     }
 
-    /// Batch search, mapping chosen per Fig. 7 from the batch size.
+    /// Batch search, single-CTA: one worker per query.
     pub fn search_batch<Q: VectorStore>(
         &self,
         queries: &Q,
         k: usize,
         params: &SearchParams,
     ) -> Vec<Vec<Neighbor>> {
-        self.must_search(queries, k, params, None, false).neighbors
+        must(self.try_search_batch(queries, k, params, Mode::SingleCta, false)).neighbors
     }
 
     /// The unchecked hot entry: one query on caller-provided scratch.
@@ -468,12 +452,31 @@ mod tests {
     }
 
     #[test]
-    fn single_query_uses_multi_cta_mapping() {
-        let (index, queries) = build_index(500);
-        let p = SearchParams::for_k(5);
-        let auto = index.search(queries.row(0), 5, &p);
-        let (multi, _) = index.search_mode(queries.row(0), 5, &p, Mode::MultiCta);
-        assert_eq!(auto, multi);
+    fn each_convenience_runs_its_stated_mapping() {
+        let (index, _) = build_index(500);
+        let spec = SynthSpec { dim: 8, n: 10, queries: 200, family: Family::Gaussian, seed: 22 };
+        let (_, queries) = spec.generate();
+        // Single-CTA honours a two-round cap, multi-CTA floors it at 32
+        // rounds, so the two mappings part ways and each check below
+        // can tell which one ran.
+        let p = SearchParams { max_iterations: 2, ..SearchParams::for_k(5) };
+        // `search` is multi-CTA.
+        let mut disagree = 0;
+        for qi in 0..queries.len() {
+            let got = index.search(queries.row(qi), 5, &p);
+            assert_eq!(got, index.search_mode(queries.row(qi), 5, &p, Mode::MultiCta).0);
+            disagree +=
+                usize::from(got != index.search_mode(queries.row(qi), 5, &p, Mode::SingleCta).0);
+        }
+        assert!(disagree > 0, "the mappings agree on every query");
+        // `search_batch` is single-CTA, at one row as at 200.
+        let one = dataset::Dataset::from_flat(queries.row(0).to_vec(), queries.dim());
+        for batch in [&one, &queries] {
+            let single = index.try_search_batch(batch, 5, &p, Mode::SingleCta, false).unwrap();
+            assert_eq!(index.search_batch(batch, 5, &p), single.neighbors);
+        }
+        let multi = index.try_search_batch(&queries, 5, &p, Mode::MultiCta, false).unwrap();
+        assert_ne!(index.search_batch(&queries, 5, &p), multi.neighbors);
     }
 
     #[test]
@@ -582,7 +585,7 @@ mod tests {
         let (mut index, queries) = build_index(300);
         let mut p = SearchParams::for_k(5);
         p.rerank_depth = 20;
-        let refused = index.try_search_batch(&queries, 5, &p, None, false);
+        let refused = index.try_search_batch(&queries, 5, &p, Mode::SingleCta, false);
         assert_eq!(refused.err(), Some(SearchError::RerankWithoutSource));
         assert_eq!(
             index.validate_shape(queries.dim(), 5, &p),

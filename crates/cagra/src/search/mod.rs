@@ -10,8 +10,9 @@
 //! set, how many parents and how long a list each worker gets —
 //! selected by [`planner::Mode`]. The visited set is [`dense`]; the
 //! GPU's hash tables live in `gpu-sim`, which runs the loop through
-//! [`kernel::Hook`]. [`planner`] picks the mode per Fig. 7; [`index`]
-//! is the public entry.
+//! [`kernel::Hook`]. Every search states its mode; `gpu-sim` keeps
+//! the Fig. 7 rule that picks one for a GPU. [`index`] is the public
+//! entry.
 
 pub mod buffer;
 pub mod dense;

@@ -201,7 +201,7 @@ impl<S: VectorStore> ShardedIndex<S> {
         params: &SearchParams,
         mode: Mode,
     ) -> Vec<Neighbor> {
-        self.search_each(k, |s| (s.search_mode(query, k, params, mode).0, ())).0
+        self.search_each(k, |s| (s.search_one(query, k, params, mode, false).results, ())).0
     }
 
     /// Run `search` on every shard, translate each shard's results to
@@ -211,7 +211,7 @@ impl<S: VectorStore> ShardedIndex<S> {
     pub fn search_each<T>(
         &self,
         k: usize,
-        search: impl Fn(&CagraIndex<S>) -> (Vec<Neighbor>, T),
+        search: impl FnMut(&CagraIndex<S>) -> (Vec<Neighbor>, T),
     ) -> (Vec<Neighbor>, Vec<T>) {
         let (per_shard, extras): (Vec<_>, Vec<_>) = self.shards.iter().map(search).unzip();
         let mut all: Vec<Neighbor> = Vec::with_capacity(k * self.shards.len());

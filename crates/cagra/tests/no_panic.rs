@@ -76,7 +76,7 @@ proptest! {
         let q = Dataset::from_flat(vec![0.25f32; qdim], qdim);
         let mode = if single { Mode::SingleCta } else { Mode::MultiCta };
         // Reaching a match arm at all is the no-panic property.
-        match index.try_search_batch(&q, k, &p, Some(mode), false) {
+        match index.try_search_batch(&q, k, &p, mode, false) {
             Ok(out) => {
                 let res = &out.neighbors[0];
                 prop_assert!(
@@ -119,11 +119,11 @@ proptest! {
             CagraIndex::try_new(filler(n, dim, 11), ring(n, degree), Metric::SquaredL2).unwrap();
         let queries = filler(nq, qdim, 13);
         let p = SearchParams::for_k(k.max(1));
-        if let Ok(out) = index.try_search_batch(&queries, k, &p, None, false) {
+        if let Ok(out) = index.try_search_batch(&queries, k, &p, Mode::MultiCta, false) {
             prop_assert_eq!(out.neighbors.len(), nq);
             prop_assert!(out.traces.is_empty());
         }
-        if let Ok(out) = index.try_search_batch(&queries, k, &p, Some(Mode::SingleCta), true) {
+        if let Ok(out) = index.try_search_batch(&queries, k, &p, Mode::SingleCta, true) {
             prop_assert_eq!((out.neighbors.len(), out.traces.len()), (nq, nq));
         }
     }
@@ -150,7 +150,7 @@ proptest! {
         let q = Dataset::from_flat(q, dim);
         let k = k.min(n);
         for mode in [Mode::SingleCta, Mode::MultiCta] {
-            let out = index.try_search_batch(&q, k, &SearchParams::for_k(k), Some(mode), false);
+            let out = index.try_search_batch(&q, k, &SearchParams::for_k(k), mode, false);
             prop_assert!(out.is_ok(), "{:?}: {:?}", mode, out.err());
             let res = &out.unwrap().neighbors[0];
             prop_assert!(res.len() <= k, "{} results for k={}", res.len(), k);
@@ -221,7 +221,7 @@ fn tiny_datasets_search_cleanly() {
     let index = CagraIndex::try_new(Dataset::empty(3), ring(0, 2), Metric::SquaredL2).unwrap();
     let q = Dataset::from_flat(vec![0.0; 3], 3);
     assert_eq!(
-        index.try_search_batch(&q, 1, &SearchParams::for_k(1), None, false).err(),
+        index.try_search_batch(&q, 1, &SearchParams::for_k(1), Mode::SingleCta, false).err(),
         Some(SearchError::KExceedsDataset { k: 1, n: 0 })
     );
 }

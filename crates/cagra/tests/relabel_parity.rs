@@ -29,7 +29,7 @@ fn batch(
     params: &SearchParams,
     mode: Mode,
 ) -> Vec<Vec<Neighbor>> {
-    index.try_search_batch(queries, k, params, Some(mode), false).expect("valid request").neighbors
+    index.try_search_batch(queries, k, params, mode, false).expect("valid request").neighbors
 }
 
 fn assert_bit_identical(a: &[Vec<Neighbor>], b: &[Vec<Neighbor>], label: &str) {

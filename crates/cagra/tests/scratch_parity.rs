@@ -48,7 +48,7 @@ fn batch(
     params: &SearchParams,
     mode: Mode,
 ) -> Vec<(Vec<Neighbor>, SearchTrace)> {
-    let out = index.try_search_batch(queries, k, params, Some(mode), true);
+    let out = index.try_search_batch(queries, k, params, mode, true);
     let out = out.expect("valid request");
     out.neighbors.into_iter().zip(out.traces).collect()
 }

@@ -11,12 +11,13 @@ pub const USAGE: &str = "usage: cagra-cli <command> [--flag value]...
          [--metrics-out F]
   bundle --base F --degree D [--metric M] [--relabel identity|degree|rcm|gorder] [--pq M] --out F
   search (--index F | --base F --graph F [--metric M]) --queries F --k K [--itopk I]
-         [--mode auto|single|multi] [--rerank D] [--gt F] [--metrics-out F]
+         [--mode single|multi] [--rerank D] [--gt F] [--metrics-out F]
   serve  (--index F | --base F --graph F [--metric M]) [--k K] [--itopk I] [--rerank D]
          [--queue-cap C] [--threads W] [--addr A] [--dynamic true|false]
          [--self-test N] [--clients C] [--metrics-out F]
   stats  --graph F [--two-hop-stride S]
-A flag its command does not list is an error. --rerank D runs two-phase search over a PQ \
+A flag its command does not list is an error. search --mode names the mapping every query \
+runs (default single: one worker per query). --rerank D runs two-phase search over a PQ \
 bundle. serve --threads W runs W serve workers, each searching one request at a time \
 (0 = CAGRA_THREADS or every core).";
 

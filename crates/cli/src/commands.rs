@@ -272,11 +272,10 @@ pub fn search(args: &Args) -> Result<String, String> {
     let mut params = SearchParams::for_k(k);
     params.itopk = args.usize_or("itopk", params.itopk)?.max(k);
     params.rerank_depth = parse_rerank(args, k)?;
-    let mode = match args.opt("mode").unwrap_or("auto") {
-        "auto" => None,
-        "single" => Some(Mode::SingleCta),
-        "multi" => Some(Mode::MultiCta),
-        other => return Err(format!("unknown mode '{other}' (auto|single|multi)")),
+    let mode = match args.opt("mode").unwrap_or("single") {
+        "single" => Mode::SingleCta,
+        "multi" => Mode::MultiCta,
+        other => return Err(format!("unknown mode '{other}' (single|multi)")),
     };
 
     let index = load_index(args)?;

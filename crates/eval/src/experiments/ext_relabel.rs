@@ -109,7 +109,7 @@ pub fn measure(wl: &Workload, ctx: &ExpContext) -> Vec<StrategyRow> {
         for (index, (walls, results)) in indexes.iter().zip(&mut passes) {
             let t0 = Instant::now();
             *results = index
-                .try_search_batch(&wl.queries, ctx.k, &params, Some(Mode::SingleCta), false)
+                .try_search_batch(&wl.queries, ctx.k, &params, Mode::SingleCta, false)
                 .expect("workload shape is valid")
                 .neighbors;
             walls.push(t0.elapsed().as_secs_f64());

@@ -13,7 +13,7 @@
 use dataset::VectorStore;
 use distance::{DistanceOracle, Metric};
 use gpu_sim::{traced_beam_search, BeamParams, SimTrace};
-use knn::parallel::{default_threads, parallel_map};
+use knn::parallel::{default_threads, parallel_map, parallel_map_with};
 use knn::topk::{cmp_neighbor, Neighbor};
 use std::time::{Duration, Instant};
 
@@ -123,10 +123,10 @@ impl<S: VectorStore> Ganns<S> {
     ) -> Vec<(Vec<Neighbor>, SimTrace)> {
         let dim = queries.dim();
         assert_eq!(dim, self.store.dim(), "query dimension mismatch");
-        parallel_map(queries.len(), default_threads(), |qi| {
-            let mut q = vec![0.0f32; dim];
-            queries.get_into(qi, &mut q);
-            self.search(&q, k, beam, 0xaa55 ^ qi as u64)
+        let row = || vec![0.0f32; dim];
+        parallel_map_with(queries.len(), default_threads(), row, |q, qi| {
+            queries.get_into(qi, q);
+            self.search(q, k, beam, 0xaa55 ^ qi as u64)
         })
     }
 

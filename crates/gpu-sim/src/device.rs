@@ -1,5 +1,6 @@
-//! Device specifications.
+//! Device specifications and the Fig. 7 mapping rule they decide.
 
+use cagra::search::planner::Mode;
 use serde::{Deserialize, Serialize};
 
 /// The hardware parameters the cost model consumes. Defaults mirror
@@ -52,6 +53,22 @@ impl DeviceSpec {
         }
     }
 
+    /// Internal top-M threshold `M_T` of Fig. 7 (the paper recommends
+    /// 512).
+    pub const ITOPK_THRESHOLD: usize = 512;
+
+    /// The paper's Fig. 7 rule: multi-CTA when the batch cannot give
+    /// every SM a query (`batch < b_T`, with `b_T` the SM count) or
+    /// when single-CTA's top-M update would dominate (`itopk > M_T`),
+    /// single-CTA otherwise.
+    pub fn mapping(&self, batch: usize, itopk: usize) -> Mode {
+        if batch < self.sm_count || itopk > Self::ITOPK_THRESHOLD {
+            Mode::MultiCta
+        } else {
+            Mode::SingleCta
+        }
+    }
+
     /// Seconds represented by `cycles` core cycles.
     pub fn cycles_to_seconds(&self, cycles: f64) -> f64 {
         cycles / (self.clock_ghz * 1e9)
@@ -73,6 +90,33 @@ mod tests {
         assert_eq!(d.sm_count, 108);
         assert_eq!(d.registers_per_sm, 65_536);
         assert!((d.clock_ghz - 1.41).abs() < 1e-9);
+    }
+
+    #[test]
+    fn single_query_goes_multi() {
+        assert_eq!(DeviceSpec::a100().mapping(1, 64), Mode::MultiCta);
+    }
+
+    #[test]
+    fn large_batch_small_itopk_goes_single() {
+        assert_eq!(DeviceSpec::a100().mapping(10_000, 64), Mode::SingleCta);
+    }
+
+    #[test]
+    fn large_itopk_forces_multi_even_for_large_batches() {
+        assert_eq!(DeviceSpec::a100().mapping(10_000, 1024), Mode::MultiCta);
+    }
+
+    #[test]
+    fn mapping_boundaries() {
+        let d = DeviceSpec::a100();
+        let m_t = DeviceSpec::ITOPK_THRESHOLD;
+        // batch == b_T is "not smaller" -> single.
+        assert_eq!(d.mapping(d.sm_count, 64), Mode::SingleCta);
+        assert_eq!(d.mapping(d.sm_count - 1, 64), Mode::MultiCta);
+        // itopk == M_T is "not larger" -> single.
+        assert_eq!(d.mapping(10_000, m_t), Mode::SingleCta);
+        assert_eq!(d.mapping(10_000, m_t + 1), Mode::MultiCta);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use cagra::search::buffer::SearchBuffer;
 use cagra::search::kernel::Hook;
 use cagra::search::planner::Mode;
 use cagra::{CagraIndex, SearchParams, SearchScratch, ShardedIndex};
-use dataset::{Dataset, VectorStore};
+use dataset::VectorStore;
 use knn::parallel::{default_threads, parallel_map_with};
 use knn::topk::Neighbor;
 
@@ -156,6 +156,14 @@ pub fn search_with<S: VectorStore>(
     om.search_hash_occupancy_permille.record((set.len() as u64 * 1000) / set.capacity() as u64);
 }
 
+/// Panic on a request [`CagraIndex::validate_shape`] rejects: the
+/// contract of the traced entries below.
+fn validate<S: VectorStore>(index: &CagraIndex<S>, dim: usize, k: usize, params: &SearchParams) {
+    let valid = index.validate_shape(dim, k, params);
+    // ALLOW(panic): documented contract of the panicking traced entries.
+    valid.unwrap_or_else(|e| panic!("{e}"));
+}
+
 /// [`CagraIndex::try_search_batch`] on the GPU's visited table under
 /// `policy`, with the traces [`crate::simulate_batch`] prices: query
 /// `qi` runs [`search_with`] with seed
@@ -170,9 +178,7 @@ pub fn search_batch_traced<S: VectorStore, Q: VectorStore>(
     mode: Mode,
     policy: HashPolicy,
 ) -> Vec<(Vec<Neighbor>, SimTrace)> {
-    let valid = index.validate_shape(queries.dim(), k, params);
-    // ALLOW(panic): documented contract of this panicking entry.
-    valid.unwrap_or_else(|e| panic!("{e}"));
+    validate(index, queries.dim(), k, params);
     let state = || (SearchScratch::new(), SimTable::new(policy, false), vec![0.0; queries.dim()]);
     let run = |(scratch, table, query): &mut (SearchScratch, SimTable, Vec<f32>), qi: usize| {
         queries.get_into(qi, query);
@@ -181,15 +187,14 @@ pub fn search_batch_traced<S: VectorStore, Q: VectorStore>(
         let trace = SimTrace { host: scratch.trace().clone(), sim: table.record().clone() };
         (scratch.results().to_vec(), trace)
     };
-    if queries.len() > 1 {
-        obs::metrics().search_batches.inc();
-    }
+    obs::metrics().search_batches.inc();
     parallel_map_with(queries.len(), default_threads(), state, run)
 }
 
 /// [`ShardedIndex::search`] on the GPU's visited table under `policy`,
-/// with each shard's trace for [`crate::simulate_sharded_batch`].
-/// Panics like [`search_batch_traced`].
+/// with each shard's trace for [`crate::simulate_sharded_batch`]: every
+/// shard runs [`search_with`] on one table and one scratch. Panics like
+/// [`search_batch_traced`].
 pub fn search_sharded_traced<S: VectorStore>(
     index: &ShardedIndex<S>,
     query: &[f32],
@@ -198,9 +203,13 @@ pub fn search_sharded_traced<S: VectorStore>(
     mode: Mode,
     policy: HashPolicy,
 ) -> (Vec<Neighbor>, Vec<SimTrace>) {
-    let one = Dataset::from_flat(query.to_vec(), query.len());
+    let mut table = SimTable::new(policy, false);
+    let mut scratch = SearchScratch::new();
     index.search_each(k, |shard| {
-        search_batch_traced(shard, &one, k, params, mode, policy).pop().unwrap_or_default()
+        validate(shard, query.len(), k, params);
+        search_with(shard, query, k, params, mode, &mut table, &mut scratch);
+        let trace = SimTrace { host: scratch.trace().clone(), sim: table.record().clone() };
+        (scratch.results().to_vec(), trace)
     })
 }
 

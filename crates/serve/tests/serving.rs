@@ -379,9 +379,9 @@ fn pq_backed_service_serves_two_phase_exact_distances() {
 
 /// The case a recycled scratch could get wrong: one service, one pair
 /// of long-lived scratches, and traffic in bursts whose sizes keep
-/// changing — lone requests, bursts past the Fig. 7 crossover
-/// (`planner::BATCH_THRESHOLD`, where the paper's rule would switch to
-/// single-CTA), small bursts in between — with `k = 10` beside `k = 1`
+/// changing — lone requests, bursts past the Fig. 7 crossover (the
+/// A100's 108 SMs, where `gpu_sim::DeviceSpec::mapping` would switch
+/// to single-CTA), small bursts in between — with `k = 10` beside `k = 1`
 /// and every request followed by the exact rerank pass. Each response
 /// must report the one multi-CTA plan and equal `search_mode_with` on a
 /// fresh scratch under it, bit for bit.

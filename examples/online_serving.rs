@@ -2,7 +2,8 @@
 //! the paper's Fig. 14, where the multi-CTA mapping keeps a GPU busy
 //! with one query.
 //!
-//! Demonstrates the Fig. 7 implementation-choice rule, per-query
+//! Demonstrates the Fig. 7 implementation-choice rule (a GPU
+//! occupancy rule, so `gpu-sim`'s device model answers it), per-query
 //! latency percentiles on the host, and the simulated-A100 latency
 //! derived from the recorded kernel trace.
 //!
@@ -25,22 +26,18 @@ fn main() {
 
     let params = SearchParams::for_k(10);
 
-    // The paper's dispatch rule: batch 1 -> multi-CTA; a 10k batch
-    // with small itopk -> single-CTA.
-    assert_eq!(choose(1, params.itopk), Mode::MultiCta);
-    assert_eq!(choose(10_000, params.itopk), Mode::SingleCta);
-    println!(
-        "dispatch: batch=1 -> {:?}, batch=10k -> {:?}",
-        choose(1, params.itopk),
-        choose(10_000, params.itopk)
-    );
+    // The paper's dispatch rule on the A100: batch 1 -> multi-CTA; a
+    // 10k batch with small itopk -> single-CTA.
+    let device = DeviceSpec::a100();
+    let (one, many) = (device.mapping(1, params.itopk), device.mapping(10_000, params.itopk));
+    assert_eq!((one, many), (Mode::MultiCta, Mode::SingleCta));
+    println!("dispatch: batch=1 -> {one:?}, batch=10k -> {many:?}");
 
     // Serve queries one at a time and collect latencies. The simulated
     // latency prices a second run of each query on the GPU's visited
     // table (multi-CTA: the standard one), which returns the same ids.
     let mut host_lat_us: Vec<f64> = Vec::with_capacity(queries.len());
     let mut sim_lat_us: Vec<f64> = Vec::with_capacity(queries.len());
-    let device = DeviceSpec::a100();
     let mut simulated = SearchScratch::new();
     let mut table = SimTable::new(HashPolicy::Standard, false);
     for qi in 0..queries.len() {

@@ -26,8 +26,8 @@ fn main() {
         report.opt_time,
     );
 
-    // Search: k = 10 with default parameters. Single queries
-    // automatically dispatch to the multi-CTA style mapping (Fig. 7).
+    // Search: k = 10 with default parameters. A single query runs the
+    // multi-CTA mapping, several workers on one query.
     let params = SearchParams::for_k(10);
     for qi in 0..queries.len() {
         let results = index.search(queries.row(qi), 10, &params);
@@ -35,7 +35,8 @@ fn main() {
         println!("query {qi}: top-10 = {ids:?} (nearest dist {:.3})", results[0].dist);
     }
 
-    // Batch mode: all queries at once, thread-parallel.
+    // Batch mode: all queries at once, thread-parallel, single-CTA
+    // (one worker per query).
     let batch = index.search_batch(&queries, 10, &params);
     assert_eq!(batch.len(), queries.len());
     println!("batch search returned {} result lists", batch.len());

@@ -49,7 +49,7 @@ pub use song;
 /// The types most applications need.
 pub mod prelude {
     pub use cagra::build::GraphConfig;
-    pub use cagra::search::planner::{choose, Mode};
+    pub use cagra::search::planner::Mode;
     pub use cagra::{CagraIndex, SearchParams};
     pub use dataset::synth::{Family, SynthSpec};
     pub use dataset::{Dataset, DatasetF16, VectorStore};

@@ -167,7 +167,9 @@ fn build_and_search_populate_the_metrics_registry() {
 
     let before = snap();
     let (index, _) = CagraIndex::build(base, Metric::SquaredL2, &GraphConfig::new(16));
-    let out = index.try_search_batch(&queries, K, &SearchParams::for_k(K), None, false).unwrap();
+    let out = index
+        .try_search_batch(&queries, K, &SearchParams::for_k(K), Mode::SingleCta, false)
+        .unwrap();
     assert_eq!(out.neighbors.len(), queries.len());
     let after = snap();
 
