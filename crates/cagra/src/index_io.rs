@@ -19,16 +19,15 @@
 //! permutation that maps internal row positions back to original ids.
 //! Version-1 bundles load unchanged as identity-labeled indexes.
 //!
-//! Version 3 adds the storage tag. Tag 0 is the plain f32 layout of
-//! v2; tag 1 is a product-quantized bundle: the codebook and `n x m`
-//! code matrix (internal row order, matching the graph), then the
-//! graph, then the **full-precision vectors in original id order**,
-//! zero-padded so the f32 region starts on an 8-byte-aligned file
-//! offset. The loader memory-maps that tail region
-//! ([`crate::mmap::MmapVectors`]) and attaches it as the index's
+//! Version 3 adds the storage tag, and every bundle is written as v3.
+//! Tag 0 is the plain f32 layout of v2; tag 1 is a product-quantized
+//! bundle: the codebook and `n x m` code matrix (internal row order,
+//! matching the graph), then the graph, then the **full-precision
+//! vectors in original id order**, zero-padded so the f32 region starts
+//! on an 8-byte-aligned file offset. The loader memory-maps that tail
+//! region ([`crate::mmap::MmapVectors`]) and attaches it as the index's
 //! two-phase rerank source, so a multi-million-point bundle keeps only
-//! `m` bytes per vector resident. [`write_index`] still emits v2 —
-//! plain f32 bundles stay readable by older loaders.
+//! `m` bytes per vector resident.
 //!
 //! There is one loader, [`read_bundle`], which takes whichever storage
 //! a file carries, plus one typed wrapper, [`read_index_pq`], for
@@ -48,9 +47,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"CGIX";
-const VERSION: u32 = 2;
-/// First version carrying the storage tag (and thus PQ payloads).
-const VERSION_PQ: u32 = 3;
+/// The version every bundle is written as (the reader also takes 1, 2).
+const VERSION: u32 = 3;
 /// Storage tags (v3+).
 const STORAGE_F32: u8 = 0;
 const STORAGE_PQ: u8 = 1;
@@ -76,22 +74,20 @@ fn tag_metric(t: u8) -> io::Result<Metric> {
     }
 }
 
-/// Shared header + relabel-section writer (everything before the
-/// storage-dependent body).
-fn write_header<W: Write>(
+/// The bundle prefix: header, relabel section and storage tag
+/// (everything before the storage-dependent body).
+fn write_prefix<S: VectorStore, W: Write>(
     w: &mut W,
-    version: u32,
-    metric: Metric,
-    dim: usize,
-    n: usize,
-    id_map: Option<&IdMap>,
+    index: &CagraIndex<S>,
+    storage: u8,
 ) -> io::Result<()> {
+    let store = index.store();
     w.write_all(MAGIC)?;
-    w.write_all(&version.to_le_bytes())?;
-    w.write_all(&[metric_tag(metric)])?;
-    w.write_all(&(dim as u64).to_le_bytes())?;
-    w.write_all(&(n as u64).to_le_bytes())?;
-    match id_map {
+    w.write_all(&VERSION.to_le_bytes())?;
+    w.write_all(&[metric_tag(index.metric())])?;
+    w.write_all(&(store.dim() as u64).to_le_bytes())?;
+    w.write_all(&(store.len() as u64).to_le_bytes())?;
+    match index.id_map() {
         None => w.write_all(&[0u8])?,
         Some(m) => {
             w.write_all(&[m.strategy.tag()])?;
@@ -102,7 +98,7 @@ fn write_header<W: Write>(
             w.write_all(&raw)?;
         }
     }
-    Ok(())
+    w.write_all(&[storage])
 }
 
 /// Stream f32 values little-endian in bounded chunks.
@@ -120,33 +116,35 @@ fn write_f32s<W: Write>(w: &mut W, flat: &[f32]) -> io::Result<()> {
 
 /// Serialize a full index (vectors + graph + metric) to one stream.
 pub fn write_index<W: Write>(mut w: W, index: &CagraIndex<Dataset>) -> io::Result<()> {
-    let store = index.store();
-    write_header(&mut w, VERSION, index.metric(), store.dim(), store.len(), index.id_map())?;
-    write_f32s(&mut w, store.as_flat())?;
-    graph::io::write_fixed(w, index.graph())
+    write_prefix(&mut w, index, STORAGE_F32)?;
+    write_f32s(&mut w, index.store().as_flat())?;
+    graph::io::write_fixed(&mut w, index.graph())?;
+    // A buffered writer dropped unflushed would swallow a failed last write.
+    w.flush()
 }
 
-/// Serialize a product-quantized index as a v3 bundle: codes + graph
-/// up front, then `full`'s f32 rows as the 8-aligned tail region
-/// [`read_bundle`] memory-maps for the two-phase rerank.
+/// Serialize a product-quantized index: codes + graph up front, then
+/// `full`'s f32 rows as the 8-aligned tail region [`read_bundle`]
+/// memory-maps for the two-phase rerank.
 ///
 /// `full` must hold the full-precision vectors in **original** id
 /// order (the order before any locality relabel — search results carry
-/// original ids, so the rerank source never needs the permutation).
-///
-/// # Panics
-/// Panics if `full`'s shape differs from the index.
+/// original ids, so the rerank source never needs the permutation);
+/// a `full` of another shape than the index is an
+/// [`io::ErrorKind::InvalidInput`] error.
 pub fn write_index_pq<W: Write>(
     w: W,
     index: &CagraIndex<PqStore>,
     full: &Dataset,
 ) -> io::Result<()> {
     let store = index.store();
-    assert_eq!(full.len(), store.len(), "full-precision rows/index size mismatch");
-    assert_eq!(full.dim(), store.dim(), "full-precision rows/index dimension mismatch");
+    let (rows, want) = ((full.len(), full.dim()), (store.len(), store.dim()));
+    if rows != want {
+        let msg = format!("full-precision rows are {rows:?} (n, dim) but the index is {want:?}");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+    }
     let mut w = CountWriter { inner: w, pos: 0 };
-    write_header(&mut w, VERSION_PQ, index.metric(), store.dim(), store.len(), index.id_map())?;
-    w.write_all(&[STORAGE_PQ])?;
+    write_prefix(&mut w, index, STORAGE_PQ)?;
     store.codebook().write_to(&mut w)?;
     w.write_all(store.codes())?;
     graph::io::write_fixed(&mut w, index.graph())?;
@@ -157,7 +155,8 @@ pub fn write_index_pq<W: Write>(
     w.write_all(&[pad])?;
     w.write_all(&[0u8; 8][..pad as usize])?;
     debug_assert_eq!(w.pos % 8, 0);
-    write_f32s(&mut w, full.as_flat())
+    write_f32s(&mut w, full.as_flat())?;
+    w.flush()
 }
 
 /// Which body follows the bundle prefix.
@@ -186,7 +185,7 @@ fn read_prefix<R: Read>(r: &mut CountReader<R>) -> io::Result<Prefix> {
         return Err(invalid("bad index magic"));
     }
     let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if version == 0 || version > VERSION_PQ {
+    if version == 0 || version > VERSION {
         return Err(invalid(format!("unsupported index version {version}")));
     }
     let metric = tag_metric(header[8])?;
@@ -196,7 +195,7 @@ fn read_prefix<R: Read>(r: &mut CountReader<R>) -> io::Result<Prefix> {
         return Err(invalid("zero dimension"));
     }
     let id_map = if version >= 2 { read_id_map(r, n)? } else { None };
-    let storage = if version >= VERSION_PQ {
+    let storage = if version >= 3 {
         let mut tag = [0u8; 1];
         r.read_exact(&mut tag)?;
         match tag[0] {
@@ -472,21 +471,29 @@ mod tests {
         assert_eq!(back.search(&q, 5, &p), baseline);
     }
 
+    /// Rewrite an unrelabeled v3 f32 bundle as an older version: v2
+    /// drops the storage tag (offset 26), v1 also drops the relabel tag
+    /// (offset 25, right after the header).
+    fn downgrade(mut buf: Vec<u8>, version: u32) -> Vec<u8> {
+        assert_eq!(buf[4..8], VERSION.to_le_bytes());
+        assert_eq!((buf[25], buf[26]), (0, STORAGE_F32), "unrelabeled f32 bundle");
+        buf[4..8].copy_from_slice(&version.to_le_bytes());
+        buf.drain(if version == 1 { 25..27 } else { 26..27 });
+        buf
+    }
+
     #[test]
-    fn version_1_bundle_loads_as_identity() {
+    fn older_versions_load_as_identity_f32() {
         let index = build();
-        let mut buf = write(&index);
-        // Surgically downgrade: version 2 → 1, drop the relabel tag
-        // byte that v1 never had (offset 25, right after the header).
-        assert_eq!(buf[25], 0, "unrelabeled bundle writes tag 0");
-        buf[4..8].copy_from_slice(&1u32.to_le_bytes());
-        buf.remove(25);
-        let back = load_f32("v1", &buf).unwrap();
-        assert!(back.id_map().is_none());
-        assert_eq!(back.graph(), index.graph());
         let q: Vec<f32> = index.store().row(7).to_vec();
         let p = SearchParams::for_k(5);
-        assert_eq!(back.search(&q, 5, &p), index.search(&q, 5, &p));
+        for version in [1, 2] {
+            let back =
+                load_f32(&format!("v{version}"), &downgrade(write(&index), version)).unwrap();
+            assert!(back.id_map().is_none());
+            assert_eq!(back.graph(), index.graph());
+            assert_eq!(back.search(&q, 5, &p), index.search(&q, 5, &p));
+        }
     }
 
     #[test]
@@ -557,26 +564,51 @@ mod tests {
             Bundle::F32(_) => panic!("PQ bundle loaded as f32"),
         }
 
-        // Plain storage under a v2 header (no tag) and under a v3
-        // header (tag 0, spliced in after the relabel byte at 25).
+        // Plain storage is tag 0 (older versions: `older_versions_load_as_identity_f32`).
         let index = build();
-        let mut v2 = Vec::new();
-        write_index(&mut v2, &index).unwrap();
-        let mut v3 = v2.clone();
-        v3[4..8].copy_from_slice(&VERSION_PQ.to_le_bytes());
-        v3.insert(26, STORAGE_F32);
+        let v3 = write(&index);
         let mut bad_tag = v3.clone();
         bad_tag[26] = 7;
-        for bytes in [v2, v3] {
-            std::fs::write(&path, &bytes).unwrap();
-            match read_bundle(&path).unwrap() {
-                Bundle::F32(back) => assert_eq!(back.graph(), index.graph()),
-                Bundle::Pq(_) => panic!("f32 bundle loaded as PQ"),
-            }
+        std::fs::write(&path, &v3).unwrap();
+        match read_bundle(&path).unwrap() {
+            Bundle::F32(back) => assert_eq!(back.graph(), index.graph()),
+            Bundle::Pq(_) => panic!("f32 bundle loaded as PQ"),
         }
         std::fs::write(&path, &bad_tag).unwrap();
         assert_eq!(read_bundle(&path).err().unwrap().kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn write_index_pq_refuses_rows_of_another_shape() {
+        let (index, base, _) = build_pq();
+        let short = Dataset::from_flat(base.as_flat()[base.dim()..].to_vec(), base.dim());
+        let narrow = Dataset::from_flat(vec![0.0; base.len() * 4], 4);
+        for full in [short, narrow] {
+            let err = write_index_pq(Vec::new(), &index, &full).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
+    }
+
+    /// A sink whose every write fails: behind a buffer that holds a
+    /// whole bundle, only the final flush reaches it.
+    struct Full;
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::other("no space left"))
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_final_flush_is_an_error() {
+        let sink = || io::BufWriter::with_capacity(1 << 20, Full);
+        assert!(write_index(sink(), &build()).is_err());
+        let (index, base, _) = build_pq();
+        assert!(write_index_pq(sink(), &index, &base).is_err());
     }
 
     #[test]

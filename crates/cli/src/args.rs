@@ -7,15 +7,14 @@ use std::collections::HashMap;
 pub const USAGE: &str = "usage: cagra-cli <command> [--flag value]...
   synth  --preset P --n N [--queries Q] [--seed S] --out-dir D
   gt     --base F --queries F --k K [--metric l2|ip|cosine] --out F
-  build  --base F --degree D [--metric M] [--strategy rank|distance] [--d-init D] --out F
-         [--metrics-out F]
-  bundle --base F --degree D [--metric M] [--relabel identity|degree|rcm|gorder] [--pq M] --out F
-  search (--index F | --base F --graph F [--metric M]) --queries F --k K [--itopk I]
-         [--mode single|multi] [--rerank D] [--gt F] [--metrics-out F]
-  serve  (--index F | --base F --graph F [--metric M]) [--k K] [--itopk I] [--rerank D]
-         [--queue-cap C] [--threads W] [--addr A] [--dynamic true|false]
-         [--self-test N] [--clients C] [--metrics-out F]
-  stats  --graph F [--two-hop-stride S]
+  build  --base F --degree D [--metric M] [--relabel identity|degree|rcm|gorder] [--pq M]
+         --out F [--metrics-out F]
+  search --index F --queries F --k K [--itopk I] [--mode single|multi] [--rerank D]
+         [--gt F] [--metrics-out F]
+  serve  --index F [--k K] [--itopk I] [--rerank D] [--queue-cap C] [--threads W]
+         [--addr A] [--dynamic true|false] [--self-test N] [--clients C] [--metrics-out F]
+  stats  --index F [--two-hop-stride S]
+build writes one .cgix bundle (vectors + graph + metric); search, serve and stats load it. \
 A flag its command does not list is an error. search --mode names the mapping every query \
 runs (default single: one worker per query). --rerank D runs two-phase search over a PQ \
 bundle. serve --threads W runs W serve workers, each searching one request at a time \

@@ -1,11 +1,10 @@
-//! The seven subcommands. Each refuses flags it does not accept and
+//! The six subcommands. Each refuses flags it does not accept and
 //! returns its human-readable report as a string so the integration
 //! tests can assert on it.
 
 use crate::args::Args;
 use cagra::build::GraphConfig;
 use cagra::index_io::Bundle;
-use cagra::params::ReorderStrategy;
 use cagra::search::planner::Mode;
 use cagra::{CagraIndex, RelabelStrategy, SearchParams};
 use dataset::pq::PqConfig;
@@ -36,15 +35,6 @@ fn parse_relabel(args: &Args) -> Result<RelabelStrategy, String> {
         Some(s) => RelabelStrategy::parse(s)
             .ok_or_else(|| format!("unknown relabel strategy '{s}' (identity|degree|rcm|gorder)")),
     }
-}
-
-/// One-line memory-locality summary of a graph's numbering.
-fn locality_line(g: &graph::FixedDegreeGraph, vec_row_bytes: usize) -> String {
-    let s = locality_stats(g, vec_row_bytes);
-    format!(
-        "locality: mean edge span {:.0}, bandwidth {}, est row tx {:.2}",
-        s.mean_edge_span, s.bandwidth, s.est_row_transactions
-    )
 }
 
 fn parse_metric(args: &Args) -> Result<Metric, String> {
@@ -116,27 +106,74 @@ pub fn ground_truth(args: &Args) -> Result<String, String> {
     Ok(format!("wrote exact top-{k} for {} queries to {out} in {:.2?}", gt.len(), t0.elapsed()))
 }
 
-/// `build`: construct and persist a CAGRA graph.
+/// `build`: construct a CAGRA index and persist it as one bundle
+/// (vectors + graph + metric together, so they cannot drift apart).
+/// `--relabel` renumbers graph and vectors jointly for memory locality;
+/// the permutation is persisted so loaded bundles keep answering in
+/// original ids. `--pq M` stores M-byte product-quantized codes plus the
+/// graph up front and the full-precision rows as a mmap-able tail that
+/// `search --rerank` re-scores against.
 pub fn build(args: &Args) -> Result<String, String> {
-    args.accept_only(&["base", "degree", "metric", "strategy", "d-init", "out", "metrics-out"])?;
+    args.accept_only(&["base", "degree", "metric", "relabel", "pq", "out", "metrics-out"])?;
     let base = read_dataset(args.req("base")?)?;
     let degree = args.req_usize("degree")?;
+    let config = GraphConfig::new(degree);
+    if degree == 0 || base.len() <= config.d_init() {
+        return Err(format!(
+            "--degree {degree} needs a positive degree and more than {} rows (2 x degree), \
+             but the base has {} rows",
+            config.d_init(),
+            base.len()
+        ));
+    }
     let metric = parse_metric(args)?;
-    let strategy = match args.opt("strategy").unwrap_or("rank") {
-        "rank" => ReorderStrategy::RankBased,
-        "distance" => ReorderStrategy::DistanceBased,
-        other => return Err(format!("unknown strategy '{other}' (rank|distance)")),
+    let relabel = parse_relabel(args)?;
+    // PQ bundles store the full-precision rows in original id order;
+    // keep a copy before the build (possibly) relabels the store.
+    let pq = match args.opt("pq") {
+        None => None,
+        Some(v) => {
+            let m: usize = v.parse().map_err(|_| "--pq must be a number".to_string())?;
+            if m == 0 || m > base.dim() {
+                return Err(format!("--pq {m} must be in 1..={} (the dataset dim)", base.dim()));
+            }
+            Some((m, Dataset::from_flat(base.as_flat().to_vec(), base.dim())))
+        }
     };
-    let d_init = args.usize_or("d-init", 0)?;
     let out = args.req("out")?;
-    let config = GraphConfig { strategy, intermediate_degree: d_init, ..GraphConfig::new(degree) };
-    let (index, report) = CagraIndex::build(base, metric, &config);
-    graph::io::write_fixed(create(out)?, index.graph()).map_err(|e| e.to_string())?;
+    let file = create(out)?;
+    let (index, report) = match relabel {
+        RelabelStrategy::Identity => CagraIndex::build(base, metric, &config),
+        s => CagraIndex::build_with_relabel(base, metric, &config, s),
+    };
+    let storage = match pq {
+        None => {
+            cagra::index_io::write_index(file, &index).map_err(|e| e.to_string())?;
+            format!("f32, {} B/vec", index.store().bytes_per_vector())
+        }
+        Some((m, full)) => {
+            // Encode in the index's (possibly relabeled) row order so
+            // codes stay aligned with the graph.
+            let store = dataset::pq::build(index.store(), &PqConfig::new(m));
+            let pq_index = CagraIndex::from_parts_mapped(
+                store,
+                index.graph().clone(),
+                metric,
+                index.id_map().cloned(),
+            );
+            cagra::index_io::write_index_pq(file, &pq_index, &full).map_err(|e| e.to_string())?;
+            format!(
+                "{m}-byte PQ codes, resident {m} B/vec vs f32 {} B/vec, rerank tail mmap'd",
+                full.bytes_per_vector()
+            )
+        }
+    };
     let s = report.stats;
     let mut text = format!(
-        "built degree-{degree} graph over {} vectors in {:.2?} (kNN {:.2?} + optimize {:.2?}); wrote {out}\n\
+        "built degree-{degree} graph over {} vectors in {:.2?} (kNN {:.2?} + optimize {:.2?}); \
+         wrote {out} ({storage})\n\
          stages: nn-init {:.2?} | nn-iters {:.2?} ({} iters) | reorder {:.2?} | reverse {:.2?} | merge {:.2?}; \
-         distances: nn {} + opt {}",
+         distances: nn {} + opt {}\n",
         index.graph().len(),
         report.total(),
         report.knn_time,
@@ -150,123 +187,32 @@ pub fn build(args: &Args) -> Result<String, String> {
         report.nn_distance_computations,
         s.opt_distance_computations,
     );
-    let _ = write!(text, "\n{}", locality_line(index.graph(), index.store().dim() * 4));
+    if let Some(m) = index.id_map() {
+        let _ = write!(text, "relabeled with {} in {:.2?}; ", m.strategy.label(), s.relabel);
+    }
+    let l = locality_stats(index.graph(), index.store().dim() * 4);
+    let _ = write!(
+        text,
+        "locality: mean edge span {:.0}, bandwidth {}, est row tx {:.2}",
+        l.mean_edge_span, l.bandwidth, l.est_row_transactions
+    );
     dump_metrics(args, &mut text)?;
     Ok(text)
 }
 
-/// `bundle`: build and persist a single-file index (vectors + graph +
-/// metric together, so they cannot drift apart). `--relabel` renumbers
-/// graph and vectors jointly for memory locality; the permutation is
-/// persisted so loaded bundles keep answering in original ids.
-/// `--pq M` writes a product-quantized v3 bundle instead: M-byte codes
-/// plus the graph up front, the full-precision rows as a mmap-able
-/// tail that `search --rerank` re-scores against.
-pub fn bundle(args: &Args) -> Result<String, String> {
-    args.accept_only(&["base", "degree", "metric", "relabel", "pq", "out"])?;
-    let base = read_dataset(args.req("base")?)?;
-    let degree = args.req_usize("degree")?;
-    let metric = parse_metric(args)?;
-    let relabel = parse_relabel(args)?;
-    let pq_m = match args.opt("pq") {
-        None => None,
-        Some(v) => {
-            let m: usize = v.parse().map_err(|_| "--pq must be a number".to_string())?;
-            if m == 0 || m > base.dim() {
-                return Err(format!("--pq {m} must be in 1..={} (the dataset dim)", base.dim()));
-            }
-            Some(m)
-        }
-    };
-    let out = args.req("out")?;
-    let config = GraphConfig::new(degree);
-    // PQ bundles store the full-precision rows in original id order;
-    // keep a copy before the build (possibly) relabels the store.
-    let full = pq_m.map(|_| Dataset::from_flat(base.as_flat().to_vec(), base.dim()));
-    let (index, report) = match relabel {
-        RelabelStrategy::Identity => CagraIndex::build(base, metric, &config),
-        s => CagraIndex::build_with_relabel(base, metric, &config, s),
-    };
-    let mut text = match pq_m {
-        None => {
-            cagra::index_io::write_index(create(out)?, &index).map_err(|e| e.to_string())?;
-            format!(
-                "bundled {} vectors + degree-{degree} graph into {out} (built in {:.2?})",
-                index.store().len(),
-                report.total()
-            )
-        }
-        Some(m) => {
-            // Encode in the index's (possibly relabeled) row order so
-            // codes stay aligned with the graph.
-            let store = dataset::pq::build(index.store(), &PqConfig::new(m));
-            let pq_index = CagraIndex::from_parts_mapped(
-                store,
-                index.graph().clone(),
-                metric,
-                index.id_map().cloned(),
-            );
-            let full = full.expect("full-precision copy kept for PQ bundles");
-            cagra::index_io::write_index_pq(create(out)?, &pq_index, &full)
-                .map_err(|e| e.to_string())?;
-            format!(
-                "bundled {} vectors as {m}-byte PQ codes + degree-{degree} graph into {out} \
-                 (built in {:.2?}; resident {m} B/vec vs f32 {} B/vec, rerank tail mmap'd)",
-                pq_index.store().len(),
-                report.total(),
-                full.bytes_per_vector()
-            )
-        }
-    };
-    if let Some(m) = index.id_map() {
-        let _ = write!(
-            text,
-            "\nrelabeled with {} in {:.2?}; {}",
-            m.strategy.label(),
-            report.stats.relabel,
-            locality_line(index.graph(), index.store().dim() * 4)
-        );
-    }
-    Ok(text)
-}
-
-/// Load a persisted index: either `--index bundle.cgix` (storage
-/// flavour read from the bundle — v3 PQ bundles get their mmap'd
-/// rerank tail attached) or the `--base fvecs --graph cagra
-/// [--metric m]` pair (shared by `search` and `serve`).
+/// Load the bundle named by `--index` (storage flavour read from the
+/// bundle; PQ bundles get their mmap'd rerank tail attached).
 fn load_index(args: &Args) -> Result<Bundle, String> {
-    if let Some(bundle_path) = args.opt("index") {
-        cagra::index_io::read_bundle(Path::new(bundle_path))
-            .map_err(|e| format!("load {bundle_path}: {e}"))
-    } else {
-        let base = read_dataset(args.req("base")?)?;
-        let graph_file = File::open(args.req("graph")?).map_err(|e| e.to_string())?;
-        let g = graph::io::read_fixed(BufReader::new(graph_file)).map_err(|e| e.to_string())?;
-        let metric = parse_metric(args)?;
-        Ok(Bundle::F32(CagraIndex::from_parts(base, g, metric)))
-    }
+    let path = args.req("index")?;
+    cagra::index_io::read_bundle(Path::new(path)).map_err(|e| format!("load {path}: {e}"))
 }
 
-/// `search`: query a persisted index; reports recall when ground truth
-/// is supplied. Accepts either `--index bundle.cgix` or the
-/// `--base fvecs --graph cagra` pair. `--rerank R` enables two-phase
-/// search on PQ bundles: traversal over approximate distances, then an
-/// exact re-score of the top R candidates against the mmap'd
-/// full-precision rows.
+/// `search`: query a bundle; reports recall when ground truth is
+/// supplied. `--rerank R` enables two-phase search on PQ bundles:
+/// traversal over approximate distances, then an exact re-score of the
+/// top R candidates against the mmap'd full-precision rows.
 pub fn search(args: &Args) -> Result<String, String> {
-    args.accept_only(&[
-        "index",
-        "base",
-        "graph",
-        "metric",
-        "queries",
-        "k",
-        "itopk",
-        "mode",
-        "rerank",
-        "gt",
-        "metrics-out",
-    ])?;
+    args.accept_only(&["index", "queries", "k", "itopk", "mode", "rerank", "gt", "metrics-out"])?;
     let queries = read_dataset(args.req("queries")?)?;
     let k = args.req_usize("k")?;
     let mut params = SearchParams::for_k(k);
@@ -282,7 +228,7 @@ pub fn search(args: &Args) -> Result<String, String> {
     if params.rerank_depth > 0 && matches!(index, Bundle::F32(_)) {
         return Err(
             "--rerank needs a full-precision rerank source; f32 indexes are already exact \
-             (build a PQ bundle with `bundle --pq M`)"
+             (build a PQ bundle with `build --pq M`)"
                 .to_string(),
         );
     }
@@ -343,9 +289,6 @@ pub fn search(args: &Args) -> Result<String, String> {
 pub fn serve(args: &Args) -> Result<String, String> {
     args.accept_only(&[
         "index",
-        "base",
-        "graph",
-        "metric",
         "k",
         "itopk",
         "rerank",
@@ -492,14 +435,17 @@ fn serve_index<B: serve::SearchBackend>(
     Ok(report)
 }
 
-/// `stats`: reachability metrics of a persisted graph (the Fig. 3
+/// `stats`: reachability metrics of a bundle's graph (the Fig. 3
 /// quantities).
 pub fn stats(args: &Args) -> Result<String, String> {
-    args.accept_only(&["graph", "two-hop-stride"])?;
-    let graph_file = File::open(args.req("graph")?).map_err(|e| e.to_string())?;
-    let g = graph::io::read_fixed(BufReader::new(graph_file)).map_err(|e| e.to_string())?;
+    args.accept_only(&["index", "two-hop-stride"])?;
+    let bundle = load_index(args)?;
+    let g = match &bundle {
+        Bundle::F32(ix) => ix.graph(),
+        Bundle::Pq(ix) => ix.graph(),
+    };
     let stride = args.usize_or("two-hop-stride", (g.len() / 2000).max(1))?;
-    let s = graph_stats(&AdjacencyGraph::from_fixed(&g), stride);
+    let s = graph_stats(&AdjacencyGraph::from_fixed(g), stride);
     Ok(format!(
         "nodes: {}\ndegree: {}\nstrong CC: {}\nlargest CC: {:.1}%\navg 2-hop: {:.1} (max {})\nself loops: {}",
         g.len(),
@@ -538,7 +484,7 @@ mod tests {
         let base = format!("{dir}/base.fvecs");
         let queries = format!("{dir}/queries.fvecs");
         let gt_path = format!("{dir}/gt.ivecs");
-        let graph_path = format!("{dir}/graph.cagra");
+        let index_path = format!("{dir}/index.cgix");
 
         let out = ground_truth(&Args::from_pairs(&[
             ("base", &base),
@@ -550,19 +496,26 @@ mod tests {
         assert!(out.contains("top-10"));
 
         let out =
-            build(&Args::from_pairs(&[("base", &base), ("degree", "16"), ("out", &graph_path)]))
+            build(&Args::from_pairs(&[("base", &base), ("degree", "16"), ("out", &index_path)]))
                 .unwrap();
-        assert!(out.contains("degree-16"));
+        assert!(out.contains("degree-16"), "report: {out}");
+        assert!(out.contains("stages:"), "report: {out}");
+        assert!(out.contains("locality:"), "report: {out}");
 
+        let metrics_path = format!("{dir}/metrics.json");
         let out = search(&Args::from_pairs(&[
-            ("base", &base),
+            ("index", &index_path),
             ("queries", &queries),
-            ("graph", &graph_path),
             ("k", "10"),
             ("gt", &gt_path),
+            ("metrics-out", &metrics_path),
         ]))
         .unwrap();
-        assert!(out.contains("recall@10"));
+        assert!(out.contains("searched 20 queries"));
+        assert!(out.contains("[metrics written to"));
+        let json = std::fs::read_to_string(&metrics_path).unwrap();
+        assert!(json.contains("cagra-metrics-v1"));
+        assert!(json.contains("search.iterations"));
         // Parse the recall and require a sane floor.
         let recall: f64 = out
             .lines()
@@ -572,43 +525,10 @@ mod tests {
             .unwrap();
         assert!(recall > 0.85, "cli recall {recall}");
 
-        let out = stats(&Args::from_pairs(&[("graph", &graph_path)])).unwrap();
+        let out = stats(&Args::from_pairs(&[("index", &index_path)])).unwrap();
         assert!(out.contains("degree: 16"));
         assert!(out.contains("self loops: 0"));
 
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bundle_workflow() {
-        let dir = tmpdir("bundle");
-        synth(&Args::from_pairs(&[
-            ("preset", "deep"),
-            ("n", "400"),
-            ("queries", "10"),
-            ("out-dir", &dir),
-        ]))
-        .unwrap();
-        let base = format!("{dir}/base.fvecs");
-        let queries = format!("{dir}/queries.fvecs");
-        let bundle_path = format!("{dir}/index.cgix");
-        let out =
-            bundle(&Args::from_pairs(&[("base", &base), ("degree", "8"), ("out", &bundle_path)]))
-                .unwrap();
-        assert!(out.contains("bundled 400 vectors"));
-        let metrics_path = format!("{dir}/metrics.json");
-        let out = search(&Args::from_pairs(&[
-            ("index", &bundle_path),
-            ("queries", &queries),
-            ("k", "5"),
-            ("metrics-out", &metrics_path),
-        ]))
-        .unwrap();
-        assert!(out.contains("searched 10 queries"));
-        assert!(out.contains("[metrics written to"));
-        let json = std::fs::read_to_string(&metrics_path).unwrap();
-        assert!(json.contains("cagra-metrics-v1"));
-        assert!(json.contains("search.iterations"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -633,7 +553,7 @@ mod tests {
         ]))
         .unwrap();
         let bundle_path = format!("{dir}/index.cgix");
-        let out = bundle(&Args::from_pairs(&[
+        let out = build(&Args::from_pairs(&[
             ("base", &base),
             ("degree", "8"),
             ("relabel", "rcm"),
@@ -659,7 +579,7 @@ mod tests {
             .unwrap();
         assert!(recall > 0.85, "relabeled bundle recall {recall}");
         // Unknown strategies are rejected with the valid set listed.
-        let err = bundle(&Args::from_pairs(&[
+        let err = build(&Args::from_pairs(&[
             ("base", &base),
             ("degree", "8"),
             ("relabel", "zorder"),
@@ -691,7 +611,7 @@ mod tests {
         ]))
         .unwrap();
         let bundle_path = format!("{dir}/index_pq.cgix");
-        let out = bundle(&Args::from_pairs(&[
+        let out = build(&Args::from_pairs(&[
             ("base", &base),
             ("degree", "16"),
             ("pq", "24"),
@@ -731,10 +651,9 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("at least k"), "error: {err}");
 
-        // --rerank against a plain f32 bundle points at `bundle --pq`.
+        // --rerank against a plain f32 bundle points at `build --pq`.
         let f32_path = format!("{dir}/index_f32.cgix");
-        bundle(&Args::from_pairs(&[("base", &base), ("degree", "16"), ("out", &f32_path)]))
-            .unwrap();
+        build(&Args::from_pairs(&[("base", &base), ("degree", "16"), ("out", &f32_path)])).unwrap();
         let err = search(&Args::from_pairs(&[
             ("index", &f32_path),
             ("queries", &queries),
@@ -742,10 +661,10 @@ mod tests {
             ("rerank", "32"),
         ]))
         .unwrap_err();
-        assert!(err.contains("bundle --pq"), "error: {err}");
+        assert!(err.contains("build --pq"), "error: {err}");
 
         // Subspace count outside 1..=dim is rejected.
-        let err = bundle(&Args::from_pairs(&[
+        let err = build(&Args::from_pairs(&[
             ("base", &base),
             ("degree", "16"),
             ("pq", "0"),
@@ -788,7 +707,7 @@ mod tests {
         ]))
         .unwrap();
         let bundle_path = format!("{dir}/index.cgix");
-        let out = bundle(&Args::from_pairs(&[
+        let out = build(&Args::from_pairs(&[
             ("base", &base),
             ("degree", "8"),
             ("pq", "24"),
@@ -828,7 +747,7 @@ mod tests {
         .unwrap();
         let base = format!("{dir}/base.fvecs");
         let bundle_path = format!("{dir}/index.cgix");
-        bundle(&Args::from_pairs(&[("base", &base), ("degree", "8"), ("out", &bundle_path)]))
+        build(&Args::from_pairs(&[("base", &base), ("degree", "8"), ("out", &bundle_path)]))
             .unwrap();
         let out = serve(&Args::from_pairs(&[
             ("index", &bundle_path),
@@ -865,6 +784,33 @@ mod tests {
     }
 
     #[test]
+    fn stats_reads_the_same_graph_from_f32_and_pq_bundles() {
+        let dir = tmpdir("stats");
+        synth(&Args::from_pairs(&[
+            ("preset", "deep"),
+            ("n", "400"),
+            ("queries", "1"),
+            ("out-dir", &dir),
+        ]))
+        .unwrap();
+        let base = format!("{dir}/base.fvecs");
+        let [f32_path, pq_path] = [format!("{dir}/f32.cgix"), format!("{dir}/pq.cgix")];
+        build(&Args::from_pairs(&[("base", &base), ("degree", "8"), ("out", &f32_path)])).unwrap();
+        build(&Args::from_pairs(&[
+            ("base", &base),
+            ("degree", "8"),
+            ("pq", "12"),
+            ("out", &pq_path),
+        ]))
+        .unwrap();
+        let f32_stats = stats(&Args::from_pairs(&[("index", &f32_path)])).unwrap();
+        let pq_stats = stats(&Args::from_pairs(&[("index", &pq_path)])).unwrap();
+        assert!(f32_stats.contains("degree: 8"), "stats: {f32_stats}");
+        assert_eq!(f32_stats, pq_stats);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn bad_inputs_are_reported() {
         assert!(parse_metric(&Args::from_pairs(&[("metric", "hamming")])).is_err());
         assert!(read_dataset("/nonexistent/base.fvecs").is_err());
@@ -876,6 +822,46 @@ mod tests {
             ("out", "/tmp/x")
         ]))
         .is_err());
+
+        // A degree the rows cannot support is an error naming both.
+        let dir = tmpdir("bad");
+        synth(&Args::from_pairs(&[
+            ("preset", "deep"),
+            ("n", "600"),
+            ("queries", "1"),
+            ("out-dir", &dir),
+        ]))
+        .unwrap();
+        let base = format!("{dir}/base.fvecs");
+        let out = format!("{dir}/index.cgix");
+        for degree in ["0", "300", "400"] {
+            let err =
+                build(&Args::from_pairs(&[("base", &base), ("degree", degree), ("out", &out)]))
+                    .unwrap_err();
+            assert!(err.contains(&format!("--degree {degree}")), "error: {err}");
+            assert!(err.contains("600 rows"), "error: {err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // The index travels only as a bundle: the retired command and
+        // the flags that restated its parts are errors that name them.
+        let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = crate::run(&argv(&["bundle", "--base", "b", "--degree", "8", "--out", "o"]));
+        assert!(err.unwrap_err().contains("'bundle'"));
+        for (cmd, flag) in [
+            ("search", "graph"),
+            ("search", "base"),
+            ("search", "metric"),
+            ("serve", "graph"),
+            ("serve", "base"),
+            ("serve", "metric"),
+            ("stats", "graph"),
+            ("build", "strategy"),
+            ("build", "d-init"),
+        ] {
+            let err = crate::run(&argv(&[cmd, &format!("--{flag}"), "x"]));
+            assert!(err.unwrap_err().contains(&format!("--{flag}")), "{cmd} --{flag}");
+        }
     }
 
     #[test]

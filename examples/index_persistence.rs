@@ -1,43 +1,41 @@
-//! Build once, search forever: persist the CAGRA graph and the dataset
-//! to disk and reload them — the reuse pattern the paper motivates
-//! ("a proximity graph can be reused once it is constructed").
+//! Build once, search forever: persist a CAGRA index to disk and
+//! reload it — the reuse pattern the paper motivates ("a proximity
+//! graph can be reused once it is constructed").
 //!
-//! Writes standard `fvecs` for vectors and the compact `CAGR` binary
-//! format for the graph, so artifacts interoperate with the TexMex
-//! tooling ecosystem.
+//! The index travels as one bundle (`cagra::index_io`): the vectors,
+//! the graph and the metric in a single file, so a reloaded graph can
+//! never meet a different row order or metric than it was built for.
 //!
 //! ```text
 //! cargo run --release --example index_persistence
 //! ```
 
+use cagra::index_io::{read_bundle, write_index, Bundle};
 use cagra_repro::prelude::*;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 
 fn main() -> std::io::Result<()> {
     let dir = std::env::temp_dir().join("cagra_repro_example");
     std::fs::create_dir_all(&dir)?;
-    let vec_path = dir.join("base.fvecs");
-    let graph_path = dir.join("graph.cagra");
+    let path = dir.join("index.cgix");
 
     // Build and persist.
     let spec = SynthSpec { dim: 48, n: 10_000, queries: 3, family: Family::Gaussian, seed: 11 };
     let (base, queries) = spec.generate();
     let (index, _) = CagraIndex::build(base, Metric::SquaredL2, &GraphConfig::new(16));
-    dataset::io::write_fvecs(BufWriter::new(File::create(&vec_path)?), index.store())?;
-    graph::io::write_fixed(BufWriter::new(File::create(&graph_path)?), index.graph())?;
+    write_index(BufWriter::new(File::create(&path)?), &index)?;
     println!(
-        "persisted {} vectors to {} and the degree-{} graph to {}",
+        "persisted {} vectors and the degree-{} graph to {}",
         index.store().len(),
-        vec_path.display(),
         index.graph().degree(),
-        graph_path.display()
+        path.display()
     );
 
-    // Reload into a fresh index — no rebuild.
-    let base2 = dataset::io::read_fvecs(BufReader::new(File::open(&vec_path)?))?;
-    let graph2 = graph::io::read_fixed(BufReader::new(File::open(&graph_path)?))?;
-    let reloaded = CagraIndex::from_parts(base2, graph2, Metric::SquaredL2);
+    // Reload into a fresh index — no rebuild, no restated metric.
+    let Bundle::F32(reloaded) = read_bundle(&path)? else {
+        return Err(std::io::Error::other("write_index stores f32 vectors"));
+    };
 
     // Identical results from the original and the reloaded index.
     let params = SearchParams::for_k(5);

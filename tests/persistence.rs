@@ -152,8 +152,8 @@ fn read_bundle_rejects_corrupt_graph_headers() {
     let mut bytes = Vec::new();
     write_index(&mut bytes, &index).unwrap();
     assert!(matches!(load("f32_ok", &bytes), Ok(Bundle::F32(_))));
-    // The graph blob follows the 26-byte prefix and the f32 block.
-    let graph_at = 26 + index.store().len() * index.store().dim() * 4;
+    // The graph blob follows the 27-byte v3 prefix and the f32 block.
+    let graph_at = 27 + index.store().len() * index.store().dim() * 4;
     let mut zero_degree = bytes.clone();
     zero_degree[graph_at + 16..graph_at + 24].copy_from_slice(&0u64.to_le_bytes());
     assert_eq!(rejected("zero_degree", &zero_degree), ErrorKind::InvalidData);
