@@ -19,7 +19,7 @@ use crate::build::{build_graph, BuildReport, GraphConfig};
 use crate::error::{validate_request, SearchError};
 use crate::params::SearchParams;
 use dataset::{PermutableStore, VectorStore};
-use distance::Metric;
+use distance::{DistanceOracle, Metric};
 use graph::relabel::{self, IdMap, RelabelStrategy};
 use graph::FixedDegreeGraph;
 use knn::parallel::{default_threads, parallel_map_with};
@@ -317,8 +317,8 @@ impl<S: VectorStore> CagraIndex<S> {
     /// Phase two: exactly re-score the candidates in `scratch.results`
     /// against the full-precision source and keep the best `k`.
     /// Candidate ids are original ids — exactly the source's row order
-    /// — so no id translation happens here. Uses the same kernel entry
-    /// points as a plain f32 oracle, so the kept distances are
+    /// — so no id translation happens here. One gang call on an oracle
+    /// over the source scores them all, so the kept distances are
     /// bit-identical to what an uncompressed index would report.
     fn rerank_results(
         &self,
@@ -334,32 +334,20 @@ impl<S: VectorStore> CagraIndex<S> {
         approx.clear();
         approx.extend(scratch.results.iter().take(k).map(|n| n.id));
         approx.sort_unstable();
-        let mut row = std::mem::take(&mut scratch.rerank_row);
-        row.resize(src.dim(), 0.0);
-        // Hoist the query norm once, as the oracle's prepare() does.
-        let qnorm = match self.metric {
-            Metric::Cosine => distance::dot(query, query).sqrt(),
-            _ => 0.0,
-        };
-        for nb in scratch.results.iter_mut() {
-            let r: &[f32] = match src.row_f32(nb.id as usize) {
-                Some(r) => r,
-                None => {
-                    src.get_into(nb.id as usize, &mut row);
-                    &row
-                }
-            };
-            nb.dist = match self.metric {
-                Metric::SquaredL2 => distance::squared_l2(query, r),
-                Metric::InnerProduct => -distance::dot(query, r),
-                Metric::Cosine => distance::cosine_from_parts(qnorm, distance::dot_norm(query, r)),
-            };
+        let oracle = DistanceOracle::new(src, self.metric);
+        let SearchScratch { results, gang_ids, gang_dists, .. } = scratch;
+        gang_ids.clear();
+        gang_ids.extend(results.iter().map(|n| n.id));
+        gang_dists.clear();
+        gang_dists.resize(gang_ids.len(), 0.0);
+        oracle.to_rows(&oracle.prepare(query), gang_ids, gang_dists);
+        for (nb, &dist) in results.iter_mut().zip(gang_dists.iter()) {
+            nb.dist = dist;
         }
         scratch.results.sort_unstable_by(knn::topk::cmp_neighbor);
         scratch.results.truncate(k);
         let promoted =
             scratch.results.iter().filter(|n| approx.binary_search(&n.id).is_err()).count();
-        scratch.rerank_row = row;
         scratch.rerank_ids = approx;
         let m = obs::metrics();
         m.search_rerank_queries.inc();
@@ -618,6 +606,49 @@ mod tests {
         index.set_rerank_store(Box::new(copy));
         p.rerank_depth = 40;
         assert_eq!(index.search_batch(&queries, 10, &p), baseline);
+    }
+
+    #[test]
+    fn reranked_distances_are_the_one_row_kernels_bits() {
+        // Odd dim: the kernels' remainder lanes run too.
+        let spec = SynthSpec { dim: 13, n: 400, queries: 12, family: Family::Gaussian, seed: 5 };
+        let (base, queries) = spec.generate();
+        let path =
+            std::env::temp_dir().join(format!("cagra_rerank_rows_{}.bin", std::process::id()));
+        let bytes: Vec<u8> = base.as_flat().iter().flat_map(|x| x.to_le_bytes()).collect();
+        std::fs::write(&path, bytes).unwrap();
+        let one_row = |metric: Metric, q: &[f32], r: &[f32]| match metric {
+            Metric::SquaredL2 => distance::squared_l2(q, r),
+            Metric::InnerProduct => -distance::dot(q, r),
+            Metric::Cosine => {
+                distance::cosine_from_parts(distance::dot(q, q).sqrt(), distance::dot_norm(q, r))
+            }
+        };
+        for metric in [Metric::SquaredL2, Metric::InnerProduct, Metric::Cosine] {
+            let (index, _) = CagraIndex::build(base.clone(), metric, &GraphConfig::new(16));
+            let sources: [Box<dyn VectorStore + Send + Sync>; 2] = [
+                Box::new(base.clone()),
+                Box::new(crate::mmap::MmapVectors::open(&path, 0, base.len(), base.dim()).unwrap()),
+            ];
+            for (label, source) in ["Dataset", "MmapVectors"].into_iter().zip(sources) {
+                let mut index =
+                    CagraIndex::from_parts(index.store().clone(), index.graph().clone(), metric);
+                index.set_rerank_store(source);
+                let p = SearchParams { rerank_depth: 23, ..SearchParams::for_k(10) };
+                for (qi, hits) in index.search_batch(&queries, 10, &p).iter().enumerate() {
+                    for nb in hits {
+                        let want = one_row(metric, queries.row(qi), base.row(nb.id as usize));
+                        assert_eq!(
+                            nb.dist.to_bits(),
+                            want.to_bits(),
+                            "{metric:?} {label}: query {qi} id {}",
+                            nb.id
+                        );
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

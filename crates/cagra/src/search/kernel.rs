@@ -1,12 +1,8 @@
 //! The search kernel: the iterative loop of Fig. 6, written once.
 //!
-//! Every round each live worker (1) merges its sorted candidates into
-//! its top-M list, (2) picks the best entries that have not been
-//! parents yet, and (3) expands their neighbors, computing distances
-//! only for nodes visited for the first time. The paper's two hardware
-//! mappings (Sec. IV-C) differ only in how that loop is laid out, which
-//! a private [`Shape`] captures; the loop itself never looks at
-//! [`Mode`]:
+//! The paper's two hardware mappings (Sec. IV-C) differ only in how
+//! that loop is laid out, which a private [`Shape`] captures; the loop
+//! itself never looks at [`Mode`]:
 //!
 //! * **single-CTA** — one worker per query expanding `search_width`
 //!   parents per round over an `itopk`-long list; batches of queries
@@ -18,32 +14,54 @@
 //!   `num_cta * d` nodes versus `p * d`, which keeps the GPU busy at
 //!   batch sizes as small as 1.
 //!
+//! On the GPU every worker of a query runs at once. The host runs a
+//! round as one gang, in four phases:
+//!
+//! 1. every live worker, in worker order, picks up to `p` of the best
+//!    entries of its top-M list that have not been parents (from its
+//!    parent cursor, [`SearchBuffer::pick_parents`]), and the parents'
+//!    adjacency rows are prefetched; a worker with none left retires;
+//! 2. in worker order, each worker's expansion goes to
+//!    [`Hook::expand`], and its parents' neighbors go through the
+//!    visited set; the first visits join one shared gang as that
+//!    worker's segment;
+//! 3. one [`DistanceOracle::to_rows`] call scores the whole gang;
+//! 4. each worker admits its own segment, in order
+//!    ([`SearchBuffer::push_candidate`]), so its list is up to date
+//!    when phase 1 next reads it.
+//!
+//! Visited inserts, `expand` calls and admissions happen in the order a
+//! worker-at-a-time loop makes them, so the traversal, the trace and
+//! the hook's view do not depend on the gang. Initialization is one
+//! gang the same way. The GPU's per-round candidate sort has no host
+//! counterpart: admission at push keeps each list sorted, and the trace
+//! reports the `p * d` slots a warp would sort (`sort_len`), which
+//! `gpu-sim` prices.
+//!
 //! The loop is generic over a [`Hook`], its visited set. A host search
 //! runs [`super::dense::DenseVisited`] (one stamp per graph row, never
 //! full), which implements only `begin` and `insert`, so the host loop
 //! carries no simulation branches. `gpu-sim` brings the GPU's hash
 //! tables, which also see each expansion's parents through
 //! [`Hook::expand`] and derive their probe counts, resets and access
-//! log from what the loop asks of them. Only first-visit neighbors
-//! enter the candidate segment; the trace reports the `p * d` slots a
-//! warp would sort.
+//! log from what the loop asks of them.
 
 use super::buffer::{BufEntry, SearchBuffer};
 use super::index::CagraIndex;
-use super::parent::{is_parented, node_id, set_parented, INVALID};
+use super::parent::{node_id, INVALID};
 use super::planner::Mode;
-use super::scratch::SearchScratch;
+use super::scratch::{SearchScratch, Segment};
 use super::trace::IterationTrace;
 use crate::params::SearchParams;
 use dataset::VectorStore;
-use distance::DistanceOracle;
+use distance::{kernels, DistanceOracle, PreparedQuery};
 use knn::topk::{cmp_neighbor, Neighbor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// How one query's loop is laid out on workers.
 struct Shape {
-    /// Cooperating workers, each with its own top-M + candidate buffer.
+    /// Cooperating workers, each with its own top-M list.
     workers: usize,
     /// Parents each worker expands per round (the paper's `p`).
     parents: usize,
@@ -133,12 +151,13 @@ pub(crate) fn search_query<S: VectorStore, H: Hook>(
     let (graph, id_map) = (index.graph(), index.id_map());
     let (n, d) = (graph.len(), graph.degree());
     let shape = Shape::new(mode, params, d);
-    scratch.begin(shape.workers, shape.m, shape.parents * d);
+    scratch.begin(shape.workers, shape.m, shape.parents, d, shape.max_rounds);
     visited.begin(n, shape.max_rounds, shape.workers * shape.parents * d);
     let SearchScratch {
         buffers,
         active,
         parents,
+        segments,
         results,
         trace,
         record_trace,
@@ -155,13 +174,14 @@ pub(crate) fn search_query<S: VectorStore, H: Hook>(
     let prepared = oracle.prepare(query);
 
     // Initialization (Fig. 6, step 0): each worker draws `p * d`
-    // uniformly random nodes, deduplicated through the visited set and
-    // scored in one gang call. Draws happen in the *original* numbering
-    // and map through the id map (a bijection, so the dedup pattern —
-    // and therefore the whole traversal — matches the unpermuted index).
+    // uniformly random nodes, deduplicated through the visited set;
+    // every worker's draws are scored in one gang call. Draws happen in
+    // the *original* numbering and map through the id map (a bijection,
+    // so the dedup pattern — and therefore the whole traversal —
+    // matches the unpermuted index).
     let mut rng = StdRng::seed_from_u64(params.seed);
-    for buf in buffers.iter_mut() {
-        gang_ids.clear();
+    for worker in 0..shape.workers {
+        let before = gang_ids.len();
         for _ in 0..shape.parents * d {
             let drawn = rng.gen_range(0..n) as u32;
             let id = match id_map {
@@ -172,14 +192,10 @@ pub(crate) fn search_query<S: VectorStore, H: Hook>(
                 gang_ids.push(id);
             }
         }
-        gang_dists.clear();
-        gang_dists.resize(gang_ids.len(), 0.0);
-        oracle.to_rows(&prepared, gang_ids, gang_dists);
-        for (&id, &dist) in gang_ids.iter().zip(gang_dists.iter()) {
-            buf.push_candidate(BufEntry::new(id, dist));
-        }
-        trace.init_distances += gang_ids.len() as u64;
+        segments.push(Segment { worker, parents: 0, fresh: gang_ids.len() - before });
     }
+    score_and_admit(&oracle, &prepared, gang_ids, gang_dists, segments, buffers);
+    trace.init_distances = gang_ids.len() as u64;
 
     let mut rounds = 0usize;
     let mut total_computed = trace.init_distances;
@@ -187,60 +203,63 @@ pub(crate) fn search_query<S: VectorStore, H: Hook>(
     // one per round.
     let mut widest_sort = 0u64;
     while rounds < shape.max_rounds {
-        let mut round = IterationTrace::default();
-        let mut any_active = false;
-        for (buf, act) in buffers.iter_mut().zip(active.iter_mut()) {
+        // Phase 1: every live worker picks up to p entries that have
+        // not been parents, and their adjacency rows start moving. A
+        // list only changes through its own worker's expansions, so a
+        // worker that finds none is finished for good.
+        parents.clear();
+        segments.clear();
+        for (worker, (buf, act)) in buffers.iter_mut().zip(active.iter_mut()).enumerate() {
             if !*act {
                 continue;
             }
-            // Step 1: top-M update.
-            buf.update_topm();
-
-            // Step 2: pick up to p entries that have not been parents
-            // (dummies carry `INVALID`, which reads as parented).
-            parents.clear();
-            for entry in buf.topm_mut() {
-                if parents.len() == shape.parents {
-                    break;
-                }
-                if !is_parented(entry.packed) {
-                    parents.push(node_id(entry.packed));
-                    entry.packed = set_parented(entry.packed);
-                }
-            }
-            if parents.is_empty() {
-                // The list only changes through this worker's own
-                // expansions, so it is finished for good.
+            let before = parents.len();
+            let picked = buf.pick_parents(shape.parents, parents);
+            if picked == 0 {
                 *act = false;
                 continue;
             }
-            any_active = true;
-            visited.expand(rounds, parents, buf);
-
-            // Step 3: expand the parents. Each parent's first-visit
-            // neighbors, in adjacency order, are scored by one gang
-            // call and pushed.
-            for &p in parents.iter() {
-                gang_ids.clear();
-                gang_ids
-                    .extend(graph.neighbors(p as usize).iter().filter(|&&nb| visited.insert(nb)));
-                gang_dists.clear();
-                gang_dists.resize(gang_ids.len(), 0.0);
-                oracle.to_rows(&prepared, gang_ids, gang_dists);
-                for (&id, &dist) in gang_ids.iter().zip(gang_dists.iter()) {
-                    buf.push_candidate(BufEntry::new(id, dist));
-                }
-                round.distances_computed += gang_ids.len() as u64;
+            for &p in parents.iter().skip(before) {
+                kernels::prefetch_slice(graph.neighbors(p as usize));
             }
-            // The GPU sorts every neighbor slot, visited or not: each
-            // worker's `p * d`-slot segment.
-            let segment = (parents.len() * d) as u64;
-            round.candidates += segment;
-            round.sort_len = round.sort_len.max(segment);
+            segments.push(Segment { worker, parents: picked, fresh: 0 });
         }
-        if !any_active {
+        if segments.is_empty() {
             break;
         }
+
+        // Phase 2: in worker order, each worker's expansion is shown to
+        // the hook and its parents' first-visit neighbors, in adjacency
+        // order, join the gang as that worker's segment.
+        let mut round = IterationTrace::default();
+        gang_ids.clear();
+        let mut unplanned = parents.as_slice();
+        for seg in segments.iter_mut() {
+            // Phase 1 pushed each segment's parents in this order.
+            let (mine, rest) = unplanned.split_at(seg.parents);
+            unplanned = rest;
+            if let Some(buf) = buffers.get(seg.worker) {
+                visited.expand(rounds, mine, buf);
+            }
+            let before = gang_ids.len();
+            for &p in mine {
+                gang_ids
+                    .extend(graph.neighbors(p as usize).iter().filter(|&&nb| visited.insert(nb)));
+            }
+            seg.fresh = gang_ids.len() - before;
+            // The GPU sorts every neighbor slot, visited or not: each
+            // worker's `p * d`-slot segment.
+            let slots = (seg.parents * d) as u64;
+            round.candidates += slots;
+            round.sort_len = round.sort_len.max(slots);
+        }
+        #[cfg(feature = "debug_invariants")]
+        check_plan(segments, parents.len(), gang_ids.len());
+
+        // Phases 3 and 4: one gang call scores the round, and each
+        // worker admits its own segment, in order.
+        score_and_admit(&oracle, &prepared, gang_ids, gang_dists, segments, buffers);
+        round.distances_computed = gang_ids.len() as u64;
         widest_sort = widest_sort.max(round.sort_len);
         total_computed += round.distances_computed;
         if *record_trace {
@@ -255,25 +274,65 @@ pub(crate) fn search_query<S: VectorStore, H: Hook>(
     om.search_sort_len.record(widest_sort);
 
     // Collect the workers' lists; the shared visited set guarantees a
-    // node appears in at most one of them. A merge needs every live
-    // entry; a lone ordered list only its first k.
-    let per_list = if shape.merge { usize::MAX } else { k };
-    for buf in buffers.iter_mut() {
-        buf.update_topm(); // fold in the last round's candidates
-        let live = buf.topm().iter().filter(|e| e.packed != INVALID);
-        results.extend(live.take(per_list).map(|e| {
+    // node appears in at most one of them. A lone ordered list gives
+    // its first k. Merged lists give theirs up to the k-th entry plus
+    // every entry tied with it: the merge breaks ties by *original* id,
+    // which on a relabeled index need not follow a list's internal
+    // order, and no entry past a tie can make the merged top k.
+    for buf in buffers.iter() {
+        let mut kth = f32::NAN;
+        for (rank, e) in buf.topm().iter().filter(|e| e.packed != INVALID).enumerate() {
+            if rank + 1 == k {
+                kth = e.dist;
+            } else if rank >= k && !(shape.merge && e.dist == kth) {
+                break;
+            }
             let id = node_id(e.packed);
             let id = match id_map {
                 Some(m) => m.original_of_internal(id),
                 None => id,
             };
-            Neighbor::new(id, e.dist)
-        }));
+            results.push(Neighbor::new(id, e.dist));
+        }
     }
     if shape.merge {
         results.sort_unstable_by(cmp_neighbor);
         results.truncate(k);
     }
+}
+
+/// Score the gang `ids` in one call and admit each segment's share into
+/// its worker's list, segment by segment in push order.
+fn score_and_admit<S: VectorStore>(
+    oracle: &DistanceOracle<'_, S>,
+    prepared: &PreparedQuery<'_>,
+    ids: &[u32],
+    dists: &mut Vec<f32>,
+    segments: &[Segment],
+    buffers: &mut [SearchBuffer],
+) {
+    dists.clear();
+    dists.resize(ids.len(), 0.0);
+    oracle.to_rows(prepared, ids, dists);
+    let mut scored = ids.iter().zip(dists.iter());
+    for seg in segments {
+        let Some(buf) = buffers.get_mut(seg.worker) else { continue };
+        for (&id, &dist) in scored.by_ref().take(seg.fresh) {
+            buf.push_candidate(BufEntry::new(id, dist));
+        }
+    }
+}
+
+/// `debug_invariants` shadow: a round's segments run in worker order
+/// and split its parents and its gang with nothing left over.
+#[cfg(feature = "debug_invariants")]
+fn check_plan(segments: &[Segment], parents: usize, gang: usize) {
+    // ALLOW(panic): compiled only under `debug_invariants`.
+    assert!(segments.windows(2).all(|w| w[0].worker < w[1].worker), "segments out of worker order");
+    // ALLOW(panic): compiled only under `debug_invariants`.
+    assert_eq!(segments.iter().map(|s| s.parents).sum::<usize>(), parents, "parents unassigned");
+    // ALLOW(panic): compiled only under `debug_invariants`.
+    assert_eq!(segments.iter().map(|s| s.fresh).sum::<usize>(), gang, "fresh ids unassigned");
 }
 
 #[cfg(test)]

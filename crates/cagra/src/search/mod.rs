@@ -1,10 +1,12 @@
 //! CAGRA search (Sec. IV of the paper).
 //!
-//! A contiguous buffer holds the internal top-M list and the `p x d`
-//! candidate list; each iteration (1) merges sorted candidates into
-//! the top-M list, (2) expands the neighbors of the best not-yet-
-//! parented entries (tracked by an MSB flag on the stored index), and
-//! (3) computes distances only for nodes not yet visited. That loop
+//! On the GPU a contiguous buffer holds the internal top-M list and
+//! the `p x d` candidate list; each iteration (1) merges sorted
+//! candidates into the top-M list, (2) expands the neighbors of the
+//! best not-yet-parented entries (tracked by an MSB flag on the stored
+//! index), and (3) computes distances only for nodes not yet visited.
+//! The host keeps only the top-M list ([`buffer`]) and admits each
+//! scored candidate into it directly. That loop
 //! lives once, in [`kernel`]; the paper's two hardware mappings are
 //! *shapes* of it — how many workers share a query and one visited
 //! set, how many parents and how long a list each worker gets —

@@ -1,7 +1,7 @@
 //! CAGRA search-machinery invariants over arbitrary inputs.
 
 use cagra::search::buffer::{BufEntry, SearchBuffer};
-use cagra::search::parent::{is_parented, node_id, set_parented, INVALID};
+use cagra::search::parent::{is_parented, node_id, set_parented};
 use proptest::prelude::*;
 
 /// The distance an id scores whenever it is scored (so an id that is
@@ -13,53 +13,58 @@ fn dist_of(id: u32) -> f32 {
 }
 
 proptest! {
-    /// `update_topm` against its definition, round by round: stable
-    /// sort of `topm ++ candidates` by `(dist, node_id)`, NaN
-    /// candidates dropped, first M kept. The stream has everything the
+    /// `push_candidate` against its definition, push by push: stable
+    /// sort of `topm ++ [candidate]` by `(dist, node_id)`, a NaN
+    /// candidate dropped, first M kept. The stream has everything the
     /// kernel produces — ids repeated within a round (two parents
     /// sharing a neighbor) and across rounds (duplicates re-scored
     /// after a forgettable reset), underfull lists, entries parented
     /// between rounds — plus `f32::MAX` entries that tie the dummies.
+    /// Each round's parent pick must take the best unparented entries,
+    /// as a scan from the list head would.
     #[test]
-    fn update_topm_equals_sort_and_truncate_oracle(
+    fn push_candidate_equals_sort_and_truncate_oracle(
         m in 1usize..24,
         rounds in proptest::collection::vec(
-            (proptest::collection::vec((0u32..48, 0u8..8), 0..40), 0usize..24, 0usize..24),
+            (proptest::collection::vec((0u32..48, 0u8..8), 0..40), 0usize..3),
             1..12,
         ),
     ) {
-        let mut buf = SearchBuffer::new(m, 40);
+        let mut buf = SearchBuffer::new(m);
         let mut want = vec![BufEntry::DUMMY; m];
-        for (round, (candidates, parent_a, parent_b)) in rounds.iter().enumerate() {
-            let candidates: Vec<BufEntry> = candidates
-                .iter()
-                .map(|&(id, kind)| match kind {
+        for (round, (candidates, parents)) in rounds.iter().enumerate() {
+            for &(id, kind) in candidates {
+                let c = match kind {
                     0..=2 => BufEntry::new(id, f32::MAX),
                     3 => BufEntry::new(id, f32::NAN),
                     _ => BufEntry::new(id, dist_of(id)),
-                })
-                .collect();
-            buf.set_candidates(candidates.iter().copied());
-            let admitted = buf.update_topm();
+                };
+                let admitted = buf.push_candidate(c);
 
-            let mut all: Vec<(BufEntry, bool)> = want.iter().map(|&e| (e, false)).collect();
-            all.extend(candidates.iter().filter(|c| !c.dist.is_nan()).map(|&c| (c, true)));
-            all.sort_by(|(a, _), (b, _)| {
-                a.dist.partial_cmp(&b.dist).unwrap().then(node_id(a.packed).cmp(&node_id(b.packed)))
-            });
-            all.truncate(m);
-            want = all.iter().map(|&(e, _)| e).collect();
-            prop_assert_eq!(buf.topm(), &want[..], "round {}", round);
-            prop_assert_eq!(admitted, all.iter().filter(|(_, fresh)| *fresh).count());
-            prop_assert!(buf.candidates().is_empty());
-
-            // Parent two entries, as step 2 would, in both lists.
-            for slot in [*parent_a, *parent_b].into_iter().filter(|&slot| slot < m) {
-                if want[slot].packed != INVALID {
-                    want[slot].packed = set_parented(want[slot].packed);
-                    buf.topm_mut()[slot].packed = want[slot].packed;
-                }
+                let mut all: Vec<(BufEntry, bool)> = want.iter().map(|&e| (e, false)).collect();
+                all.extend((!c.dist.is_nan()).then_some((c, true)));
+                all.sort_by(|(a, _), (b, _)| {
+                    a.dist
+                        .partial_cmp(&b.dist)
+                        .unwrap()
+                        .then(node_id(a.packed).cmp(&node_id(b.packed)))
+                });
+                all.truncate(m);
+                want = all.iter().map(|&(e, _)| e).collect();
+                prop_assert_eq!(buf.topm(), &want[..], "round {}", round);
+                prop_assert_eq!(admitted, all.iter().any(|(_, fresh)| *fresh));
             }
+
+            // Step 2 in both lists: the first unparented real entries.
+            let mut picked = Vec::new();
+            buf.pick_parents(*parents, &mut picked);
+            let mut expected = Vec::new();
+            for entry in want.iter_mut().filter(|e| !is_parented(e.packed)).take(*parents) {
+                expected.push(node_id(entry.packed));
+                entry.packed = set_parented(entry.packed);
+            }
+            prop_assert_eq!(picked, expected, "round {}", round);
+            prop_assert_eq!(buf.topm(), &want[..], "round {}", round);
         }
     }
 
@@ -74,21 +79,15 @@ proptest! {
     #[test]
     fn buffer_topm_is_sorted_min_m_of_stream(chunks in proptest::collection::vec(proptest::collection::vec(0.0f32..1e6, 1..20), 1..10)) {
         let m = 8;
-        let mut buf = SearchBuffer::new(m, 32);
+        let mut buf = SearchBuffer::new(m);
         let mut all: Vec<(f32, u32)> = Vec::new();
         let mut next_id = 0u32;
         for chunk in &chunks {
-            let entries: Vec<BufEntry> = chunk
-                .iter()
-                .map(|&d| {
-                    let e = BufEntry::new(next_id, d);
-                    all.push((d, next_id));
-                    next_id += 1;
-                    e
-                })
-                .collect();
-            buf.set_candidates(entries);
-            buf.update_topm();
+            for &d in chunk {
+                buf.push_candidate(BufEntry::new(next_id, d));
+                all.push((d, next_id));
+                next_id += 1;
+            }
         }
         all.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
         let want: Vec<u32> = all.iter().take(m).map(|&(_, id)| id).collect();

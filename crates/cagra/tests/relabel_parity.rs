@@ -101,6 +101,41 @@ fn composed_relabels_still_match_the_unpermuted_index() {
     assert_bit_identical(&twice.search_batch(&queries, k, &params), &baseline, "degree∘rcm");
 }
 
+/// Every third row replaced by a copy of one of the first ten rows, so
+/// each query below sits at one distance from about 40 rows.
+fn rows_with_duplicates(n: usize, dim: usize) -> Dataset {
+    let spec = SynthSpec { dim, n, queries: 0, family: Family::Gaussian, seed: 21 };
+    let mut flat = spec.generate().0.as_flat().to_vec();
+    for v in (0..n).step_by(3) {
+        let src = (v / 3) % 10;
+        flat.copy_within(src * dim..(src + 1) * dim, v * dim);
+    }
+    Dataset::from_flat(flat, dim)
+}
+
+#[test]
+fn relabeled_multi_cta_keeps_every_tie_at_the_kth_distance() {
+    // A worker's list is in internal-id order within a tie, and the
+    // merge picks ties by original id: a per-worker cut at the k-th
+    // entry that dropped the rest of its tie would answer with other
+    // copies than the unpermuted index does.
+    let (n, dim, k) = (1200, 8, 10);
+    let base = rows_with_duplicates(n, dim);
+    let queries = Dataset::from_flat((0..10).flat_map(|j| base.row(3 * j).to_vec()).collect(), dim);
+    let (index, _) = CagraIndex::build(base, Metric::SquaredL2, &GraphConfig::new(16));
+    let params = SearchParams::for_k(k);
+    let baseline = batch(&index, &queries, k, &params, Mode::MultiCta);
+    for answer in &baseline {
+        assert!(answer.iter().all(|nb| nb.dist == 0.0), "every answer is a copy of its query");
+    }
+    for strategy in [RelabelStrategy::Degree, RelabelStrategy::Rcm, RelabelStrategy::Gorder] {
+        let mut relabeled = clone_of(&index);
+        relabeled.relabel(strategy);
+        let got = batch(&relabeled, &queries, k, &params, Mode::MultiCta);
+        assert_bit_identical(&got, &baseline, &format!("{strategy:?} on duplicate rows"));
+    }
+}
+
 fn random_permutation(n: usize, seed: u64) -> Vec<u32> {
     let mut old_of_new: Vec<u32> = (0..n as u32).collect();
     let mut rng = StdRng::seed_from_u64(seed);

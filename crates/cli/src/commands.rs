@@ -128,8 +128,9 @@ pub fn build(args: &Args) -> Result<String, String> {
     }
     let metric = parse_metric(args)?;
     let relabel = parse_relabel(args)?;
-    // PQ bundles store the full-precision rows in original id order;
-    // keep a copy before the build (possibly) relabels the store.
+    // PQ bundles store the full-precision rows in original id order.
+    // Only a relabeled build needs a copy taken before the build
+    // permutes the store; otherwise the index's own store is that tail.
     let pq = match args.opt("pq") {
         None => None,
         Some(v) => {
@@ -137,7 +138,9 @@ pub fn build(args: &Args) -> Result<String, String> {
             if m == 0 || m > base.dim() {
                 return Err(format!("--pq {m} must be in 1..={} (the dataset dim)", base.dim()));
             }
-            Some((m, Dataset::from_flat(base.as_flat().to_vec(), base.dim())))
+            let original = (relabel != RelabelStrategy::Identity)
+                .then(|| Dataset::from_flat(base.as_flat().to_vec(), base.dim()));
+            Some((m, original))
         }
     };
     let out = args.req("out")?;
@@ -151,7 +154,8 @@ pub fn build(args: &Args) -> Result<String, String> {
             cagra::index_io::write_index(file, &index).map_err(|e| e.to_string())?;
             format!("f32, {} B/vec", index.store().bytes_per_vector())
         }
-        Some((m, full)) => {
+        Some((m, original)) => {
+            let full = original.as_ref().unwrap_or(index.store());
             // Encode in the index's (possibly relabeled) row order so
             // codes stay aligned with the graph.
             let store = dataset::pq::build(index.store(), &PqConfig::new(m));
@@ -161,7 +165,7 @@ pub fn build(args: &Args) -> Result<String, String> {
                 metric,
                 index.id_map().cloned(),
             );
-            cagra::index_io::write_index_pq(file, &pq_index, &full).map_err(|e| e.to_string())?;
+            cagra::index_io::write_index_pq(file, &pq_index, full).map_err(|e| e.to_string())?;
             format!(
                 "{m}-byte PQ codes, resident {m} B/vec vs f32 {} B/vec, rerank tail mmap'd",
                 full.bytes_per_vector()
@@ -683,6 +687,42 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("32 served / 0 failed"), "unexpected report: {out}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn pq_bundle_tail_is_the_base_in_original_order() {
+        let dir = tmpdir("pq_tail");
+        synth(&Args::from_pairs(&[
+            ("preset", "deep"),
+            ("n", "400"),
+            ("queries", "1"),
+            ("out-dir", &dir),
+        ]))
+        .unwrap();
+        let base_path = format!("{dir}/base.fvecs");
+        let base = read_dataset(&base_path).unwrap();
+        for relabel in ["identity", "rcm"] {
+            let bundle_path = format!("{dir}/index_{relabel}.cgix");
+            build(&Args::from_pairs(&[
+                ("base", &base_path),
+                ("degree", "8"),
+                ("pq", "24"),
+                ("relabel", relabel),
+                ("out", &bundle_path),
+            ]))
+            .unwrap();
+            let Bundle::Pq(index) = cagra::index_io::read_bundle(Path::new(&bundle_path)).unwrap()
+            else {
+                panic!("--pq writes a PQ bundle");
+            };
+            assert_eq!(index.id_map().is_some(), relabel != "identity");
+            let tail = index.rerank_store().expect("PQ bundles carry their f32 tail");
+            assert_eq!((tail.len(), tail.dim()), (base.len(), base.dim()));
+            for i in 0..base.len() {
+                assert_eq!(tail.row_f32(i), Some(base.row(i)), "{relabel}: row {i}");
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

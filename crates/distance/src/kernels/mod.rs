@@ -381,6 +381,20 @@ pub(crate) fn prefetch<T>(p: *const T) {
     let _ = p;
 }
 
+/// Best-effort prefetch of every cache line `s` spans (no-op off
+/// x86_64): the search loop starts pulling a round's adjacency rows
+/// while it is still picking the other workers' parents.
+#[inline(always)]
+pub fn prefetch_slice<T>(s: &[T]) {
+    const LINE: usize = 64;
+    let start = s.as_ptr().cast::<u8>();
+    let skew = start as usize % LINE;
+    let first_line = start.wrapping_sub(skew);
+    for offset in (0..skew + std::mem::size_of_val(s)).step_by(LINE) {
+        prefetch(first_line.wrapping_add(offset));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
